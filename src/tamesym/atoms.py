@@ -292,40 +292,31 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
         if h.deg_x <= 0:
             bump_uni(h.subst_x(0), "y", e)
             return
+        # every leftover goes back through work, so it is tested again for
+        # content and for linearity in either variable
         content = _uni_content_of_bipoly_in_y(h)
         if content.degree > 0:
             bump_uni(content, "x", e)
-            h = _divide_bipoly_by_uni_x(h, content)
-            if h.deg_x <= 0 or h.deg_y <= 0:
-                work(h, e)
-                return
+            work(_divide_bipoly_by_uni_x(h, content), e)
+            return
         if h.deg_y == 1:
             bump(h, e)  # primitive and linear in y, hence irreducible
             return
         content_x = _uni_content_of_bipoly_in_y(_swap_xy(h))
         if content_x.degree > 0:
             bump_uni(content_x, "y", e)
-            h = _swap_xy(_divide_bipoly_by_uni_x(_swap_xy(h), content_x))
-            if h.deg_x <= 0 or h.deg_y <= 0:
-                work(h, e)
-                return
+            work(_swap_xy(_divide_bipoly_by_uni_x(_swap_xy(h), content_x)), e)
+            return
         if h.deg_x == 1:
             bump(h, e)
             return
         for candidate in sorted(reg.known_bi_polys(),
                                 key=lambda p: (p.deg_x, p.deg_y, p.terms)):
-            while True:
-                quo = bipoly_exact_div(h, candidate)
-                if quo is None:
-                    break
+            quo = bipoly_exact_div(h, candidate)
+            if quo is not None:
                 bump(candidate, e)
-                h = quo
-            if h.deg_y <= 0 or h.deg_x <= 0:
-                work(h, e)
+                work(quo, e)
                 return
-        if h.deg_x <= 0 and h.deg_y <= 0:
-            const *= h.evaluate(0, 0) ** e
-            return
         raise Inconclusive(
             f"cannot factor bivariate polynomial {bipoly_str(h)}: not linear "
             "in either variable and no registered atom divides it")

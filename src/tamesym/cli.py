@@ -2,7 +2,8 @@
 
 Parses DSL inputs, dispatches to the engine, and emits text or JSON.
 Exit codes: 0 all asserted properties hold, 1 a property is violated,
-2 usage or parse error, 3 engine error. JSON output always carries the
+2 usage or parse error, 3 engine error (an internal failure also exits 3,
+its message prefixed "bug:"). JSON output always carries the
 fields {verb, input, result, certificates, status} with sorted keys, so
 output for a fixed input and seed is byte-identical.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -373,6 +375,13 @@ def _emit_json(verb: str, input_obj: dict, result, certificates: list,
     print(json.dumps(payload, sort_keys=True))
 
 
+def _report_error(args, message: str, status: str) -> None:
+    if args.format == "json":
+        _emit_json(args.verb, {}, message, [], status)
+    else:
+        print(f"{args.verb}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -380,17 +389,16 @@ def main(argv=None) -> int:
     try:
         out = args.handler(args, reg)
     except ParseError as e:
-        if args.format == "json":
-            _emit_json(args.verb, {}, str(e), [], "parse-error")
-        else:
-            print(f"{args.verb}: {e}", file=sys.stderr)
+        _report_error(args, str(e), "parse-error")
         return 2
     except (TameSymError, ZeroDivisionError, ValueError) as e:
-        message = f"{type(e).__name__}: {e}"
-        if args.format == "json":
-            _emit_json(args.verb, {}, message, [], "engine-error")
-        else:
-            print(f"{args.verb}: {message}", file=sys.stderr)
+        _report_error(args, f"{type(e).__name__}: {e}", "engine-error")
+        return 3
+    except Exception as e:
+        # an internal guard or an unforeseen failure: still exit 3, never the
+        # traceback exit 1 that would read as "property violated"
+        _report_error(args, f"bug: {type(e).__name__}: {e}", "engine-error")
+        traceback.print_exc(file=sys.stderr)
         return 3
     if args.format == "json":
         _emit_json(args.verb, out.input, out.result, out.certificates,

@@ -193,12 +193,17 @@ def delta(g: GammaSub, reg: AtomRegistry) -> Wedge:
 # ---------------------------------------------------------------------------
 
 
+def _points_str(pts) -> str:
+    """Canonical text of a list of points: 1/2, -3, inf."""
+    return "[" + ", ".join(str(p) for p in pts) + "]"
+
+
 def cross_ratio(x1, x2, x3, x4) -> Fraction:
     """[x1:x2:x3:x4] = (x1-x3)(x2-x4) / ((x1-x4)(x2-x3)); one argument may
     be INF, whose two factors cancel against each other."""
     pts = [x if x is INF else Q(x) for x in (x1, x2, x3, x4)]
     if len({("inf",) if p is INF else p for p in pts}) != 4:
-        raise NotDistinct(f"cross-ratio of {pts}")
+        raise NotDistinct(f"cross-ratio of {_points_str(pts)}")
     a, b, c, d = pts
 
     def diff(u, v):
@@ -247,8 +252,8 @@ def five_term(x1, x2, x3, x4, x5, reg: AtomRegistry | None = None) -> GammaSub:
         r = cross_ratio(*rest)
         if _is_degenerate(r):
             raise NotDistinct(
-                f"cross-ratio of {rest} is degenerate; points must be "
-                "distinct")
+                f"cross-ratio of {_points_str(rest)} is degenerate; points "
+                "must be distinct")
         total = gamma_add(total, gamma_term(sign, r, scalar))
     return total
 

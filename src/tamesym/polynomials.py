@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 
 from .errors import Inconclusive
 
@@ -217,6 +218,8 @@ def poly_str(p: UniPoly, var: str) -> str:
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor."""
+    if f.degree == 0 or g.degree == 0:
+        return UniPoly.const(1)  # a nonzero constant is a unit
     a, b = f, g
     while not b.is_zero:
         a, b = b, a % b
@@ -536,11 +539,8 @@ def _deg4_monic_splits(g: UniPoly) -> tuple[UniPoly, UniPoly] | None:
 def _int_sqrt(n: int) -> int | None:
     if n < 0:
         return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def irreducible_check_uni(f: UniPoly) -> bool:
@@ -597,6 +597,12 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     c = f.leading
+    # constants and linear polynomials are their own factorization; known
+    # atoms have degree >= 2 and cannot divide them
+    if f.degree == 0:
+        return c, []
+    if f.degree == 1:
+        return c, [(f.monic(), 1)]
     out: list[tuple[UniPoly, int]] = []
     for part, power in squarefree_decomposition(f):
         for root, _ in rational_roots(part):

@@ -180,3 +180,22 @@ def test_degenerate_wedge_entry_is_an_error_not_a_zero():
     reg = AtomRegistry()
     with pytest.raises((DegenerateArgument, ZeroDivisionError, ValueError)):
         mult_vec(rf([0, 1]) - rf([0, 1]), reg)
+
+
+def test_bivariate_leftovers_are_rechecked():
+    """A leftover of content removal or trial division is tested again for
+    linearity in both variables, in a fresh registry."""
+    from tamesym import BiFrac, BiPoly
+    x, y, c3 = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const(3)
+    parabola, other = y - x * x, x - y * y  # each linear in one variable
+
+    def atom(reg, p):
+        return reg.bi(p.primitive_int()[1])
+
+    reg = AtomRegistry()
+    v = mult_vec(BiFrac.make(parabola * (y - c3)), reg, "Qxy")
+    assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, y - c3): 1}
+    reg = AtomRegistry()
+    mult_vec(BiFrac.make(parabola), reg, "Qxy")
+    v = mult_vec(BiFrac.make(parabola * other), reg, "Qxy")
+    assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, other): 1}

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from tamesym import AtomRegistry, parse_gamma, parse_wedge
+from tamesym import cli
 from tamesym.cli import main
 
 
@@ -72,6 +73,42 @@ def test_engine_error_exits_three(capsys):
     code, out, err = run(capsys, "bdry", "cyc[t, 1-t, 1-3/t]")
     assert code == 3
     assert "NotAdmissible" in err
+
+
+def test_surface_with_leftover_linear_in_y(capsys):
+    code, out, _ = run(capsys, "snc", "w[(y-x^2)*(y-3)]")
+    assert code == 0
+    assert out == "strictly-regular: yes\n"
+
+
+def test_not_distinct_points_render_canonically(capsys):
+    code, out, err = run(capsys, "five-term", "0", "1", "1", "2", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "five-term: NotDistinct: cross-ratio of [1, 1, 2, 3]\n"
+    code, _, err = run(capsys, "five-term", "1/2", "1/2", "1", "inf", "3")
+    assert code == 3
+    assert "cross-ratio of [1/2, 1/2, inf, 3]" in err
+    assert "Fraction(" not in err
+
+
+def test_internal_failure_exits_three_not_one(capsys, monkeypatch):
+    """An internal guard failing is an engine error marked as a bug, never a
+    traceback exit 1, which means "property violated"."""
+    def broken(args, reg):
+        raise AssertionError("guard tripped")
+
+    monkeypatch.setattr(cli, "_h_five_term", broken)
+    code, out, err = run(capsys, "five-term", "0", "1", "3", "7", "inf")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("five-term: bug: AssertionError: guard tripped\n")
+    code, out, _ = run(capsys, "five-term", "--format", "json",
+                       "0", "1", "3", "7", "inf")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "engine-error"
+    assert payload["result"] == "bug: AssertionError: guard tripped"
 
 
 def test_json_error_statuses(capsys):

@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
-from tamesym.polynomials import (factor_uni, gcd_uni, irreducible_check_uni,
-                                 lcm_uni, multiplicity_at,
+from tamesym.polynomials import (_int_sqrt, factor_uni, gcd_uni,
+                                 irreducible_check_uni, lcm_uni, multiplicity_at,
                                  multiplicity_of_factor, rational_roots,
                                  resultant_uni, squarefree_decomposition)
 
@@ -188,6 +188,58 @@ def test_factor_uni_rebuilds_input():
             assert q.leading == 1
             rebuilt = rebuilt * q ** e
         assert rebuilt == f
+
+
+def _euclid_gcd(f, g):
+    """Reference: the plain Euclidean algorithm, made monic."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()
+
+
+def test_constant_and_linear_closed_forms():
+    """Constants and linear polynomials factor to the answer known by
+    construction, whatever the known atoms, and a nonzero constant has gcd 1
+    with anything, as Euclid says."""
+    rng = random.Random(17)
+    known = (P([1, 0, 1]), P([-2, 0, 0, 1]))
+    for _ in range(60):
+        a1 = Q(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        a0 = Q(rng.choice([0, 0, -4, 1, 9]), rng.choice([1, 3]))
+        cases = ((P([a1]), []), (P([a0, a1]), [(P([a0 / a1, 1]), 1)]))
+        for f, expected in cases:
+            for kn in ((), known):
+                c, parts = factor_uni(f, kn)
+                assert (c, parts) == (a1, expected)
+                rebuilt = UniPoly.const(c)
+                for q, e in parts:
+                    rebuilt = rebuilt * q ** e
+                assert rebuilt == f
+            for g in (rand_poly(rng), P([])):
+                assert gcd_uni(f, g) == _euclid_gcd(f, g)
+                assert gcd_uni(g, f) == _euclid_gcd(g, f)
+    assert gcd_uni(P([]), P([])).is_zero
+
+
+def test_quartic_with_huge_coefficients_splits():
+    """Quadratic pairs are found when the discriminant is beyond float
+    precision (A = 10^17 + 1) or float range (B = 10^170)."""
+    a = 10**17 + 1
+    q1, q2 = P([1, a, 1]), P([3, 7 - a, 1])
+    assert not irreducible_check_uni(q1 * q2)
+    assert factor_uni(q1 * q2) == (1, [(q1, 1), (q2, 1)])
+    b = 10**170
+    q1, q2 = P([1, b, 1]), P([3, -b, 1])
+    assert factor_uni(q1 * q2) == (1, [(q1, 1), (q2, 1)])
+
+
+def test_int_sqrt_is_exact():
+    r = 10**20 + 12345  # r^2 > 2^106
+    assert _int_sqrt(r * r) == r
+    assert _int_sqrt(r * r + 1) is None
+    assert _int_sqrt(10**400) == 10**200  # beyond float range
+    assert _int_sqrt(-4) is None
 
 
 def test_bipoly_arithmetic():
