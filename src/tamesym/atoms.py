@@ -249,10 +249,6 @@ def _divide_bipoly_by_uni_x(g: BiPoly, d: UniPoly) -> BiPoly:
     return BiPoly.make(out)
 
 
-def _swap_xy(g: BiPoly) -> BiPoly:
-    return BiPoly.make({(j, i): c for (i, j), c in g.terms})
-
-
 def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
     """Factor a nonzero bivariate polynomial into registered atoms.
 
@@ -302,10 +298,10 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
         if h.deg_y == 1:
             bump(h, e)  # primitive and linear in y, hence irreducible
             return
-        content_x = _uni_content_of_bipoly_in_y(_swap_xy(h))
+        content_x = _uni_content_of_bipoly_in_y(h.swap_xy())
         if content_x.degree > 0:
             bump_uni(content_x, "y", e)
-            work(_swap_xy(_divide_bipoly_by_uni_x(_swap_xy(h), content_x)), e)
+            work(_divide_bipoly_by_uni_x(h.swap_xy(), content_x).swap_xy(), e)
             return
         if h.deg_x == 1:
             bump(h, e)

@@ -224,25 +224,9 @@ def cross_ratio(x1, x2, x3, x4) -> Fraction:
     return num / den
 
 
-_five_term_checked = False
-
-
 def five_term(x1, x2, x3, x4, x5, reg: AtomRegistry | None = None) -> GammaSub:
     """The alternating sum of the five cross-ratio symbols attached to five
-    distinct points; it lies in the kernel of delta.
-
-    The first call verifies delta = 0 on a fixed instance with a throwaway
-    registry and refuses to continue if that ever breaks.
-    """
-    global _five_term_checked
-    if not _five_term_checked:
-        _five_term_checked = True
-        probe = five_term(0, 1, 3, 7, INF)
-        if not delta(probe, AtomRegistry()).is_zero:
-            _five_term_checked = False
-            raise AssertionError(
-                "five-term element fell out of the kernel of delta; the "
-                "symbol normalization is inconsistent")
+    distinct points; it lies in the kernel of delta."""
     pts = [x1, x2, x3, x4, x5]
     scalar = Wedge.scalar("Qt", 1)
     total = GammaSub.zero("Qt", 0)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .atoms import AtomRegistry, MultVec, mult_vec, one_minus
 from .errors import DegreeMismatch, MixedFields, NotStrictlyRegular
 from .expressions import RatFunc
-from .places import (Place1, SurfDivisor, chain_point, support, tame_symbol,
-                     weil_sum)
+from .places import (chain_point, single_pi_residue, support, support_sum,
+                     tame_symbol, weil_sum)
 from .snc import SncReport, snc_check
 from .polynomials import BiPoly, UniPoly
 from .wedges import (Wedge, retag, wedge_add, wedge_concat, wedge_of,
@@ -97,10 +97,7 @@ def _surface_to_curve(w: Wedge, reg: AtomRegistry) -> Wedge:
     if not report.ok:
         lines = "; ".join(f"{p.kind} at {p.where}" for p in report.problems)
         raise NotStrictlyRegular(f"surface support is not SNC: {lines}")
-    total = Wedge.zero("Qt", w.degree - 1)
-    for d in support(w):
-        total = wedge_add(total, tame_symbol(w, d, reg))
-    return total
+    return support_sum(w, "Qt", reg)
 
 
 def differential(e: LambdaElem, reg: AtomRegistry) -> LambdaElem:
@@ -215,7 +212,7 @@ def blowup_residue(w: Wedge, center: tuple[Fraction, Fraction],
     The chart is x = c1 + u, y = c2 + u v after moving the center to the
     origin; the exceptional curve is u = 0 with coordinate v. Every atom
     pulls back to u^k * (g_k(v) + O(u)) with g_k nonzero, so the
-    single-uniformizer residue rule applies with unit classes [g_k(v)].
+    single-pi residue rule applies with unit classes [g_k(v)].
     """
     c1, c2 = Q(center[0]), Q(center[1])
     xv = BiPoly.make({(0, 0): c1, (1, 0): 1})
@@ -235,21 +232,8 @@ def blowup_residue(w: Wedge, center: tuple[Fraction, Fraction],
                 pulled[atom] = (k, mult_vec(RatFunc.make(gk), reg, "Qv"))
         return pulled[atom]
 
-    total = Wedge.zero("Qv", w.degree - 1)
-    for key, coeff in w.terms:
-        data = [pull(a) for a in key]
-        if all(k == 0 for k, _ in data):
-            continue
-        if w.degree == 1:
-            total = wedge_add(total, Wedge.scalar("Qv", coeff * data[0][0]))
-            continue
-        for i, (k, _) in enumerate(data):
-            if k == 0:
-                continue
-            cof = wedge_of([data[j][1] for j in range(len(key)) if j != i])
-            sign = -1 if i % 2 else 1
-            total = wedge_add(total, wedge_scale(cof, coeff * k * sign))
-    return total
+    return single_pi_residue(w, "Qv", lambda a: pull(a)[0],
+                             lambda a: pull(a)[1])
 
 
 def blowup_as_curve(w: Wedge) -> Wedge:

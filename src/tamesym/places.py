@@ -1,11 +1,18 @@
 """Places of Q(t), divisors on the product of two projective lines, and the
 tame symbol.
 
-One residue algorithm serves every place and divisor class: split each slot
-of a wedge monomial into (order) * uniformizer + unit part, expand, keep the
-single-uniformizer terms, and reduce the remaining unit slots into the
-residue field. Residue fields are Q for places of Q(t) and Q(t) again (in
-the divisor's own parameter, renamed to t) for surface divisors.
+One residue kernel, `single_pi_residue`, serves every place, divisor and
+blow-up chart: split each slot of a wedge monomial into (order) *
+uniformizer + unit part, expand, keep the single-uniformizer terms, and
+reduce the remaining unit slots into the residue field. Residue fields are
+Q for places of Q(t) and Q(t) again (in the divisor's own parameter,
+renamed to t) for surface divisors.
+
+Mirror convention: the divisors with parameter y (VLine, GraphX, LineXInf)
+are the images of those with parameter x (HLine, GraphY, LineYInf) under
+(x, y) -> (y, x), which `mirror` and `BiPoly.swap_xy` apply. Equations,
+restrictions and chain points are worked out for the x-parameter divisors;
+the others are mirrored there and their results swapped back.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from fractions import Fraction
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
                     mult_vec)
-from .errors import (IdenticallyZeroOnDivisor, NonSplitResidue, NotAUnit,
-                     UnsupportedDivisorClass)
+from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
+                     NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import BiPoly, UniPoly, poly_str
-from .wedges import Wedge, wedge_add, wedge_of, wedge_scale
+from .wedges import Wedge, wedge_of
 
 Q = Fraction
 
@@ -159,6 +166,19 @@ LINE_X_INF = LineXInf()
 LINE_Y_INF = LineYInf()
 
 
+def mirror(d: SurfDivisor) -> SurfDivisor:
+    """The divisor's image under (x, y) -> (y, x)."""
+    if isinstance(d, VLine):
+        return HLine(d.c)
+    if isinstance(d, HLine):
+        return VLine(d.c)
+    if isinstance(d, GraphY):
+        return GraphX(d.num, d.den)
+    if isinstance(d, GraphX):
+        return GraphY(d.num, d.den)
+    return LINE_Y_INF if isinstance(d, LineXInf) else LINE_X_INF
+
+
 def graph_y_divisor(phi: RatFunc) -> GraphY:
     return GraphY(phi.num, phi.den)
 
@@ -174,18 +194,14 @@ def defining_bipoly(d: SurfDivisor) -> BiPoly:
     finite chart; callers needing their chart equations handle those
     directly (the checker does), so asking for them here is an error.
     """
-    if isinstance(d, VLine):
-        return BiPoly.make({(1, 0): 1, (0, 0): -d.c})
+    if isinstance(d, (VLine, GraphX)):
+        return defining_bipoly(mirror(d)).swap_xy()
     if isinstance(d, HLine):
         return BiPoly.make({(0, 1): 1, (0, 0): -d.c})
     if isinstance(d, GraphY):
         den = BiPoly.from_uni(d.den, "x")
         num = BiPoly.from_uni(d.num, "x")
         return den * BiPoly.var_y() - num
-    if isinstance(d, GraphX):
-        den = BiPoly.from_uni(d.den, "y")
-        num = BiPoly.from_uni(d.num, "y")
-        return den * BiPoly.var_x() - num
     raise ValueError(f"{d} has no finite-chart equation")
 
 
@@ -210,7 +226,7 @@ def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
         phi = RatFunc.make(-cols[0], cols[1])
         return graph_y_divisor(phi)
     if dx == 1:
-        cols = g.x_coefficients()
+        cols = g.swap_xy().y_coefficients()
         psi = RatFunc.make(-cols[0], cols[1])
         return graph_x_divisor(psi)
     raise UnsupportedDivisorClass(
@@ -273,40 +289,20 @@ def ratfunc_order(f: RatFunc, place: Place1) -> int:
 
 
 def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
-    """Restrict a bivariate function to a divisor, as a function of the
-    divisor's parameter (renamed to t).
+    """Restrict a bivariate function to a finite divisor, as a function of
+    the divisor's parameter (renamed to t).
 
     Raises IdenticallyZeroOnDivisor when the restriction is 0 or infinite
     identically, i.e. when f has nonzero order along d.
     """
-    if isinstance(d, VLine):
-        num, den = f.num.subst_x(d.c), f.den.subst_x(d.c)
-    elif isinstance(d, HLine):
-        num, den = f.num.subst_y(d.c), f.den.subst_y(d.c)
-    elif isinstance(d, GraphY):
-        rn = f.num.eval_y_ratfunc(d.num, d.den)
-        rd = f.den.eval_y_ratfunc(d.num, d.den)
-        num = rn * d.den ** f.den.deg_y
-        den = rd * d.den ** f.num.deg_y
-    elif isinstance(d, GraphX):
-        rn = f.num.eval_x_ratfunc(d.num, d.den)
-        rd = f.den.eval_x_ratfunc(d.num, d.den)
-        num = rn * d.den ** f.den.deg_x
-        den = rd * d.den ** f.num.deg_x
-    elif isinstance(d, LineXInf):
-        korder = f.den.deg_x - f.num.deg_x
-        if korder != 0:
-            raise IdenticallyZeroOnDivisor(
-                f"function has order {korder} along {d}")
-        num = f.num.x_coefficients()[-1]
-        den = f.den.x_coefficients()[-1]
+    fn, fd, e = f.num, f.den, d
+    if isinstance(d, (VLine, GraphX)):
+        fn, fd, e = fn.swap_xy(), fd.swap_xy(), mirror(d)
+    if isinstance(e, HLine):
+        num, den = fn.subst_y(e.c), fd.subst_y(e.c)
     else:
-        korder = f.den.deg_y - f.num.deg_y
-        if korder != 0:
-            raise IdenticallyZeroOnDivisor(
-                f"function has order {korder} along {d}")
-        num = f.num.y_coefficients()[-1]
-        den = f.den.y_coefficients()[-1]
+        num = fn.eval_y_ratfunc(e.num, e.den) * e.den ** fd.deg_y
+        den = fd.eval_y_ratfunc(e.num, e.den) * e.den ** fn.deg_y
     if num.is_zero or den.is_zero:
         raise IdenticallyZeroOnDivisor(
             f"restriction to {d} is identically zero or infinite")
@@ -332,14 +328,12 @@ def _atom_residue_class(atom, place, reg: AtomRegistry) -> MultVec:
     # surface divisors; residue field Q(t)
     if isinstance(atom, PrimeAtom):
         return mult_vec(Q(atom.p), reg, "Qt")
+    g = atom.poly
     if isinstance(place, LineXInf):
-        lead = atom.poly.x_coefficients()[-1]
-        return mult_vec(RatFunc.make(lead), reg, "Qt")
+        g, place = g.swap_xy(), LINE_Y_INF
     if isinstance(place, LineYInf):
-        lead = atom.poly.y_coefficients()[-1]
-        return mult_vec(RatFunc.make(lead), reg, "Qt")
-    restricted = restrict_bi(BiFrac.make(atom.poly), place)
-    return mult_vec(restricted, reg, "Qt")
+        return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
+    return mult_vec(restrict_bi(BiFrac.make(g), place), reg, "Qt")
 
 
 def residue_field_of(place) -> str:
@@ -376,15 +370,52 @@ def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
 # ---------------------------------------------------------------------------
 
 
+def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
+    """The residue rule shared by every place, divisor and blow-up chart.
+
+    order(a) is the order of atom a along the divisor and unit(a) the class
+    in the residue field `field` of a's unit part. Each slot of a monomial
+    is order * pi + unit; expanded terms with two or more pi slots vanish,
+    all-unit terms contribute nothing, and a single pi slot at position i
+    contributes sign (-1)^i times the order times the wedge of the other
+    slots' unit classes. Degree-1 wedges reduce to bare orders on the
+    scalar line.
+
+    order is asked for every atom of every monomial, unit only for the
+    other slots of a monomial with a pi slot; each at most once per atom,
+    so an atom whose unit class cannot be formed raises only where one is
+    needed.
+    """
+    orders: dict = {}
+    units: dict = {}
+    out: dict = {}
+    for key, coeff in w.terms:
+        for a in key:
+            if a not in orders:
+                orders[a] = order(a)
+        for i, a in enumerate(key):
+            k = orders[a]
+            if k == 0:
+                continue
+            rest = []
+            for j, b in enumerate(key):
+                if j != i:
+                    if b not in units:
+                        units[b] = unit(b)
+                    rest.append(units[b])
+            cof = wedge_of(rest) if rest else Wedge.scalar(field, 1)
+            scale = coeff * k * (-1 if i % 2 else 1)
+            for mono, c in cof.terms:
+                out[mono] = out.get(mono, Q(0)) + scale * c
+    return Wedge.make(field, w.degree - 1, out)
+
+
 def tame_symbol(w: Wedge, place, reg: AtomRegistry,
                 uniformizer: MultVec | None = None) -> Wedge:
     """Residue of a wedge at a place or divisor; degree drops by one.
 
-    Expansion rule per monomial: write each slot as order * pi + unit.
-    Monomials with two or more pi slots vanish, all-unit monomials
-    contribute nothing, and a single pi slot at position i contributes
-    sign (-1)^i times the order times the wedge of the other slots' residue
-    classes. Degree-1 wedges reduce to bare orders on the scalar line.
+    The single-pi rule of `single_pi_residue`, with the atoms' orders at
+    the place and the residue classes of their unit parts.
 
     The default uniformizer follows the fixed conventions; passing another
     class with order 1 must give the same answer (constants and units drop
@@ -393,31 +424,14 @@ def tame_symbol(w: Wedge, place, reg: AtomRegistry,
     if w.degree < 1:
         raise ValueError("tame symbol needs degree at least 1")
     pi_hat = uniformizer if uniformizer is not None else uniformizer_class(place, reg)
-    res_field = residue_field_of(place)
-    total = Wedge.zero(res_field, w.degree - 1)
-    for key, coeff in w.terms:
-        orders = [_atom_order(a, place) for a in key]
-        if all(o == 0 for o in orders):
-            continue
-        if w.degree == 1:
-            total = wedge_add(total, Wedge.scalar(res_field, coeff * orders[0]))
-            continue
-        units: dict[int, MultVec] = {}
 
-        def unit_class(j: int) -> MultVec:
-            if j not in units:
-                single = MultVec.make(w.field, {key[j]: Q(1)})
-                units[j] = reduce_unit(single - pi_hat.scale(orders[j]),
-                                       place, reg)
-            return units[j]
+    def unit(atom) -> MultVec:
+        single = MultVec.make(w.field, {atom: Q(1)})
+        return reduce_unit(single - pi_hat.scale(_atom_order(atom, place)),
+                           place, reg)
 
-        for i, o in enumerate(orders):
-            if o == 0:
-                continue
-            cof = wedge_of([unit_class(j) for j in range(len(key)) if j != i])
-            sign = -1 if i % 2 else 1
-            total = wedge_add(total, wedge_scale(cof, coeff * o * sign))
-    return total
+    return single_pi_residue(w, residue_field_of(place),
+                             lambda a: _atom_order(a, place), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +474,26 @@ def finite_support_divisors(w: Wedge) -> list[SurfDivisor]:
     return [d for d in support(w) if not isinstance(d, (LineXInf, LineYInf))]
 
 
+def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
+    """Sum of the tame symbols of w over its support, a wedge over the
+    residue field `field`."""
+    out: dict = {}
+    for place in support(w):
+        ts = tame_symbol(w, place, reg)
+        if ts.field != field:
+            raise MixedFields(f"{field} vs {ts.field}")
+        for key, c in ts.terms:
+            out[key] = out.get(key, Q(0)) + c
+    return Wedge.make(field, w.degree - 1, out)
+
+
 def weil_sum(w: Wedge, reg: AtomRegistry) -> Wedge:
     """Sum of tame symbols over the support of a wedge over Q(t).
 
     For degree 2 this vanishes identically (reciprocity); in higher degree
     it is the curve-level differential and can be nonzero.
     """
-    total = Wedge.zero("Q", w.degree - 1)
-    for place in support(w):
-        total = wedge_add(total, tame_symbol(w, place, reg))
-    return total
+    return support_sum(w, "Q", reg)
 
 
 def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
@@ -501,20 +525,15 @@ def chain_point(d: SurfDivisor, v: Place1):
     them, and pretending to know the matching would be a guess)."""
     if isinstance(v, IrredPlace):
         return ("nonsplit", d.sort_key(), v.sort_key())
-    if isinstance(d, VLine):
-        return (d.c, INF if isinstance(v, Infinity) else v.c)
+    if isinstance(d, (VLine, GraphX, LineXInf)):
+        x, y = chain_point(mirror(d), v)
+        return (y, x)
+    t = INF if isinstance(v, Infinity) else v.c
     if isinstance(d, HLine):
-        return (INF if isinstance(v, Infinity) else v.c, d.c)
+        return (t, d.c)
     if isinstance(d, GraphY):
         phi = d.phi()
-        if isinstance(v, Infinity):
+        if t is INF:
             return (INF, phi.evaluate_at_infinity())
-        return (v.c, phi.evaluate(v.c))
-    if isinstance(d, GraphX):
-        psi = d.psi()
-        if isinstance(v, Infinity):
-            return (psi.evaluate_at_infinity(), INF)
-        return (psi.evaluate(v.c), v.c)
-    if isinstance(d, LineXInf):
-        return (INF, INF if isinstance(v, Infinity) else v.c)
-    return (INF if isinstance(v, Infinity) else v.c, INF)
+        return (t, phi.evaluate(t))
+    return (t, INF)

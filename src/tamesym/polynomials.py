@@ -784,17 +784,6 @@ class BiPoly:
             out.append(UniPoly.make([col.get(k, Q(0)) for k in range(n + 1)]))
         return out
 
-    def x_coefficients(self) -> list[UniPoly]:
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (i, j), c in self.terms:
-            cols.setdefault(i, {})[j] = c
-        out = []
-        for i in range(self.deg_x + 1):
-            col = cols.get(i, {})
-            n = max(col, default=-1)
-            out.append(UniPoly.make([col.get(k, Q(0)) for k in range(n + 1)]))
-        return out
-
     def eval_y_ratfunc(self, num: UniPoly, den: UniPoly) -> UniPoly:
         """den^deg_y * g(x, num/den), a polynomial in x."""
         dy = self.deg_y
@@ -803,13 +792,9 @@ class BiPoly:
             acc = acc + cj * num**j * den ** (dy - j)
         return acc
 
-    def eval_x_ratfunc(self, num: UniPoly, den: UniPoly) -> UniPoly:
-        """den^deg_x * g(num/den, y), a polynomial in y."""
-        dx = self.deg_x
-        acc = UniPoly(())
-        for i, ci in enumerate(self.x_coefficients()):
-            acc = acc + ci * num**i * den ** (dx - i)
-        return acc
+    def swap_xy(self) -> "BiPoly":
+        """g(y, x): the same polynomial with x and y exchanged."""
+        return BiPoly.make({(j, i): c for (i, j), c in self.terms})
 
     def invert_x(self) -> "BiPoly":
         """u^deg_x * g(1/u, y): the closure's equation in the 1/x chart."""

@@ -15,6 +15,11 @@ polynomial q together with the other coordinate expressed as a rational
 function of the first (or the infinite marker). Membership and
 transversality are decided modulo q, which settles all conjugate points at
 once.
+
+Configurations mirrored by (x, y) -> (y, x) share one code path: a cluster
+over y, and a boundary or pair whose divisors have y as parameter, are
+mirrored (`places.mirror`) into the x-oriented case, and the points found
+are swapped back before they are recorded.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import (GraphX, GraphY, HLine, SurfDivisor, VLine,
-                     defining_bipoly, finite_support_divisors)
+                     defining_bipoly, finite_support_divisors, mirror)
 from .polynomials import BiPoly, UniPoly, factor_uni, poly_str
 from .wedges import Wedge
 
@@ -32,34 +37,34 @@ Q = Fraction
 
 
 @dataclass(frozen=True)
-class ClusterX:
-    """Conjugate points (xi, y_expr(xi)) over the roots xi of q; y_expr of
-    None marks y = infinity on the whole cluster."""
+class Cluster:
+    """Conjugate points over the roots of q in the coordinate `axis`: for
+    axis "x" the points (xi, expr(xi)) over the roots xi of q, for axis "y"
+    their mirror images (expr(eta), eta). An expr of None marks the other
+    coordinate as infinite on the whole cluster."""
 
+    axis: str
     q: UniPoly
-    y_expr: RatFunc | None
+    expr: RatFunc | None
 
     def sort_key(self) -> tuple:
-        ek = ("inf",) if self.y_expr is None else self.y_expr.key()
-        return (2, self.q.key(), ek)
+        ek = (1,) if self.expr is None else (0,) + self.expr.key()
+        return (2 if self.axis == "x" else 3, self.q.key(), ek)
+
+    def mirror(self) -> "Cluster":
+        return Cluster("y" if self.axis == "x" else "x", self.q, self.expr)
 
     def __str__(self) -> str:
-        y = "inf" if self.y_expr is None else ratfunc_str(self.y_expr, "x")
-        return f"({poly_str(self.q, 'x')}=0, y={y})"
+        other = "inf" if self.expr is None else ratfunc_str(self.expr, self.axis)
+        if self.axis == "x":
+            return f"({poly_str(self.q, 'x')}=0, y={other})"
+        return f"(x={other}, {poly_str(self.q, 'y')}=0)"
 
 
-@dataclass(frozen=True)
-class ClusterY:
-    q: UniPoly
-    x_expr: RatFunc | None
-
-    def sort_key(self) -> tuple:
-        ek = ("inf",) if self.x_expr is None else self.x_expr.key()
-        return (3, self.q.key(), ek)
-
-    def __str__(self) -> str:
-        x = "inf" if self.x_expr is None else ratfunc_str(self.x_expr, "y")
-        return f"(x={x}, {poly_str(self.q, 'y')}=0)"
+def _mirrored(found: tuple[list, list]) -> tuple[list, list]:
+    """Points and clusters found on mirrored divisors, swapped back."""
+    points, clusters = found
+    return [(b, a) for a, b in points], [cl.mirror() for cl in clusters]
 
 
 def _coord_key(v) -> tuple:
@@ -126,9 +131,11 @@ def _clear_compose(p: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
     return acc
 
 
-def _through_cluster_x(d: SurfDivisor, cl: ClusterX) -> bool:
+def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
+    if cl.axis == "y":
+        return _through_cluster(mirror(d), cl.mirror())
     q = cl.q
-    e = cl.y_expr
+    e = cl.expr
     if isinstance(d, VLine):
         return False  # rational abscissa cannot be a root of q
     if isinstance(d, HLine):
@@ -154,35 +161,6 @@ def _through_cluster_x(d: SurfDivisor, cl: ClusterX) -> bool:
     return ((nc - dc * UniPoly.var()) % q).is_zero
 
 
-def _through_cluster_y(d: SurfDivisor, cl: ClusterY) -> bool:
-    q = cl.q
-    e = cl.x_expr
-    if isinstance(d, HLine):
-        return False
-    if isinstance(d, VLine):
-        if e is None:
-            return False
-        return ((e.num - e.den.scale(d.c)) % q).is_zero
-    if isinstance(d, GraphX):
-        if e is None:
-            return (d.den % q).is_zero
-        if (d.den % q).is_zero:
-            return False
-        lhs = d.num * e.den - e.num * d.den
-        return (lhs % q).is_zero
-    if isinstance(d, GraphY):
-        if e is None:
-            return False
-        a = _clear_compose(d.num, e.num, e.den)
-        b = _clear_compose(d.den, e.num, e.den)
-        nc = a * e.den ** max(d.den.degree, 0)
-        dc = b * e.den ** max(d.num.degree, 0)
-        if (dc % q).is_zero:
-            return False
-        return ((nc - dc * UniPoly.var()) % q).is_zero
-    return False
-
-
 # ---------------------------------------------------------------------------
 # transversality
 # ---------------------------------------------------------------------------
@@ -199,25 +177,16 @@ def _transversal_at_point(d1: SurfDivisor, d2: SurfDivisor, pt) -> bool:
     return det.evaluate(a, b) != 0
 
 
-def _transversal_at_cluster_x(d1, d2, cl: ClusterX) -> bool:
-    y_inf = cl.y_expr is None
+def _transversal_at_cluster(d1, d2, cl: Cluster) -> bool:
+    if cl.axis == "y":
+        return _transversal_at_cluster(mirror(d1), mirror(d2), cl.mirror())
+    y_inf = cl.expr is None
     det = _jacobian_det(_chart_poly(d1, False, y_inf),
                         _chart_poly(d2, False, y_inf))
     if y_inf:
         reduced = det.subst_y(0) % cl.q
     else:
-        reduced = det.eval_y_ratfunc(cl.y_expr.num, cl.y_expr.den) % cl.q
-    return not reduced.is_zero
-
-
-def _transversal_at_cluster_y(d1, d2, cl: ClusterY) -> bool:
-    x_inf = cl.x_expr is None
-    det = _jacobian_det(_chart_poly(d1, x_inf, False),
-                        _chart_poly(d2, x_inf, False))
-    if x_inf:
-        reduced = det.subst_x(0) % cl.q
-    else:
-        reduced = det.eval_x_ratfunc(cl.x_expr.num, cl.x_expr.den) % cl.q
+        reduced = det.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q
     return not reduced.is_zero
 
 
@@ -241,79 +210,56 @@ def _roots_and_factors(f: UniPoly) -> tuple[list[Fraction], list[UniPoly]]:
     return roots, hard
 
 
-def _boundary_candidates(d: SurfDivisor, points: set, cx: set, cy: set) -> None:
-    if isinstance(d, VLine):
-        points.add((d.c, INF))
-        return
+def _boundary_candidates(d: SurfDivisor) -> tuple[list, list]:
+    """Points and clusters where d meets the lines at infinity."""
+    if isinstance(d, (VLine, GraphX)):
+        return _mirrored(_boundary_candidates(mirror(d)))
     if isinstance(d, HLine):
-        points.add((INF, d.c))
-        return
-    if isinstance(d, GraphY):
-        points.add((INF, d.phi().evaluate_at_infinity()))
-        roots, hard = _roots_and_factors(d.den)
-        for r in roots:
-            points.add((r, INF))
-        for q in hard:
-            cx.add(ClusterX(q, None))
-        return
-    if isinstance(d, GraphX):
-        points.add((d.psi().evaluate_at_infinity(), INF))
-        roots, hard = _roots_and_factors(d.den)
-        for r in roots:
-            points.add((INF, r))
-        for q in hard:
-            cy.add(ClusterY(q, None))
+        return [(INF, d.c)], []
+    if not isinstance(d, GraphY):
+        return [], []
+    points = [(INF, d.phi().evaluate_at_infinity())]
+    roots, hard = _roots_and_factors(d.den)
+    points += [(r, INF) for r in roots]
+    return points, [Cluster("x", q, None) for q in hard]
 
 
-def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor,
-                     points: set, cx: set, cy: set) -> None:
+def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
     """Finite-chart intersection candidates of a pair. Meetings with an
     infinite coordinate are boundary points of both parties and are already
     in the candidate set."""
     if d1.sort_key() > d2.sort_key():
         d1, d2 = d2, d1
+    if isinstance(d2, GraphX) and not isinstance(d1, GraphY):
+        return _mirrored(_pair_candidates(mirror(d1), mirror(d2)))
+    points: list = []
+    clusters: list = []
     if isinstance(d1, VLine):
         if isinstance(d2, HLine):
-            points.add((d1.c, d2.c))
+            points.append((d1.c, d2.c))
         elif isinstance(d2, GraphY):
             yv = d2.phi().evaluate(d1.c)
             if yv is not INF:
-                points.add((d1.c, yv))
-        elif isinstance(d2, GraphX):
-            f = d2.num - d2.den.scale(d1.c)
-            roots, hard = _roots_and_factors(f)
-            for r in roots:
-                points.add((d1.c, r))
-            for q in hard:
-                cy.add(ClusterY(q, RatFunc.const(d1.c)))
-        return
-    if isinstance(d1, HLine):
+                points.append((d1.c, yv))
+    elif isinstance(d1, HLine):
         if isinstance(d2, GraphY):
             f = d2.num - d2.den.scale(d1.c)
             roots, hard = _roots_and_factors(f)
-            for r in roots:
-                points.add((r, d1.c))
-            for q in hard:
-                cx.add(ClusterX(q, RatFunc.const(d1.c)))
-        elif isinstance(d2, GraphX):
-            xv = d2.psi().evaluate(d1.c)
-            if xv is not INF:
-                points.add((xv, d1.c))
-        return
-    if isinstance(d1, GraphY) and isinstance(d2, GraphY):
+            points += [(r, d1.c) for r in roots]
+            clusters += [Cluster("x", q, RatFunc.const(d1.c)) for q in hard]
+    elif isinstance(d1, GraphY) and isinstance(d2, GraphY):
         r = d1.num * d2.den - d2.num * d1.den
         roots, hard = _roots_and_factors(r)
         for x0 in roots:
             if d1.den.evaluate(x0) != 0:
-                points.add((x0, d1.phi().evaluate(x0)))
+                points.append((x0, d1.phi().evaluate(x0)))
             # a shared pole meets at (x0, inf): boundary of both
         for q in hard:
             if (d1.den % q).is_zero:
-                cx.add(ClusterX(q, None))
+                clusters.append(Cluster("x", q, None))
             else:
-                cx.add(ClusterX(q, d1.phi()))
-        return
-    if isinstance(d1, GraphY) and isinstance(d2, GraphX):
+                clusters.append(Cluster("x", q, d1.phi()))
+    elif isinstance(d1, GraphY) and isinstance(d2, GraphX):
         # x = psi(phi(x)); clear phi's denominator out of psi's parts
         a = _clear_compose(d2.num, d1.num, d1.den)
         b = _clear_compose(d2.den, d1.num, d1.den)
@@ -323,24 +269,13 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor,
         roots, hard = _roots_and_factors(eqn)
         for x0 in roots:
             if d1.den.evaluate(x0) != 0:
-                points.add((x0, d1.phi().evaluate(x0)))
+                points.append((x0, d1.phi().evaluate(x0)))
         for q in hard:
             if not (d1.den % q).is_zero:
-                cx.add(ClusterX(q, d1.phi()))
+                clusters.append(Cluster("x", q, d1.phi()))
             # factors of phi's denominator give y = inf clusters, which the
             # boundary pass already contributed
-        return
-    if isinstance(d1, GraphX) and isinstance(d2, GraphX):
-        r = d1.num * d2.den - d2.num * d1.den
-        roots, hard = _roots_and_factors(r)
-        for y0 in roots:
-            if d1.den.evaluate(y0) != 0:
-                points.add((d1.psi().evaluate(y0), y0))
-        for q in hard:
-            if (d1.den % q).is_zero:
-                cy.add(ClusterY(q, None))
-            else:
-                cy.add(ClusterY(q, d1.psi()))
+    return points, clusters
 
 
 # ---------------------------------------------------------------------------
@@ -363,45 +298,27 @@ def snc_check(arg) -> SncReport:
                 divisors.append(d)
         divisors.sort(key=lambda d: d.sort_key())
 
+    found = [_boundary_candidates(d) for d in divisors]
+    found += [_pair_candidates(d1, d2) for i, d1 in enumerate(divisors)
+              for d2 in divisors[i + 1:]]
     points: set = set()
-    cx: set = set()
-    cy: set = set()
-    for d in divisors:
-        _boundary_candidates(d, points, cx, cy)
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            _pair_candidates(divisors[i], divisors[j], points, cx, cy)
+    clusters: set = set()
+    for pts, cls in found:
+        points.update(pts)
+        clusters.update(cls)
 
+    candidates = [(pt, _point_str(pt), _through_point, _transversal_at_point)
+                  for pt in sorted(points, key=_point_key)]
+    candidates += [(cl, str(cl), _through_cluster, _transversal_at_cluster)
+                   for cl in sorted(clusters, key=Cluster.sort_key)]
     problems: list[SncProblem] = []
-
-    for pt in sorted(points, key=_point_key):
-        members = [d for d in divisors if _through_point(d, pt)]
+    for cand, where, through, transversal in candidates:
+        members = [d for d in divisors if through(d, cand)]
+        names = tuple(str(d) for d in members)
         if len(members) >= 3:
-            problems.append(SncProblem(
-                "triple", _point_str(pt), tuple(str(d) for d in members)))
-        elif len(members) == 2:
-            if not _transversal_at_point(members[0], members[1], pt):
-                problems.append(SncProblem(
-                    "tangency", _point_str(pt),
-                    tuple(str(d) for d in members)))
-    for cl in sorted(cx, key=lambda c: c.sort_key()):
-        members = [d for d in divisors if _through_cluster_x(d, cl)]
-        if len(members) >= 3:
-            problems.append(SncProblem(
-                "triple", str(cl), tuple(str(d) for d in members)))
-        elif len(members) == 2:
-            if not _transversal_at_cluster_x(members[0], members[1], cl):
-                problems.append(SncProblem(
-                    "tangency", str(cl), tuple(str(d) for d in members)))
-    for cl in sorted(cy, key=lambda c: c.sort_key()):
-        members = [d for d in divisors if _through_cluster_y(d, cl)]
-        if len(members) >= 3:
-            problems.append(SncProblem(
-                "triple", str(cl), tuple(str(d) for d in members)))
-        elif len(members) == 2:
-            if not _transversal_at_cluster_y(members[0], members[1], cl):
-                problems.append(SncProblem(
-                    "tangency", str(cl), tuple(str(d) for d in members)))
+            problems.append(SncProblem("triple", where, names))
+        elif len(members) == 2 and not transversal(*members, cand):
+            problems.append(SncProblem("tangency", where, names))
 
     return SncReport(ok=not problems, divisors=divisors, problems=problems,
-                     candidates_checked=len(points) + len(cx) + len(cy))
+                     candidates_checked=len(points) + len(clusters))

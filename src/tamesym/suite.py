@@ -354,12 +354,7 @@ def run_criterion(ident: str, seed: int = 7, scale: int = 100) -> CriterionResul
     """One criterion on a fresh seeded corpus; C10 is the determinism row
     and reruns all the others."""
     if ident == "C10":
-        results, _ = _run_once(seed, scale)
-        again, _ = _run_once(seed, scale)
-        stable = results == again
-        return CriterionResult("C10", "suite-determinism", stable,
-                               "two passes identical" if stable
-                               else "passes differ")
+        return run_suite(seed, scale)[0][-1]
     for cid, title, runner in _CRITERIA:
         if cid == ident:
             rng = random.Random(f"{seed}:{cid}")
@@ -368,25 +363,16 @@ def run_criterion(ident: str, seed: int = 7, scale: int = 100) -> CriterionResul
     raise ValueError(f"unknown criterion {ident!r}")
 
 
-def _run_once(seed: int, scale: int) -> tuple[list[CriterionResult], bool]:
-    results = []
-    for cid, title, runner in _CRITERIA:
-        rng = random.Random(f"{seed}:{cid}")
-        ok, detail = runner(rng, scale)
-        results.append(CriterionResult(cid, title, ok, detail))
-    return results, all(r.ok for r in results)
-
-
 def run_suite(seed: int = 7, scale: int = 100) -> tuple[list[CriterionResult], bool]:
     """All criteria in order, then a full second pass to attest that the
     report is reproducible for this seed."""
-    results, ok = _run_once(seed, scale)
-    again, _ = _run_once(seed, scale)
+    results, again = [[run_criterion(cid, seed, scale) for cid, _, _ in _CRITERIA]
+                      for _ in range(2)]
     stable = results == again
     results.append(CriterionResult("C10", "suite-determinism", stable,
                                    "two passes identical" if stable
                                    else "passes differ"))
-    return results, ok and stable
+    return results, all(r.ok for r in results)
 
 
 def suite_report(results: list[CriterionResult], seed: int, scale: int) -> str:

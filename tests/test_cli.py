@@ -176,3 +176,16 @@ def test_console_script_is_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "-w[2, 3]\n"
+
+
+def test_differential_on_clusters_sharing_q(capsys):
+    """Supports with two clusters over one q once crashed the sort of the
+    snc candidates, in dd and dd2 alike."""
+    code, out, _ = run(capsys, "dd", "m=1; [S: w[y-x^2-2, y+1, y*(x^2+3)-1]]")
+    assert code == 0
+    assert out.startswith("m=1; [P1: ")
+    code, _, err = run(capsys, "dd2",
+                       "m=1; [S: w[x*(y^2-2)-1, x*(y^2-4)-2, x*(y^2-3)-1]]")
+    assert code == 3
+    assert err == ("dd2: NotStrictlyRegular: surface support is not SNC: "
+                   "tangency at (-1/2, 0); triple at (0, inf)\n")

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from tamesym import AtomRegistry, parse_divisor, parse_wedge, snc_check
 
 
@@ -80,3 +82,29 @@ def test_report_lists_divisors_in_order():
     rep = check("w[x-1, y-2, x-y, 5]")
     kinds = [type(d).__name__ for d in rep.divisors]
     assert kinds == ["VLine", "HLine", "GraphY"]
+
+
+SHARED_Q = ["w[y-x^2-2, y+1, y*(x^2+3)-1]",
+            "w[x*(y^2-2)-1, x*(y^2-4)-2, x*(y^2-3)-1]"]
+
+
+@pytest.mark.parametrize("text", SHARED_Q)
+def test_clusters_sharing_q_sort_in_both_orientations(text):
+    """Two clusters over one irreducible q, one with an infinite other
+    coordinate, must sort; the mirrored wedge gives the mirrored report."""
+    rep = check(text)
+    swapped = check(text.translate(str.maketrans("xy", "yx")))
+    assert (rep.ok, rep.candidates_checked) \
+        == (swapped.ok, swapped.candidates_checked)
+    assert [p.kind for p in rep.problems] \
+        == [p.kind for p in swapped.problems]
+
+
+def test_clusters_sharing_q_report():
+    assert check(SHARED_Q[0]).ok
+    rep = check(SHARED_Q[1])
+    assert [(p.kind, p.where) for p in rep.problems] \
+        == [("tangency", "(-1/2, 0)"), ("triple", "(0, inf)")]
+    rep = check(SHARED_Q[1].translate(str.maketrans("xy", "yx")))
+    assert [(p.kind, p.where) for p in rep.problems] \
+        == [("tangency", "(0, -1/2)"), ("triple", "(inf, 0)")]
