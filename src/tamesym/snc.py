@@ -307,18 +307,21 @@ def snc_check(arg) -> SncReport:
         points.update(pts)
         clusters.update(cls)
 
-    candidates = [(pt, _point_str(pt), _through_point, _transversal_at_point)
+    candidates = [(pt, _point_str, _through_point, _transversal_at_point)
                   for pt in sorted(points, key=_point_key)]
-    candidates += [(cl, str(cl), _through_cluster, _transversal_at_cluster)
+    candidates += [(cl, str, _through_cluster, _transversal_at_cluster)
                    for cl in sorted(clusters, key=Cluster.sort_key)]
     problems: list[SncProblem] = []
-    for cand, where, through, transversal in candidates:
+    for cand, describe, through, transversal in candidates:
         members = [d for d in divisors if through(d, cand)]
-        names = tuple(str(d) for d in members)
         if len(members) >= 3:
-            problems.append(SncProblem("triple", where, names))
+            kind = "triple"
         elif len(members) == 2 and not transversal(*members, cand):
-            problems.append(SncProblem("tangency", where, names))
+            kind = "tangency"
+        else:
+            continue
+        problems.append(SncProblem(kind, describe(cand),
+                                   tuple(str(d) for d in members)))
 
     return SncReport(ok=not problems, divisors=divisors, problems=problems,
                      candidates_checked=len(points) + len(clusters))
