@@ -78,6 +78,8 @@ class AtomRegistry:
         self._primes: dict[int, PrimeAtom] = {}
         self._uni: dict[tuple, UniAtom] = {}
         self._bi: dict[tuple, BiAtom] = {}
+        # the nonlinear univariate atoms in registration order
+        self._known_uni: tuple[UniPoly, ...] = ()
 
     def prime(self, p: int) -> PrimeAtom:
         atom = self._primes.get(p)
@@ -94,6 +96,8 @@ class AtomRegistry:
         if atom is None:
             atom = UniAtom(poly)
             self._uni[key] = atom
+            if poly.degree > 1:
+                self._known_uni += (poly,)
         return atom
 
     def bi(self, poly: BiPoly) -> BiAtom:
@@ -105,7 +109,7 @@ class AtomRegistry:
         return atom
 
     def known_uni_polys(self) -> tuple[UniPoly, ...]:
-        return tuple(a.poly for a in self._uni.values() if a.poly.degree > 1)
+        return self._known_uni
 
     def known_bi_polys(self) -> tuple[BiPoly, ...]:
         return tuple(a.poly for a in self._bi.values())
@@ -208,8 +212,9 @@ def factor_into_atoms(num: UniPoly, den: UniPoly, reg: AtomRegistry
     """
     if num.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
-    cn, fn = factor_uni(num, reg.known_uni_polys())
-    cd, fd = factor_uni(den, reg.known_uni_polys())
+    known = reg.known_uni_polys()
+    cn, fn = factor_uni(num, known)
+    cd, fd = factor_uni(den, known)
     exps: dict[UniAtom, int] = {}
     for poly, e in fn:
         exps[reg.uni(poly)] = exps.get(reg.uni(poly), 0) + e

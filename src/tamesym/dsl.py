@@ -24,6 +24,11 @@ from .wedges import Wedge, wedge_add, wedge_of, wedge_scale
 
 Q = Fraction
 
+# A power whose base has degree d (over Q(x, y): degree in x plus degree in
+# y) and whose exponent is e is refused when d * |e| exceeds this, before
+# anything is expanded; see docs/grammar.ebnf.
+MAX_POWER_DEGREE = 100
+
 
 class _Scanner:
     """Cursor over the input with whitespace-skipping token helpers."""
@@ -143,12 +148,25 @@ def _expr_factor(s: _Scanner, ctx: _Ctx):
     return _expr_power(s, ctx)
 
 
+def _degree(val) -> int:
+    """Degree of a parsed value for the power bound; 0 for a constant."""
+    if isinstance(val, RatFunc):
+        return max(val.num.degree, val.den.degree)
+    if isinstance(val, BiFrac):
+        return max(p.deg_x + p.deg_y for p in (val.num, val.den))
+    return 0
+
+
 def _expr_power(s: _Scanner, ctx: _Ctx):
     base = _expr_primary(s, ctx)
     if s.match("^"):
         neg = s.match("-")
         here = s.pos
         e = s.parse_uint()
+        deg = _degree(base)
+        if deg * e > MAX_POWER_DEGREE:
+            raise ParseError(f"power of degree {deg} * {e} is above the limit "
+                             f"{MAX_POWER_DEGREE}", here)
         try:
             return base ** (-e if neg else e)
         except ZeroDivisionError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
-                    mult_vec)
+                    atom_str, mult_vec)
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
@@ -318,7 +318,8 @@ def _atom_residue_class(atom, place, reg: AtomRegistry) -> MultVec:
         if isinstance(place, FinRat):
             value = atom.poly.evaluate(place.c)
             if value == 0:
-                raise NotAUnit(f"atom {atom} vanishes at {place}")
+                raise NotAUnit(
+                    f"atom {atom_str(atom, 'Qt')} vanishes at {place}")
             return mult_vec(value, reg, "Q")
         return MultVec.zero("Q")  # monic atoms have leading coefficient 1
     if isinstance(place, IrredPlace):

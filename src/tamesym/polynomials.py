@@ -3,6 +3,15 @@
 Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
 and no operation ever rounds. The irreducibility checker is deliberately
 tiered; it certifies an answer or raises Inconclusive, it never guesses.
+
+The univariate kernels that dominate factoring work on integer images: a
+polynomial is scaled by the lcm of its denominators (and divided by its
+content where that helps) to integer coefficients. `UniPoly.divmod` is one
+integer pseudo-division (`_zdivmod`), `gcd_uni` a primitive remainder
+sequence of such divisions, and `rational_roots` tests each candidate p/q by
+the homogeneous integer value sum(a_i * p^i * q^(n-i)) and divides found
+roots out over Z. Fractions are built only for the results, so every
+UniPoly still holds a tuple of Fractions.
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import Inconclusive
 
@@ -114,21 +123,15 @@ class UniPoly:
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
+        if len(self.coeffs) < len(other.coeffs):
             return UniPoly(()), self
-        quot = [Q(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            q = top / lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-        return UniPoly.make(quot), UniPoly.make(rem)
+        da, a = _int_image(self.coeffs)
+        g, db, b = _primitive(other.coeffs)
+        # d*da*self = quot*b + rem and other = (g/db)*b
+        d, quot, rem = _zdivmod(a, b)
+        qden, rden = d * da * g, d * da
+        return (UniPoly(tuple([Q(q * db, qden) for q in quot])),
+                UniPoly(tuple([Q(r, rden) for r in rem])))
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -154,35 +157,13 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(c)
-        return acc
-
-    def reversed_coeffs(self) -> "UniPoly":
-        """x^deg * p(1/x); used for behavior at infinity."""
-        return UniPoly.make(tuple(reversed(self.coeffs)))
-
-    def shift(self, a) -> "UniPoly":
-        """p(x + a)."""
-        return self.compose(UniPoly.make([a, 1]))
-
     def primitive_int(self) -> tuple[Fraction, tuple[int, ...]]:
         """Write p = content * q with q integer-coefficient, primitive,
         positive leading coefficient. Returns (content, coeffs of q)."""
         if self.is_zero:
             return Q(0), ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return Q(g, den), tuple(v // g for v in ints)
+        g, den, ints = _primitive(self.coeffs)
+        return Q(g, den), tuple(ints)
 
     def key(self) -> tuple:
         return (self.degree, self.coeffs)
@@ -216,63 +197,84 @@ def poly_str(p: UniPoly, var: str) -> str:
     return "".join(parts)
 
 
+# -- integer images ----------------------------------------------------------
+
+# Tuples here are built from lists, never from generators: CPython sizes a
+# tuple from a generator at 10 and then shrinks it, which drains one free
+# list into the others and raised peak memory of factoring by about 1 MB.
+
+
+def _int_image(coeffs) -> tuple[int, list[int]]:
+    """(den, ints): den is the lcm of the denominators, ints = den * coeffs."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _primitive(coeffs) -> tuple[int, int, list[int]]:
+    """(g, den, ints) with coeffs = (g/den) * ints, where ints is primitive
+    with a positive leading coefficient. coeffs must not be all zero."""
+    den, ints = _int_image(coeffs)
+    g = int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return g, den, ints
+
+
+def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Integer pseudo-division of a by b, with len(a) >= len(b) and b[-1] != 0.
+
+    Returns (d, quot, rem) with d*a = quot*b + rem, deg rem < deg b and no
+    trailing zeros in rem. d divides lc(b)^(deg a - deg b + 1), the
+    multiplier of classic pseudo-division: a step scales the remainder and
+    the quotient so far only by the part of lc(b) that the current leading
+    coefficient lacks, so d = 1 whenever the quotient has integer
+    coefficients, which includes every division by a monic b.
+    """
+    lc = b[-1]
+    nb = len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - nb)
+    d = 1
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem.pop()
+        if not top:
+            continue
+        if top % lc:
+            m = lc // int_gcd(top, lc)
+            d *= m
+            top *= m
+            rem = [m * v for v in rem]
+            for i in range(k + 1, len(quot)):
+                quot[i] *= m
+        q = top // lc
+        quot[k] = q
+        rem[k:] = [r - q * c for r, c in zip(rem[k:], b)]
+    while rem and not rem[-1]:
+        rem.pop()
+    return d, quot, rem
+
+
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor.
+
+    A primitive remainder sequence on integer images: each pseudo-remainder
+    is divided by its content (Knuth, TAOCP vol. 2, 4.6.1)."""
     if f.degree == 0 or g.degree == 0:
         return UniPoly.const(1)  # a nonzero constant is a unit
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
-
-
-def lcm_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     if f.is_zero or g.is_zero:
-        return UniPoly(())
-    return (f * g).exact_div(gcd_uni(f, g)).monic()
-
-
-def resultant_uni(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant via the Sylvester determinant, exact."""
-    if f.is_zero or g.is_zero:
-        return Q(0)
-    n, m = f.degree, g.degree
-    if n == 0:
-        return f.leading**m
-    if m == 0:
-        return g.leading**n
-    size = n + m
-    rows: list[list[Fraction]] = []
-    fdesc = list(reversed(f.coeffs))
-    gdesc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([Q(0)] * i + fdesc + [Q(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Q(0)] * i + gdesc + [Q(0)] * (size - m - 1 - i))
-    # Gaussian elimination with exact fractions
-    det = Q(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+        return (g if f.is_zero else f).monic()
+    a, b = _primitive(f.coeffs)[2], _primitive(g.coeffs)[2]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _zdivmod(a, b)[2]
+        if not rem:
+            break
+        c = int_gcd(*rem)
+        a, b = b, [v // c for v in rem]
+    return UniPoly(tuple([Q(v, b[-1]) for v in b]))
 
 
 def multiplicity_at(f: UniPoly, root) -> int:
@@ -304,12 +306,17 @@ def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
 
 
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted ascending."""
+    """All rational roots with multiplicities, sorted ascending.
+
+    A root p/q in lowest terms has p | a_0 and q | a_n. Each candidate is
+    tested by the integer q^n * f(p/q), and each root found is divided out
+    of the integer image as the primitive factor q*t - p, which leaves
+    integer coefficients (Gauss's lemma)."""
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     if f.degree == 0:
         return []
-    _, ints = f.primitive_int()
+    ints = _primitive(f.coeffs)[2]
     # strip powers of t first
     low = 0
     while ints[low] == 0:
@@ -319,19 +326,30 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         out.append((Q(0), low))
         ints = ints[low:]
     if len(ints) > 1:
-        a0, an = abs(ints[0]), abs(ints[-1])
-        seen: set[Fraction] = set()
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Q(p, q), Q(-p, q)):
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    poly = UniPoly.make(ints)
-                    if poly.evaluate(cand) == 0:
-                        out.append((cand, multiplicity_at(poly, cand)))
+        dens = _divisors(ints[-1])
+        for p in _divisors(ints[0]):
+            for q in dens:
+                if int_gcd(p, q) != 1:
+                    continue
+                for num in (p, -p):
+                    k = 0
+                    while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
+                        ints = _zdivmod(ints, [-num, q])[1]
+                        k += 1
+                    if k:
+                        out.append((Q(num, q), k))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
+    """q^n * f(p/q) for f with integer coefficients ints, n = deg f."""
+    acc = ints[-1]
+    qk = 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
 
 
 def _divisors(n: int) -> list[int]:

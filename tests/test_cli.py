@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from tamesym import AtomRegistry, parse_gamma, parse_wedge
 from tamesym import cli
@@ -67,6 +68,22 @@ def test_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "ts", "--place", "t=3", "--divisor", "y=x",
                        "w[t]")
     assert code == 2
+
+
+def test_huge_power_is_refused_before_expanding(capsys):
+    """w[t^9999999] once expanded the power and never ended."""
+    text = "w[t^9999999]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ts", "--place", "t=0", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == ("ts: power of degree 1 * 9999999 is above the limit 100 "
+                   "(at position 4)\n")
 
 
 def test_engine_error_exits_three(capsys):

@@ -6,11 +6,11 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (INFINITY, AtomRegistry, FinRat, GraphY, HLine,
-                     IrredPlace, RatFunc, UniPoly, VLine, Wedge,
+                     IrredPlace, NotAUnit, RatFunc, UniPoly, VLine, Wedge,
                      classify_atom_divisor, defining_bipoly, mult_vec,
                      one_minus, tame_symbol, wedge_of, wedge_str, weil_sum)
-from tamesym.places import (chain_point, order_at, ratfunc_support, support,
-                            uniformizer_class)
+from tamesym.places import (_atom_residue_class, chain_point, order_at,
+                            ratfunc_support, support, uniformizer_class)
 
 P = UniPoly.make
 
@@ -217,3 +217,15 @@ def test_symbol_needs_positive_degree():
     reg = AtomRegistry()
     with pytest.raises(ValueError):
         tame_symbol(Wedge.scalar("Qt", Q(2)), FinRat(Q(0)), reg)
+
+
+def test_vanishing_atom_is_named_in_canonical_text():
+    """The refusal names the atom as it is written, not by its repr."""
+    reg = AtomRegistry()
+    atom = reg.uni(P([0, 1]))
+    with pytest.raises(NotAUnit) as e:
+        _atom_residue_class(atom, FinRat(Q(0)), reg)
+    assert str(e.value) == "atom t vanishes at t=0"
+    with pytest.raises(NotAUnit) as e:
+        _atom_residue_class(reg.uni(P([Q(-1, 2), 1])), FinRat(Q(1, 2)), reg)
+    assert str(e.value) == "atom t-1/2 vanishes at t=1/2"
