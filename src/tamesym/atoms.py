@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
-from .polynomials import (BiPoly, UniPoly, bipoly_exact_div, bipoly_str,
-                          factor_uni, gcd_uni, poly_str)
+from .polynomials import (BiPoly, UniPoly, bipoly_div_uni, bipoly_exact_div,
+                          bipoly_str, factor_uni, gcd_uni, poly_str)
 
 Q = Fraction
 
@@ -140,12 +140,6 @@ class MultVec:
     def as_dict(self) -> dict[Atom, Fraction]:
         return dict(self.coeffs)
 
-    def get(self, atom: Atom) -> Fraction:
-        for a, c in self.coeffs:
-            if a == atom:
-                return c
-        return Q(0)
-
     def __add__(self, other: "MultVec") -> "MultVec":
         if self.field != other.field:
             raise MixedFields(f"{self.field} vs {other.field}")
@@ -162,14 +156,6 @@ class MultVec:
         if c == 0:
             return MultVec.zero(self.field)
         return MultVec(self.field, tuple((a, c * v) for a, v in self.coeffs))
-
-    def nonconstant_part_is_linear(self) -> bool:
-        for a, _ in self.coeffs:
-            if isinstance(a, UniAtom) and a.poly.degree > 1:
-                return False
-            if isinstance(a, BiAtom):
-                return False
-        return True
 
 
 def _factor_positive_int(n: int) -> dict[int, int]:
@@ -241,19 +227,6 @@ def _uni_content_of_bipoly_in_y(g: BiPoly) -> UniPoly:
     return content
 
 
-def _divide_bipoly_by_uni_x(g: BiPoly, d: UniPoly) -> BiPoly:
-    cols = g.y_coefficients()
-    out: dict[tuple[int, int], Fraction] = {}
-    for j, col in enumerate(cols):
-        if col.is_zero:
-            continue
-        quo = col.exact_div(d)
-        for i, c in enumerate(quo.coeffs):
-            if c != 0:
-                out[(i, j)] = c
-    return BiPoly.make(out)
-
-
 def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
     """Factor a nonzero bivariate polynomial into registered atoms.
 
@@ -266,63 +239,60 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
     const = Q(1)
     exps: dict[BiAtom, int] = {}
 
-    def bump(piece: BiPoly, e: int) -> None:
+    def bump(piece: BiPoly, e: int = 1) -> None:
         nonlocal const
         c, prim = piece.primitive_int()
         const *= c**e
         atom = reg.bi(prim)
         exps[atom] = exps.get(atom, 0) + e
-        if exps[atom] == 0:
-            del exps[atom]
 
-    def bump_uni(p: UniPoly, var: str, e: int) -> None:
+    def bump_uni(p: UniPoly, var: str) -> None:
         nonlocal const
         cp, factors = factor_uni(p, reg.known_uni_polys())
-        const *= cp**e
+        const *= cp
         for q, k in factors:
-            bump(BiPoly.from_uni(q, var), e * k)
+            bump(BiPoly.from_uni(q, var), k)
 
-    def work(h: BiPoly, e: int) -> None:
-        nonlocal const
+    h = g
+    # a leftover of content removal or trial division goes round again, so it
+    # is tested again for content and for linearity in either variable
+    while True:
         if h.deg_x <= 0 and h.deg_y <= 0:
-            const *= h.evaluate(0, 0) ** e
-            return
+            const *= h.evaluate(0, 0)
+            break
         if h.deg_y <= 0:
-            bump_uni(h.subst_y(0), "x", e)
-            return
+            bump_uni(h.subst_y(0), "x")
+            break
         if h.deg_x <= 0:
-            bump_uni(h.subst_x(0), "y", e)
-            return
-        # every leftover goes back through work, so it is tested again for
-        # content and for linearity in either variable
+            bump_uni(h.subst_x(0), "y")
+            break
         content = _uni_content_of_bipoly_in_y(h)
         if content.degree > 0:
-            bump_uni(content, "x", e)
-            work(_divide_bipoly_by_uni_x(h, content), e)
-            return
+            bump_uni(content, "x")
+            h = bipoly_div_uni(h, content)
+            continue
         if h.deg_y == 1:
-            bump(h, e)  # primitive and linear in y, hence irreducible
-            return
-        content_x = _uni_content_of_bipoly_in_y(h.swap_xy())
-        if content_x.degree > 0:
-            bump_uni(content_x, "y", e)
-            work(_divide_bipoly_by_uni_x(h.swap_xy(), content_x).swap_xy(), e)
-            return
+            bump(h)  # primitive and linear in y, hence irreducible
+            break
+        content = _uni_content_of_bipoly_in_y(h.swap_xy())
+        if content.degree > 0:
+            bump_uni(content, "y")
+            h = bipoly_div_uni(h.swap_xy(), content).swap_xy()
+            continue
         if h.deg_x == 1:
-            bump(h, e)
-            return
+            bump(h)
+            break
         for candidate in sorted(reg.known_bi_polys(),
                                 key=lambda p: (p.deg_x, p.deg_y, p.terms)):
             quo = bipoly_exact_div(h, candidate)
             if quo is not None:
-                bump(candidate, e)
-                work(quo, e)
-                return
-        raise Inconclusive(
-            f"cannot factor bivariate polynomial {bipoly_str(h)}: not linear "
-            "in either variable and no registered atom divides it")
-
-    work(g, 1)
+                bump(candidate)
+                h = quo
+                break
+        else:
+            raise Inconclusive(
+                f"cannot factor bivariate polynomial {bipoly_str(h)}: not "
+                "linear in either variable and no registered atom divides it")
     return const, exps
 
 

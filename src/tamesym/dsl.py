@@ -25,9 +25,12 @@ from .wedges import Wedge, wedge_add, wedge_of, wedge_scale
 Q = Fraction
 
 # A power whose base has degree d (over Q(x, y): degree in x plus degree in
-# y) and whose exponent is e is refused when d * |e| exceeds this, before
-# anything is expanded; see docs/grammar.ebnf.
+# y) and whose exponent is e is refused when d * |e| exceeds MAX_POWER_DEGREE,
+# and a power of a constant whose numerator or denominator has b bits when
+# b * |e| exceeds MAX_POWER_BITS, before anything is expanded; see
+# docs/grammar.ebnf.
 MAX_POWER_DEGREE = 100
+MAX_POWER_BITS = 4096
 
 
 class _Scanner:
@@ -157,6 +160,15 @@ def _degree(val) -> int:
     return 0
 
 
+def _bits(val) -> int:
+    """Bit length of the larger of numerator and denominator of a constant."""
+    if isinstance(val, RatFunc):
+        val = val.constant_value()
+    elif isinstance(val, BiFrac):
+        val = val.num.evaluate(0, 0) / val.den.evaluate(0, 0)
+    return max(val.numerator.bit_length(), val.denominator.bit_length())
+
+
 def _expr_power(s: _Scanner, ctx: _Ctx):
     base = _expr_primary(s, ctx)
     if s.match("^"):
@@ -167,6 +179,10 @@ def _expr_power(s: _Scanner, ctx: _Ctx):
         if deg * e > MAX_POWER_DEGREE:
             raise ParseError(f"power of degree {deg} * {e} is above the limit "
                              f"{MAX_POWER_DEGREE}", here)
+        bits = 0 if deg else _bits(base)
+        if bits * e > MAX_POWER_BITS:
+            raise ParseError(f"power of bit length {bits} * {e} is above the "
+                             f"limit {MAX_POWER_BITS}", here)
         try:
             return base ** (-e if neg else e)
         except ZeroDivisionError:

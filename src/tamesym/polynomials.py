@@ -1,8 +1,13 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
 Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
-and no operation ever rounds. The irreducibility checker is deliberately
-tiered; it certifies an answer or raises Inconclusive, it never guesses.
+and no operation ever rounds. `factor_uni` takes the squarefree parts (Yun),
+their rational roots and the caller's known factors, and hands each rootless
+leftover to `_rootless_factors`, the one tier ladder: degrees 2-3 outright,
+quartics by integer quadratic pairs, higher degrees by factor-degree patterns
+modulo small primes (Knuth, TAOCP vol. 2, 4.6.2). `irreducible_check_uni`
+refutes by a root or a repeated factor and otherwise asks the same ladder.
+Both certify an answer or raise Inconclusive; they never guess.
 
 The univariate kernels that dominate factoring work on integer images: a
 polynomial is scaled by the lcm of its denominators (and divided by its
@@ -279,17 +284,7 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
 
 def multiplicity_at(f: UniPoly, root) -> int:
     """Order of vanishing of f at a rational point."""
-    root = _as_fraction(root)
-    if f.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    lin = UniPoly.make([-root, 1])
-    k = 0
-    while True:
-        q, r = f.divmod(lin)
-        if not r.is_zero:
-            return k
-        f = q
-        k += 1
+    return multiplicity_of_factor(f, UniPoly.make([-_as_fraction(root), 1]))
 
 
 def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
@@ -423,64 +418,54 @@ def _mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _mod_trim(out, p)
 
 
-def _mod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
+def _mod_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quot, rem) of a by b over F_p, both without trailing zeros."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
+    while len(rem) >= len(b):
+        if rem[-1] == 0:
+            rem.pop()
             continue
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
+        coef = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        quot[shift] = coef
         for j, y in enumerate(b):
-            a[shift + j] = (a[shift + j] - coef * y) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+            rem[shift + j] = (rem[shift + j] - coef * y) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    while quot and quot[-1] == 0:
+        quot.pop()
+    return quot, rem
 
 
 def _mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        a, b = b, _mod_rem(a, b, p)
+        a, b = b, _mod_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
 
-def _mod_powmod_x(q: int, f: list[int], p: int) -> list[int]:
-    """x^q mod f over F_p by square and multiply."""
+def _mod_pow(h: list[int], q: int, f: list[int], p: int) -> list[int]:
+    """h^q mod f over F_p by square and multiply."""
     result = [1]
-    base = _mod_rem([0, 1], f, p)
+    base = _mod_divmod(h, f, p)[1]
     while q:
         if q & 1:
-            result = _mod_rem(_mod_mul(result, base, p), f, p)
-        base = _mod_rem(_mod_mul(base, base, p), f, p)
+            result = _mod_divmod(_mod_mul(result, base, p), f, p)[1]
+        base = _mod_divmod(_mod_mul(base, base, p), f, p)[1]
         q >>= 1
     return result
 
 
-def _mod_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
-        out[shift] = coef
-        for j, y in enumerate(b):
-            a[shift + j] = (a[shift + j] - coef * y) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _mod_trim(out, p)
-
-
-def _factor_degree_pattern(ints: tuple[int, ...], p: int) -> list[int] | None:
+def _factor_degree_pattern(ints: list[int], p: int) -> list[int] | None:
     """Multiset of irreducible-factor degrees of f mod p, or None if p is a
-    bad prime (leading coefficient vanishes or f mod p not squarefree)."""
+    bad prime (leading coefficient vanishes or f mod p not squarefree).
+
+    Distinct-degree factoring: the product of the irreducible factors of
+    degree d divides x^(p^d) - x (Knuth, TAOCP vol. 2, 4.6.2)."""
     f = _mod_trim(list(ints), p)
     if len(f) != len(ints):
         return None
@@ -491,33 +476,20 @@ def _factor_degree_pattern(ints: tuple[int, ...], p: int) -> list[int] | None:
     f = [c * inv % p for c in f]
     degrees: list[int] = []
     d = 0
-    h = [0, 1]  # x, reduced as we go
-    h = _mod_rem(h, f, p)
+    h = _mod_divmod([0, 1], f, p)[1]  # x^(p^d) mod f
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
             degrees.append(len(f) - 1)
             break
-        h = _mod_powmod_x(p, f, p) if d == 1 else h
-        if d > 1:
-            # raise previous h to the p-th power mod f
-            hp = [1]
-            base = h
-            q = p
-            while q:
-                if q & 1:
-                    hp = _mod_rem(_mod_mul(hp, base, p), f, p)
-                base = _mod_rem(_mod_mul(base, base, p), f, p)
-                q >>= 1
-            h = hp
+        h = _mod_pow(h, p, f, p)
         diff = _mod_trim([(a - b) % p for a, b in
                           zip(h + [0] * 2, [0, 1] + [0] * len(h))], p)
         g = _mod_gcd(f, diff, p)
         if len(g) > 1:
-            count = (len(g) - 1) // d
-            degrees.extend([d] * count)
-            f = _mod_exact_div(f, g, p)
-            h = _mod_rem(h, f, p)
+            degrees.extend([d] * ((len(g) - 1) // d))
+            f = _mod_divmod(f, g, p)[0]
+            h = _mod_divmod(h, f, p)[1]
     return degrees
 
 
@@ -528,29 +500,22 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
-def _deg4_monic_splits(g: UniPoly) -> tuple[UniPoly, UniPoly] | None:
-    """Integer quadratic-pair factorization of a monic integer quartic with
-    no rational roots; None if there is none (certifying irreducibility)."""
-    g3, g2, g1, g0 = (int(g.coeff(3)), int(g.coeff(2)),
-                      int(g.coeff(1)), int(g.coeff(0)))
+def _deg4_monic_splits(g0: int, g1: int, g2: int, g3: int
+                       ) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Integer quadratic-pair factorization (t^2+a*t+b)(t^2+c*t+d) of the
+    monic quartic t^4+g3*t^3+g2*t^2+g1*t+g0 with no rational roots, as
+    ((a, b), (c, d)); None if there is none (certifying irreducibility)."""
     for b in _divisors(g0) + [-d for d in _divisors(g0)]:
-        if g0 % b:
-            continue
         d = g0 // b
         # a + c = g3, a*c = g2 - b - d; a, c integer roots of z^2 - g3 z + s
         s = g2 - b - d
-        disc = g3 * g3 - 4 * s
-        if disc < 0:
-            continue
-        root = _int_sqrt(disc)
-        if root is None:
+        root = _int_sqrt(g3 * g3 - 4 * s)
+        if root is None or (g3 + root) % 2:
             continue
         for a in {(g3 + root) // 2, (g3 - root) // 2}:
-            if (g3 + root) % 2 and (g3 - root) % 2:
-                break
             c = g3 - a
             if a * d + b * c == g1:
-                return (UniPoly.make([b, a, 1]), UniPoly.make([d, c, 1]))
+                return (a, b), (c, d)
     return None
 
 
@@ -561,32 +526,27 @@ def _int_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def irreducible_check_uni(f: UniPoly) -> bool:
-    """Certified irreducibility over Q for nonconstant f.
+def _rootless_factors(part: UniPoly) -> list[UniPoly]:
+    """Monic irreducible factors of a squarefree polynomial of degree >= 2
+    with no rational root.
 
-    Degrees 1-4 are always decided. Degree >= 5 uses factor-degree patterns
-    modulo the first usable primes; if those cannot rule out a proper factor,
-    Inconclusive is raised rather than guessing. False always comes with an
-    actual witness (a root or an exhibited factorization path).
+    Degrees 2 and 3 are irreducible outright, and degree 4 is decided by its
+    integer quadratic pairs. Degree >= 5 is certified irreducible by
+    factor-degree patterns modulo the first usable primes; if those cannot
+    rule out a proper factor, Inconclusive is raised rather than guessing.
     """
-    if f.degree < 1:
-        raise ValueError("irreducibility is asked of nonconstant polynomials")
-    if f.degree == 1:
-        return True
-    if rational_roots(f):
-        return False
-    if f.degree <= 3:
-        return True  # no rational root and degree <= 3
-    _, ints = f.primitive_int()
-    if f.degree == 4:
-        # monic transform keeps the factorization structure
+    n = part.degree
+    if n <= 3:
+        return [part.monic()]
+    ints = _primitive(part.coeffs)[2]
+    if n == 4:
+        # the monic transform s = a4*t keeps the factorization structure
         a4 = ints[-1]
-        g = UniPoly.make([ints[0] * a4**3, ints[1] * a4**2, ints[2] * a4,
-                          ints[3], 1])
-        return _deg4_monic_splits(g) is None
-    if gcd_uni(f, f.derivative()).degree > 0:
-        return False  # repeated factor
-    n = f.degree
+        split = _deg4_monic_splits(ints[0] * a4**3, ints[1] * a4**2,
+                                   ints[2] * a4, ints[3])
+        if split is None:
+            return [part.monic()]
+        return [UniPoly.make([b, a * a4, a4 * a4]).monic() for a, b in split]
     feasible: set[int] | None = None
     used = 0
     for p in _PRIME_POOL:
@@ -597,12 +557,30 @@ def irreducible_check_uni(f: UniPoly) -> bool:
         sums = {s for s in _subset_sums(pattern) if 0 < s < n}
         feasible = sums if feasible is None else (feasible & sums)
         if not feasible:
-            return True
+            return [part.monic()]
         if used >= 25:
             break
     raise Inconclusive(
         f"cannot certify irreducibility of degree-{n} polynomial "
-        f"{poly_str(f, 't')}: feasible proper factor degrees {sorted(feasible or [])}")
+        f"{poly_str(part, 't')}: feasible proper factor degrees {sorted(feasible or [])}")
+
+
+def irreducible_check_uni(f: UniPoly) -> bool:
+    """Certified irreducibility over Q for nonconstant f.
+
+    False always comes with an actual witness: a rational root, a repeated
+    factor, or a factorization found by `_rootless_factors`, which raises
+    Inconclusive rather than guessing.
+    """
+    if f.degree < 1:
+        raise ValueError("irreducibility is asked of nonconstant polynomials")
+    if f.degree == 1:
+        return True
+    if rational_roots(f):
+        return False
+    if gcd_uni(f, f.derivative()).degree > 0:
+        return False  # repeated factor
+    return len(_rootless_factors(f)) == 1
 
 
 def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
@@ -633,45 +611,10 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
             if rem.is_zero:
                 out.append((q, power))
                 part = quo
-        part = _factor_hard(part, out, power)
         if part.degree > 0:
-            raise Inconclusive(
-                f"cannot finish factoring {poly_str(f, 't')}: stuck at "
-                f"{poly_str(part, 't')}")
+            out += [(q, power) for q in _rootless_factors(part)]
     out.sort(key=lambda t: t[0].key())
     return c, out
-
-
-def _factor_hard(part: UniPoly, out: list, power: int) -> UniPoly:
-    """Handle the rootless leftover of one squarefree slice."""
-    if part.degree <= 0:
-        return part
-    if part.degree <= 3:
-        out.append((part.monic(), power))
-        return UniPoly.const(1)
-    if part.degree == 4:
-        _, ints = part.primitive_int()
-        a4 = ints[-1]
-        g = UniPoly.make([ints[0] * a4**3, ints[1] * a4**2, ints[2] * a4,
-                          ints[3], 1])
-        split = _deg4_monic_splits(g)
-        if split is None:
-            out.append((part.monic(), power))
-        else:
-            # undo the monic transform: roots were scaled by a4
-            for quad in split:
-                q = UniPoly.make([quad.coeff(0), quad.coeff(1) * a4,
-                                  a4 * a4]).monic()
-                if irreducible_check_uni(q):
-                    out.append((q, power))
-                else:
-                    for root, _ in rational_roots(q):
-                        out.append((UniPoly.make([-root, 1]), power))
-        return UniPoly.const(1)
-    if irreducible_check_uni(part):  # may raise Inconclusive
-        out.append((part.monic(), power))
-        return UniPoly.const(1)
-    return part
 
 
 # ---------------------------------------------------------------------------
@@ -841,17 +784,8 @@ class BiPoly:
         coefficient in (x, y) lexicographic order is positive."""
         if self.is_zero:
             return Q(0), self
-        den = 1
-        for _, c in self.terms:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = {k: int(c * den) for k, c in self.terms}
-        g = 0
-        for v in ints.values():
-            g = int_gcd(g, v)
-        lead_key = max(ints)
-        if ints[lead_key] < 0:
-            g = -g
-        return Q(g, den), BiPoly.make({k: Fraction(v, g) for k, v in ints.items()})
+        g, den, ints = _primitive([c for _, c in self.terms])
+        return Q(g, den), BiPoly.make(zip([k for k, _ in self.terms], ints))
 
     def key(self) -> tuple:
         return (self.deg_x, self.deg_y, self.terms)
@@ -904,15 +838,17 @@ def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:
     q, r, k = bipoly_pseudo_divmod(g, h)
     if not r.is_zero:
         return None
-    # divide q by lc_y(h)^k, coefficientwise in y
-    lc = h.y_coefficients()[-1]
-    denom = lc**k
-    cols = q.y_coefficients()
+    return bipoly_div_uni(q, h.y_coefficients()[-1] ** k)
+
+
+def bipoly_div_uni(g: BiPoly, d: UniPoly) -> BiPoly | None:
+    """g / d for d in Q[x], coefficientwise in y; None unless d divides
+    every coefficient exactly."""
     out: dict[tuple[int, int], Fraction] = {}
-    for j, col in enumerate(cols):
+    for j, col in enumerate(g.y_coefficients()):
         if col.is_zero:
             continue
-        quo, rem = col.divmod(denom)
+        quo, rem = col.divmod(d)
         if not rem.is_zero:
             return None
         for i, c in enumerate(quo.coeffs):

@@ -122,13 +122,14 @@ def _through_point(d: SurfDivisor, pt) -> bool:
     return _chart_poly(d, x_inf, y_inf).evaluate(a, b) == 0
 
 
-def _clear_compose(p: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
-    """den^deg(p) * p(num/den)."""
-    d = max(p.degree, 0)
-    acc = UniPoly(())
-    for i in range(d + 1):
-        acc = acc + (num**i * den**(d - i)).scale(p.coeff(i))
-    return acc
+def _fixed_point_eqn(d: GraphX, e: RatFunc) -> tuple[UniPoly, UniPoly]:
+    """(eqn, dc) for x = psi(e(x)), psi the graph of d: psi(e(x)) = nc/dc
+    with e's denominator cleared, and eqn = nc - dc*x."""
+    a = BiPoly.from_uni(d.num, "y").eval_y_ratfunc(e.num, e.den)
+    b = BiPoly.from_uni(d.den, "y").eval_y_ratfunc(e.num, e.den)
+    nc = a * e.den ** max(d.den.degree, 0)
+    dc = b * e.den ** max(d.num.degree, 0)
+    return nc - dc * UniPoly.var(), dc
 
 
 def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
@@ -152,13 +153,10 @@ def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
     # GraphX: need psi(e(x)) = x identically modulo q
     if e is None:
         return False  # psi at infinity is a rational point or infinite
-    a = _clear_compose(d.num, e.num, e.den)
-    b = _clear_compose(d.den, e.num, e.den)
-    nc = a * e.den ** max(d.den.degree, 0)
-    dc = b * e.den ** max(d.num.degree, 0)
+    eqn, dc = _fixed_point_eqn(d, e)
     if (dc % q).is_zero:
         return False
-    return ((nc - dc * UniPoly.var()) % q).is_zero
+    return (eqn % q).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +258,7 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
             else:
                 clusters.append(Cluster("x", q, d1.phi()))
     elif isinstance(d1, GraphY) and isinstance(d2, GraphX):
-        # x = psi(phi(x)); clear phi's denominator out of psi's parts
-        a = _clear_compose(d2.num, d1.num, d1.den)
-        b = _clear_compose(d2.den, d1.num, d1.den)
-        nc = a * d1.den ** max(d2.den.degree, 0)
-        dc = b * d1.den ** max(d2.num.degree, 0)
-        eqn = nc - dc * UniPoly.var()
-        roots, hard = _roots_and_factors(eqn)
+        roots, hard = _roots_and_factors(_fixed_point_eqn(d2, d1.phi())[0])
         for x0 in roots:
             if d1.den.evaluate(x0) != 0:
                 points.append((x0, d1.phi().evaluate(x0)))

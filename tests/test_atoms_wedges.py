@@ -1,6 +1,8 @@
 """Multiplicative classes of functions and their wedge algebra."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -199,3 +201,24 @@ def test_bivariate_leftovers_are_rechecked():
     mult_vec(BiFrac.make(parabola), reg, "Qxy")
     v = mult_vec(BiFrac.make(parabola * other), reg, "Qxy")
     assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, other): 1}
+
+
+def test_bivariate_factoring_leaves_no_reference_cycles():
+    """Factoring builds no cycle for the collector: once the last reference
+    to the registry goes, reference counting alone frees it."""
+    from tamesym import BiFrac, BiPoly
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    gc.disable()
+    try:
+        reg = AtomRegistry()
+        ref = weakref.ref(reg)
+        for k in range(20):
+            # the content y - k, then a registered atom, then a linear piece
+            other = x - y * y + BiPoly.const(k)
+            mult_vec(BiFrac.make(other), reg, "Qxy")
+            g = (y - x * x) * other * (y - BiPoly.const(k))
+            assert len(mult_vec(BiFrac.make(g), reg, "Qxy").coeffs) == 3
+        del reg
+        assert ref() is None
+    finally:
+        gc.enable()

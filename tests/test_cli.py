@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from tamesym import AtomRegistry, parse_gamma, parse_wedge
 from tamesym import cli
 from tamesym.cli import main
@@ -84,6 +86,23 @@ def test_huge_power_is_refused_before_expanding(capsys):
     assert out == ""
     assert err == ("ts: power of degree 1 * 9999999 is above the limit 100 "
                    "(at position 4)\n")
+
+
+@pytest.mark.parametrize("text, bits, e", [("w[t, 3^9999999]", 2, 9999999),
+                                           ("w[t, 2^300000]", 2, 300000)])
+def test_huge_constant_power_is_refused_before_expanding(capsys, text, bits, e):
+    """A power of a constant was computed in full and then trial-divided."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ts", "--place", "t=0", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"ts: power of bit length {bits} * {e} is above the limit "
+                   "4096 (at position 7)\n")
 
 
 def test_engine_error_exits_three(capsys):

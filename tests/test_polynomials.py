@@ -285,6 +285,54 @@ def test_quartic_with_huge_coefficients_splits():
     assert factor_uni(q1 * q2) == (1, [(q1, 1), (q2, 1)])
 
 
+def test_non_monic_quartic_splits_into_quadratics():
+    """A rootless quartic with leading coefficient a4 != 1 is split through
+    its monic transform, and the quadratics come back monic over Q."""
+    f = (P([1, 0, 2]) * P([5, 1, 3])).scale(Q(-7, 2))  # (2t^2+1)(3t^2+t+5)
+    assert f.leading == -21
+    assert factor_uni(f) == (-21, [(P([Q(1, 2), 0, 1]), 1),
+                                   (P([Q(5, 3), Q(1, 3), 1]), 1)])
+    assert not irreducible_check_uni(f)
+    assert irreducible_check_uni(P([5, 1, 0, 0, 3]))  # 3t^4+t+5
+
+
+def test_squared_irreducible_quadratic():
+    sq = (P([1, 0, 1]) ** 2).scale(3)
+    assert factor_uni(sq) == (3, [(P([1, 0, 1]), 2)])
+    assert not irreducible_check_uni(sq)
+    cube = P([1, 0, 1]) ** 2 * P([2, 0, 1]) * P([-1, 1])
+    assert factor_uni(cube) == (1, [(P([-1, 1]), 1), (P([1, 0, 1]), 2),
+                                    (P([2, 0, 1]), 1)])
+
+
+def test_eisenstein_polynomials_and_their_products():
+    """t^n + 2t + 2 is Eisenstein at 2, and certified for n = 4..8. A product
+    with a repeated factor or a rational root is refuted by that witness; a
+    product of two distinct ones cannot be refuted without a factor, so the
+    checker refuses, and with the factor supplied as known it splits."""
+    eis = {n: P([2, 2] + [0] * (n - 2) + [1]) for n in range(4, 9)}
+    for n, f in eis.items():
+        assert irreducible_check_uni(f)
+        assert factor_uni(f) == (1, [(f, 1)])
+        assert not irreducible_check_uni(f * f)
+        assert not irreducible_check_uni(f * P([-1, 2]))
+        assert factor_uni(f * f) == (1, [(f, 2)])
+    for a in range(4, 8):
+        b = a + 1
+        g = eis[a] * eis[b]
+        with pytest.raises(Inconclusive) as err:
+            irreducible_check_uni(g)
+        assert str(err.value) == (
+            f"cannot certify irreducibility of degree-{a + b} polynomial "
+            f"{poly_str(g, 't')}: feasible proper factor degrees [{a}, {b}]")
+        assert factor_uni(g, (eis[a],)) == (1, [(eis[a], 1), (eis[b], 1)])
+        with pytest.raises(Inconclusive) as err:
+            factor_uni(g.scale(5))
+        assert str(err.value).startswith(
+            f"cannot certify irreducibility of degree-{a + b} polynomial "
+            f"{poly_str(g, 't')}: ")
+
+
 def test_int_sqrt_is_exact():
     r = 10**20 + 12345  # r^2 > 2^106
     assert _int_sqrt(r * r) == r
