@@ -16,8 +16,10 @@ from fractions import Fraction
 
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
-from .polynomials import (BiPoly, UniPoly, bipoly_div_uni, bipoly_exact_div,
-                          bipoly_str, factor_uni, gcd_uni, poly_str)
+from .integers import factor_positive_int
+from .polynomials import (ZERO, BiPoly, UniPoly, bipoly_div_uni,
+                          bipoly_exact_div, bipoly_str, factor_uni, gcd_uni,
+                          poly_str, store_hash)
 
 Q = Fraction
 
@@ -26,7 +28,14 @@ FIELD_VARS = {"Q": None, "Qt": "t", "Qv": "v", "Qxy": ("x", "y")}
 
 @dataclass(frozen=True)
 class PrimeAtom:
+    __slots__ = ("p", "_hash")
     p: int
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return store_hash(self, (self.p,))
 
     def sort_key(self) -> tuple:
         return (0, self.p)
@@ -36,7 +45,14 @@ class PrimeAtom:
 class UniAtom:
     """Monic irreducible univariate polynomial (variable named by the field)."""
 
+    __slots__ = ("poly", "_hash")
     poly: UniPoly
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return store_hash(self, (self.poly,))
 
     def sort_key(self) -> tuple:
         return (1, self.poly.degree, self.poly.coeffs)
@@ -47,7 +63,14 @@ class BiAtom:
     """Primitive integer irreducible bivariate polynomial, positive leading
     coefficient in (x, y)-lexicographic order."""
 
+    __slots__ = ("poly", "_hash")
     poly: BiPoly
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return store_hash(self, (self.poly,))
 
     def sort_key(self) -> tuple:
         return (2, self.poly.deg_x, self.poly.deg_y, self.poly.terms)
@@ -125,7 +148,8 @@ class MultVec:
 
     @staticmethod
     def make(field: str, mapping: dict[Atom, Fraction]) -> "MultVec":
-        items = [(a, Q(c)) for a, c in mapping.items() if c != 0]
+        items = [(a, c if type(c) is Fraction else Q(c))
+                 for a, c in mapping.items() if c]
         items.sort(key=lambda ac: ac[0].sort_key())
         return MultVec(field, tuple(items))
 
@@ -145,37 +169,18 @@ class MultVec:
             raise MixedFields(f"{self.field} vs {other.field}")
         d = self.as_dict()
         for a, c in other.coeffs:
-            d[a] = d.get(a, Q(0)) + c
+            d[a] = d.get(a, ZERO) + c
         return MultVec.make(self.field, d)
 
     def __sub__(self, other: "MultVec") -> "MultVec":
         return self + other.scale(-1)
 
     def scale(self, c) -> "MultVec":
-        c = Q(c)
-        if c == 0:
+        if type(c) is not Fraction:
+            c = Q(c)
+        if not c:
             return MultVec.zero(self.field)
         return MultVec(self.field, tuple((a, c * v) for a, v in self.coeffs))
-
-
-def _factor_positive_int(n: int) -> dict[int, int]:
-    if n <= 0:
-        raise ValueError("expected a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fraction]:
@@ -183,10 +188,10 @@ def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fra
     if c == 0:
         raise ZeroDivisionError("the multiplicative class of 0 is undefined")
     out: dict[Atom, Fraction] = {}
-    for p, e in _factor_positive_int(abs(c.numerator)).items():
-        out[reg.prime(p)] = out.get(reg.prime(p), Q(0)) + e
-    for p, e in _factor_positive_int(c.denominator).items():
-        out[reg.prime(p)] = out.get(reg.prime(p), Q(0)) - e
+    for p, e in factor_positive_int(abs(c.numerator)).items():
+        out[reg.prime(p)] = out.get(reg.prime(p), ZERO) + e
+    for p, e in factor_positive_int(c.denominator).items():
+        out[reg.prime(p)] = out.get(reg.prime(p), ZERO) - e
     return out
 
 
@@ -324,13 +329,13 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
         const, exps = factor_into_atoms(f.num, f.den, reg)
         out: dict[Atom, Fraction] = constant_class(const, reg, field)
         for a, e in exps.items():
-            out[a] = out.get(a, Q(0)) + e
+            out[a] = out.get(a, ZERO) + e
         return MultVec.make(field, out)
     if isinstance(f, BiFrac):
         const, exps = factor_into_atoms_bi(f.num, f.den, reg)
         out = constant_class(const, reg, "Qxy")
         for a, e in exps.items():
-            out[a] = out.get(a, Q(0)) + e
+            out[a] = out.get(a, ZERO) + e
         return MultVec.make("Qxy", out)
     raise TypeError(f"cannot take the class of {type(f).__name__}")
 

@@ -17,7 +17,7 @@ from .errors import (CoordinateIdenticallyFace, NonSplitResidue,
                      NotAdmissible)
 from .expressions import INF, RatFunc, ratfunc_str
 from .lambda_complex import LambdaElem, differential
-from .polynomials import gcd_uni
+from .polynomials import ZERO, gcd_uni
 from .wedges import Wedge, wedge_of, wedge_scale
 
 Q = Fraction
@@ -138,7 +138,7 @@ def cube_boundary(z: CubeCurve, reg: AtomRegistry) -> list[PointCycle]:
                 vals.append(v)
             key = tuple(vals)
             face_sign = Q(1) if order > 0 else Q(-1)
-            acc[key] = acc.get(key, Q(0)) \
+            acc[key] = acc.get(key, ZERO) \
                 + z.coeff * sign * face_sign * abs(order)
     out = []
     for key in sorted(acc):

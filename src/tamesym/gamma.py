@@ -18,6 +18,7 @@ from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import (FinRat, INFINITY, Infinity, Place1, ratfunc_order,
                      ratfunc_support, support, tame_symbol)
+from .polynomials import ZERO
 from .wedges import (Wedge, wedge_add, wedge_concat, wedge_of, wedge_scale,
                      wedge_str)
 
@@ -99,7 +100,8 @@ class GammaSub:
     @staticmethod
     def make(field: str, tail_degree: int,
              mapping: dict[tuple[B2Arg, tuple[Atom, ...]], Fraction]) -> "GammaSub":
-        items = [(k, Q(c)) for k, c in mapping.items() if c != 0]
+        items = [(k, c if type(c) is Fraction else Q(c))
+                 for k, c in mapping.items() if c]
         items.sort(key=lambda kc: (_arg_key(kc[0][0]),
                                    tuple(a.sort_key() for a in kc[0][1])))
         return GammaSub(field, tail_degree, tuple(items))
@@ -122,14 +124,15 @@ def gamma_term(c, x, tail: Wedge) -> GammaSub:
     Raises DegenerateArgument for x in {0, 1}; arguments whose symbol
     vanishes by symmetry are silently dropped.
     """
-    c = Q(c)
+    if type(c) is not Fraction:
+        c = Q(c)
     norm = b2_normalize(x)
     if norm is None or c == 0:
         return GammaSub.zero(tail.field, tail.degree)
     sign, rep = norm
     out: dict = {}
     for key, tc in tail.terms:
-        out[(rep, key)] = out.get((rep, key), Q(0)) + c * sign * tc
+        out[(rep, key)] = out.get((rep, key), ZERO) + c * sign * tc
     return GammaSub.make(tail.field, tail.degree, out)
 
 
@@ -141,12 +144,13 @@ def gamma_add(a: GammaSub, b: GammaSub) -> GammaSub:
             f"tail degree {a.tail_degree} vs {b.tail_degree}")
     d = a.as_dict()
     for k, c in b.terms:
-        d[k] = d.get(k, Q(0)) + c
+        d[k] = d.get(k, ZERO) + c
     return GammaSub.make(a.field, a.tail_degree, d)
 
 
 def gamma_scale(a: GammaSub, c) -> GammaSub:
-    c = Q(c)
+    if type(c) is not Fraction:
+        c = Q(c)
     return GammaSub.make(a.field, a.tail_degree,
                          {k: c * v for k, v in a.terms})
 

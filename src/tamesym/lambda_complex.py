@@ -21,7 +21,7 @@ from .expressions import RatFunc
 from .places import (chain_point, single_pi_residue, support, support_sum,
                      tame_symbol, weil_sum)
 from .snc import SncReport, snc_check
-from .polynomials import BiPoly, UniPoly
+from .polynomials import ZERO, BiPoly, UniPoly
 from .wedges import (Wedge, retag, wedge_add, wedge_concat, wedge_of,
                      wedge_scale, wedge_str)
 
@@ -228,7 +228,7 @@ def blowup_residue(w: Wedge, center: tuple[Fraction, Fraction],
                 k = min(i for (i, _), _ in sub.terms)
                 layer = {j: c for (i, j), c in sub.terms if i == k}
                 n = max(layer)
-                gk = UniPoly.make([layer.get(s, Q(0)) for s in range(n + 1)])
+                gk = UniPoly.make([layer.get(s, ZERO) for s in range(n + 1)])
                 pulled[atom] = (k, mult_vec(RatFunc.make(gk), reg, "Qv"))
         return pulled[atom]
 

@@ -25,7 +25,7 @@ from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
-from .polynomials import BiPoly, UniPoly, poly_str
+from .polynomials import ZERO, BiPoly, UniPoly, poly_str
 from .wedges import Wedge, wedge_of
 
 Q = Fraction
@@ -407,7 +407,7 @@ def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
             cof = wedge_of(rest) if rest else Wedge.scalar(field, 1)
             scale = coeff * k * (-1 if i % 2 else 1)
             for mono, c in cof.terms:
-                out[mono] = out.get(mono, Q(0)) + scale * c
+                out[mono] = out.get(mono, ZERO) + scale * c
     return Wedge.make(field, w.degree - 1, out)
 
 
@@ -484,7 +484,7 @@ def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
         if ts.field != field:
             raise MixedFields(f"{field} vs {ts.field}")
         for key, c in ts.terms:
-            out[key] = out.get(key, Q(0)) + c
+            out[key] = out.get(key, ZERO) + c
     return Wedge.make(field, w.degree - 1, out)
 
 

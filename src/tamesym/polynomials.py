@@ -27,8 +27,19 @@ from math import gcd as int_gcd
 from math import isqrt, lcm
 
 from .errors import Inconclusive
+from .integers import divisors
 
 Q = Fraction
+ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
+
+
+def store_hash(obj, fields: tuple) -> int:
+    """Hash a frozen value type's field tuple once and keep it in the
+    instance's `_hash` slot. The value is the dataclass hash, hash(fields),
+    so no set or dict of these values changes its iteration order."""
+    h = hash(fields)
+    object.__setattr__(obj, "_hash", h)
+    return h
 
 
 def _as_fraction(v) -> Fraction:
@@ -51,7 +62,14 @@ class UniPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
+    __slots__ = ("coeffs", "_hash")
     coeffs: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return store_hash(self, (self.coeffs,))
 
     @staticmethod
     def make(seq) -> "UniPoly":
@@ -83,7 +101,7 @@ class UniPoly:
         return self.coeffs[-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Q(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -99,7 +117,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly(())
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -321,8 +339,8 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         out.append((Q(0), low))
         ints = ints[low:]
     if len(ints) > 1:
-        dens = _divisors(ints[-1])
-        for p in _divisors(ints[0]):
+        dens = divisors(ints[-1])
+        for p in divisors(ints[0]):
             for q in dens:
                 if int_gcd(p, q) != 1:
                     continue
@@ -345,21 +363,6 @@ def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
         qk *= q
         acc = acc * p + c * qk
     return acc
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -505,7 +508,7 @@ def _deg4_monic_splits(g0: int, g1: int, g2: int, g3: int
     """Integer quadratic-pair factorization (t^2+a*t+b)(t^2+c*t+d) of the
     monic quartic t^4+g3*t^3+g2*t^2+g1*t+g0 with no rational roots, as
     ((a, b), (c, d)); None if there is none (certifying irreducibility)."""
-    for b in _divisors(g0) + [-d for d in _divisors(g0)]:
+    for b in divisors(g0) + [-d for d in divisors(g0)]:
         d = g0 // b
         # a + c = g3, a*c = g2 - b - d; a, c integer roots of z^2 - g3 z + s
         s = g2 - b - d
@@ -626,7 +629,14 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
 class BiPoly:
     """Polynomial in x and y; sparse map (x_exp, y_exp) -> Fraction."""
 
+    __slots__ = ("terms", "_hash")
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return store_hash(self, (self.terms,))
 
     @staticmethod
     def make(mapping) -> "BiPoly":
@@ -637,7 +647,7 @@ class BiPoly:
                 items.append(((i, j), c))
         merged: dict[tuple[int, int], Fraction] = {}
         for key, c in items:
-            merged[key] = merged.get(key, Q(0)) + c
+            merged[key] = merged.get(key, ZERO) + c
         return BiPoly(tuple(sorted((k, v) for k, v in merged.items() if v != 0)))
 
     @staticmethod
@@ -678,7 +688,7 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         d = self.as_dict()
         for k, c in other.terms:
-            d[k] = d.get(k, Q(0)) + c
+            d[k] = d.get(k, ZERO) + c
         return BiPoly.make(d)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
@@ -692,7 +702,7 @@ class BiPoly:
         for (i1, j1), c1 in self.terms:
             for (i2, j2), c2 in other.terms:
                 k = (i1 + i2, j1 + j2)
-                d[k] = d.get(k, Q(0)) + c1 * c2
+                d[k] = d.get(k, ZERO) + c1 * c2
         return BiPoly.make(d)
 
     def scale(self, c) -> "BiPoly":
@@ -720,18 +730,18 @@ class BiPoly:
         a = _as_fraction(a)
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms:
-            out[j] = out.get(j, Q(0)) + c * a**i
+            out[j] = out.get(j, ZERO) + c * a**i
         n = max(out, default=-1)
-        return UniPoly.make([out.get(k, Q(0)) for k in range(n + 1)])
+        return UniPoly.make([out.get(k, ZERO) for k in range(n + 1)])
 
     def subst_y(self, b) -> UniPoly:
         """g(x, b) as a polynomial in x."""
         b = _as_fraction(b)
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms:
-            out[i] = out.get(i, Q(0)) + c * b**j
+            out[i] = out.get(i, ZERO) + c * b**j
         n = max(out, default=-1)
-        return UniPoly.make([out.get(k, Q(0)) for k in range(n + 1)])
+        return UniPoly.make([out.get(k, ZERO) for k in range(n + 1)])
 
     def y_coefficients(self) -> list[UniPoly]:
         """Coefficients of y^0 .. y^deg_y, each a polynomial in x."""
@@ -742,7 +752,7 @@ class BiPoly:
         for j in range(self.deg_y + 1):
             col = cols.get(j, {})
             n = max(col, default=-1)
-            out.append(UniPoly.make([col.get(k, Q(0)) for k in range(n + 1)]))
+            out.append(UniPoly.make([col.get(k, ZERO) for k in range(n + 1)]))
         return out
 
     def eval_y_ratfunc(self, num: UniPoly, den: UniPoly) -> UniPoly:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .atoms import Atom, MultVec, PrimeAtom, atom_str
 from .errors import DegreeMismatch, MixedFields
+from .polynomials import ZERO
 
 Q = Fraction
 
@@ -26,7 +27,8 @@ class Wedge:
 
     @staticmethod
     def make(field: str, degree: int, mapping: dict[tuple[Atom, ...], Fraction]) -> "Wedge":
-        items = [(k, Q(c)) for k, c in mapping.items() if c != 0]
+        items = [(k, c if type(c) is Fraction else Q(c))
+                 for k, c in mapping.items() if c]
         items.sort(key=lambda kc: tuple(a.sort_key() for a in kc[0]))
         return Wedge(field, degree, tuple(items))
 
@@ -87,7 +89,7 @@ def wedge_of(vectors: list[MultVec]) -> Wedge:
             res = _sorted_with_sign(chosen)
             if res is not None:
                 key, sign = res
-                out[key] = out.get(key, Q(0)) + sign * coeff
+                out[key] = out.get(key, ZERO) + sign * coeff
             continue
         for a, c in vectors[i].coeffs:
             stack.append((i + 1, chosen + (a,), coeff * c))
@@ -109,13 +111,14 @@ def wedge_add(a: Wedge, b: Wedge) -> Wedge:
         raise DegreeMismatch(f"degree {a.degree} vs {b.degree}")
     d = a.as_dict()
     for k, c in b.terms:
-        d[k] = d.get(k, Q(0)) + c
+        d[k] = d.get(k, ZERO) + c
     return Wedge.make(a.field, a.degree, d)
 
 
 def wedge_scale(a: Wedge, c) -> Wedge:
-    c = Q(c)
-    if c == 0:
+    if type(c) is not Fraction:
+        c = Q(c)
+    if not c:
         return Wedge.zero(a.field, a.degree)
     return Wedge(a.field, a.degree, tuple((k, c * v) for k, v in a.terms))
 
@@ -143,7 +146,7 @@ def wedge_concat(a: Wedge, b: Wedge) -> Wedge:
             if res is None:
                 continue
             key, sign = res
-            out[key] = out.get(key, Q(0)) + sign * ca * cb
+            out[key] = out.get(key, ZERO) + sign * ca * cb
     return Wedge.make(a.field, a.degree + b.degree, out)
 
 

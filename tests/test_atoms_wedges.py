@@ -8,9 +8,10 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (AtomRegistry, DegenerateArgument, DegreeMismatch,
-                     MixedFields, RatFunc, UniPoly, Wedge, constant_class,
-                     mult_vec, one_minus, wedge_add, wedge_concat, wedge_equal,
-                     wedge_of, wedge_scale, wedge_str, wedge_sub)
+                     MixedFields, MultVec, RatFunc, UniPoly, Wedge,
+                     constant_class, mult_vec, one_minus, wedge_add,
+                     wedge_concat, wedge_equal, wedge_of, wedge_scale,
+                     wedge_str, wedge_sub)
 from tamesym.errors import OneMinusOfOne
 from tamesym.wedges import retag, wedge_monomial
 
@@ -222,3 +223,83 @@ def test_bivariate_factoring_leaves_no_reference_cycles():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _value_corpus(rng):
+    """Seeded UniPoly and BiPoly values and atoms of all three kinds, each
+    with the name of its single dataclass field."""
+    from tamesym import BiAtom, BiPoly, PrimeAtom, UniAtom
+
+    def frac():
+        return Q(rng.randint(-9, 9), rng.randint(1, 4))
+
+    unis = [P([frac() for _ in range(rng.randint(0, 6))]) for _ in range(40)]
+    bis = [BiPoly.make({(rng.randint(0, 3), rng.randint(0, 3)): frac()
+                        for _ in range(rng.randint(0, 5))}) for _ in range(40)]
+    primes = [PrimeAtom(p) for p in (2, 3, 5, 7, 11, 13, 10**9 + 7, 2**61 - 1)]
+    uni_atoms = [UniAtom(p.monic()) for p in unis if not p.is_zero]
+    bi_atoms = [BiAtom(p.primitive_int()[1]) for p in bis if not p.is_zero]
+    return [(unis, "coeffs"), (bis, "terms"), (primes, "p"),
+            (uni_atoms, "poly"), (bi_atoms, "poly")]
+
+
+def test_value_types_hash_once_as_their_field_tuple():
+    """The cached hash is the dataclass hash hash((field,)), so sets and dicts
+    keep their iteration order; equality, repr and fields are unchanged."""
+    import dataclasses
+    for values, name in _value_corpus(random.Random(66)):
+        for v in values:
+            field = getattr(v, name)
+            expected = hash((field,))
+            assert hash(v) == expected   # computed
+            assert hash(v) == expected   # cached
+            twin = type(v)(field)        # equal, not hashed yet
+            assert v == twin and not v != twin
+            assert {v: 1}[twin] == 1
+            assert hash(twin) == expected
+            assert repr(v) == f"{type(v).__name__}({name}={field!r})"
+            assert [f.name for f in dataclasses.fields(v)] == [name]
+        fresh = [type(v)(getattr(v, name)) for v in values]
+        assert ([getattr(v, name) for v in set(fresh)]
+                == [t[0] for t in set((getattr(v, name),) for v in values)])
+
+
+def test_class_and_wedge_coefficients_are_fractions():
+    """No int coefficient slips into a class, a wedge or a GammaSub, whatever
+    the type of the scalar it was built or scaled with."""
+    from tamesym import delta, gamma_scale, gamma_term
+
+    def fractions_only(pairs):
+        return all(type(c) is Q for _, c in pairs)
+
+    rng = random.Random(67)
+    reg = AtomRegistry()
+    funcs = []
+    while len(funcs) < 30:
+        num = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+        if any(num) and any(den):
+            funcs.append(rf(num, den))
+    vecs = [mult_vec(f, reg) for f in funcs]
+    vecs += [mult_vec(Q(rng.randint(1, 99), rng.randint(1, 99)), reg)
+             for _ in range(5)]
+    vecs += [v.scale(rng.choice([2, -1, Q(3, 2)])) for v in vecs[:10]]
+    vecs.append(MultVec.make("Qt", {a: 2 for v in vecs[:3]
+                                    for a, _ in v.coeffs}))
+    assert all(fractions_only(v.coeffs) for v in vecs)
+    wedges = [wedge_of(rng.sample(vecs, k)) for k in (1, 2, 2, 3) * 5]
+    wedges.append(Wedge.make("Qt", 2, {key: -1 for key, _ in wedges[1].terms}))
+    for a in wedges:
+        b = next(w for w in wedges if w.degree == a.degree)
+        for w in (a, wedge_add(a, b), wedge_scale(a, rng.choice([3, -2])),
+                  wedge_sub(a, b)):
+            assert fractions_only(w.terms)
+    for k in range(20):
+        x = funcs[k]
+        if x.constant_value() is not None:
+            continue
+        tail = next(w for w in wedges if w.degree == 1 and not w.is_zero)
+        g = gamma_term(rng.choice([1, -2, Q(1, 3)]), x, tail)
+        assert fractions_only(g.terms)
+        assert fractions_only(gamma_scale(g, 5).terms)
+        assert fractions_only(delta(g, reg).terms)

@@ -105,6 +105,51 @@ def test_huge_constant_power_is_refused_before_expanding(capsys, text, bits, e):
                    "4096 (at position 7)\n")
 
 
+THREE_2048_X100 = "*".join(["3^2048"] * 100)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("w[t, (3^2048*t)^100]", "204800*w[3]\n"),
+    (f"w[t, {THREE_2048_X100}]", "204800*w[3]\n"),
+    ("w[t, 1000000000000000003]", "w[1000000000000000003]\n"),
+    ("w[t, t^2+1000000000000000003]", "w[1000000000000000003]\n"),
+    ("w[t, 1000000007*t^4+3]", "w[3]\n"),
+], ids=["power-of-product", "product-of-powers", "prime",
+        "prime-constant-term", "quartic-leading-coefficient"])
+def test_large_integer_classes_end(text, expected):
+    """A prime power was divided out one factor at a time, and integers were
+    factored (or their divisors listed) by trial division up to the square
+    root; each of these never ended."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def test_product_of_prime_powers_is_quick(capsys):
+    """Forty powers 3^2048, each within the DSL's limit, took seconds."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "ts", "--place", "t=0",
+                       "w[t, " + "*".join(["3^2048"] * 40) + "]")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == "81920*w[3]\n"
+
+
+def test_unfactorable_integer_is_refused_by_name():
+    """The least strong pseudoprime to the 13 Miller-Rabin bases."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0",
+         "w[t, 3317044064679887385961981]"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "ts: Inconclusive: cannot factor the integer "
+        "3317044064679887385961981: a probable prime")
+
+
 def test_engine_error_exits_three(capsys):
     code, out, err = run(capsys, "bdry", "cyc[t, 1-t, 1-3/t]")
     assert code == 3
