@@ -18,8 +18,9 @@ from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
 from .polynomials import (ZERO, BiPoly, UniPoly, bipoly_div_uni,
-                          bipoly_exact_div, bipoly_str, factor_uni, gcd_uni,
-                          poly_str, store_hash)
+                          bipoly_exact_div, bipoly_str, cached_hash,
+                          factor_uni, field_state, gcd_uni, poly_str,
+                          set_field_state)
 
 Q = Fraction
 
@@ -31,11 +32,9 @@ class PrimeAtom:
     __slots__ = ("p", "_hash")
     p: int
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return store_hash(self, (self.p,))
+    __hash__ = cached_hash
+    __getstate__ = field_state
+    __setstate__ = set_field_state
 
     def sort_key(self) -> tuple:
         return (0, self.p)
@@ -48,11 +47,9 @@ class UniAtom:
     __slots__ = ("poly", "_hash")
     poly: UniPoly
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return store_hash(self, (self.poly,))
+    __hash__ = cached_hash
+    __getstate__ = field_state
+    __setstate__ = set_field_state
 
     def sort_key(self) -> tuple:
         return (1, self.poly.degree, self.poly.coeffs)
@@ -66,11 +63,9 @@ class BiAtom:
     __slots__ = ("poly", "_hash")
     poly: BiPoly
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return store_hash(self, (self.poly,))
+    __hash__ = cached_hash
+    __getstate__ = field_state
+    __setstate__ = set_field_state
 
     def sort_key(self) -> tuple:
         return (2, self.poly.deg_x, self.poly.deg_y, self.poly.terms)

@@ -33,13 +33,27 @@ Q = Fraction
 ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
 
 
-def store_hash(obj, fields: tuple) -> int:
-    """Hash a frozen value type's field tuple once and keep it in the
-    instance's `_hash` slot. The value is the dataclass hash, hash(fields),
-    so no set or dict of these values changes its iteration order."""
-    h = hash(fields)
-    object.__setattr__(obj, "_hash", h)
-    return h
+def cached_hash(self) -> int:
+    """__hash__ of a frozen value type with one field, named first in its
+    __slots__: the dataclass hash, hash((field,)), computed once and kept in
+    the `_hash` slot, so no set or dict of these values changes its
+    iteration order."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash((getattr(self, type(self).__slots__[0]),))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def field_state(self):
+    """__getstate__ of such a type for copy and pickle: the field alone."""
+    return getattr(self, type(self).__slots__[0])
+
+
+def set_field_state(self, state) -> None:
+    """__setstate__ of such a type; the frozen __setattr__ would refuse."""
+    object.__setattr__(self, type(self).__slots__[0], state)
 
 
 def _as_fraction(v) -> Fraction:
@@ -65,11 +79,9 @@ class UniPoly:
     __slots__ = ("coeffs", "_hash")
     coeffs: tuple[Fraction, ...]
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return store_hash(self, (self.coeffs,))
+    __hash__ = cached_hash
+    __getstate__ = field_state
+    __setstate__ = set_field_state
 
     @staticmethod
     def make(seq) -> "UniPoly":
@@ -632,11 +644,9 @@ class BiPoly:
     __slots__ = ("terms", "_hash")
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return store_hash(self, (self.terms,))
+    __hash__ = cached_hash
+    __getstate__ = field_state
+    __setstate__ = set_field_state
 
     @staticmethod
     def make(mapping) -> "BiPoly":

@@ -245,8 +245,11 @@ def _value_corpus(rng):
 
 def test_value_types_hash_once_as_their_field_tuple():
     """The cached hash is the dataclass hash hash((field,)), so sets and dicts
-    keep their iteration order; equality, repr and fields are unchanged."""
+    keep their iteration order; equality, repr and fields are unchanged, and
+    copy, deepcopy and pickle give an equal value with the same hash."""
+    import copy
     import dataclasses
+    import pickle
     for values, name in _value_corpus(random.Random(66)):
         for v in values:
             field = getattr(v, name)
@@ -259,6 +262,9 @@ def test_value_types_hash_once_as_their_field_tuple():
             assert hash(twin) == expected
             assert repr(v) == f"{type(v).__name__}({name}={field!r})"
             assert [f.name for f in dataclasses.fields(v)] == [name]
+            for twin in (copy.copy(v), copy.deepcopy(v),
+                         pickle.loads(pickle.dumps(v))):
+                assert twin == v and hash(twin) == expected
         fresh = [type(v)(getattr(v, name)) for v in values]
         assert ([getattr(v, name) for v in set(fresh)]
                 == [t[0] for t in set((getattr(v, name),) for v in values)])
