@@ -11,8 +11,8 @@ is exact; nothing here uses floating point.
 from .atoms import (FIELD_VARS, AtomRegistry, BiAtom, MultVec, PrimeAtom,
                     UniAtom, atom_str, constant_class, mult_vec, one_minus)
 from .chow import (CubeCurve, PointCycle, WCheckReport, admissible_check,
-                   cube_boundary, point_boundary, w_commutes_check, w_map,
-                   w_map_curve, w_map_point)
+                   cube_boundary, w_commutes_check, w_map, w_map_curve,
+                   w_map_point)
 from .dsl import (parse_bifrac, parse_cycle, parse_divisor, parse_element,
                   parse_gamma, parse_place, parse_ratfunc, parse_wedge)
 from .errors import (CoordinateIdenticallyFace, DegenerateArgument,
@@ -33,10 +33,9 @@ from .lambda_complex import (ChainGroup, LambdaElem, ParshinReport,
                              bs_vanishing_check, d_squared_check,
                              differential, lambda_str, parshin_check,
                              totaro_element, totaro_wedge)
-from .places import (INFINITY, FinRat, GraphX, GraphY, HLine, Infinity,
-                     IrredPlace, LineXInf, LineYInf, Place1, SurfDivisor,
-                     VLine, classify_atom_divisor, defining_bipoly,
-                     graph_x_divisor, graph_y_divisor, tame_symbol, weil_sum)
+from .places import (INFINITY, FinRat, Graph, Infinity, IrredPlace, Line,
+                     LineInf, Place1, SurfDivisor, classify_atom_divisor,
+                     defining_bipoly, tame_symbol, weil_sum)
 from .polynomials import BiPoly, UniPoly, bipoly_str, poly_str
 from .snc import SncProblem, SncReport, snc_check
 from .suite import criterion_ids, run_criterion, run_suite, suite_report

@@ -147,11 +147,6 @@ def cube_boundary(z: CubeCurve, reg: AtomRegistry) -> list[PointCycle]:
     return out
 
 
-def point_boundary(p: PointCycle) -> list:
-    """Points have no faces left to meet."""
-    return []
-
-
 def w_map_curve(z: CubeCurve, reg: AtomRegistry) -> LambdaElem:
     """The curve term carrying the wedge of all coordinates."""
     w = wedge_of([mult_vec(f, reg) for f in z.coords])

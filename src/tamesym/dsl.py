@@ -16,9 +16,8 @@ from .errors import DegreeMismatch, MixedFields, ParseError
 from .expressions import BiFrac, RatFunc
 from .gamma import GammaSub, gamma_add, gamma_scale, gamma_term
 from .lambda_complex import LambdaElem
-from .places import (INFINITY, LINE_X_INF, LINE_Y_INF, FinRat, HLine,
-                     IrredPlace, Place1, SurfDivisor, VLine, graph_x_divisor,
-                     graph_y_divisor)
+from .places import (INFINITY, FinRat, IrredPlace, LineInf, Place1,
+                     SurfDivisor, solved_divisor)
 from .polynomials import BiPoly, irreducible_check_uni, poly_str
 from .wedges import Wedge, wedge_add, wedge_of, wedge_scale
 
@@ -83,7 +82,11 @@ class _Scanner:
         if self.match("/"):
             self.skip_ws()
             if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                return Q(n, self.parse_uint())
+                start = self.pos
+                d = self.parse_uint()
+                if d == 0:
+                    raise ParseError("division by zero", start)
+                return Q(n, d)
             self.pos = save
         return Q(n)
 
@@ -501,10 +504,7 @@ def parse_divisor(text: str) -> SurfDivisor:
     s.expect("=")
     if s.match("inf"):
         _finish(s)
-        return LINE_X_INF if which == "x" else LINE_Y_INF
+        return LineInf(which)
     f = _expr(s, _rat_ctx("y" if which == "x" else "x"))
     _finish(s)
-    cv = f.constant_value()
-    if which == "x":
-        return VLine(cv) if cv is not None else graph_x_divisor(f)
-    return HLine(cv) if cv is not None else graph_y_divisor(f)
+    return solved_divisor(which, f)

@@ -228,7 +228,7 @@ def cross_ratio(x1, x2, x3, x4) -> Fraction:
     return num / den
 
 
-def five_term(x1, x2, x3, x4, x5, reg: AtomRegistry | None = None) -> GammaSub:
+def five_term(x1, x2, x3, x4, x5) -> GammaSub:
     """The alternating sum of the five cross-ratio symbols attached to five
     distinct points; it lies in the kernel of delta."""
     pts = [x1, x2, x3, x4, x5]

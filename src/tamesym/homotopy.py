@@ -93,11 +93,10 @@ def decompose(w: Wedge, reg: AtomRegistry,
     return DecompResult(preimage=preimage, remainder=current)
 
 
-def h_map(w: Wedge, reg: AtomRegistry,
-          rng: random.Random | None = None) -> GammaSub:
+def h_map(w: Wedge, reg: AtomRegistry) -> GammaSub:
     """Sum of residues of the decomposition preimage; the remainder
     contributes nothing by construction."""
-    dec = decompose(w, reg, rng)
+    dec = decompose(w, reg)
     return tot_gamma(dec.preimage, reg)
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .atoms import AtomRegistry, MultVec, mult_vec, one_minus
 from .errors import DegreeMismatch, MixedFields, NotStrictlyRegular
 from .expressions import RatFunc
-from .places import (chain_point, single_pi_residue, support, support_sum,
-                     tame_symbol, weil_sum)
+from .places import (chain_point, point_key, point_str, single_pi_residue,
+                     support, support_sum, tame_symbol, weil_sum)
 from .snc import SncReport, snc_check
 from .polynomials import ZERO, BiPoly, UniPoly
 from .wedges import (Wedge, retag, wedge_add, wedge_concat, wedge_of,
@@ -155,7 +155,7 @@ def parshin_check(w: Wedge, reg: AtomRegistry) -> ParshinReport:
             contribution = tame_symbol(ts_d, v, reg)
             buckets.setdefault(key, []).append(contribution)
     groups = []
-    for key in sorted(buckets, key=_chain_key_sort):
+    for key in sorted(buckets, key=point_key):
         contributions = buckets[key]
         total = Wedge.zero("Q", w.degree - 2)
         nonzero = 0
@@ -163,29 +163,9 @@ def parshin_check(w: Wedge, reg: AtomRegistry) -> ParshinReport:
             total = wedge_add(total, c)
             if not c.is_zero:
                 nonzero += 1
-        groups.append(ChainGroup(_chain_key_str(key), len(contributions),
+        groups.append(ChainGroup(point_str(key), len(contributions),
                                  nonzero, total.is_zero))
     return ParshinReport(ok=all(g.ok for g in groups), groups=groups)
-
-
-def _chain_key_sort(key) -> tuple:
-    def ck(v):
-        if isinstance(v, Fraction):
-            return (0, v)
-        return (1, str(v))
-    if isinstance(key, tuple) and len(key) == 2:
-        return (0, ck(key[0]), ck(key[1]))
-    return (1, str(key))
-
-
-def _chain_key_str(key) -> str:
-    if isinstance(key, tuple) and len(key) == 2 \
-            and not isinstance(key[0], str):
-        from .expressions import INF
-        xs = "inf" if key[0] is INF else str(key[0])
-        ys = "inf" if key[1] is INF else str(key[1])
-        return f"({xs}, {ys})"
-    return str(key)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ reduce the remaining unit slots into the residue field. Residue fields are
 Q for places of Q(t) and Q(t) again (in the divisor's own parameter,
 renamed to t) for surface divisors.
 
-Mirror convention: the divisors with parameter y (VLine, GraphX, LineXInf)
-are the images of those with parameter x (HLine, GraphY, LineYInf) under
-(x, y) -> (y, x), which `mirror` and `BiPoly.swap_xy` apply. Equations,
-restrictions and chain points are worked out for the x-parameter divisors;
-the others are mirrored there and their results swapped back.
+Mirror convention: each surface divisor (`Line`, `Graph`, `LineInf`) names
+the coordinate `var` it fixes or solves for; its parameter is the other
+one. `mirror()` flips `var`, and with `BiPoly.swap_xy` that is the map
+(x, y) -> (y, x). Equations, restrictions and chain points are worked out
+for var = "y" (parameter x); a divisor with var = "x" is mirrored there and
+its results swapped back. Surface points (x, y) are ordered and printed by
+`point_key` and `point_str`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
-                    atom_str, mult_vec)
+                    atom_str, factor_into_atoms, mult_vec)
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
-from .polynomials import ZERO, BiPoly, UniPoly, poly_str
+from .polynomials import (ZERO, BiPoly, UniPoly, multiplicity_of_factor,
+                          poly_str)
 from .wedges import Wedge, wedge_of
 
 Q = Fraction
@@ -78,36 +81,34 @@ Place1 = FinRat | IrredPlace | Infinity
 INFINITY = Infinity()
 
 
-@dataclass(frozen=True)
-class VLine:
-    """The vertical line x = c; parameter on the divisor is y."""
+def _other(var: str) -> str:
+    return "y" if var == "x" else "x"
 
+
+@dataclass(frozen=True)
+class Line:
+    """The line var = c; the parameter on the divisor is the other
+    coordinate."""
+
+    var: str
     c: Fraction
 
     def sort_key(self) -> tuple:
-        return (0, self.c)
+        return (0 if self.var == "x" else 1, self.c)
+
+    def mirror(self) -> "Line":
+        return Line(_other(self.var), self.c)
 
     def __str__(self) -> str:
-        return f"x={self.c}"
+        return f"{self.var}={self.c}"
 
 
 @dataclass(frozen=True)
-class HLine:
-    """The horizontal line y = c; parameter is x."""
+class Graph:
+    """The closure of var = num(s)/den(s); s, the other coordinate, is the
+    parameter."""
 
-    c: Fraction
-
-    def sort_key(self) -> tuple:
-        return (1, self.c)
-
-    def __str__(self) -> str:
-        return f"y={self.c}"
-
-
-@dataclass(frozen=True)
-class GraphY:
-    """The closure of y = num(x)/den(x); parameter is x."""
-
+    var: str
     num: UniPoly
     den: UniPoly
 
@@ -115,76 +116,38 @@ class GraphY:
         return RatFunc(self.num, self.den)
 
     def sort_key(self) -> tuple:
-        return (2, self.num.key(), self.den.key())
+        return (2 if self.var == "y" else 3, self.num.key(), self.den.key())
+
+    def mirror(self) -> "Graph":
+        return Graph(_other(self.var), self.num, self.den)
 
     def __str__(self) -> str:
-        return f"y={ratfunc_str(self.phi(), 'x')}"
+        return f"{self.var}={ratfunc_str(self.phi(), _other(self.var))}"
 
 
 @dataclass(frozen=True)
-class GraphX:
-    """The closure of x = num(y)/den(y); parameter is y."""
+class LineInf:
+    """The line var = infinity; the parameter is the other coordinate."""
 
-    num: UniPoly
-    den: UniPoly
-
-    def psi(self) -> RatFunc:
-        return RatFunc(self.num, self.den)
+    var: str
 
     def sort_key(self) -> tuple:
-        return (3, self.num.key(), self.den.key())
+        return (4,) if self.var == "x" else (5,)
+
+    def mirror(self) -> "LineInf":
+        return LineInf(_other(self.var))
 
     def __str__(self) -> str:
-        return f"x={ratfunc_str(self.psi(), 'y')}"
+        return f"{self.var}=inf"
 
 
-@dataclass(frozen=True)
-class LineXInf:
-    """The line x = infinity; parameter is y."""
-
-    def sort_key(self) -> tuple:
-        return (4,)
-
-    def __str__(self) -> str:
-        return "x=inf"
+SurfDivisor = Line | Graph | LineInf
 
 
-@dataclass(frozen=True)
-class LineYInf:
-    """The line y = infinity; parameter is x."""
-
-    def sort_key(self) -> tuple:
-        return (5,)
-
-    def __str__(self) -> str:
-        return "y=inf"
-
-
-SurfDivisor = VLine | HLine | GraphY | GraphX | LineXInf | LineYInf
-
-LINE_X_INF = LineXInf()
-LINE_Y_INF = LineYInf()
-
-
-def mirror(d: SurfDivisor) -> SurfDivisor:
-    """The divisor's image under (x, y) -> (y, x)."""
-    if isinstance(d, VLine):
-        return HLine(d.c)
-    if isinstance(d, HLine):
-        return VLine(d.c)
-    if isinstance(d, GraphY):
-        return GraphX(d.num, d.den)
-    if isinstance(d, GraphX):
-        return GraphY(d.num, d.den)
-    return LINE_Y_INF if isinstance(d, LineXInf) else LINE_X_INF
-
-
-def graph_y_divisor(phi: RatFunc) -> GraphY:
-    return GraphY(phi.num, phi.den)
-
-
-def graph_x_divisor(psi: RatFunc) -> GraphX:
-    return GraphX(psi.num, psi.den)
+def solved_divisor(var: str, f: RatFunc) -> Line | Graph:
+    """The divisor var = f, f a function of the other coordinate."""
+    cv = f.constant_value()
+    return Line(var, cv) if cv is not None else Graph(var, f.num, f.den)
 
 
 def defining_bipoly(d: SurfDivisor) -> BiPoly:
@@ -194,41 +157,31 @@ def defining_bipoly(d: SurfDivisor) -> BiPoly:
     finite chart; callers needing their chart equations handle those
     directly (the checker does), so asking for them here is an error.
     """
-    if isinstance(d, (VLine, GraphX)):
-        return defining_bipoly(mirror(d)).swap_xy()
-    if isinstance(d, HLine):
+    if isinstance(d, LineInf):
+        raise ValueError(f"{d} has no finite-chart equation")
+    if d.var == "x":
+        return defining_bipoly(d.mirror()).swap_xy()
+    if isinstance(d, Line):
         return BiPoly.make({(0, 1): 1, (0, 0): -d.c})
-    if isinstance(d, GraphY):
-        den = BiPoly.from_uni(d.den, "x")
-        num = BiPoly.from_uni(d.num, "x")
-        return den * BiPoly.var_y() - num
-    raise ValueError(f"{d} has no finite-chart equation")
+    den = BiPoly.from_uni(d.den, "x")
+    num = BiPoly.from_uni(d.num, "x")
+    return den * BiPoly.var_y() - num
 
 
 def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
-    """The irreducible divisor cut out by a bivariate atom."""
+    """The irreducible divisor cut out by a bivariate atom: solved for y
+    where the atom is linear in y, else for x where it is linear in x."""
     g = atom.poly
-    dx, dy = g.deg_x, g.deg_y
-    if dy <= 0:
-        if dx == 1:
-            lin = g.subst_y(0)  # a*x + b
-            return VLine(-lin.coeff(0) / lin.coeff(1))
+    if g.deg_y <= 0 and g.deg_x != 1:
         raise UnsupportedDivisorClass(
             f"atom {g} cuts out a nonrational vertical fiber bundle")
-    if dx <= 0:
-        if dy == 1:
-            lin = g.subst_x(0)
-            return HLine(-lin.coeff(0) / lin.coeff(1))
+    if g.deg_x <= 0 and g.deg_y != 1:
         raise UnsupportedDivisorClass(
             f"atom {g} cuts out a nonrational horizontal fiber bundle")
-    if dy == 1:
-        cols = g.y_coefficients()  # g = cols[1]*y + cols[0]
-        phi = RatFunc.make(-cols[0], cols[1])
-        return graph_y_divisor(phi)
-    if dx == 1:
-        cols = g.swap_xy().y_coefficients()
-        psi = RatFunc.make(-cols[0], cols[1])
-        return graph_x_divisor(psi)
+    for var, h in (("y", g), ("x", g.swap_xy())):
+        if h.deg_y == 1:
+            cols = h.y_coefficients()  # h = cols[1]*y + cols[0]
+            return solved_divisor(var, RatFunc.make(-cols[0], cols[1]))
     raise UnsupportedDivisorClass(
         f"atom {g} is nonlinear in both variables; its divisor is outside "
         "the supported vocabulary")
@@ -250,10 +203,8 @@ def _atom_order(atom, place) -> int:
         return 1 if isinstance(atom, UniAtom) and atom.poly == place.poly else 0
     if isinstance(place, Infinity):
         return -atom.poly.degree if isinstance(atom, UniAtom) else 0
-    if isinstance(place, LineXInf):
-        return -atom.poly.deg_x
-    if isinstance(place, LineYInf):
-        return -atom.poly.deg_y
+    if isinstance(place, LineInf):
+        return -(atom.poly.deg_x if place.var == "x" else atom.poly.deg_y)
     # finite surface divisors: an irreducible atom vanishes on an
     # irreducible divisor iff it is its defining polynomial
     _, prim = defining_bipoly(place).primitive_int()
@@ -278,7 +229,6 @@ def ratfunc_order(f: RatFunc, place: Place1) -> int:
         return f.order_at_rational(place.c)
     if isinstance(place, Infinity):
         return f.order_at_infinity()
-    from .polynomials import multiplicity_of_factor
     up = multiplicity_of_factor(f.num, place.poly) if not f.num.is_zero else 0
     return up - multiplicity_of_factor(f.den, place.poly)
 
@@ -296,9 +246,9 @@ def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
     identically, i.e. when f has nonzero order along d.
     """
     fn, fd, e = f.num, f.den, d
-    if isinstance(d, (VLine, GraphX)):
-        fn, fd, e = fn.swap_xy(), fd.swap_xy(), mirror(d)
-    if isinstance(e, HLine):
+    if d.var == "x":
+        fn, fd, e = fn.swap_xy(), fd.swap_xy(), d.mirror()
+    if isinstance(e, Line):
         num, den = fn.subst_y(e.c), fd.subst_y(e.c)
     else:
         num = fn.eval_y_ratfunc(e.num, e.den) * e.den ** fd.deg_y
@@ -330,9 +280,9 @@ def _atom_residue_class(atom, place, reg: AtomRegistry) -> MultVec:
     if isinstance(atom, PrimeAtom):
         return mult_vec(Q(atom.p), reg, "Qt")
     g = atom.poly
-    if isinstance(place, LineXInf):
-        g, place = g.swap_xy(), LINE_Y_INF
-    if isinstance(place, LineYInf):
+    if isinstance(place, LineInf):
+        if place.var == "x":
+            g = g.swap_xy()
         return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
     return mult_vec(restrict_bi(BiFrac.make(g), place), reg, "Qt")
 
@@ -358,10 +308,9 @@ def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
         return mult_vec(RatFunc.make(place.poly), reg, "Qt")
     if isinstance(place, Infinity):
         return mult_vec(RatFunc.var(), reg, "Qt").scale(-1)
-    if isinstance(place, LineXInf):
-        return mult_vec(BiFrac.make(BiPoly.var_x()), reg).scale(-1)
-    if isinstance(place, LineYInf):
-        return mult_vec(BiFrac.make(BiPoly.var_y()), reg).scale(-1)
+    if isinstance(place, LineInf):
+        v = BiPoly.var_x() if place.var == "x" else BiPoly.var_y()
+        return mult_vec(BiFrac.make(v), reg).scale(-1)
     _, prim = defining_bipoly(place).primitive_int()
     return mult_vec(BiFrac.make(prim), reg)
 
@@ -463,16 +412,16 @@ def support(w: Wedge) -> list:
         if isinstance(a, BiAtom):
             divisors.add(classify_atom_divisor(a))
             if a.poly.deg_x > 0:
-                divisors.add(LINE_X_INF)
+                divisors.add(LineInf("x"))
             if a.poly.deg_y > 0:
-                divisors.add(LINE_Y_INF)
+                divisors.add(LineInf("y"))
     return sorted(divisors, key=lambda d: d.sort_key())
 
 
 def finite_support_divisors(w: Wedge) -> list[SurfDivisor]:
     """The divisors actually cut out by the wedge's atoms (no infinity
     lines); this is the configuration the crossing checker inspects."""
-    return [d for d in support(w) if not isinstance(d, (LineXInf, LineYInf))]
+    return [d for d in support(w) if not isinstance(d, LineInf)]
 
 
 def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
@@ -499,7 +448,6 @@ def weil_sum(w: Wedge, reg: AtomRegistry) -> Wedge:
 
 def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
     """All places where a concrete rational function has nonzero order."""
-    from .atoms import factor_into_atoms
     _, exps = factor_into_atoms(f.num, f.den, reg)
     out: list[Place1] = []
     for atom in exps:
@@ -526,15 +474,30 @@ def chain_point(d: SurfDivisor, v: Place1):
     them, and pretending to know the matching would be a guess)."""
     if isinstance(v, IrredPlace):
         return ("nonsplit", d.sort_key(), v.sort_key())
-    if isinstance(d, (VLine, GraphX, LineXInf)):
-        x, y = chain_point(mirror(d), v)
+    if d.var == "x":
+        x, y = chain_point(d.mirror(), v)
         return (y, x)
     t = INF if isinstance(v, Infinity) else v.c
-    if isinstance(d, HLine):
+    if isinstance(d, Line):
         return (t, d.c)
-    if isinstance(d, GraphY):
+    if isinstance(d, Graph):
         phi = d.phi()
         if t is INF:
             return (INF, phi.evaluate_at_infinity())
         return (t, phi.evaluate(t))
     return (t, INF)
+
+
+def point_key(pt) -> tuple:
+    """Sort key of a surface point (x, y), each coordinate a Fraction or
+    INF, finite before infinite; nonsplit chain keys sort after every
+    point."""
+    if isinstance(pt[0], str):  # ("nonsplit", ...)
+        return (1, str(pt))
+    x, y = pt
+    return (0, (1,) if x is INF else (0, x), (1,) if y is INF else (0, y))
+
+
+def point_str(pt) -> str:
+    """Canonical text of a surface point, e.g. (1/2, inf)."""
+    return str(pt) if isinstance(pt[0], str) else f"({pt[0]}, {pt[1]})"

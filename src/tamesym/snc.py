@@ -17,9 +17,11 @@ transversality are decided modulo q, which settles all conjugate points at
 once.
 
 Configurations mirrored by (x, y) -> (y, x) share one code path: a cluster
-over y, and a boundary or pair whose divisors have y as parameter, are
-mirrored (`places.mirror`) into the x-oriented case, and the points found
-are swapped back before they are recorded.
+over y, and a boundary or pair whose divisors solve for x (var = "x"), are
+mirrored (`mirror()` on the cluster and the divisors) into the case with
+parameter x, and the points found are swapped back before they are
+recorded. Points are ordered and printed by `places.point_key` and
+`places.point_str`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (GraphX, GraphY, HLine, SurfDivisor, VLine,
-                     defining_bipoly, finite_support_divisors, mirror)
+from .places import (Graph, Line, SurfDivisor, defining_bipoly,
+                     finite_support_divisors, point_key, point_str)
 from .polynomials import BiPoly, UniPoly, factor_uni, poly_str
 from .wedges import Wedge
 
@@ -65,19 +67,6 @@ def _mirrored(found: tuple[list, list]) -> tuple[list, list]:
     """Points and clusters found on mirrored divisors, swapped back."""
     points, clusters = found
     return [(b, a) for a, b in points], [cl.mirror() for cl in clusters]
-
-
-def _coord_key(v) -> tuple:
-    return (1,) if v is INF else (0, v)
-
-
-def _point_key(pt) -> tuple:
-    return (_coord_key(pt[0]), _coord_key(pt[1]))
-
-
-def _point_str(pt) -> str:
-    return f"({'inf' if pt[0] is INF else pt[0]}, " \
-           f"{'inf' if pt[1] is INF else pt[1]})"
 
 
 @dataclass(frozen=True)
@@ -122,8 +111,8 @@ def _through_point(d: SurfDivisor, pt) -> bool:
     return _chart_poly(d, x_inf, y_inf).evaluate(a, b) == 0
 
 
-def _fixed_point_eqn(d: GraphX, e: RatFunc) -> tuple[UniPoly, UniPoly]:
-    """(eqn, dc) for x = psi(e(x)), psi the graph of d: psi(e(x)) = nc/dc
+def _fixed_point_eqn(d: Graph, e: RatFunc) -> tuple[UniPoly, UniPoly]:
+    """(eqn, dc) for x = psi(e(x)), d the graph x = psi(y): psi(e(x)) = nc/dc
     with e's denominator cleared, and eqn = nc - dc*x."""
     a = BiPoly.from_uni(d.num, "y").eval_y_ratfunc(e.num, e.den)
     b = BiPoly.from_uni(d.den, "y").eval_y_ratfunc(e.num, e.den)
@@ -134,23 +123,21 @@ def _fixed_point_eqn(d: GraphX, e: RatFunc) -> tuple[UniPoly, UniPoly]:
 
 def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
     if cl.axis == "y":
-        return _through_cluster(mirror(d), cl.mirror())
+        return _through_cluster(d.mirror(), cl.mirror())
     q = cl.q
     e = cl.expr
-    if isinstance(d, VLine):
-        return False  # rational abscissa cannot be a root of q
-    if isinstance(d, HLine):
-        if e is None:
-            return False
-        return ((e.num - e.den.scale(d.c)) % q).is_zero
-    if isinstance(d, GraphY):
+    if isinstance(d, Line):
+        # a rational abscissa cannot be a root of q
+        return d.var == "y" and e is not None \
+            and ((e.num - e.den.scale(d.c)) % q).is_zero
+    if d.var == "y":
         if e is None:
             return (d.den % q).is_zero
         if (d.den % q).is_zero:
             return False
         lhs = d.num * e.den - e.num * d.den
         return (lhs % q).is_zero
-    # GraphX: need psi(e(x)) = x identically modulo q
+    # x = psi(y): need psi(e(x)) = x identically modulo q
     if e is None:
         return False  # psi at infinity is a rational point or infinite
     eqn, dc = _fixed_point_eqn(d, e)
@@ -177,7 +164,7 @@ def _transversal_at_point(d1: SurfDivisor, d2: SurfDivisor, pt) -> bool:
 
 def _transversal_at_cluster(d1, d2, cl: Cluster) -> bool:
     if cl.axis == "y":
-        return _transversal_at_cluster(mirror(d1), mirror(d2), cl.mirror())
+        return _transversal_at_cluster(d1.mirror(), d2.mirror(), cl.mirror())
     y_inf = cl.expr is None
     det = _jacobian_det(_chart_poly(d1, False, y_inf),
                         _chart_poly(d2, False, y_inf))
@@ -210,12 +197,10 @@ def _roots_and_factors(f: UniPoly) -> tuple[list[Fraction], list[UniPoly]]:
 
 def _boundary_candidates(d: SurfDivisor) -> tuple[list, list]:
     """Points and clusters where d meets the lines at infinity."""
-    if isinstance(d, (VLine, GraphX)):
-        return _mirrored(_boundary_candidates(mirror(d)))
-    if isinstance(d, HLine):
+    if d.var == "x":
+        return _mirrored(_boundary_candidates(d.mirror()))
+    if isinstance(d, Line):
         return [(INF, d.c)], []
-    if not isinstance(d, GraphY):
-        return [], []
     points = [(INF, d.phi().evaluate_at_infinity())]
     roots, hard = _roots_and_factors(d.den)
     points += [(r, INF) for r in roots]
@@ -228,24 +213,26 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
     in the candidate set."""
     if d1.sort_key() > d2.sort_key():
         d1, d2 = d2, d1
-    if isinstance(d2, GraphX) and not isinstance(d1, GraphY):
-        return _mirrored(_pair_candidates(mirror(d1), mirror(d2)))
+    if isinstance(d2, Graph) and d2.var == "x" \
+            and not (isinstance(d1, Graph) and d1.var == "y"):
+        return _mirrored(_pair_candidates(d1.mirror(), d2.mirror()))
+    # past this point d2 solves for x only if d1 is a graph y = phi(x)
     points: list = []
     clusters: list = []
-    if isinstance(d1, VLine):
-        if isinstance(d2, HLine):
+    if isinstance(d1, Line) and d1.var == "x":
+        if isinstance(d2, Line) and d2.var == "y":
             points.append((d1.c, d2.c))
-        elif isinstance(d2, GraphY):
+        elif isinstance(d2, Graph):
             yv = d2.phi().evaluate(d1.c)
             if yv is not INF:
                 points.append((d1.c, yv))
-    elif isinstance(d1, HLine):
-        if isinstance(d2, GraphY):
+    elif isinstance(d1, Line):
+        if isinstance(d2, Graph):
             f = d2.num - d2.den.scale(d1.c)
             roots, hard = _roots_and_factors(f)
             points += [(r, d1.c) for r in roots]
             clusters += [Cluster("x", q, RatFunc.const(d1.c)) for q in hard]
-    elif isinstance(d1, GraphY) and isinstance(d2, GraphY):
+    elif d2.var == "y":
         r = d1.num * d2.den - d2.num * d1.den
         roots, hard = _roots_and_factors(r)
         for x0 in roots:
@@ -257,7 +244,7 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
                 clusters.append(Cluster("x", q, None))
             else:
                 clusters.append(Cluster("x", q, d1.phi()))
-    elif isinstance(d1, GraphY) and isinstance(d2, GraphX):
+    else:
         roots, hard = _roots_and_factors(_fixed_point_eqn(d2, d1.phi())[0])
         for x0 in roots:
             if d1.den.evaluate(x0) != 0:
@@ -275,21 +262,11 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 
-def snc_check(arg) -> SncReport:
-    """Check a surface wedge (or an explicit divisor list) for strict
-    normal crossings: pairwise transversal meetings and no triple points.
+def snc_check(w: Wedge) -> SncReport:
+    """Check the support of a surface wedge for strict normal crossings:
+    pairwise transversal meetings and no triple points.
     """
-    if isinstance(arg, Wedge):
-        divisors = finite_support_divisors(arg)
-    else:
-        seen = set()
-        divisors = []
-        for d in arg:
-            if d not in seen:
-                seen.add(d)
-                divisors.append(d)
-        divisors.sort(key=lambda d: d.sort_key())
-
+    divisors = finite_support_divisors(w)
     found = [_boundary_candidates(d) for d in divisors]
     found += [_pair_candidates(d1, d2) for i, d1 in enumerate(divisors)
               for d2 in divisors[i + 1:]]
@@ -299,8 +276,8 @@ def snc_check(arg) -> SncReport:
         points.update(pts)
         clusters.update(cls)
 
-    candidates = [(pt, _point_str, _through_point, _transversal_at_point)
-                  for pt in sorted(points, key=_point_key)]
+    candidates = [(pt, point_str, _through_point, _transversal_at_point)
+                  for pt in sorted(points, key=point_key)]
     candidates += [(cl, str, _through_cluster, _transversal_at_cluster)
                    for cl in sorted(clusters, key=Cluster.sort_key)]
     problems: list[SncProblem] = []

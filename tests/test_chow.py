@@ -9,7 +9,7 @@ from tamesym import (AtomRegistry, CoordinateIdenticallyFace, CubeCurve,
                      NotAdmissible, admissible_check, cube_boundary,
                      differential, lambda_str, parse_cycle, parse_ratfunc,
                      w_commutes_check, w_map)
-from tamesym.chow import point_boundary, w_map_curve, w_map_point
+from tamesym.chow import w_map_curve, w_map_point
 
 GOOD = "cyc[2*(t-1)/(t-3), 5*(t-2)/(t-4)]"
 BAD = "cyc[t, 1-t, 1-3/t]"
@@ -62,12 +62,6 @@ def test_boundary_flags_points_touching_one():
     pts = cube_boundary(z, reg)
     flagged = [p for p in pts if p.touches_one]
     assert flagged and flagged[0].values == (Q(1),)
-
-
-def test_point_boundary_is_empty():
-    reg = AtomRegistry()
-    for p in cube_boundary(parse_cycle(GOOD), reg):
-        assert point_boundary(p) == []
 
 
 def test_w_map_is_defined_even_off_admissibility():

@@ -1,9 +1,11 @@
 """Command-line behavior: output, exit codes, and the JSON schema."""
 
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +172,55 @@ def test_not_distinct_points_render_canonically(capsys):
     assert code == 3
     assert "cross-ratio of [1/2, 1/2, inf, 3]" in err
     assert "Fraction(" not in err
+
+
+# One CLI input per refusal class the CLI can reach. NotAUnit,
+# IdenticallyZeroOnDivisor, MixedFields and DegreeMismatch guard engine
+# internals: the parser and the verbs refuse first, so no input reaches them.
+REFUSALS = [
+    ("ParseError", 2, ["ts", "--place", "t=0", "w[t,"]),
+    ("ParseError", 2, ["ts", "--place", "t=1/0", "w[t]"]),
+    ("ParseError", 2, ["delta", "2/0*{t}_2"]),
+    ("ParseError", 2, ["ts", "--divisor", "x=0", "w[t]"]),
+    ("NotStrictlyRegular", 3, ["dd", "m=0; [S: w[y-x, y-x-1]]"]),
+    ("NonSplitResidue", 3, ["ts", "--place", "t^2+1=0", "w[t, t^2+1]"]),
+    ("NonSplitResidue", 3, ["ts-gamma", "--place", "t^2+1=0",
+                            "{t}_2 @ w[t^2+1]"]),
+    ("Inconclusive", 3, ["snc", "w[x^2+y^2-1, x]"]),
+    ("NotAdmissible", 3, ["bdry", "cyc[t, 1-t, 1-3/t]"]),
+    ("DegenerateArgument", 3, ["delta", "{0}_2"]),
+    ("UnsupportedDivisorClass", 3, ["snc", "w[x^2-2, y]"]),
+    ("UnsupportedDivisorClass", 3, ["snc", "w[y^2-2, x]"]),
+    ("NonLinearAtom", 3, ["decomp", "w[t^2+1, t]"]),
+    ("NotDistinct", 3, ["five-term", "0", "1", "3", "3", "inf"]),
+    ("CoordinateIdenticallyFace", 3, ["adm", "cyc[1, t]"]),
+    ("OneMinusOfOne", 3, ["delta", "{1}_2"]),
+]
+
+# a raw dataclass repr such as Line(var='x', c=...)
+RAW_REPR = re.compile(r"[A-Z]\w*\(\w+=")
+
+
+@pytest.mark.parametrize("name, code, argv", REFUSALS,
+                         ids=[" ".join(argv) for _, _, argv in REFUSALS])
+def test_refusal_messages_use_canonical_text(capsys, name, code, argv):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+    if code == 3:
+        assert err.startswith(f"{argv[0]}: {name}: ")
+    assert not RAW_REPR.search(err) and "Fraction(" not in err, err
+
+
+def test_surface_golden_refusals_use_canonical_text():
+    """Every refusal in the seeded surface-verb golden."""
+    golden = Path(__file__).resolve().parent / "golden" / "surface_verbs.txt"
+    refusals = [line for line in golden.read_text(encoding="utf-8")
+                .splitlines() if line.startswith("! ")]
+    assert refusals
+    for line in refusals:
+        assert not RAW_REPR.search(line), line
 
 
 def test_internal_failure_exits_three_not_one(capsys, monkeypatch):

@@ -13,27 +13,17 @@ import random
 
 import pytest
 
-from tamesym import (AtomRegistry, GraphX, GraphY, HLine, IrredPlace,
-                     LineXInf, LineYInf, TameSymError, VLine, parse_wedge,
-                     snc_check, tame_symbol, wedge_str)
+from tamesym import (AtomRegistry, IrredPlace, TameSymError, parse_divisor,
+                     parse_wedge, snc_check, tame_symbol, wedge_str)
 from tamesym.places import chain_point, support
 
 SWAP = str.maketrans("xy", "yx")
 
 
 def mirrored(d):
-    """The divisor's image under (x, y) -> (y, x)."""
-    if isinstance(d, VLine):
-        return HLine(d.c)
-    if isinstance(d, HLine):
-        return VLine(d.c)
-    if isinstance(d, GraphY):
-        return GraphX(d.num, d.den)
-    if isinstance(d, GraphX):
-        return GraphY(d.num, d.den)
-    if isinstance(d, LineXInf):
-        return LineYInf()
-    return LineXInf()
+    """The divisor's image under (x, y) -> (y, x), by swapping the letters
+    of its text."""
+    return parse_divisor(str(d).translate(SWAP))
 
 
 def _c(rng):
@@ -85,9 +75,29 @@ def test_corpus_reaches_both_orientations():
     kinds = set()
     for text in CORPUS:
         w, _ = _wedge(text)
-        kinds.update(type(d).__name__ for d in support(w))
-    assert {"VLine", "HLine", "GraphY", "GraphX", "LineXInf",
-            "LineYInf"} <= kinds
+        kinds.update(d.sort_key()[0] for d in support(w))
+    assert set(range(6)) <= kinds
+
+
+# each orientation: its text and the head of its sort key
+VOCABULARY = [("x=3", 0), ("y=-1/2", 1), ("y=(x+3)/(x-1)", 2),
+              ("x=y^2-1", 3), ("x=inf", 4), ("y=inf", 5)]
+
+
+@pytest.mark.parametrize("text, head", VOCABULARY)
+def test_divisor_vocabulary(text, head):
+    d = parse_divisor(text)
+    assert (d.sort_key()[0], str(d)) == (head, text)
+    assert parse_divisor(str(d)) == d
+    assert d.mirror().mirror() == d
+    assert d.mirror() == parse_divisor(text.translate(SWAP))
+
+
+def test_support_divisors_reparse_and_mirror():
+    for text in CORPUS:
+        for d in support(_wedge(text)[0]):
+            assert parse_divisor(str(d)) == d
+            assert d.mirror() == mirrored(d)
 
 
 def _snc_summary(text):

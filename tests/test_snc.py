@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import AtomRegistry, parse_divisor, parse_wedge, snc_check
+from tamesym import AtomRegistry, parse_wedge, snc_check
 
 
 def check(text):
@@ -53,11 +53,11 @@ def test_hyperbola_with_axes_is_fine():
     assert check("w[x*y-1, x, y]").ok
 
 
-def test_accepts_divisor_list():
-    rep = snc_check([parse_divisor("y=x"), parse_divisor("y=x+1")])
+def test_line_pairs_as_wedges():
+    rep = check("w[y-x, y-x-1]")
     assert not rep.ok
     assert rep.problems[0].kind == "tangency"
-    rep = snc_check([parse_divisor("x=0"), parse_divisor("y=3")])
+    rep = check("w[x, y-3]")
     assert rep.ok
 
 
@@ -70,8 +70,7 @@ def test_random_line_arrangements():
         a = rng.randint(-4, 4)
         b = rng.randint(-4, 4)
         c = rng.randint(-4, 4)
-        rep = snc_check([parse_divisor(f"x={a}"), parse_divisor(f"y={b}"),
-                         parse_divisor(f"y=x+{c}" if c else "y=x")])
+        rep = check(f"w[x-({a}), y-({b}), y-x-({c})]")
         expect = (b != a + c)
         assert rep.ok is expect, (a, b, c)
         hits[expect] += 1
@@ -80,8 +79,7 @@ def test_random_line_arrangements():
 
 def test_report_lists_divisors_in_order():
     rep = check("w[x-1, y-2, x-y, 5]")
-    kinds = [type(d).__name__ for d in rep.divisors]
-    assert kinds == ["VLine", "HLine", "GraphY"]
+    assert [str(d) for d in rep.divisors] == ["x=1", "y=2", "y=x"]
 
 
 SHARED_Q = ["w[y-x^2-2, y+1, y*(x^2+3)-1]",
