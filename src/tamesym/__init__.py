@@ -19,7 +19,7 @@ from .errors import (CoordinateIdenticallyFace, DegenerateArgument,
                      DegreeMismatch, IdenticallyZeroOnDivisor, Inconclusive,
                      MixedFields, NonLinearAtom, NonSplitResidue,
                      NotAdmissible, NotAUnit, NotDistinct, NotStrictlyRegular,
-                     OneMinusOfOne, ParseError, TameSymError,
+                     OneMinusOfOne, ParseError, TameSymError, TooManyDigits,
                      UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc
 from .gamma import (GammaSub, b2_normalize, cross_ratio, delta, five_term,

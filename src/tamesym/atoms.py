@@ -19,8 +19,8 @@ from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
 from .polynomials import (ZERO, BiPoly, UniPoly, bipoly_div_uni,
                           bipoly_exact_div, bipoly_str, cached_hash,
-                          factor_uni, field_state, gcd_uni, poly_str,
-                          set_field_state)
+                          factor_uni, field_state, gcd_uni, num_str,
+                          poly_str, set_field_state)
 
 Q = Fraction
 
@@ -76,7 +76,7 @@ Atom = PrimeAtom | UniAtom | BiAtom
 
 def atom_str(a: Atom, field: str) -> str:
     if isinstance(a, PrimeAtom):
-        return str(a.p)
+        return num_str(a.p)
     if isinstance(a, UniAtom):
         var = FIELD_VARS.get(field)
         return poly_str(a.poly, var if isinstance(var, str) else "t")
@@ -89,7 +89,8 @@ class AtomRegistry:
     Registered bivariate atoms double as the trial-division list when a
     bivariate polynomial is not linear in either variable; univariate
     nonlinear atoms are likewise remembered and retried, so products of
-    previously seen irreducibles always factor.
+    previously seen irreducibles always factor. `factor_uni` divides by such
+    an atom only if integer tests pass, the atom's test values cached on it.
     """
 
     def __init__(self) -> None:
@@ -318,8 +319,6 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
     Accepts Fraction/int (field 'Q' unless told otherwise), RatFunc
     (fields 'Qt'/'Qv'), or BiFrac (field 'Qxy').
     """
-    if isinstance(f, (int, Fraction)):
-        return MultVec.make(field, constant_class(Q(f), reg, field))
     if isinstance(f, RatFunc):
         const, exps = factor_into_atoms(f.num, f.den, reg)
         out: dict[Atom, Fraction] = constant_class(const, reg, field)
@@ -332,12 +331,15 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
         for a, e in exps.items():
             out[a] = out.get(a, ZERO) + e
         return MultVec.make("Qxy", out)
+    if type(f) is Fraction or type(f) is int or isinstance(f, (int, Fraction)):
+        return MultVec.make(field, constant_class(Q(f), reg, field))
     raise TypeError(f"cannot take the class of {type(f).__name__}")
 
 
 def one_minus(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
     """Class of 1 - f. Raises OneMinusOfOne when f is identically 1."""
-    if isinstance(f, (int, Fraction)):
+    if type(f) is Fraction or type(f) is int or (
+            not isinstance(f, (RatFunc, BiFrac)) and isinstance(f, (int, Fraction))):
         c = Q(1) - Q(f)
         if c == 0:
             raise OneMinusOfOne("1 - f is identically zero")

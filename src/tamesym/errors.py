@@ -69,6 +69,10 @@ class CoordinateIdenticallyFace(TameSymError):
     """A cube-curve coordinate is identically 0, 1 or infinity."""
 
 
+class TooManyDigits(TameSymError):
+    """A number in an answer is past the interpreter's int-to-str limit."""
+
+
 class ParseError(TameSymError):
     """Input text rejected by the DSL parser; position is in the message."""
 

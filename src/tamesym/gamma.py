@@ -18,7 +18,7 @@ from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import (FinRat, INFINITY, Infinity, Place1, ratfunc_order,
                      ratfunc_support, support, tame_symbol)
-from .polynomials import ZERO
+from .polynomials import ZERO, num_str
 from .wedges import (Wedge, wedge_add, wedge_concat, wedge_of, wedge_scale,
                      wedge_str)
 
@@ -161,14 +161,14 @@ def gamma_str(g: GammaSub) -> str:
         return "0"
     parts: list[str] = []
     for (x, key), c in g.terms:
-        xs = ratfunc_str(x, "t") if isinstance(x, RatFunc) else str(x)
+        xs = ratfunc_str(x, "t") if isinstance(x, RatFunc) else num_str(x)
         body = f"{{{xs}}}_2"
         mag = abs(c)
         if g.tail_degree > 0:
             tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
             body += " ⊗ " + wedge_str(tail)
         if mag != 1:
-            body = f"{mag}*{body}"
+            body = f"{num_str(mag)}*{body}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -199,7 +199,7 @@ def delta(g: GammaSub, reg: AtomRegistry) -> Wedge:
 
 def _points_str(pts) -> str:
     """Canonical text of a list of points: 1/2, -3, inf."""
-    return "[" + ", ".join(str(p) for p in pts) + "]"
+    return "[" + ", ".join(num_str(p) for p in pts) + "]"
 
 
 def cross_ratio(x1, x2, x3, x4) -> Fraction:

@@ -28,7 +28,7 @@ from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import (ZERO, BiPoly, UniPoly, multiplicity_of_factor,
-                          poly_str)
+                          num_str, poly_str)
 from .wedges import Wedge, wedge_of
 
 Q = Fraction
@@ -49,7 +49,7 @@ class FinRat:
         return (0, self.c)
 
     def __str__(self) -> str:
-        return f"t={self.c}"
+        return f"t={num_str(self.c)}"
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class Line:
         return Line(_other(self.var), self.c)
 
     def __str__(self) -> str:
-        return f"{self.var}={self.c}"
+        return f"{self.var}={num_str(self.c)}"
 
 
 @dataclass(frozen=True)
@@ -500,4 +500,4 @@ def point_key(pt) -> tuple:
 
 def point_str(pt) -> str:
     """Canonical text of a surface point, e.g. (1/2, inf)."""
-    return str(pt) if isinstance(pt[0], str) else f"({pt[0]}, {pt[1]})"
+    return str(pt) if isinstance(pt[0], str) else f"({num_str(pt[0])}, {num_str(pt[1])})"

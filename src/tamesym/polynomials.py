@@ -16,17 +16,20 @@ integer pseudo-division (`_zdivmod`), `gcd_uni` a primitive remainder
 sequence of such divisions, and `rational_roots` tests each candidate p/q by
 the homogeneous integer value sum(a_i * p^i * q^(n-i)) and divides found
 roots out over Z. Fractions are built only for the results, so every
-UniPoly still holds a tuple of Fractions.
+UniPoly still holds a tuple of Fractions. A remembered atom is divided into
+a part only after integer tests pass (`factor_uni`), its values cached.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd as int_gcd
 from math import isqrt, lcm
 
-from .errors import Inconclusive
+from .errors import Inconclusive, TooManyDigits
 from .integers import divisors
 
 Q = Fraction
@@ -57,6 +60,10 @@ def set_field_state(self, state) -> None:
 
 
 def _as_fraction(v) -> Fraction:
+    if type(v) is Fraction:  # isinstance(int, Fraction) runs ABCMeta.__instancecheck__
+        return v
+    if type(v) is int:
+        return Fraction(v)
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
@@ -76,7 +83,7 @@ class UniPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_prim")
     coeffs: tuple[Fraction, ...]
 
     __hash__ = cached_hash
@@ -200,11 +207,33 @@ class UniPoly:
         g, den, ints = _primitive(self.coeffs)
         return Q(g, den), tuple(ints)
 
+    def zvalues(self) -> tuple[int, int, int, int]:
+        """(lc(P), P(0), P(1), P(-1)) for the primitive integer image P, kept in
+        the `_prim` slot. By Gauss's lemma each nonzero value of q divides p's
+        when q divides p in Q[t], so one that does not proves q does not."""
+        if not hasattr(self, "_prim"):
+            p = _primitive(self.coeffs)[2]
+            v = (p[-1], p[0], sum(p), sum(p[::2]) - sum(p[1::2]))
+            object.__setattr__(self, "_prim", v)
+        return self._prim
+
     def key(self) -> tuple:
         return (self.degree, self.coeffs)
 
     def __str__(self) -> str:
         return poly_str(self, "t")
+
+
+def num_str(v) -> str:
+    """str(v) for every rendered number; one past the interpreter's int-to-str
+    limit is refused by name, and the process-wide limit is left alone."""
+    try:
+        return str(v)
+    except ValueError:
+        n = max(abs(v.numerator), v.denominator)
+        digits = next(k for k in count(int(n.bit_length() * 0.30103) - 1) if n < 10 ** k)
+        raise TooManyDigits(f"cannot render a number of {digits} digits, above "
+                            f"the limit of {sys.get_int_max_str_digits()}") from None
 
 
 def poly_str(p: UniPoly, var: str) -> str:
@@ -217,10 +246,10 @@ def poly_str(p: UniPoly, var: str) -> str:
         if c == 0:
             continue
         if i == 0:
-            body = str(c) if c > 0 else str(-c)
+            body = num_str(abs(c))
         else:
             mag = abs(c)
-            head = "" if mag == 1 else f"{mag}*"
+            head = "" if mag == 1 else f"{num_str(mag)}*"
             if i == 1:
                 body = f"{head}{var}"
             else:
@@ -603,7 +632,9 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
 
     `known` supplies monic irreducibles seen before (they are trial-divided
     first, which lets products of registered nonlinear atoms factor without a
-    general engine). Raises Inconclusive when a leftover cannot be certified.
+    general engine). A known q is divided into a squarefree part only if q's
+    `zvalues` divide the part's. Raises Inconclusive when a leftover cannot be
+    certified.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -622,6 +653,8 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
         for q in known:
             if q.degree <= 1 or part.degree < q.degree:
                 continue
+            if any(d and v % d for d, v in zip(q.zvalues(), part.zvalues())):
+                continue  # no divisibility test may fail when q | part
             quo, rem = part.divmod(q)
             if rem.is_zero:
                 out.append((q, power))
@@ -826,7 +859,7 @@ def bipoly_str(p: BiPoly, xname: str = "x", yname: str = "y") -> str:
         if j:
             pieces.append(yname if j == 1 else f"{yname}^{j}")
         if not pieces or mag != 1:
-            pieces.insert(0, str(mag))
+            pieces.insert(0, num_str(mag))
         body = "*".join(pieces)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .atoms import Atom, MultVec, PrimeAtom, atom_str
 from .errors import DegreeMismatch, MixedFields
-from .polynomials import ZERO
+from .polynomials import ZERO, num_str
 
 Q = Fraction
 
@@ -166,14 +166,14 @@ def nonconstant_count(key: tuple[Atom, ...]) -> int:
 def wedge_str(w: Wedge, wrap: str = "w") -> str:
     """Canonical text form, round-trippable through the DSL parser."""
     if w.degree == 0:
-        return str(w.scalar_value())
+        return num_str(w.scalar_value())
     if w.is_zero:
         return "0"
     parts: list[str] = []
     for key, c in w.terms:
         body = f"{wrap}[" + ", ".join(atom_str(a, w.field) for a in key) + "]"
         mag = abs(c)
-        piece = body if mag == 1 else f"{mag}*{body}"
+        piece = body if mag == 1 else f"{num_str(mag)}*{body}"
         if not parts:
             parts.append(piece if c > 0 else f"-{piece}")
         else:

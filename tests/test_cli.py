@@ -151,6 +151,41 @@ def test_integer_past_the_limits_is_refused_by_name(text, message):
     assert proc.stderr.startswith(f"ts: Inconclusive: {message}")
 
 
+SEVEN_1300_X4 = "*".join(["7^1300"] * 4)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_number_past_the_digit_limit_is_refused_by_name(fmt):
+    """7^5200 has 4,395 digits, past Python's int-to-str limit of 4,300:
+    rendering it raised a bare ValueError that advised raising the limit."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "delta", "--format", fmt,
+         f"{{t-{SEVEN_1300_X4}}}_2 ⊗ w[t+1]"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    message = ("TooManyDigits: cannot render a number of 4395 digits, "
+               "above the limit of 4300")
+    if fmt == "json":
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "engine-error"
+        assert payload["result"] == message
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == f"delta: {message}\n"
+    assert "set_int_max_str_digits" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "remembered atoms are tried by trial division, so an answer depends on "
+    "slot order; complete factoring over Q[t] (ROADMAP direction 2) mends it"))
+def test_answer_does_not_depend_on_slot_order(capsys):
+    """t^6+1 = (t^2+1)(t^4-t^2+1) factors only once t^2+1 is registered."""
+    answers = [run(capsys, "ts", "--place", "t=0", text)
+               for text in ("w[t^2+1, t^6+1, t]", "w[t^6+1, t^2+1, t]")]
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0
+
+
 def test_engine_error_exits_three(capsys):
     code, out, err = run(capsys, "bdry", "cyc[t, 1-t, 1-3/t]")
     assert code == 3

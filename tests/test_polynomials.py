@@ -1,16 +1,18 @@
 """Exact univariate and bivariate polynomial arithmetic."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
-from tamesym.polynomials import (_int_sqrt, factor_uni, gcd_uni,
-                                 irreducible_check_uni, multiplicity_at,
-                                 multiplicity_of_factor, rational_roots,
-                                 squarefree_decomposition)
+from tamesym.polynomials import (_int_sqrt, _rootless_factors, factor_uni,
+                                 gcd_uni, irreducible_check_uni,
+                                 multiplicity_at, multiplicity_of_factor,
+                                 rational_roots, squarefree_decomposition)
 
 P = UniPoly.make
 
@@ -331,6 +333,108 @@ def test_eisenstein_polynomials_and_their_products():
         assert str(err.value).startswith(
             f"cannot certify irreducibility of degree-{a + b} polynomial "
             f"{poly_str(g, 't')}: ")
+
+
+def _factor_by_plain_trial_division(f, known):
+    """Reference: factor_uni's loop over known factors with no integer tests,
+    every candidate of fitting degree divided into the part."""
+    if f.degree <= 1:
+        return factor_uni(f)
+    out = []
+    for part, power in squarefree_decomposition(f):
+        for root, _ in rational_roots(part):
+            out.append((P([-root, 1]), power))
+            part = part.exact_div(P([-root, 1]))
+        for q in known:
+            if q.degree <= 1 or part.degree < q.degree:
+                continue
+            quo, rem = part.divmod(q)
+            if rem.is_zero:
+                out.append((q, power))
+                part = quo
+        if part.degree > 0:
+            out += [(q, power) for q in _rootless_factors(part)]
+    out.sort(key=lambda t: t[0].key())
+    return f.leading, out
+
+
+def _outcome(factor, f, known):
+    try:
+        return factor(f, known)
+    except Inconclusive as e:
+        return "Inconclusive", str(e)
+
+
+def _rand_eisenstein(rng):
+    """A monic polynomial Eisenstein at a prime p: p divides every lower
+    coefficient and p^2 does not divide the constant."""
+    p, n = rng.choice([2, 3, 5]), rng.randint(2, 4)
+    lower = [p * rng.choice([1, 2, 4, -1, -2]) for _ in range(n)]
+    return P(lower + [1])
+
+
+# certified irreducibles whose primitive images are +-1 at 0, 1 and -1, so
+# every integer test passes against any part: divided into, never dividing
+# unless they are a factor
+PASS_ALL = (P([-1, 1, 1]), P([-1, -1, 1]), P([-1, -1, 0, 1]),
+            P([-1, -1, 0, 0, 1]), P([-1, -2, 0, 0, 1, 1]))
+
+
+def _filter_passes(q, part):
+    return not any(d and v % d for d, v in zip(q.zvalues(), part.zvalues()))
+
+
+def test_known_filter_keeps_every_answer_of_plain_trial_division():
+    """Seeded products of Eisenstein and other certified irreducibles, with
+    rational content, negative coefficients and rational roots, factored
+    with shuffled known lists that mix true factors, candidates rejected by
+    the integer tests and candidates that pass them yet do not divide."""
+    assert all(irreducible_check_uni(q) for q in PASS_ALL)
+    rng = random.Random(808)
+    passed_not_dividing = rejected = hits = 0
+    for _ in range(60):
+        pool = [_rand_eisenstein(rng) for _ in range(4)]
+        pool += [q for q in PASS_ALL if rng.random() < 0.5]
+        factors = rng.sample(pool, rng.randint(1, 3))
+        f = P([Q(rng.choice([-7, -3, 2, 5]), rng.choice([1, 3, 4]))])
+        for q in factors:
+            f = f * q ** rng.choice([1, 1, 2])
+        if rng.random() < 0.5:
+            f = f * P([Q(rng.randint(-5, 5), rng.choice([1, 2])), 1])
+        known = tuple(rng.sample(pool, len(pool)))
+        for q in known:
+            if q.degree <= f.degree:
+                fits = _filter_passes(q, f)
+                divides = (f % q).is_zero
+                assert fits or not divides
+                hits += divides
+                rejected += not fits
+                passed_not_dividing += fits and not divides
+        assert _outcome(factor_uni, f, known) == \
+            _outcome(_factor_by_plain_trial_division, f, known)
+    assert min(passed_not_dividing, rejected, hits) > 20
+
+
+def test_known_filter_hit_path():
+    """t^6+1 = (t^2+1)(t^4-t^2+1): the remembered t^2+1 passes the integer
+    tests and divides, and the quartic cofactor is certified."""
+    q, cofactor = P([1, 0, 1]), P([1, 0, -1, 0, 1])
+    f = q * cofactor
+    assert _filter_passes(q, f)
+    expected = (1, [(q, 1), (cofactor, 1)])
+    assert factor_uni(f, (q,)) == expected
+    assert _factor_by_plain_trial_division(f, (q,)) == expected
+    assert factor_uni(f.scale(Q(-3, 2)), (q,)) == (Q(-3, 2), expected[1])
+
+
+def test_cached_zvalues_stay_out_of_eq_repr_and_pickle():
+    f = P([Q(-3, 2), Q(1, 4), 0, Q(5, 6)])
+    fresh = P(f.coeffs)
+    assert f.zvalues() == (10, -18, -5, -31)   # P = 10t^3 + 3t - 18
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert clone == f
+        assert not hasattr(clone, "_prim")
 
 
 def test_int_sqrt_is_exact():
