@@ -29,7 +29,7 @@ B2Arg = Fraction | RatFunc
 
 def _is_degenerate(x) -> bool:
     if isinstance(x, RatFunc):
-        return x.is_zero or x.one_minus().is_zero
+        return x.is_zero or x.num == x.den  # reduced: x = 1 iff num = den
     return x == 0 or x == 1
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import bisect_left, bisect_right
 from itertools import count
 from math import gcd as int_gcd
 from math import isqrt, lcm
@@ -213,7 +214,7 @@ class UniPoly:
         when q divides p in Q[t], so one that does not proves q does not."""
         if not hasattr(self, "_prim"):
             p = _primitive(self.coeffs)[2]
-            v = (p[-1], p[0], sum(p), sum(p[::2]) - sum(p[1::2]))
+            v = (p[-1], p[0], sum(p), _alternating_sum(p))
             object.__setattr__(self, "_prim", v)
         return self._prim
 
@@ -362,10 +363,11 @@ def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, sorted ascending.
 
-    A root p/q in lowest terms has p | a_0 and q | a_n. Each candidate is
-    tested by the integer q^n * f(p/q), and each root found is divided out
-    of the integer image as the primitive factor q*t - p, which leaves
-    integer coefficients (Gauss's lemma)."""
+    A root p/q in lowest terms has p | a_0 and q | a_n, and q - p | f(1) and
+    q + p | f(-1) on the integer image. Each candidate that passes is tested
+    by the integer q^n * f(p/q), and each root found is divided out of the
+    integer image as the primitive factor q*t - p, which leaves integer
+    coefficients (Gauss's lemma)."""
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     if f.degree == 0:
@@ -381,19 +383,39 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         ints = ints[low:]
     if len(ints) > 1:
         dens = divisors(ints[-1])
+        f1, fm = sum(ints), _alternating_sum(ints)
         for p in divisors(ints[0]):
-            for q in dens:
-                if int_gcd(p, q) != 1:
-                    continue
-                for num in (p, -p):
+            for num in (p, -p):
+                # a root num/q makes q*t - num a factor over Z, so q - num
+                # divides f(1) and q + num divides f(-1); a nonzero value
+                # bounds the divisor, hence the window of q
+                lo, hi = 1, dens[-1]
+                if f1:
+                    lo, hi = max(lo, num - abs(f1)), min(hi, num + abs(f1))
+                if fm:
+                    lo, hi = max(lo, -num - abs(fm)), min(hi, abs(fm) - num)
+                for q in dens[bisect_left(dens, lo):bisect_right(dens, hi)]:
+                    if not (_divides(q - num, f1) and _divides(q + num, fm)
+                            and int_gcd(p, q) == 1):
+                        continue
                     k = 0
                     while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
                         ints = _zdivmod(ints, [-num, q])[1]
                         k += 1
                     if k:
                         out.append((Q(num, q), k))
+                        f1, fm = sum(ints), _alternating_sum(ints)
     out.sort(key=lambda t: t[0])
     return out
+
+
+def _alternating_sum(ints: list[int]) -> int:
+    """f(-1) for f with integer coefficients ints."""
+    return sum(ints[::2]) - sum(ints[1::2])
+
+
+def _divides(d: int, n: int) -> bool:
+    return n == 0 if d == 0 else n % d == 0
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:

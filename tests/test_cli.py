@@ -134,6 +134,19 @@ def test_large_integer_classes_end(text, expected):
     assert proc.stdout == expected
 
 
+def test_rational_roots_of_highly_composite_ends_end():
+    """963761198400 has 6,720 divisors, so the rational-root candidates of
+    963761198400*t^3+t+963761198400 were 426k coprime pairs, each evaluated:
+    about 7 s."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0",
+         "w[t, 963761198400*t^3+t+963761198400]"],
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout == ("6*w[2] + 4*w[3] + 2*w[5] + w[7] + w[11] + w[13] "
+                           "+ w[17] + w[19] + w[23]\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("w[t, 3317044064679887385961981]",
      "cannot factor the integer 3317044064679887385961981: a probable prime"),
@@ -210,8 +223,9 @@ def test_not_distinct_points_render_canonically(capsys):
 
 
 # One CLI input per refusal class the CLI can reach. NotAUnit,
-# IdenticallyZeroOnDivisor, MixedFields and DegreeMismatch guard engine
-# internals: the parser and the verbs refuse first, so no input reaches them.
+# IdenticallyZeroOnDivisor, MixedFields, DegreeMismatch and OneMinusOfOne
+# guard engine internals: the parser and the verbs refuse first, so no input
+# reaches them ({1}_2 is a DegenerateArgument).
 REFUSALS = [
     ("ParseError", 2, ["ts", "--place", "t=0", "w[t,"]),
     ("ParseError", 2, ["ts", "--place", "t=1/0", "w[t]"]),
@@ -229,7 +243,9 @@ REFUSALS = [
     ("NonLinearAtom", 3, ["decomp", "w[t^2+1, t]"]),
     ("NotDistinct", 3, ["five-term", "0", "1", "3", "3", "inf"]),
     ("CoordinateIdenticallyFace", 3, ["adm", "cyc[1, t]"]),
-    ("OneMinusOfOne", 3, ["delta", "{1}_2"]),
+    ("DegenerateArgument", 3, ["delta", "{1}_2"]),
+    ("DegenerateArgument", 3, ["delta", "{t/t}_2"]),
+    ("DegenerateArgument", 3, ["homotopy-check", "--sub", "{1}_2 @ w[t]"]),
 ]
 
 # a raw dataclass repr such as Line(var='x', c=...)

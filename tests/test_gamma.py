@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (INF, AtomRegistry, DegenerateArgument, NotDistinct,
-                     Wedge, cross_ratio, delta, five_term, gamma_add,
+                     RatFunc, Wedge, cross_ratio, delta, five_term, gamma_add,
                      gamma_scale, gamma_str, gamma_term, parse_gamma,
                      parse_place, tame_symbol, tot_gamma, ts_gamma, wedge_str,
                      wedge_scale, weil_sum)
@@ -38,6 +38,14 @@ def test_b2_degenerate_arguments_raise():
         b2_normalize(Q(0))
     with pytest.raises(DegenerateArgument):
         gamma_term(1, Q(1), ONE)
+    # 1 as a rational function; 1 - x was formed first and refused as
+    # OneMinusOfOne
+    for x in (RatFunc.const(1), RatFunc.var() / RatFunc.var(),
+              RatFunc.const(0)):
+        with pytest.raises(DegenerateArgument):
+            b2_normalize(x)
+        with pytest.raises(DegenerateArgument):
+            parse_gamma(f"{{{x}}}_2", AtomRegistry())
 
 
 def test_two_term_relations_hold_after_normalization():

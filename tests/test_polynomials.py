@@ -9,6 +9,8 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
+from tamesym import polynomials
+from tamesym.integers import divisors
 from tamesym.polynomials import (_int_sqrt, _rootless_factors, factor_uni,
                                  gcd_uni, irreducible_check_uni,
                                  multiplicity_at, multiplicity_of_factor,
@@ -249,6 +251,71 @@ def test_integer_kernels_match_fraction_references():
         f = f * P([1, 0, 0, rng.randint(1, 3)]) ** rng.randint(0, 6)
         if f.degree > 0:
             assert rational_roots(f) == _ref_rational_roots(f)
+
+
+def _unfiltered_rational_roots(f):
+    """rational_roots with every coprime candidate p/q evaluated: the same
+    integer kernels, no test at t = 1 and t = -1."""
+    ints = polynomials._primitive(f.coeffs)[2]
+    low = next(i for i, c in enumerate(ints) if c)
+    out = [(Q(0), low)] if low else []
+    ints = ints[low:]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                k = 0
+                while (len(ints) > 1
+                       and polynomials._homogeneous_value(ints, num, q) == 0):
+                    ints = polynomials._zdivmod(ints, [-num, q])[1]
+                    k += 1
+                if k:
+                    out.append((Q(num, q), k))
+    return sorted(out)
+
+
+def test_rational_roots_match_the_unfiltered_loop():
+    """Seeded products of roots p/q with q - p or q + p in {-1, 0, 1}
+    (p/q = +-1 among them, where the divisor tested is 0), roots with large
+    numerators and denominators, repeated roots and rootless factors."""
+    rng = random.Random(909)
+    near = [(1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2), (3, 2),
+            (-3, 4), (5, 4), (4, 5)]
+    for _ in range(120):
+        f = P([rng.choice([-6, -1, 1, 12, 360, 720720])])
+        for _ in range(rng.randint(0, 4)):
+            p, q = rng.choice(near) if rng.random() < 0.6 else (
+                rng.choice([-1, 1]) * rng.randint(1, 5040),
+                rng.choice([1, 2, 9, 5040]))
+            f = f * P([-p, q]) ** rng.choice([1, 1, 2, 3])
+        for _ in range(rng.randint(0, 2)):
+            f = f * P([rng.choice([1, 2, 360]), rng.randint(-3, 3), 0,
+                       rng.choice([1, 2, 7])])
+        if f.degree > 0:
+            assert rational_roots(f) == _unfiltered_rational_roots(f)
+
+
+def test_rational_roots_test_candidates_at_plus_minus_one(monkeypatch):
+    """963761198400 has 6,720 divisors, so 963761198400*t^3+t+963761198400
+    has 426k coprime candidates p/q. A root p/q makes q*t - p a factor, so
+    q - p divides f(1) and q + p divides f(-1) = -1: a few are left."""
+    calls = 0
+    value = polynomials._homogeneous_value
+
+    def counted(ints, p, q):
+        nonlocal calls
+        calls += 1
+        return value(ints, p, q)
+
+    monkeypatch.setattr(polynomials, "_homogeneous_value", counted)
+    c = 963761198400
+    assert rational_roots(P([c, 1, 0, c])) == []
+    assert calls <= 10
+    calls = 0
+    f = P([c, 1, 0, c]) * P([-1, 1]) ** 2 * P([1, 1]) * P([-7, 5])
+    assert rational_roots(f) == [(Q(-1), 1), (Q(1), 2), (Q(7, 5), 1)]
+    assert calls <= 40
 
 
 def test_constant_and_linear_closed_forms():
