@@ -51,6 +51,12 @@ class RatFunc:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
+        return RatFunc.coprime(num, den)
+
+    @staticmethod
+    def coprime(num: UniPoly, den: UniPoly) -> "RatFunc":
+        """num/den for coprime num and nonzero den: no gcd, only the
+        denominator made monic."""
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead)
@@ -101,11 +107,12 @@ class RatFunc:
         return RatFunc.make(self.num**n, self.den**n)
 
     def one_minus(self) -> "RatFunc":
-        """1 - f, rejecting f identically 1."""
-        out = RatFunc.make(self.den - self.num, self.den)
-        if out.is_zero:
+        """1 - f = (den - num)/den, rejecting f identically 1. Already
+        reduced: den stays monic and gcd(den - num, den) = gcd(num, den) = 1."""
+        num = self.den - self.num
+        if num.is_zero:
             raise OneMinusOfOne("1 - f is identically zero")
-        return out
+        return RatFunc(num, self.den)
 
     def order_at_rational(self, c) -> int:
         """Order of vanishing at t = c (negative at a pole)."""

@@ -41,17 +41,20 @@ def _as_arg(x) -> B2Arg:
 
 
 def _orbit(x: B2Arg):
-    """The six images of x under the symbol symmetries, with signs."""
+    """The six images of x under the symbol symmetries, with signs.
+
+    For a reduced x = n/d the images are ratios of n, d and m = d - n, which
+    are pairwise coprime (gcd(m, d) = gcd(m, n) = gcd(n, d) = 1), so each is
+    reduced once its denominator is made monic."""
     if isinstance(x, RatFunc):
-        one = RatFunc.const(1)
-        inv = one / x
-        omx = x.one_minus()
+        n, d = x.num, x.den
+        m = d - n
         yield x, 1
-        yield inv, -1
-        yield omx, -1
-        yield one / omx, 1
-        yield -omx / x, 1
-        yield x / (-omx), -1
+        yield RatFunc.coprime(d, n), -1
+        yield RatFunc(m, d), -1
+        yield RatFunc.coprime(d, m), 1
+        yield RatFunc.coprime(-m, n), 1
+        yield RatFunc.coprime(n, -m), -1
     else:
         yield x, 1
         yield 1 / x, -1

@@ -18,14 +18,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import AtomRegistry, UniAtom
+from .atoms import AtomRegistry, MultVec, UniAtom, constant_class
 from .errors import NonLinearAtom
 from .expressions import RatFunc
 from .gamma import (GammaSub, delta, gamma_add, gamma_scale, gamma_term,
                     tot_gamma)
 from .places import weil_sum
-from .wedges import (Wedge, nonconstant_count, wedge_add, wedge_scale,
-                     wedge_sub)
+from .wedges import (Wedge, nonconstant_count, wedge_add, wedge_concat,
+                     wedge_of, wedge_scale, wedge_sub)
 
 Q = Fraction
 
@@ -44,10 +44,6 @@ def _check_split(w: Wedge) -> None:
                     f"atom {a.poly} is nonconstant but not linear")
 
 
-def _linear_root(atom: UniAtom) -> Fraction:
-    return -atom.poly.coeff(0)
-
-
 def decompose(w: Wedge, reg: AtomRegistry,
               rng: random.Random | None = None) -> DecompResult:
     """Split a wedge over Q(t) into a delta-image and a two-slot part.
@@ -56,6 +52,10 @@ def decompose(w: Wedge, reg: AtomRegistry,
     in canonical order); passing a seeded Random picks the monomial to
     rewrite at random, which changes the preimage but not its delta-image
     plus remainder.
+
+    Nothing is factored: f = lambda (t-b)/(t-a) is reduced as built (distinct
+    monic linear atoms), and a step's image class(f) ^ class(1 - f) ^ tail is
+    read off t-a, t-b, t-c and the constants lambda and mu = 1 - lambda.
     """
     _check_split(w)
     preimage = GammaSub.zero("Qt", w.degree - 2)
@@ -71,17 +71,18 @@ def decompose(w: Wedge, reg: AtomRegistry,
             key, c = heavy[0]
         else:
             key, c = heavy[rng.randrange(len(heavy))]
-        lin = [a for a in key if isinstance(a, UniAtom)]
-        aa, bb, cc = lin[0], lin[1], lin[2]
-        a, b, c3 = _linear_root(aa), _linear_root(bb), _linear_root(cc)
+        aa, bb, cc = [x for x in key if isinstance(x, UniAtom)][:3]
+        a, b, c3 = (-x.poly.coeff(0) for x in (aa, bb, cc))
         lam = (a - c3) / (b - c3)
-        t = RatFunc.var()
-        f = RatFunc.const(lam) * (t - RatFunc.const(b)) \
-            / (t - RatFunc.const(a))
         tail_key = tuple(x for x in key if x not in (bb, cc))
         tail = Wedge.make("Qt", len(tail_key), {tail_key: Q(1)})
-        candidate = gamma_term(1, f, tail)
-        image = delta(candidate, reg)
+        candidate = gamma_term(1, RatFunc(bb.poly.scale(lam), aa.poly), tail)
+        slots = []
+        for const, atom in ((lam, bb), (1 - lam, cc)):  # f, then 1 - f
+            cls = constant_class(const, reg, "Qt")
+            cls[atom], cls[aa] = Q(1), Q(-1)
+            slots.append(MultVec.make("Qt", cls))
+        image = wedge_concat(wedge_of(slots), tail)
         s = image.as_dict().get(key)
         if s is None or s == 0:
             raise AssertionError(

@@ -302,17 +302,21 @@ def reduce_unit(u: MultVec, place, reg: AtomRegistry) -> MultVec:
 
 
 def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
-    if isinstance(place, FinRat):
-        return mult_vec(RatFunc.make(UniPoly.make([-place.c, 1])), reg, "Qt")
+    """The class of the place's own atom, registered without factoring: t - c,
+    -t, -x, -y and a Line's or Graph's primitive den*y - num (coprime
+    coefficients) are linear, so irreducible by shape. An IrredPlace's
+    polynomial goes through the class map, which certifies it."""
     if isinstance(place, IrredPlace):
         return mult_vec(RatFunc.make(place.poly), reg, "Qt")
+    if isinstance(place, FinRat):
+        return MultVec("Qt", ((reg.uni(UniPoly.make([-place.c, 1])), Q(1)),))
     if isinstance(place, Infinity):
-        return mult_vec(RatFunc.var(), reg, "Qt").scale(-1)
+        return MultVec("Qt", ((reg.uni(UniPoly.var()), Q(-1)),))
     if isinstance(place, LineInf):
         v = BiPoly.var_x() if place.var == "x" else BiPoly.var_y()
-        return mult_vec(BiFrac.make(v), reg).scale(-1)
+        return MultVec("Qxy", ((reg.bi(v), Q(-1)),))
     _, prim = defining_bipoly(place).primitive_int()
-    return mult_vec(BiFrac.make(prim), reg)
+    return MultVec("Qxy", ((reg.bi(prim), Q(1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +380,13 @@ def tame_symbol(w: Wedge, place, reg: AtomRegistry,
     pi_hat = uniformizer if uniformizer is not None else uniformizer_class(place, reg)
 
     def unit(atom) -> MultVec:
+        if w.field != pi_hat.field:
+            raise MixedFields(f"{w.field} vs {pi_hat.field}")
+        k = _atom_order(atom, place)
+        if k == 0:  # the atom is its own unit part
+            return _atom_residue_class(atom, place, reg)
         single = MultVec.make(w.field, {atom: Q(1)})
-        return reduce_unit(single - pi_hat.scale(_atom_order(atom, place)),
-                           place, reg)
+        return reduce_unit(single - pi_hat.scale(k), place, reg)
 
     return single_pi_residue(w, residue_field_of(place),
                              lambda a: _atom_order(a, place), unit)

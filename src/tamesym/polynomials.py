@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import count
 from math import gcd as int_gcd
 from math import isqrt, lcm
@@ -388,12 +388,9 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
             for num in (p, -p):
                 # a root num/q makes q*t - num a factor over Z, so q - num
                 # divides f(1) and q + num divides f(-1); a nonzero value
-                # bounds the divisor, hence the window of q
-                lo, hi = 1, dens[-1]
-                if f1:
-                    lo, hi = max(lo, num - abs(f1)), min(hi, num + abs(f1))
-                if fm:
-                    lo, hi = max(lo, -num - abs(fm)), min(hi, abs(fm) - num)
+                # bounds the divisor, hence q (a zero one bounds nothing)
+                r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
+                lo, hi = max(1, num - r1, -num - rm), min(num + r1, rm - num)
                 for q in dens[bisect_left(dens, lo):bisect_right(dens, hi)]:
                     if not (_divides(q - num, f1) and _divides(q + num, fm)
                             and int_gcd(p, q) == 1):

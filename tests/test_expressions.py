@@ -47,6 +47,23 @@ def test_one_minus():
     assert f.one_minus() == RatFunc.make(P([3, 1]), P([0, 1]))
 
 
+def _rand_ratfunc(rng):
+    num = [Q(rng.randint(-5, 5), rng.randint(1, 3))
+           for _ in range(rng.randint(1, 4))]
+    den = [Q(rng.randint(-5, 5), rng.randint(1, 3))
+           for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, -3])]
+    return RatFunc.make(P(num), P(den))
+
+
+def test_one_minus_is_reduced_without_make():
+    rng = random.Random(505)
+    for _ in range(200):
+        f = _rand_ratfunc(rng)
+        if f.num == f.den:
+            continue
+        assert f.one_minus() == RatFunc.make(f.den - f.num, f.den)
+
+
 def test_orders_and_evaluation():
     f = RatFunc.make(P([0, 0, 1]), P([-1, 1]))  # t^2/(t-1)
     assert f.order_at_rational(0) == 2

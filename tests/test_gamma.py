@@ -10,7 +10,8 @@ from tamesym import (INF, AtomRegistry, DegenerateArgument, NotDistinct,
                      gamma_scale, gamma_str, gamma_term, parse_gamma,
                      parse_place, tame_symbol, tot_gamma, ts_gamma, wedge_str,
                      wedge_scale, weil_sum)
-from tamesym.gamma import b2_normalize
+from tamesym.gamma import _orbit, b2_normalize
+from tamesym.polynomials import UniPoly
 
 ONE = Wedge.scalar("Q", Q(1))
 
@@ -46,6 +47,28 @@ def test_b2_degenerate_arguments_raise():
             b2_normalize(x)
         with pytest.raises(DegenerateArgument):
             parse_gamma(f"{{{x}}}_2", AtomRegistry())
+
+
+def test_orbit_closed_forms_match_ratfunc_arithmetic():
+    """The six images of x, written as ratios of n, d and d - n, equal
+    1/x, 1 - x, ... computed by RatFunc arithmetic (gcd and all)."""
+    rng = random.Random(404)
+    one = RatFunc.const(1)
+    seen = 0
+    for _ in range(150):
+        num = [Q(rng.randint(-5, 5), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        den = [Q(rng.randint(-5, 5), rng.randint(1, 3))
+               for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, -3])]
+        x = RatFunc.make(UniPoly.make(num), UniPoly.make(den))
+        if x.constant_value() is not None:
+            continue
+        seen += 1
+        omx = one - x
+        expected = [(x, 1), (one / x, -1), (omx, -1), (one / omx, 1),
+                    ((x - one) / x, 1), (x / (x - one), -1)]
+        assert list(_orbit(x)) == expected
+    assert seen > 100
 
 
 def test_two_term_relations_hold_after_normalization():

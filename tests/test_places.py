@@ -5,12 +5,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import (INFINITY, AtomRegistry, FinRat, IrredPlace, NotAUnit,
-                     RatFunc, UniPoly, Wedge,
-                     classify_atom_divisor, defining_bipoly, mult_vec,
-                     one_minus, tame_symbol, wedge_of, wedge_str, weil_sum)
-from tamesym.places import (_atom_residue_class, chain_point, order_at,
-                            ratfunc_support, support, uniformizer_class)
+from tamesym import (INFINITY, AtomRegistry, BiFrac, BiPoly, FinRat,
+                     IrredPlace, MixedFields, NotAUnit, RatFunc, UniPoly,
+                     Wedge, classify_atom_divisor, defining_bipoly, mult_vec,
+                     one_minus, parse_place, parse_wedge, tame_symbol,
+                     wedge_of, wedge_str, weil_sum)
+from tamesym.places import (LineInf, _atom_residue_class, chain_point,
+                            order_at, ratfunc_support, solved_divisor,
+                            support, uniformizer_class)
 
 P = UniPoly.make
 
@@ -145,6 +147,59 @@ def test_uniformizer_classes():
     assert order_at(uniformizer_class(INFINITY, reg), INFINITY) == 1
     qplace = IrredPlace(P([1, 0, 1]))
     assert order_at(uniformizer_class(qplace, reg), qplace) == 1
+
+
+def _tables(reg):
+    return reg._primes, reg._uni, reg._bi, reg.known_uni_polys()
+
+
+def test_uniformizer_class_is_the_class_of_the_defining_function():
+    """The closed form equals the class map of t - c, 1/t, the primitive
+    equation of a Line or Graph and 1/x or 1/y, and registers the same
+    atoms, in both orientations of every surface divisor."""
+    rng = random.Random(606)
+    places = [(INFINITY, RatFunc.make(P([1]), P([0, 1]))),
+              (LineInf("x"), BiFrac.make(BiPoly.const(1), BiPoly.var_x())),
+              (LineInf("y"), BiFrac.make(BiPoly.const(1), BiPoly.var_y()))]
+    for _ in range(40):
+        c = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        places.append((FinRat(c), rf([-c, 1])))
+        num = [Q(rng.randint(-6, 6), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        den = [Q(rng.randint(-6, 6), rng.randint(1, 3))
+               for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, -3])]
+        phi = rf(num, den)
+        if phi.is_zero:
+            continue
+        for var in ("x", "y"):
+            d = solved_divisor(var, phi)
+            prim = defining_bipoly(d).primitive_int()[1]
+            places.append((d, BiFrac.make(prim)))
+    kinds = set()
+    for place, f in places:
+        kinds.add(type(place).__name__)
+        reg, ref = AtomRegistry(), AtomRegistry()
+        field = "Qxy" if isinstance(f, BiFrac) else "Qt"
+        assert uniformizer_class(place, reg) == mult_vec(f, ref, field)
+        assert _tables(reg) == _tables(ref)
+    assert kinds == {"FinRat", "Infinity", "Line", "Graph", "LineInf"}
+
+
+@pytest.mark.parametrize("text, place, raises", [
+    ("w[v, 3]", "t=0", True), ("w[v, 3]", "t=inf", True),
+    ("w[v-1, 2]", "t=inf", True), ("w[v-1, 2]", "t=0", False)])
+def test_wedge_over_qv_at_a_place_of_qt(text, place, raises):
+    """The default uniformizer lives over Q(t): a unit class is formed,
+    and the fields clash, exactly where some slot has a nonzero order."""
+    reg = AtomRegistry()
+    w = parse_wedge(text, reg)
+    assert w.field == "Qv"
+    if raises:
+        with pytest.raises(MixedFields) as e:
+            tame_symbol(w, parse_place(place), reg)
+        assert str(e.value) == "Qv vs Qt"
+    else:
+        assert tame_symbol(w, parse_place(place), reg).is_zero
 
 
 def test_divisor_strings_and_classification():
