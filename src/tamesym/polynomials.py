@@ -13,9 +13,9 @@ The univariate kernels that dominate factoring work on integer images: a
 polynomial is scaled by the lcm of its denominators (and divided by its
 content where that helps) to integer coefficients. `UniPoly.divmod` is one
 integer pseudo-division (`_zdivmod`), `gcd_uni` a primitive remainder
-sequence of such divisions, and `rational_roots` tests each candidate p/q by
-the homogeneous integer value sum(a_i * p^i * q^(n-i)) and divides found
-roots out over Z. Fractions are built only for the results, so every
+sequence of such divisions, and `rational_roots` tests each candidate p/q
+that passes the divisibility tests at t = 1 and t = -1 by the homogeneous
+integer value sum(a_i * p^i * q^(n-i)) and divides found roots out over Z. Fractions are built only for the results, so every
 UniPoly still holds a tuple of Fractions. A remembered atom is divided into
 a part only after integer tests pass (`factor_uni`), its values cached.
 """
@@ -388,12 +388,17 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
             for num in (p, -p):
                 # a root num/q makes q*t - num a factor over Z, so q - num
                 # divides f(1) and q + num divides f(-1); a nonzero value
-                # bounds the divisor, hence q (a zero one bounds nothing)
-                r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
-                lo, hi = max(1, num - r1, -num - rm), min(num + r1, rm - num)
-                for q in dens[bisect_left(dens, lo):bisect_right(dens, hi)]:
-                    if not (_divides(q - num, f1) and _divides(q + num, fm)
-                            and int_gcd(p, q) == 1):
+                # bounds the divisor, hence q. Cutting a long list to that
+                # window costs about as much as testing a few q.
+                qs = dens
+                if len(dens) > 8:
+                    r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
+                    lo, hi = max(1, num - r1, -num - rm), min(num + r1, rm - num)
+                    qs = dens[bisect_left(dens, lo):bisect_right(dens, hi)]
+                for q in qs:
+                    d1, dm = q - num, q + num   # 0 divides only 0
+                    if (f1 % d1 if d1 else f1) or (fm % dm if dm else fm) \
+                            or int_gcd(p, q) != 1:
                         continue
                     k = 0
                     while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
@@ -409,10 +414,6 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
 def _alternating_sum(ints: list[int]) -> int:
     """f(-1) for f with integer coefficients ints."""
     return sum(ints[::2]) - sum(ints[1::2])
-
-
-def _divides(d: int, n: int) -> bool:
-    return n == 0 if d == 0 else n % d == 0
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
