@@ -55,8 +55,7 @@ class RatFunc:
 
     @staticmethod
     def coprime(num: UniPoly, den: UniPoly) -> "RatFunc":
-        """num/den for coprime num and nonzero den: no gcd, only the
-        denominator made monic."""
+        """num/den for coprime num and den != 0: no gcd, den made monic."""
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead)

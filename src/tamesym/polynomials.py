@@ -385,20 +385,21 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         dens = divisors(ints[-1])
         f1, fm = sum(ints), _alternating_sum(ints)
         for p in divisors(ints[0]):
-            for num in (p, -p):
-                # a root num/q makes q*t - num a factor over Z, so q - num
-                # divides f(1) and q + num divides f(-1); a nonzero value
-                # bounds the divisor, hence q. Cutting a long list to that
-                # window costs about as much as testing a few q.
-                qs = dens
-                if len(dens) > 8:
-                    r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
-                    lo, hi = max(1, num - r1, -num - rm), min(num + r1, rm - num)
-                    qs = dens[bisect_left(dens, lo):bisect_right(dens, hi)]
-                for q in qs:
+            qs = dens
+            if len(dens) > 8:  # a window costs about as much as testing a few q
+                # a root +-p/q makes q*t -+ p a factor over Z: q -+ p divides
+                # f(1) and q +- p divides f(-1), so a nonzero value bounds q
+                r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
+                spans = [(max(1, p - a), min(p + a, b - p)) for a, b in ((r1, rm), (rm, r1))]
+                spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+                qs = dens[bisect_left(dens, min(spans)[0]):
+                          bisect_right(dens, max(hi for _, hi in spans))] if spans else []
+            for q in qs:
+                if int_gcd(p, q) != 1:
+                    continue
+                for num in (p, -p):
                     d1, dm = q - num, q + num   # 0 divides only 0
-                    if (f1 % d1 if d1 else f1) or (fm % dm if dm else fm) \
-                            or int_gcd(p, q) != 1:
+                    if (f1 % d1 if d1 else f1) or (fm % dm if dm else fm):
                         continue
                     k = 0
                     while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
