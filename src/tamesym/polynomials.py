@@ -385,16 +385,11 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         dens = divisors(ints[-1])
         f1, fm = sum(ints), _alternating_sum(ints)
         for p in divisors(ints[0]):
-            qs = dens
-            if len(dens) > 8:  # a window costs about as much as testing a few q
-                # a root +-p/q makes q*t -+ p a factor over Z: q -+ p divides
-                # f(1) and q +- p divides f(-1), so a nonzero value bounds q
-                r1, rm = abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p
-                spans = [(max(1, p - a), min(p + a, b - p)) for a, b in ((r1, rm), (rm, r1))]
-                spans = [(lo, hi) for lo, hi in spans if lo <= hi]
-                qs = dens[bisect_left(dens, min(spans)[0]):
-                          bisect_right(dens, max(hi for _, hi in spans))] if spans else []
-            for q in qs:
+            # a root +-p/q makes q*t -+ p a factor over Z: q -+ p divides
+            # f(1) and q +- p divides f(-1), so |q - p| <= one of their sizes
+            # a <= b and q + p <= the other, which puts q in the slice below
+            a, b = sorted((abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p))
+            for q in dens[bisect_left(dens, p - a):bisect_right(dens, min(p + a, b - p))]:
                 if int_gcd(p, q) != 1:
                     continue
                 for num in (p, -p):
