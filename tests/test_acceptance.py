@@ -12,6 +12,7 @@ line per criterion.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from tamesym.suite import run_criterion
 
 SEED = 7
 SCALE = 100
+
+SUITE_GOLDEN = Path(__file__).resolve().parent / "golden" / "suite_seed7.txt"
 
 BUDGETS = {"C1": 1.0, "C2": 5.0, "C3": 30.0}
 
@@ -53,7 +56,8 @@ def test_criterion(cid, title):
 
 def test_criterion_C10_suite_deterministic():
     """The full command-line suite finishes in under two minutes, exits
-    zero, and two runs with the same seed produce identical bytes."""
+    zero, and two runs with the same seed produce identical bytes, equal to
+    the committed golden."""
     cmd = [sys.executable, "-m", "tamesym", "suite", "--seed", str(SEED)]
     start = time.perf_counter()
     first = subprocess.run(cmd, capture_output=True)
@@ -66,5 +70,6 @@ def test_criterion_C10_suite_deterministic():
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert first.stdout == SUITE_GOLDEN.read_bytes()
     assert first.stderr == b"" and second.stderr == b""
     assert elapsed < 120.0, f"suite took {elapsed:.2f}s, budget 120s"
