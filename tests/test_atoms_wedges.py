@@ -309,3 +309,186 @@ def test_class_and_wedge_coefficients_are_fractions():
         assert fractions_only(g.terms)
         assert fractions_only(gamma_scale(g, 5).terms)
         assert fractions_only(delta(g, reg).terms)
+
+
+# -- the expansion kernel against the Fraction loops it replaced -------------
+# The reference below is the wedge algebra as it stood before products were
+# expanded on integers: each product sorted by its atoms' sort_key tuples,
+# coefficients accumulated as Fractions, terms ordered by sort_key tuples.
+
+
+def _ref_sorted_with_sign(atoms):
+    arr = [(a.sort_key(), a) for a in atoms]
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1][0] > arr[j][0]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(arr)):
+        if arr[i - 1][0] == arr[i][0]:
+            return None
+    return tuple(a for _, a in arr), sign
+
+
+def _ref_make(field, degree, mapping):
+    items = [(k, Q(c)) for k, c in mapping.items() if c]
+    items.sort(key=lambda kc: tuple(a.sort_key() for a in kc[0]))
+    return Wedge(field, degree, tuple(items))
+
+
+def _ref_wedge_of(vectors):
+    field = vectors[0].field
+    for v in vectors:
+        if v.field != field:
+            raise MixedFields(f"{v.field} vs {field}")
+    out = {}
+    stack = [(0, (), Q(1))]
+    while stack:
+        i, chosen, coeff = stack.pop()
+        if i == len(vectors):
+            res = _ref_sorted_with_sign(chosen)
+            if res is not None:
+                out[res[0]] = out.get(res[0], Q(0)) + res[1] * coeff
+            continue
+        for a, c in vectors[i].coeffs:
+            stack.append((i + 1, chosen + (a,), coeff * c))
+    return _ref_make(field, len(vectors), out)
+
+
+def _ref_wedge_concat(a, b):
+    out = {}
+    for ka, ca in a.terms:
+        for kb, cb in b.terms:
+            res = _ref_sorted_with_sign(ka + kb)
+            if res is not None:
+                out[res[0]] = out.get(res[0], Q(0)) + res[1] * ca * cb
+    return _ref_make(a.field, a.degree + b.degree, out)
+
+
+def _ref_single_pi_residue(w, field, order, unit):
+    orders, units, out = {}, {}, {}
+    for key, coeff in w.terms:
+        for a in key:
+            if a not in orders:
+                orders[a] = order(a)
+        for i, a in enumerate(key):
+            k = orders[a]
+            if k == 0:
+                continue
+            rest = []
+            for j, b in enumerate(key):
+                if j != i:
+                    if b not in units:
+                        units[b] = unit(b)
+                    rest.append(units[b])
+            cof = _ref_wedge_of(rest) if rest else _ref_make(field, 0, {(): 1})
+            scale = coeff * k * (-1 if i % 2 else 1)
+            for mono, c in cof.terms:
+                out[mono] = out.get(mono, Q(0)) + scale * c
+    return _ref_make(field, w.degree - 1, out)
+
+
+def _kernel_atoms(reg):
+    """Primes, monic univariate and bivariate atoms whose sort keys tie on
+    every leading entry they can (equal degrees, coefficient tuples that
+    differ late and in Fraction order); irreducibility is not needed."""
+    from tamesym import BiPoly
+    atoms = [reg.prime(p) for p in (2, 3, 5, 7, 11)]
+    for cs in ([Q(-1, 2), 1], [Q(3, 4), 1], [-1, 1], [2, 1], [Q(-7, 3), 1],
+               [1, Q(1, 3), 1], [1, Q(-1, 3), 1], [-2, 0, 1], [Q(1, 5), 0, 0, 1]):
+        atoms.append(reg.uni(P(cs)))
+    for terms in ({(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 2, (0, 0): -3},
+                  {(1, 0): 1, (0, 2): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): -1}):
+        atoms.append(reg.bi(BiPoly.make(terms)))
+    return atoms
+
+
+def _kernel_vector(rng, atoms, field="Qt", size=5):
+    """A class vector on up to `size` atoms with coefficients of unlike
+    denominators and both signs; one in eight is zero."""
+    if rng.random() < 0.125:
+        return MultVec.zero(field)
+    picked = rng.sample(atoms, rng.randint(1, size))
+    return MultVec.make(field, {a: Q(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                     rng.choice([1, 1, 2, 3, 4, 6, 35]))
+                                for a in picked})
+
+
+def _all_fractions(w):
+    return all(type(c) is Q for _, c in w.terms)
+
+
+def test_expansion_kernel_matches_the_fraction_loops():
+    rng = random.Random(1009)
+    regs = (AtomRegistry(), AtomRegistry())
+    pools = [_kernel_atoms(r) for r in regs]
+    # equal atoms from two registries are distinct objects
+    assert pools[0][5] == pools[1][5] and pools[0][5] is not pools[1][5]
+    for _ in range(300):
+        # each slot draws from either registry, so equal atoms meet
+        atoms = [rng.choice(pools)[i] for i in range(len(pools[0]))]
+        vecs = [_kernel_vector(rng, atoms) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # the same atoms again in a later slot
+            vecs.append(vecs[0].scale(rng.choice([-2, Q(1, 3)])))
+        w = wedge_of(vecs)
+        want = _ref_wedge_of(vecs)
+        assert w.terms == want.terms and w.degree == want.degree
+        assert _all_fractions(w)
+        split = rng.randint(1, len(vecs) - 1) if len(vecs) > 1 else 1
+        if split < len(vecs):
+            a, b = wedge_of(vecs[:split]), wedge_of(vecs[split:])
+            got = wedge_concat(a, b)
+            assert got.terms == _ref_wedge_concat(a, b).terms
+            assert got.terms == w.terms and _all_fractions(got)
+        key = [rng.choice(atoms) for _ in range(rng.randint(1, 5))]
+        coeff = Q(rng.randint(-9, 9), rng.randint(1, 7))
+        got = wedge_monomial("Qt", key, coeff)
+        res = _ref_sorted_with_sign(tuple(key))
+        want = _ref_make("Qt", len(key), {} if res is None
+                         else {res[0]: res[1] * coeff})
+        assert got.terms == want.terms and _all_fractions(got)
+        mapping = {k: c * rng.choice([1, -3, Q(2, 5)]) for k, c in w.terms}
+        assert Wedge.make("Qt", w.degree, mapping).terms \
+            == _ref_make("Qt", w.degree, mapping).terms
+
+
+def test_residue_kernel_matches_the_fraction_loop():
+    from tamesym.places import single_pi_residue
+    rng = random.Random(2027)
+    regs = (AtomRegistry(), AtomRegistry())
+    pools = [_kernel_atoms(r) for r in regs]
+    for _ in range(200):
+        atoms = [rng.choice(pools)[i] for i in range(len(pools[0]))]
+        vecs = [_kernel_vector(rng, atoms, size=3)
+                for _ in range(rng.randint(1, 4))]
+        w = _ref_wedge_of(vecs)
+        orders = {a: rng.choice([0, 0, 1, -1, 2, -3]) for a in atoms}
+        units = {a: _kernel_vector(rng, atoms[:9], "Q", 3) for a in atoms}
+        calls = ([], [])
+
+        def order(a):
+            return orders[a]
+
+        def unit(a, log):
+            log.append(a)
+            return units[a]
+
+        got = single_pi_residue(w, "Q", order, lambda a: unit(a, calls[0]))
+        want = _ref_single_pi_residue(w, "Q", order, lambda a: unit(a, calls[1]))
+        assert got.terms == want.terms and got.degree == want.degree
+        assert got.field == "Q" and _all_fractions(got)
+        assert calls[0] == calls[1]
+        # a unit class over another field stops the residue where it did
+        odd = rng.choice(atoms)
+        units[odd] = MultVec.make("Qv", {atoms[0]: Q(1)})
+        errors = []
+        for kernel in (single_pi_residue, _ref_single_pi_residue):
+            try:
+                kernel(w, "Q", order, lambda a: units[a])
+            except MixedFields as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        assert errors[0] == errors[1]
