@@ -29,7 +29,7 @@ from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import (ZERO, BiPoly, UniPoly, multiplicity_of_factor,
                           num_str, poly_str)
-from .wedges import Wedge, wedge_of
+from .wedges import Wedge, class_factors, expand_products
 
 Q = Fraction
 
@@ -342,7 +342,7 @@ def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
     """
     orders: dict = {}
     units: dict = {}
-    out: dict = {}
+    summands = []
     for key, coeff in w.terms:
         for a in key:
             if a not in orders:
@@ -357,11 +357,9 @@ def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
                     if b not in units:
                         units[b] = unit(b)
                     rest.append(units[b])
-            cof = wedge_of(rest) if rest else Wedge.scalar(field, 1)
-            scale = coeff * k * (-1 if i % 2 else 1)
-            for mono, c in cof.terms:
-                out[mono] = out.get(mono, ZERO) + scale * c
-    return Wedge.make(field, w.degree - 1, out)
+            summands.append((coeff * (-k if i % 2 else k),
+                             class_factors(rest) if rest else []))
+    return expand_products(field, w.degree - 1, summands)
 
 
 def tame_symbol(w: Wedge, place, reg: AtomRegistry,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .atoms import Atom, MultVec, PrimeAtom, atom_str
 from .errors import DegreeMismatch, MixedFields
@@ -29,7 +30,9 @@ class Wedge:
     def make(field: str, degree: int, mapping: dict[tuple[Atom, ...], Fraction]) -> "Wedge":
         items = [(k, c if type(c) is Fraction else Q(c))
                  for k, c in mapping.items() if c]
-        items.sort(key=lambda kc: tuple(a.sort_key() for a in kc[0]))
+        if len(items) > 1:
+            rank = _ranks([a for k, _ in items for a in k])[1]
+            items.sort(key=lambda kc: [rank[a] for a in kc[0]])
         return Wedge(field, degree, tuple(items))
 
     @staticmethod
@@ -53,55 +56,86 @@ class Wedge:
         return self.terms[0][1] if self.terms else Q(0)
 
 
-def _sorted_with_sign(atoms: tuple[Atom, ...]) -> tuple[tuple[Atom, ...], int] | None:
-    """Sort a monomial; None if an atom repeats (the monomial vanishes)."""
-    keyed = [(a.sort_key(), a) for a in atoms]
-    n = len(keyed)
-    sign = 1
-    # insertion sort, counting swaps; n is tiny
-    arr = list(keyed)
-    for i in range(1, n):
-        j = i
-        while j > 0 and arr[j - 1][0] > arr[j][0]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, n):
-        if arr[i - 1][0] == arr[i][0]:
-            return None
-    return tuple(a for _, a in arr), sign
+def _ranks(atoms) -> tuple[list[Atom], dict[Atom, int]]:
+    """The distinct atoms in sort_key order, and each one's rank. Distinct
+    atoms have distinct keys and equal atoms from two registries are equal,
+    so rank tuples of one length sort as the tuples of their atoms' keys."""
+    ordered = sorted(set(atoms), key=lambda a: a.sort_key())
+    return ordered, {a: i for i, a in enumerate(ordered)}
+
+
+def expand_products(field: str, degree: int, summands) -> Wedge:
+    """Sum over (c, factors) of c times the product of the factors, each a
+    sequence of (monomial, coefficient) alternatives: the one expansion.
+
+    It runs on integers: atoms are ranked once, every coefficient is scaled
+    to an integer over one common denominator, and each product is an
+    insertion sort of ranks in which a swap flips the sign and a repeated
+    atom drops the product. One Fraction is built per nonzero term.
+    Tuples are built from lists (see `polynomials._int_image`).
+    """
+    ordered, rank = _ranks([a for _, fs in summands for f in fs
+                            for mono, _ in f for a in mono])
+    scaled, den = [], 1
+    for c, factors in summands:
+        d = c.denominator
+        ints = []
+        for f in factors:
+            fd = lcm(*[x.denominator for _, x in f])
+            d *= fd
+            ints.append([([rank[a] for a in mono],
+                          x.numerator * (fd // x.denominator)) for mono, x in f])
+        scaled.append((c.numerator, d, ints))
+        den = lcm(den, d)
+    out: dict[tuple[int, ...], int] = {}
+    for num, d, ints in scaled:
+        products = [([], num * (den // d))]
+        for f in ints:
+            grown = []
+            for ranks, v in products:
+                for mono, x in f:
+                    arr = ranks + mono
+                    term = v * x
+                    for i in range(len(ranks), len(arr)):
+                        r = arr[i]
+                        j = i
+                        while j and arr[j - 1] > r:
+                            arr[j] = arr[j - 1]
+                            j -= 1
+                            term = -term
+                        if j and arr[j - 1] == r:
+                            break
+                        arr[j] = r
+                    else:
+                        grown.append((arr, term))
+            products = grown
+        for ranks, v in products:
+            key = tuple(ranks)
+            out[key] = out.get(key, 0) + v
+    terms = [(tuple([ordered[r] for r in key]), Q(out[key], den))
+             for key in sorted(out) if out[key]]
+    return Wedge(field, degree, tuple(terms))
+
+
+def class_factors(vectors: list[MultVec]) -> list:
+    """Class vectors as factors of `expand_products`; they must share a field."""
+    field = vectors[0].field
+    for v in vectors:
+        if v.field != field:
+            raise MixedFields(f"{v.field} vs {field}")
+    return [[((a,), c) for a, c in v.coeffs] for v in vectors]
 
 
 def wedge_of(vectors: list[MultVec]) -> Wedge:
     """Exterior product of class vectors, fully expanded and canonicalized."""
     if not vectors:
         raise ValueError("wedge_of needs at least one vector")
-    field = vectors[0].field
-    for v in vectors:
-        if v.field != field:
-            raise MixedFields(f"{v.field} vs {field}")
-    n = len(vectors)
-    out: dict[tuple[Atom, ...], Fraction] = {}
-    stack: list[tuple[int, tuple[Atom, ...], Fraction]] = [(0, (), Q(1))]
-    while stack:
-        i, chosen, coeff = stack.pop()
-        if i == n:
-            res = _sorted_with_sign(chosen)
-            if res is not None:
-                key, sign = res
-                out[key] = out.get(key, ZERO) + sign * coeff
-            continue
-        for a, c in vectors[i].coeffs:
-            stack.append((i + 1, chosen + (a,), coeff * c))
-    return Wedge.make(field, n, out)
+    return expand_products(vectors[0].field, len(vectors),
+                           [(1, class_factors(vectors))])
 
 
 def wedge_monomial(field: str, atoms: list[Atom], coeff=1) -> Wedge:
-    res = _sorted_with_sign(tuple(atoms))
-    if res is None:
-        return Wedge.zero(field, len(atoms))
-    key, sign = res
-    return Wedge.make(field, len(atoms), {key: sign * Q(coeff)})
+    return expand_products(field, len(atoms), [(Q(coeff), [[(atoms, 1)]])])
 
 
 def wedge_add(a: Wedge, b: Wedge) -> Wedge:
@@ -139,15 +173,7 @@ def wedge_concat(a: Wedge, b: Wedge) -> Wedge:
     """a ^ b on wedges themselves."""
     if a.field != b.field:
         raise MixedFields(f"{a.field} vs {b.field}")
-    out: dict[tuple[Atom, ...], Fraction] = {}
-    for ka, ca in a.terms:
-        for kb, cb in b.terms:
-            res = _sorted_with_sign(ka + kb)
-            if res is None:
-                continue
-            key, sign = res
-            out[key] = out.get(key, ZERO) + sign * ca * cb
-    return Wedge.make(a.field, a.degree + b.degree, out)
+    return expand_products(a.field, a.degree + b.degree, [(1, [a.terms, b.terms])])
 
 
 def retag(w: Wedge, field: str) -> Wedge:

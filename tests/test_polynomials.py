@@ -527,3 +527,81 @@ def test_bipoly_str():
     assert bipoly_str(x - y, "x", "y") == "x-y"
     assert bipoly_str(x * y + BiPoly.const(Q(1, 2)), "x", "y") == "x*y+1/2"
     assert bipoly_str(BiPoly.const(0), "x", "y") == "0"
+
+
+def _schoolbook(a, b):
+    """The Fraction product of two coefficient lists, trailing zeros cut."""
+    out = [Q(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _product_corpus(rng):
+    polys = [P([]), P([1]), P([-1]), P([Q(-7, 3)]), P([0, 1]), P([0, 0, Q(-1, 2)]),
+             P([10**40 + 1, -3**50, Q(2**61 - 1, 10**12)]),
+             P([Q(1, 6), Q(-5, 4), Q(7, 10), -1]), P([Q(3, 7), 0, 0, Q(-11, 9)])]
+    for _ in range(40):
+        deg = rng.randint(0, 6)
+        cs = [Q(rng.randint(-10**rng.randint(1, 25), 10**rng.randint(1, 25)),
+                rng.choice([1, 2, 3, 5, 12, 35, 10**rng.randint(1, 15)]))
+              for _ in range(deg)]
+        cs.append(Q(rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 20)),
+                    rng.randint(1, 99)))
+        polys.append(P(cs))
+    return polys
+
+
+def _is_canonical(p):
+    return all(type(c) is Q for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+def test_products_match_the_fraction_schoolbook():
+    rng = random.Random(4099)
+    polys = _product_corpus(rng)
+    for a in polys:
+        for b in rng.sample(polys, 12) + [P([]), P([1]), a]:
+            got, want = a * b, P(_schoolbook(list(a.coeffs), list(b.coeffs)))
+            assert _is_canonical(got)
+            assert got == want and hash(got) == hash(want)
+        n = rng.randint(0, 4)
+        want = [Q(1)]
+        for _ in range(n):
+            want = _schoolbook(want, list(a.coeffs))
+        got = a**n
+        assert _is_canonical(got) and got == P(want) and hash(got) == hash(P(want))
+
+
+def test_ratfunc_arithmetic_matches_the_fraction_schoolbook():
+    from tamesym import RatFunc
+    rng = random.Random(4111)
+    polys = _product_corpus(rng)
+    nonzero = [p for p in polys if not p.is_zero]
+
+    def rand_rf():
+        return RatFunc.make(rng.choice(polys), rng.choice(nonzero))
+
+    def via_schoolbook(num, den):
+        return RatFunc.make(P(num), P(den))
+
+    for _ in range(120):
+        f, g = rand_rf(), rand_rf()
+        fn, fd, gn, gd = (list(p.coeffs) for p in (f.num, f.den, g.num, g.den))
+        den = _schoolbook(fd, gd)
+        cross = [_schoolbook(fn, gd), _schoolbook(gn, fd)]
+        width = max(len(cross[0]), len(cross[1]))
+        cross = [c + [Q(0)] * (width - len(c)) for c in cross]
+        wants = {"+": via_schoolbook([x + y for x, y in zip(*cross)], den),
+                 "-": via_schoolbook([x - y for x, y in zip(*cross)], den),
+                 "*": via_schoolbook(_schoolbook(fn, gn), den)}
+        gots = {"+": f + g, "-": f - g, "*": f * g}
+        if not g.is_zero:
+            wants["/"] = via_schoolbook(_schoolbook(fn, gd), _schoolbook(fd, gn))
+            gots["/"] = f / g
+        for op, want in wants.items():
+            got = gots[op]
+            assert got == want and hash(got) == hash(want), op
+            assert _is_canonical(got.num) and _is_canonical(got.den), op
