@@ -30,9 +30,8 @@ class Wedge:
     def make(field: str, degree: int, mapping: dict[tuple[Atom, ...], Fraction]) -> "Wedge":
         items = [(k, c if type(c) is Fraction else Q(c))
                  for k, c in mapping.items() if c]
-        if len(items) > 1:
-            rank = _ranks([a for k, _ in items for a in k])[1]
-            items.sort(key=lambda kc: [rank[a] for a in kc[0]])
+        rank = _ranks([a for k, _ in items for a in k])[1]
+        items.sort(key=lambda kc: [rank[a] for a in kc[0]])
         return Wedge(field, degree, tuple(items))
 
     @staticmethod
