@@ -84,21 +84,16 @@ def atom_str(a: Atom, field: str) -> str:
 
 
 class AtomRegistry:
-    """Append-only interning table for atoms.
+    """Append-only interning table for atoms: one atom object per value.
 
     Registered bivariate atoms double as the trial-division list when a
-    bivariate polynomial is not linear in either variable; univariate
-    nonlinear atoms are likewise remembered and retried, so products of
-    previously seen irreducibles always factor. `factor_uni` divides by such
-    an atom only if integer tests pass, the atom's test values cached on it.
+    bivariate polynomial is not linear in either variable.
     """
 
     def __init__(self) -> None:
         self._primes: dict[int, PrimeAtom] = {}
         self._uni: dict[tuple, UniAtom] = {}
         self._bi: dict[tuple, BiAtom] = {}
-        # the nonlinear univariate atoms in registration order
-        self._known_uni: tuple[UniPoly, ...] = ()
 
     def prime(self, p: int) -> PrimeAtom:
         atom = self._primes.get(p)
@@ -115,8 +110,6 @@ class AtomRegistry:
         if atom is None:
             atom = UniAtom(poly)
             self._uni[key] = atom
-            if poly.degree > 1:
-                self._known_uni += (poly,)
         return atom
 
     def bi(self, poly: BiPoly) -> BiAtom:
@@ -126,9 +119,6 @@ class AtomRegistry:
             atom = BiAtom(poly)
             self._bi[key] = atom
         return atom
-
-    def known_uni_polys(self) -> tuple[UniPoly, ...]:
-        return self._known_uni
 
     def known_bi_polys(self) -> tuple[BiPoly, ...]:
         return tuple(a.poly for a in self._bi.values())
@@ -199,9 +189,8 @@ def factor_into_atoms(num: UniPoly, den: UniPoly, reg: AtomRegistry
     """
     if num.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
-    known = reg.known_uni_polys()
-    cn, fn = factor_uni(num, known)
-    cd, fd = factor_uni(den, known)
+    cn, fn = factor_uni(num)
+    cd, fd = factor_uni(den)
     exps: dict[UniAtom, int] = {}
     for poly, e in fn:
         exps[reg.uni(poly)] = exps.get(reg.uni(poly), 0) + e
@@ -249,7 +238,7 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
 
     def bump_uni(p: UniPoly, var: str) -> None:
         nonlocal const
-        cp, factors = factor_uni(p, reg.known_uni_polys())
+        cp, factors = factor_uni(p)
         const *= cp
         for q, k in factors:
             bump(BiPoly.from_uni(q, var), k)

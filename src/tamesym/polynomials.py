@@ -1,13 +1,14 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
 Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
-and no operation ever rounds. `factor_uni` takes the squarefree parts (Yun),
-their rational roots and the caller's known factors, and hands each rootless
-leftover to `_rootless_factors`, the one tier ladder: degrees 2-3 outright,
-quartics by integer quadratic pairs, higher degrees by factor-degree patterns
-modulo small primes (Knuth, TAOCP vol. 2, 4.6.2). `irreducible_check_uni`
-refutes by a root or a repeated factor and otherwise asks the same ladder.
-Both certify an answer or raise Inconclusive; they never guess.
+and no operation ever rounds. `factor_uni` takes the squarefree parts (Yun)
+and their rational roots, and hands each rootless leftover to
+`_rootless_factors`: degrees 2-3 are irreducible outright, factor-degree
+patterns modulo small primes certify most others (Knuth, TAOCP vol. 2,
+4.6.2), and the rest are split modulo a prime, Hensel-lifted and recombined
+(Zassenhaus). `irreducible_check_uni` asks `factor_uni`. Both certify an
+answer or raise Inconclusive; they never guess, and the answer depends on
+the polynomial alone.
 
 The univariate kernels that dominate factoring work on integer images: a
 polynomial is scaled by the lcm of its denominators (and divided by its
@@ -15,20 +16,21 @@ content where that helps) to integer coefficients. `UniPoly.divmod` is one
 integer pseudo-division (`_zdivmod`), `gcd_uni` a primitive remainder
 sequence of such divisions, and `rational_roots` tests each candidate p/q
 that passes the divisibility tests at t = 1 and t = -1 by the homogeneous
-integer value sum(a_i * p^i * q^(n-i)) and divides found roots out over Z. Fractions are built only for the results, so every
-UniPoly still holds a tuple of Fractions. A remembered atom is divided into
-a part only after integer tests pass (`factor_uni`), its values cached.
+integer value sum(a_i * p^i * q^(n-i)) and divides found roots out over Z.
+Fractions are built only for the results, so every UniPoly still holds a
+tuple of Fractions.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count, zip_longest
 from math import gcd as int_gcd
-from math import isqrt, lcm
+from math import lcm, prod
 
 from .errors import Inconclusive, TooManyDigits
 from .integers import divisors
@@ -84,7 +86,7 @@ class UniPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "_hash", "_prim")
+    __slots__ = ("coeffs", "_hash")
     coeffs: tuple[Fraction, ...]
 
     __hash__ = cached_hash
@@ -156,14 +158,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else UniPoly.const(1)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
@@ -210,21 +205,22 @@ class UniPoly:
         g, den, ints = _primitive(self.coeffs)
         return Q(g, den), tuple(ints)
 
-    def zvalues(self) -> tuple[int, int, int, int]:
-        """(lc(P), P(0), P(1), P(-1)) for the primitive integer image P, kept in
-        the `_prim` slot. By Gauss's lemma each nonzero value of q divides p's
-        when q divides p in Q[t], so one that does not proves q does not."""
-        if not hasattr(self, "_prim"):
-            p = _primitive(self.coeffs)[2]
-            v = (p[-1], p[0], sum(p), _alternating_sum(p))
-            object.__setattr__(self, "_prim", v)
-        return self._prim
-
     def key(self) -> tuple:
         return (self.degree, self.coeffs)
 
     def __str__(self) -> str:
         return poly_str(self, "t")
+
+
+def _power(base, n: int):
+    """base^n for n >= 1, from the top bit of n down: one squaring per
+    further bit and one product with base per further 1 bit."""
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 def num_str(v) -> str:
@@ -525,9 +521,10 @@ def _mod_pow(h: list[int], q: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _factor_degree_pattern(ints: list[int], p: int) -> list[int] | None:
-    """Multiset of irreducible-factor degrees of f mod p, or None if p is a
-    bad prime (leading coefficient vanishes or f mod p not squarefree).
+def _factor_degree_pattern(ints: list[int], p: int) -> list[tuple[list[int], int]] | None:
+    """Distinct-degree pieces (g, d) of f mod p: g is monic, the product of
+    the monic irreducible factors of degree d of f mod p. None if p is a bad
+    prime (leading coefficient vanishes or f mod p not squarefree).
 
     Distinct-degree factoring: the product of the irreducible factors of
     degree d divides x^(p^d) - x (Knuth, TAOCP vol. 2, 4.6.2)."""
@@ -539,23 +536,21 @@ def _factor_degree_pattern(ints: list[int], p: int) -> list[int] | None:
         return None
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
-    degrees: list[int] = []
+    pieces: list[tuple[list[int], int]] = []
     d = 0
     h = _mod_divmod([0, 1], f, p)[1]  # x^(p^d) mod f
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
-            degrees.append(len(f) - 1)
+            pieces.append((f, len(f) - 1))
             break
         h = _mod_pow(h, p, f, p)
-        diff = _mod_trim([(a - b) % p for a, b in
-                          zip(h + [0] * 2, [0, 1] + [0] * len(h))], p)
-        g = _mod_gcd(f, diff, p)
+        g = _mod_gcd(f, _mod_sub(h, [0, 1], p), p)
         if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
+            pieces.append((g, d))
             f = _mod_divmod(f, g, p)[0]
             h = _mod_divmod(h, f, p)[1]
-    return degrees
+    return pieces
 
 
 def _subset_sums(degrees: list[int]) -> set[int]:
@@ -565,103 +560,137 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
-def _deg4_monic_splits(g0: int, g1: int, g2: int, g3: int
-                       ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Integer quadratic-pair factorization (t^2+a*t+b)(t^2+c*t+d) of the
-    monic quartic t^4+g3*t^3+g2*t^2+g1*t+g0 with no rational roots, as
-    ((a, b), (c, d)); None if there is none (certifying irreducibility)."""
-    for b in divisors(g0) + [-d for d in divisors(g0)]:
-        d = g0 // b
-        # a + c = g3, a*c = g2 - b - d; a, c integer roots of z^2 - g3 z + s
-        s = g2 - b - d
-        root = _int_sqrt(g3 * g3 - 4 * s)
-        if root is None or (g3 + root) % 2:
-            continue
-        for a in {(g3 + root) // 2, (g3 - root) // 2}:
-            c = g3 - a
-            if a * d + b * c == g1:
-                return (a, b), (c, d)
-    return None
+def _mod_sub(a: list[int], b: list[int], p: int, c: int = 1) -> list[int]:
+    """a - c*b modulo p, without trailing zeros."""
+    return _mod_trim([x - c * y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
-def _int_sqrt(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
+def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors over F_p, p odd, of a monic squarefree g
+    whose factors all have degree d (Cantor-Zassenhaus): for a random a,
+    gcd(g, a^((p^d-1)/2) - 1) is a proper factor about half the time."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _mod_trim([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        h = _mod_gcd(g, _mod_sub(_mod_pow(a, (p**d - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree_split(h, d, p, rng)
+                    + _equal_degree_split(_mod_divmod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_lift(f: list[int], u: list[int], p: int, m: int) -> list[int]:
+    """The monic factor of the monic f modulo m = p^k that is the irreducible
+    u modulo p, lifted one p-adic digit a step against its cofactor v: with
+    w*v = 1 mod u and e = (f - u*v)/q mod p, u += q*(w*e mod u) and
+    v += q*(the exact quotient of e - v*(w*e mod u) by u) keep f = u*v
+    modulo q*p."""
+    v = _mod_divmod(_mod_trim(f, p), u, p)[0]
+    w = _mod_pow(v, p ** (len(u) - 1) - 2, u, p)  # F_p[t]/(u) is a field
+    q = p
+    while q < m:
+        e = [c // q for c in _mod_sub(f, _mod_mul(u, v, m), m)]
+        du = _mod_divmod(_mod_mul(w, e, p), u, p)[1]
+        dv = _mod_divmod(_mod_sub(e, _mod_mul(v, du, p), p), u, p)[0]
+        u, v, q = _mod_sub(u, du, m, -q), _mod_sub(v, dv, m, -q), q * p
+    return u
+
+
+# recombination subsets tried before a polynomial is refused
+_SUBSET_BUDGET = 2**14
 
 
 def _rootless_factors(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of a squarefree polynomial of degree >= 2
-    with no rational root.
+    with no rational root, so with no factor of degree 1 or n - 1.
 
-    Degrees 2 and 3 are irreducible outright, and degree 4 is decided by its
-    integer quadratic pairs. Degree >= 5 is certified irreducible by
-    factor-degree patterns modulo the first usable primes; if those cannot
-    rule out a proper factor, Inconclusive is raised rather than guessing.
+    Degrees 2 and 3 are irreducible outright. Otherwise the factor-degree
+    patterns modulo up to 25 usable primes bound the degrees a factor can
+    have, which certifies most irreducibles outright. If a proper degree
+    stays feasible, the factors modulo the odd prime with the fewest of them
+    are Hensel-lifted past twice lc * (Landau-Mignotte bound) and recombined
+    in subsets of increasing size, each kept only if it divides exactly
+    (Zassenhaus; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    Past _SUBSET_BUDGET subsets Inconclusive is raised rather than guessing.
     """
     n = part.degree
     if n <= 3:
         return [part.monic()]
     ints = _primitive(part.coeffs)[2]
-    if n == 4:
-        # the monic transform s = a4*t keeps the factorization structure
-        a4 = ints[-1]
-        split = _deg4_monic_splits(ints[0] * a4**3, ints[1] * a4**2,
-                                   ints[2] * a4, ints[3])
-        if split is None:
-            return [part.monic()]
-        return [UniPoly.make([b, a * a4, a4 * a4]).monic() for a, b in split]
-    feasible: set[int] | None = None
+    feasible = set(range(2, n - 1))
+    best = None
     used = 0
     for p in _PRIME_POOL:
-        pattern = _factor_degree_pattern(ints, p)
-        if pattern is None:
+        pieces = _factor_degree_pattern(ints, p)
+        if pieces is None:
             continue
-        used += 1
-        sums = {s for s in _subset_sums(pattern) if 0 < s < n}
-        feasible = sums if feasible is None else (feasible & sums)
+        degrees = [d for g, d in pieces for _ in range((len(g) - 1) // d)]
+        feasible &= _subset_sums(degrees)
         if not feasible:
             return [part.monic()]
+        if p > 2 and (best is None or len(degrees) < best[0]):
+            best = len(degrees), p, pieces
+        used += 1
         if used >= 25:
             break
-    raise Inconclusive(
-        f"cannot certify irreducibility of degree-{n} polynomial "
-        f"{poly_str(part, 't')}: feasible proper factor degrees {sorted(feasible or [])}")
+    if best is None:
+        raise Inconclusive(f"cannot factor degree-{n} polynomial "
+                           f"{poly_str(part, 't')}: no usable odd prime")
+    _, p, pieces = best
+    bound = 2 * ints[-1] * 2**n * sum(map(abs, ints))  # 2 * lc * Landau-Mignotte
+    m = p
+    while m <= bound:
+        m *= p
+    monic = [c * pow(ints[-1], -1, m) % m for c in ints]
+    lifted = [_hensel_lift(monic, u, p, m) for g, d in pieces
+              for u in _equal_degree_split(g, d, p, random.Random(f"{p} {g}"))]
+    found, tried, size = [], 0, 1
+    while 2 * size <= len(lifted):
+        for pick in combinations(lifted, size):
+            tried += 1
+            if tried > _SUBSET_BUDGET:
+                raise Inconclusive(f"cannot factor degree-{n} polynomial "
+                                   f"{poly_str(part, 't')}: over "
+                                   f"{_SUBSET_BUDGET} recombination subsets")
+            d = sum(len(u) - 1 for u in pick)
+            if d not in feasible or len(ints) - 1 - d not in feasible:
+                continue
+            # the lc-scaled candidate's constant term divides lc * f(0)
+            c0 = ints[-1] * prod(u[0] for u in pick) % m
+            c0 -= m if 2 * c0 > m else 0
+            if not c0 or ints[-1] * ints[0] % c0:
+                continue
+            g = [ints[-1]]
+            for u in pick:
+                g = _mod_mul(g, u, m)
+            g = [c - m if 2 * c > m else c for c in g]
+            g = [c // int_gcd(*g) for c in g]
+            _, quot, rem = _zdivmod(ints, g)
+            if not rem:
+                found.append(g)
+                ints, lifted = quot, [u for u in lifted if u not in pick]
+                break
+        else:
+            size += 1
+    return [UniPoly(tuple([Q(c, g[-1]) for c in g])) for g in found + [ints]]
 
 
 def irreducible_check_uni(f: UniPoly) -> bool:
-    """Certified irreducibility over Q for nonconstant f.
-
-    False always comes with an actual witness: a rational root, a repeated
-    factor, or a factorization found by `_rootless_factors`, which raises
-    Inconclusive rather than guessing.
-    """
-    if f.degree < 1:
-        raise ValueError("irreducibility is asked of nonconstant polynomials")
-    if f.degree == 1:
-        return True
-    if rational_roots(f):
-        return False
-    if gcd_uni(f, f.derivative()).degree > 0:
-        return False  # repeated factor
-    return len(_rootless_factors(f)) == 1
+    """Certified irreducibility over Q for nonconstant f: True exactly when
+    `factor_uni` finds f to be its own single factor."""
+    return f.degree == 1 or factor_uni(f)[1] == [(f.monic(), 1)]
 
 
-def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
+def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     """Factor f into monic irreducibles: f = c * prod(q_i^e_i).
 
-    `known` supplies monic irreducibles seen before (they are trial-divided
-    first, which lets products of registered nonlinear atoms factor without a
-    general engine). A known q is divided into a squarefree part only if q's
-    `zvalues` divide the part's. Raises Inconclusive when a leftover cannot be
-    certified.
+    Each squarefree part loses its rational roots, and `_rootless_factors`
+    splits what is left. Raises Inconclusive when it cannot certify a split.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     c = f.leading
-    # constants and linear polynomials are their own factorization; known
-    # atoms have degree >= 2 and cannot divide them
+    # constants and linear polynomials are their own factorization
     if f.degree == 0:
         return c, []
     if f.degree == 1:
@@ -671,15 +700,6 @@ def factor_uni(f: UniPoly, known: tuple[UniPoly, ...] = ()) -> tuple[Fraction, l
         for root, _ in rational_roots(part):
             out.append((UniPoly.make([-root, 1]), power))
             part = part.exact_div(UniPoly.make([-root, 1]))
-        for q in known:
-            if q.degree <= 1 or part.degree < q.degree:
-                continue
-            if any(d and v % d for d, v in zip(q.zvalues(), part.zvalues())):
-                continue  # no divisibility test may fail when q | part
-            quo, rem = part.divmod(q)
-            if rem.is_zero:
-                out.append((q, power))
-                part = quo
         if part.degree > 0:
             out += [(q, power) for q in _rootless_factors(part)]
     out.sort(key=lambda t: t[0].key())
@@ -776,14 +796,7 @@ class BiPoly:
         return BiPoly(tuple((k, c * v) for k, v in self.terms))
 
     def __pow__(self, n: int) -> "BiPoly":
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else BiPoly.const(1)
 
     def evaluate(self, a, b) -> Fraction:
         a, b = _as_fraction(a), _as_fraction(b)

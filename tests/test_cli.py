@@ -188,13 +188,24 @@ def test_number_past_the_digit_limit_is_refused_by_name(fmt):
     assert "set_int_max_str_digits" not in proc.stdout + proc.stderr
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "remembered atoms are tried by trial division, so an answer depends on "
-    "slot order; complete factoring over Q[t] (ROADMAP direction 2) mends it"))
 def test_answer_does_not_depend_on_slot_order(capsys):
-    """t^6+1 = (t^2+1)(t^4-t^2+1) factors only once t^2+1 is registered."""
+    """t^6+1 = (t^2+1)(t^4-t^2+1) factors whether or not t^2+1 was seen
+    first."""
     answers = [run(capsys, "ts", "--place", "t=0", text)
                for text in ("w[t^2+1, t^6+1, t]", "w[t^6+1, t^2+1, t]")]
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a bivariate piece that is linear in neither variable divides out only "
+    "against atoms parsed before it; bivariate factoring (ROADMAP "
+    "direction 2) mends it"))
+def test_bivariate_answer_does_not_depend_on_slot_order(capsys):
+    """(y-x^2)*(y-x-1) splits only once y-x^2 is registered."""
+    answers = [run(capsys, "snc", text)
+               for text in ("w[y-x^2, (y-x^2)*(y-x-1), y-x-1]",
+                            "w[(y-x^2)*(y-x-1), y-x^2, y-x-1]")]
     assert answers[0] == answers[1]
     assert answers[0][0] == 0
 

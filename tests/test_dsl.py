@@ -8,8 +8,9 @@ import pytest
 from tamesym import (AtomRegistry, Inconclusive, ParseError, gamma_str,
                      lambda_str, parse_bifrac, parse_cycle, parse_divisor,
                      parse_element, parse_gamma, parse_place, parse_ratfunc,
-                     parse_wedge, wedge_str)
+                     parse_wedge, poly_str, wedge_str)
 from tamesym.expressions import ratfunc_str
+from test_polynomials import swinnerton_dyer
 
 
 def test_ratfunc_parsing():
@@ -151,9 +152,10 @@ def test_place_rejects_reducible_polynomials():
 
 
 def test_place_inconclusive_irreducibility_propagates():
-    sd8 = "t^8-40*t^6+352*t^4-960*t^2+576=0"
-    with pytest.raises(Inconclusive):
-        parse_place(sd8)
+    sd32 = poly_str(swinnerton_dyer((2, 3, 5, 7, 11)), "t")
+    with pytest.raises(Inconclusive) as err:
+        parse_place(f"{sd32}=0")
+    assert sd32 in str(err.value)
 
 
 def test_divisor_parsing():

@@ -150,7 +150,7 @@ def test_uniformizer_classes():
 
 
 def _tables(reg):
-    return reg._primes, reg._uni, reg._bi, reg.known_uni_polys()
+    return reg._primes, reg._uni, reg._bi
 
 
 def test_uniformizer_class_is_the_class_of_the_defining_function():

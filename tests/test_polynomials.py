@@ -1,8 +1,6 @@
 """Exact univariate and bivariate polynomial arithmetic."""
 
-import copy
 import math
-import pickle
 import random
 from fractions import Fraction as Q
 
@@ -11,8 +9,8 @@ import pytest
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
 from tamesym import polynomials
 from tamesym.integers import divisors
-from tamesym.polynomials import (_int_sqrt, _rootless_factors, factor_uni,
-                                 gcd_uni, irreducible_check_uni,
+from tamesym.polynomials import (_SUBSET_BUDGET, factor_uni, gcd_uni,
+                                 irreducible_check_uni,
                                  multiplicity_at, multiplicity_of_factor,
                                  rational_roots, squarefree_decomposition)
 
@@ -140,13 +138,36 @@ def test_irreducible_degree_five_certified():
     assert irreducible_check_uni(P([-1, -1, 0, 0, 0, 1]))  # t^5 - t - 1
 
 
+def swinnerton_dyer(primes):
+    """The product of t - sum(+-sqrt(p)) over every choice of signs, of
+    degree 2^len(primes), by the conjugate-product loop
+    f(t) -> f(t + sqrt(p)) * f(t - sqrt(p)); with f(t + sqrt(p)) written
+    as a + sqrt(p)*b, the product is a^2 - p*b^2."""
+    t = f = P([0, 1])
+    for p in primes:
+        a = b = P([])
+        for c in reversed(f.coeffs):
+            a, b = a * t + b.scale(p) + P([c]), b * t + a
+        f = a * a - (b * b).scale(p)
+    return f
+
+
 def test_irreducible_inconclusive_rather_than_guess():
-    """The degree-8 minimal polynomial of sqrt2+sqrt3+sqrt5 factors modulo
-    every prime, so modular degree patterns can never certify it. The
-    checker must say so instead of returning either answer."""
-    sd8 = P([576, 0, -960, 0, 352, 0, -40, 0, 1])
-    with pytest.raises(Inconclusive):
-        irreducible_check_uni(sd8)
+    """Swinnerton-Dyer polynomials factor modulo every prime into factors of
+    degree at most 2, so modular degree patterns never certify them and
+    recombination must try many subsets. Degrees 8 and 16 are certified;
+    degree 32 needs more than the subset budget, and the checker says so,
+    naming the polynomial, instead of returning either answer."""
+    assert swinnerton_dyer((2, 3, 5)) == P([576, 0, -960, 0, 352, 0, -40, 0, 1])
+    for primes in ((2, 3, 5), (2, 3, 5, 7)):
+        assert irreducible_check_uni(swinnerton_dyer(primes))
+    sd32 = swinnerton_dyer((2, 3, 5, 7, 11))
+    assert sd32.degree == 32
+    with pytest.raises(Inconclusive) as err:
+        irreducible_check_uni(sd32)
+    assert str(err.value) == (
+        f"cannot factor degree-32 polynomial {poly_str(sd32, 't')}: over "
+        f"{_SUBSET_BUDGET} recombination subsets")
 
 
 def test_factor_uni_rebuilds_input():
@@ -318,24 +339,33 @@ def test_rational_roots_test_candidates_at_plus_minus_one(monkeypatch):
     assert calls <= 40
 
 
+def test_refusal_without_a_usable_odd_prime(monkeypatch):
+    """A part that no usable prime certifies or splits is refused by name:
+    with the pool cut to [2], t^4+1 has no usable prime at all, since it is
+    not squarefree modulo 2."""
+    monkeypatch.setattr(polynomials, "_PRIME_POOL", [2])
+    with pytest.raises(Inconclusive) as err:
+        factor_uni(P([1, 0, 0, 0, 1]))
+    assert str(err.value) == ("cannot factor degree-4 polynomial t^4+1: "
+                              "no usable odd prime")
+
+
 def test_constant_and_linear_closed_forms():
     """Constants and linear polynomials factor to the answer known by
-    construction, whatever the known atoms, and a nonzero constant has gcd 1
-    with anything, as Euclid says."""
+    construction, and a nonzero constant has gcd 1 with anything, as Euclid
+    says."""
     rng = random.Random(17)
-    known = (P([1, 0, 1]), P([-2, 0, 0, 1]))
     for _ in range(60):
         a1 = Q(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
         a0 = Q(rng.choice([0, 0, -4, 1, 9]), rng.choice([1, 3]))
         cases = ((P([a1]), []), (P([a0, a1]), [(P([a0 / a1, 1]), 1)]))
         for f, expected in cases:
-            for kn in ((), known):
-                c, parts = factor_uni(f, kn)
-                assert (c, parts) == (a1, expected)
-                rebuilt = UniPoly.const(c)
-                for q, e in parts:
-                    rebuilt = rebuilt * q ** e
-                assert rebuilt == f
+            c, parts = factor_uni(f)
+            assert (c, parts) == (a1, expected)
+            rebuilt = UniPoly.const(c)
+            for q, e in parts:
+                rebuilt = rebuilt * q ** e
+            assert rebuilt == f
             for g in (rand_poly(rng), P([])):
                 assert gcd_uni(f, g) == _euclid_gcd(f, g)
                 assert gcd_uni(g, f) == _euclid_gcd(g, f)
@@ -343,7 +373,7 @@ def test_constant_and_linear_closed_forms():
 
 
 def test_quartic_with_huge_coefficients_splits():
-    """Quadratic pairs are found when the discriminant is beyond float
+    """Quadratic pairs are found when the coefficients are beyond float
     precision (A = 10^17 + 1) or float range (B = 10^170)."""
     a = 10**17 + 1
     q1, q2 = P([1, a, 1]), P([3, 7 - a, 1])
@@ -355,8 +385,8 @@ def test_quartic_with_huge_coefficients_splits():
 
 
 def test_non_monic_quartic_splits_into_quadratics():
-    """A rootless quartic with leading coefficient a4 != 1 is split through
-    its monic transform, and the quadratics come back monic over Q."""
+    """A rootless quartic with leading coefficient a4 != 1 splits, and the
+    quadratics come back monic over Q."""
     f = (P([1, 0, 2]) * P([5, 1, 3])).scale(Q(-7, 2))  # (2t^2+1)(3t^2+t+5)
     assert f.leading == -21
     assert factor_uni(f) == (-21, [(P([Q(1, 2), 0, 1]), 1),
@@ -377,8 +407,7 @@ def test_squared_irreducible_quadratic():
 def test_eisenstein_polynomials_and_their_products():
     """t^n + 2t + 2 is Eisenstein at 2, and certified for n = 4..8. A product
     with a repeated factor or a rational root is refuted by that witness; a
-    product of two distinct ones cannot be refuted without a factor, so the
-    checker refuses, and with the factor supplied as known it splits."""
+    product of two distinct ones is split, whatever its content."""
     eis = {n: P([2, 2] + [0] * (n - 2) + [1]) for n in range(4, 9)}
     for n, f in eis.items():
         assert irreducible_check_uni(f)
@@ -389,127 +418,70 @@ def test_eisenstein_polynomials_and_their_products():
     for a in range(4, 8):
         b = a + 1
         g = eis[a] * eis[b]
-        with pytest.raises(Inconclusive) as err:
-            irreducible_check_uni(g)
-        assert str(err.value) == (
-            f"cannot certify irreducibility of degree-{a + b} polynomial "
-            f"{poly_str(g, 't')}: feasible proper factor degrees [{a}, {b}]")
-        assert factor_uni(g, (eis[a],)) == (1, [(eis[a], 1), (eis[b], 1)])
-        with pytest.raises(Inconclusive) as err:
-            factor_uni(g.scale(5))
-        assert str(err.value).startswith(
-            f"cannot certify irreducibility of degree-{a + b} polynomial "
-            f"{poly_str(g, 't')}: ")
+        assert not irreducible_check_uni(g)
+        assert factor_uni(g) == (1, [(eis[a], 1), (eis[b], 1)])
+        assert factor_uni(g.scale(5)) == (5, [(eis[a], 1), (eis[b], 1)])
 
 
-def _factor_by_plain_trial_division(f, known):
-    """Reference: factor_uni's loop over known factors with no integer tests,
-    every candidate of fitting degree divided into the part."""
-    if f.degree <= 1:
-        return factor_uni(f)
-    out = []
-    for part, power in squarefree_decomposition(f):
-        for root, _ in rational_roots(part):
-            out.append((P([-root, 1]), power))
-            part = part.exact_div(P([-root, 1]))
-        for q in known:
-            if q.degree <= 1 or part.degree < q.degree:
-                continue
-            quo, rem = part.divmod(q)
-            if rem.is_zero:
-                out.append((q, power))
-                part = quo
-        if part.degree > 0:
-            out += [(q, power) for q in _rootless_factors(part)]
-    out.sort(key=lambda t: t[0].key())
-    return f.leading, out
-
-
-def _outcome(factor, f, known):
-    try:
-        return factor(f, known)
-    except Inconclusive as e:
-        return "Inconclusive", str(e)
+def test_sextic_splits_without_a_remembered_factor():
+    """t^6+1 = (t^2+1)(t^4-t^2+1) splits with no factor supplied."""
+    q, cofactor = P([1, 0, 1]), P([1, 0, -1, 0, 1])
+    expected = [(q, 1), (cofactor, 1)]
+    assert factor_uni(q * cofactor) == (1, expected)
+    assert factor_uni((q * cofactor).scale(Q(-3, 2))) == (Q(-3, 2), expected)
 
 
 def _rand_eisenstein(rng):
-    """A monic polynomial Eisenstein at a prime p: p divides every lower
-    coefficient and p^2 does not divide the constant."""
-    p, n = rng.choice([2, 3, 5]), rng.randint(2, 4)
+    """A monic polynomial of degree 3-8, Eisenstein at a prime p: p divides
+    every lower coefficient and p^2 does not divide the constant."""
+    p, n = rng.choice([2, 3, 5]), rng.randint(3, 8)
     lower = [p * rng.choice([1, 2, 4, -1, -2]) for _ in range(n)]
+    lower[0] = p * rng.choice([1, -1, 7])
     return P(lower + [1])
 
 
-# certified irreducibles whose primitive images are +-1 at 0, 1 and -1, so
-# every integer test passes against any part: divided into, never dividing
-# unless they are a factor
-PASS_ALL = (P([-1, 1, 1]), P([-1, -1, 1]), P([-1, -1, 0, 1]),
-            P([-1, -1, 0, 0, 1]), P([-1, -2, 0, 0, 1, 1]))
+def _rand_quadratic(rng):
+    """t^2 + b*t + c with b^2 - 4c not a square, so irreducible over Q."""
+    while True:
+        b, c = rng.randint(-6, 6), rng.randint(-9, 9)
+        disc = b * b - 4 * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            return P([c, b, 1])
 
 
-def _filter_passes(q, part):
-    return not any(d and v % d for d, v in zip(q.zvalues(), part.zvalues()))
+def test_products_factor_to_their_construction():
+    """Seeded products of certified irreducibles (quadratics, Eisenstein
+    polynomials of degree 3-8, t^4+1, the degree-8 Swinnerton-Dyer
+    polynomial) and linear factors, with rational content, factor to
+    exactly the factors they were built from. Several nonlinear factors
+    share a multiplicity, so one squarefree part holds several of them."""
+    rng = random.Random(1111)
+    fixed = (P([1, 0, 0, 0, 1]), swinnerton_dyer((2, 3, 5)))
+    for _ in range(300):
+        expected = {}
+        for _ in range(rng.randint(2, 3)):
+            q = rng.choice((_rand_quadratic, _rand_eisenstein,
+                            lambda r: r.choice(fixed)))(rng)
+            expected[q] = rng.choice([1, 1, 1, 2])
+        for _ in range(rng.randint(0, 2)):
+            expected[P([Q(rng.randint(-5, 5), rng.choice([1, 2, 3])), 1])] = rng.choice([1, 2])
+        c = Q(rng.choice([-7, -3, 2, 5]), rng.choice([1, 3, 4]))
+        f = P([c])
+        for q, e in expected.items():
+            f = f * q ** e
+        assert factor_uni(f) == (c, sorted(expected.items(), key=lambda t: t[0].key()))
 
 
-def test_known_filter_keeps_every_answer_of_plain_trial_division():
-    """Seeded products of Eisenstein and other certified irreducibles, with
-    rational content, negative coefficients and rational roots, factored
-    with shuffled known lists that mix true factors, candidates rejected by
-    the integer tests and candidates that pass them yet do not divide."""
-    assert all(irreducible_check_uni(q) for q in PASS_ALL)
-    rng = random.Random(808)
-    passed_not_dividing = rejected = hits = 0
-    for _ in range(60):
-        pool = [_rand_eisenstein(rng) for _ in range(4)]
-        pool += [q for q in PASS_ALL if rng.random() < 0.5]
-        factors = rng.sample(pool, rng.randint(1, 3))
-        f = P([Q(rng.choice([-7, -3, 2, 5]), rng.choice([1, 3, 4]))])
-        for q in factors:
-            f = f * q ** rng.choice([1, 1, 2])
-        if rng.random() < 0.5:
-            f = f * P([Q(rng.randint(-5, 5), rng.choice([1, 2])), 1])
-        known = tuple(rng.sample(pool, len(pool)))
-        for q in known:
-            if q.degree <= f.degree:
-                fits = _filter_passes(q, f)
-                divides = (f % q).is_zero
-                assert fits or not divides
-                hits += divides
-                rejected += not fits
-                passed_not_dividing += fits and not divides
-        assert _outcome(factor_uni, f, known) == \
-            _outcome(_factor_by_plain_trial_division, f, known)
-    assert min(passed_not_dividing, rejected, hits) > 20
-
-
-def test_known_filter_hit_path():
-    """t^6+1 = (t^2+1)(t^4-t^2+1): the remembered t^2+1 passes the integer
-    tests and divides, and the quartic cofactor is certified."""
-    q, cofactor = P([1, 0, 1]), P([1, 0, -1, 0, 1])
-    f = q * cofactor
-    assert _filter_passes(q, f)
-    expected = (1, [(q, 1), (cofactor, 1)])
-    assert factor_uni(f, (q,)) == expected
-    assert _factor_by_plain_trial_division(f, (q,)) == expected
-    assert factor_uni(f.scale(Q(-3, 2)), (q,)) == (Q(-3, 2), expected[1])
-
-
-def test_cached_zvalues_stay_out_of_eq_repr_and_pickle():
-    f = P([Q(-3, 2), Q(1, 4), 0, Q(5, 6)])
-    fresh = P(f.coeffs)
-    assert f.zvalues() == (10, -18, -5, -31)   # P = 10t^3 + 3t - 18
-    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
-    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
-        assert clone == f
-        assert not hasattr(clone, "_prim")
-
-
-def test_int_sqrt_is_exact():
-    r = 10**20 + 12345  # r^2 > 2^106
-    assert _int_sqrt(r * r) == r
-    assert _int_sqrt(r * r + 1) is None
-    assert _int_sqrt(10**400) == 10**200  # beyond float range
-    assert _int_sqrt(-4) is None
+def test_powers_match_repeated_multiplication():
+    """Square-and-multiply powers, the zero polynomial included (0^0 = 1)."""
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    cases = [(base, P([1])) for base in (P([]), P([1]), P([Q(-1, 2), 0, 3]), P([2, 1]))]
+    cases += [(base, BiPoly.const(1)) for base in
+              (BiPoly(()), x * y - BiPoly.const(Q(1, 3)), x + y * y)]
+    for base, acc in cases:
+        for n in range(10):
+            assert base ** n == acc
+            acc = acc * base
 
 
 def test_bipoly_arithmetic():
