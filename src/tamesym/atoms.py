@@ -17,9 +17,9 @@ from fractions import Fraction
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
-from .polynomials import (ZERO, BiPoly, UniPoly, bipoly_div_uni,
-                          bipoly_exact_div, bipoly_str, cached_hash,
-                          factor_uni, field_state, gcd_uni, num_str,
+from .polynomials import (ZERO, BiPoly, UniPoly, _int_image, _monic, _zgcd,
+                          bipoly_div_uni, bipoly_exact_div, bipoly_str,
+                          cached_hash, factor_uni, field_state, num_str,
                           poly_str, set_field_state)
 
 Q = Fraction
@@ -206,15 +206,14 @@ def factor_into_atoms(num: UniPoly, den: UniPoly, reg: AtomRegistry
 
 
 def _uni_content_of_bipoly_in_y(g: BiPoly) -> UniPoly:
-    """gcd over x of the y-coefficients (monic), the 'content' in Q[x][y]."""
-    content = UniPoly(())
+    """gcd over x of the y-coefficients (monic), the 'content' in Q[x][y],
+    folded by `_zgcd` on their integer images."""
+    content: list[int] = []
     for cj in g.y_coefficients():
-        if cj.is_zero:
-            continue
-        content = cj.monic() if content.is_zero else gcd_uni(content, cj)
-        if content.degree == 0:
-            return UniPoly.const(1)
-    return content
+        content = _zgcd(content, _int_image(cj.coeffs)[1])
+        if len(content) == 1:
+            break
+    return _monic(content)
 
 
 def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:

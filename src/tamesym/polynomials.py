@@ -1,24 +1,20 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
 Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
-and no operation ever rounds. `factor_uni` takes the squarefree parts (Yun)
-and their rational roots, and hands each rootless leftover to
-`_rootless_factors`: degrees 2-3 are irreducible outright, factor-degree
-patterns modulo small primes certify most others (Knuth, TAOCP vol. 2,
-4.6.2), and the rest are split modulo a prime, Hensel-lifted and recombined
-(Zassenhaus). `irreducible_check_uni` asks `factor_uni`. Both certify an
-answer or raise Inconclusive; they never guess, and the answer depends on
-the polynomial alone.
+and no operation ever rounds. The univariate kernels work on integer images,
+a polynomial scaled by the lcm of its denominators (and divided by its
+content where that helps): `_zdivmod`, `_zgcd`, `_zyun` and `_zroots` under
+`UniPoly.divmod`, `gcd_uni`, `squarefree_decomposition` and `rational_roots`.
 
-The univariate kernels that dominate factoring work on integer images: a
-polynomial is scaled by the lcm of its denominators (and divided by its
-content where that helps) to integer coefficients. `UniPoly.divmod` is one
-integer pseudo-division (`_zdivmod`), `gcd_uni` a primitive remainder
-sequence of such divisions, and `rational_roots` tests each candidate p/q
-that passes the divisibility tests at t = 1 and t = -1 by the homogeneous
-integer value sum(a_i * p^i * q^(n-i)) and divides found roots out over Z.
-Fractions are built only for the results, so every UniPoly still holds a
-tuple of Fractions.
+Factoring runs on one integer image: `factor_uni` keeps integer lists from
+the primitive image of f through its squarefree parts (Yun) and their
+rational roots to `_rootless_factors`, and builds Fractions only for the
+monic factors it returns. Degrees 2-3 are irreducible outright,
+factor-degree patterns modulo small primes certify most others (Knuth,
+TAOCP vol. 2, 4.6.2), and the rest are split modulo a prime, Hensel-lifted
+and recombined (Zassenhaus), with the arithmetic over F_p in `modular`.
+`factor_uni` and `irreducible_check_uni` certify an answer or raise
+Inconclusive; they never guess, and the answer depends on f alone.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from math import lcm, prod
 
 from .errors import Inconclusive, TooManyDigits
 from .integers import divisors
+from .modular import equal_degree_split, factor_degree_pattern, hensel_lift, mod_mul
 
 Q = Fraction
 ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
@@ -197,14 +194,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def primitive_int(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Write p = content * q with q integer-coefficient, primitive,
-        positive leading coefficient. Returns (content, coeffs of q)."""
-        if self.is_zero:
-            return Q(0), ()
-        g, den, ints = _primitive(self.coeffs)
-        return Q(g, den), tuple(ints)
-
     def key(self) -> tuple:
         return (self.degree, self.coeffs)
 
@@ -280,23 +269,20 @@ def _primitive(coeffs) -> tuple[int, int, list[int]]:
     """(g, den, ints) with coeffs = (g/den) * ints, where ints is primitive
     with a positive leading coefficient. coeffs must not be all zero."""
     den, ints = _int_image(coeffs)
-    g = int_gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [v // g for v in ints]
-    return g, den, ints
+    prim = _zprim(ints)
+    return ints[-1] // prim[-1], den, prim
 
 
 def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
-    """Integer pseudo-division of a by b, with len(a) >= len(b) and b[-1] != 0.
+    """Integer pseudo-division of a by b, with b[-1] != 0.
 
     Returns (d, quot, rem) with d*a = quot*b + rem, deg rem < deg b and no
-    trailing zeros in rem. d divides lc(b)^(deg a - deg b + 1), the
-    multiplier of classic pseudo-division: a step scales the remainder and
-    the quotient so far only by the part of lc(b) that the current leading
-    coefficient lacks, so d = 1 whenever the quotient has integer
-    coefficients, which includes every division by a monic b.
+    trailing zeros in rem (quot = [] and rem = a when deg a < deg b). d
+    divides lc(b)^(deg a - deg b + 1), the multiplier of classic
+    pseudo-division: a step scales the remainder and the quotient so far
+    only by the part of lc(b) that the current leading coefficient lacks, so
+    d = 1 whenever the quotient has integer coefficients, which includes
+    every division by a monic b.
     """
     lc = b[-1]
     nb = len(b) - 1
@@ -322,25 +308,46 @@ def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     return d, quot, rem
 
 
-def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor.
+def _monic(ints) -> UniPoly:
+    """The monic UniPoly of integer coefficients ([] stays 0)."""
+    return UniPoly(tuple([Q(v, ints[-1]) for v in ints]))
 
-    A primitive remainder sequence on integer images: each pseudo-remainder
-    is divided by its content (Knuth, TAOCP vol. 2, 4.6.1)."""
-    if f.degree == 0 or g.degree == 0:
-        return UniPoly.const(1)  # a nonzero constant is a unit
-    if f.is_zero or g.is_zero:
-        return (g if f.is_zero else f).monic()
-    a, b = _primitive(f.coeffs)[2], _primitive(g.coeffs)[2]
-    if len(a) < len(b):
-        a, b = b, a
+
+def _zprim(ints: list[int]) -> list[int]:
+    """ints divided by their content, with a positive leading coefficient."""
+    g = int_gcd(*ints)
+    if ints and ints[-1] < 0:
+        g = -g
+    return ints if g in (0, 1) else [v // g for v in ints]
+
+
+def _zexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials that b divides over Z; raises otherwise
+    (not by an assert, which python -O drops)."""
+    d, quot, rem = _zdivmod(a, b)
+    if d != 1 or rem:
+        raise ValueError("polynomial division was not exact")
+    return quot
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of integer polynomials, primitive with a positive leading
+    coefficient ([] when both are 0). A primitive remainder sequence: each
+    pseudo-remainder is divided by its content (Knuth, TAOCP vol. 2, 4.6.1)."""
+    a, b = _zprim(a), _zprim(b)
     while len(b) > 1:
         rem = _zdivmod(a, b)[2]
         if not rem:
-            break
-        c = int_gcd(*rem)
-        a, b = b, [v // c for v in rem]
-    return UniPoly(tuple([Q(v, b[-1]) for v in b]))
+            return b
+        a, b = b, _zprim(rem)
+    return [1] if b else a
+
+
+def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic greatest common divisor."""
+    if len(f.coeffs) == 1 or len(g.coeffs) == 1:
+        return _monic([1])  # a nonzero constant is a unit
+    return _monic(_zgcd(_int_image(f.coeffs)[1], _int_image(g.coeffs)[1]))
 
 
 def multiplicity_at(f: UniPoly, root) -> int:
@@ -361,36 +368,49 @@ def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
         k += 1
 
 
-def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted ascending.
+# candidate pairs past which f(1) or f(-1) is factored (see _zroots)
+_PAIR_WALK = 2**20
+
+
+def _zroots(ints: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """(roots, rest) for a primitive integer polynomial: its rational roots
+    num/q (q > 0) with multiplicities k as (num, q, k), and the polynomial
+    with each q*t - num divided out, still primitive (Gauss's lemma).
 
     A root p/q in lowest terms has p | a_0 and q | a_n, and q - p | f(1) and
-    q + p | f(-1) on the integer image. Each candidate that passes is tested
-    by the integer q^n * f(p/q), and each root found is divided out of the
-    integer image as the primitive factor q*t - p, which leaves integer
-    coefficients (Gauss's lemma)."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    if f.degree == 0:
-        return []
-    ints = _primitive(f.coeffs)[2]
-    # strip powers of t first
+    q + p | f(-1); each candidate that passes is tested by the integer
+    q^n * f(p/q). The q tried for p are the divisors of a_n in the window
+    that f(1) and f(-1) leave. When the windows hold more than _PAIR_WALK
+    pairs in all, the divisors e of the smaller nonzero one of |f(1)| and
+    |f(-1)| are listed, and p + e and |p - e| are tried instead wherever
+    they are fewer; if they cannot be listed, the windows are walked."""
     low = 0
     while ints[low] == 0:
         low += 1
-    out: list[tuple[Fraction, int]] = []
-    if low:
-        out.append((Q(0), low))
-        ints = ints[low:]
+    roots = [(0, 1, low)] if low else []
+    ints = ints[low:]
     if len(ints) > 1:
-        dens = divisors(ints[-1])
-        f1, fm = sum(ints), _alternating_sum(ints)
-        for p in divisors(ints[0]):
-            # a root +-p/q makes q*t -+ p a factor over Z: q -+ p divides
-            # f(1) and q +- p divides f(-1), so |q - p| <= one of their sizes
-            # a <= b and q + p <= the other, which puts q in the slice below
+        dens, nums = divisors(ints[-1]), divisors(ints[0])
+        f1, fm = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+
+        def window(p):
+            # |q - p| <= one of |f(1)|, |f(-1)| (a <= b), q + p <= the other
             a, b = sorted((abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p))
-            for q in dens[bisect_left(dens, p - a):bisect_right(dens, min(p + a, b - p))]:
+            return bisect_left(dens, p - a), bisect_right(dens, min(p + a, b - p))
+
+        es = []
+        if (len(dens) * len(nums) > _PAIR_WALK
+                and sum(j - i for i, j in map(window, nums)) > _PAIR_WALK):
+            try:
+                es = divisors(min([abs(v) for v in (f1, fm) if v], default=0))
+            except Inconclusive:
+                pass
+        for p in nums:
+            i, j = window(p)
+            qs = dens[i:j]
+            if es and 2 * len(es) < j - i:
+                qs = {q for e in es for q in (p + e, abs(p - e)) if q and not ints[-1] % q}
+            for q in qs:
                 if int_gcd(p, q) != 1:
                     continue
                 for num in (p, -p):
@@ -399,18 +419,19 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
                         continue
                     k = 0
                     while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
-                        ints = _zdivmod(ints, [-num, q])[1]
+                        ints = _zexact(ints, [-num, q])
                         k += 1
                     if k:
-                        out.append((Q(num, q), k))
-                        f1, fm = sum(ints), _alternating_sum(ints)
-    out.sort(key=lambda t: t[0])
-    return out
+                        roots.append((num, q, k))
+                        f1, fm = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+    return roots, ints
 
 
-def _alternating_sum(ints: list[int]) -> int:
-    """f(-1) for f with integer coefficients ints."""
-    return sum(ints[::2]) - sum(ints[1::2])
+def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
+    """All rational roots with multiplicities, sorted ascending."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    return sorted([(Q(num, q), k) for num, q, k in _zroots(_primitive(f.coeffs)[2])[0]])
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
@@ -423,25 +444,33 @@ def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
     return acc
 
 
-def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: f = lc * prod(a_i^i) with the a_i squarefree, monic,
-    pairwise coprime. Returns the nontrivial (a_i, i) pairs."""
-    f = f.monic()
-    out: list[tuple[UniPoly, int]] = []
-    df = f.derivative()
-    a = gcd_uni(f, df)
-    b = f.exact_div(a)
-    c = df.exact_div(a)
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        a_i = gcd_uni(b, d)
-        if a_i.degree > 0:
-            out.append((a_i.monic(), i))
-        b = b.exact_div(a_i)
-        c = d.exact_div(a_i)
-        i += 1
+def _zyun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive integer f: the nontrivial (a_i, i) with
+    f = prod(a_i^i), the a_i squarefree, coprime and primitive (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 14.6). Every divisor is
+    primitive, so every quotient is integral (Gauss's lemma)."""
+    c = [i * v for i, v in enumerate(f)][1:]
+    a = _zgcd(f, c)
+    b, c = _zexact(f, a), _zexact(c, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = [x - k * y for k, (x, y) in enumerate(zip_longest(c, b[1:], fillvalue=0), 1)]
+        while d and not d[-1]:
+            d.pop()
+        a = _zgcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+            b, d = _zexact(b, a), _zexact(d, a)
+        c, i = d, i + 1
     return out
+
+
+def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """f = lc * prod(a_i^i) with the a_i squarefree, monic, pairwise coprime.
+    Returns the nontrivial (a_i, i) pairs."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no squarefree decomposition")
+    return [(_monic(a), i) for a, i in _zyun(_primitive(f.coeffs)[2])]
 
 
 # -- irreducibility ---------------------------------------------------------
@@ -460,99 +489,6 @@ def _first_primes(n: int) -> list[int]:
 _PRIME_POOL = _first_primes(60)
 
 
-def _mod_trim(cs: list[int], p: int) -> list[int]:
-    cs = [c % p for c in cs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _mod_trim(out, p)
-
-
-def _mod_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quot, rem) of a by b over F_p, both without trailing zeros."""
-    rem = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    inv = pow(b[-1], -1, p)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        coef = rem[-1] * inv % p
-        shift = len(rem) - len(b)
-        quot[shift] = coef
-        for j, y in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - coef * y) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return quot, rem
-
-
-def _mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _mod_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _mod_pow(h: list[int], q: int, f: list[int], p: int) -> list[int]:
-    """h^q mod f over F_p by square and multiply."""
-    result = [1]
-    base = _mod_divmod(h, f, p)[1]
-    while q:
-        if q & 1:
-            result = _mod_divmod(_mod_mul(result, base, p), f, p)[1]
-        base = _mod_divmod(_mod_mul(base, base, p), f, p)[1]
-        q >>= 1
-    return result
-
-
-def _factor_degree_pattern(ints: list[int], p: int) -> list[tuple[list[int], int]] | None:
-    """Distinct-degree pieces (g, d) of f mod p: g is monic, the product of
-    the monic irreducible factors of degree d of f mod p. None if p is a bad
-    prime (leading coefficient vanishes or f mod p not squarefree).
-
-    Distinct-degree factoring: the product of the irreducible factors of
-    degree d divides x^(p^d) - x (Knuth, TAOCP vol. 2, 4.6.2)."""
-    f = _mod_trim(list(ints), p)
-    if len(f) != len(ints):
-        return None
-    deriv = _mod_trim([i * c % p for i, c in enumerate(f)][1:], p)
-    if not deriv or len(_mod_gcd(f, deriv, p)) != 1:
-        return None
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    pieces: list[tuple[list[int], int]] = []
-    d = 0
-    h = _mod_divmod([0, 1], f, p)[1]  # x^(p^d) mod f
-    while len(f) - 1 > 0:
-        d += 1
-        if 2 * d > len(f) - 1:
-            pieces.append((f, len(f) - 1))
-            break
-        h = _mod_pow(h, p, f, p)
-        g = _mod_gcd(f, _mod_sub(h, [0, 1], p), p)
-        if len(g) > 1:
-            pieces.append((g, d))
-            f = _mod_divmod(f, g, p)[0]
-            h = _mod_divmod(h, f, p)[1]
-    return pieces
-
-
 def _subset_sums(degrees: list[int]) -> set[int]:
     sums = {0}
     for d in degrees:
@@ -560,97 +496,64 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
-def _mod_sub(a: list[int], b: list[int], p: int, c: int = 1) -> list[int]:
-    """a - c*b modulo p, without trailing zeros."""
-    return _mod_trim([x - c * y for x, y in zip_longest(a, b, fillvalue=0)], p)
-
-
-def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors over F_p, p odd, of a monic squarefree g
-    whose factors all have degree d (Cantor-Zassenhaus): for a random a,
-    gcd(g, a^((p^d-1)/2) - 1) is a proper factor about half the time."""
-    if len(g) - 1 == d:
-        return [g]
-    while True:
-        a = _mod_trim([rng.randrange(p) for _ in range(len(g) - 1)], p)
-        h = _mod_gcd(g, _mod_sub(_mod_pow(a, (p**d - 1) // 2, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            return (_equal_degree_split(h, d, p, rng)
-                    + _equal_degree_split(_mod_divmod(g, h, p)[0], d, p, rng))
-
-
-def _hensel_lift(f: list[int], u: list[int], p: int, m: int) -> list[int]:
-    """The monic factor of the monic f modulo m = p^k that is the irreducible
-    u modulo p, lifted one p-adic digit a step against its cofactor v: with
-    w*v = 1 mod u and e = (f - u*v)/q mod p, u += q*(w*e mod u) and
-    v += q*(the exact quotient of e - v*(w*e mod u) by u) keep f = u*v
-    modulo q*p."""
-    v = _mod_divmod(_mod_trim(f, p), u, p)[0]
-    w = _mod_pow(v, p ** (len(u) - 1) - 2, u, p)  # F_p[t]/(u) is a field
-    q = p
-    while q < m:
-        e = [c // q for c in _mod_sub(f, _mod_mul(u, v, m), m)]
-        du = _mod_divmod(_mod_mul(w, e, p), u, p)[1]
-        dv = _mod_divmod(_mod_sub(e, _mod_mul(v, du, p), p), u, p)[0]
-        u, v, q = _mod_sub(u, du, m, -q), _mod_sub(v, dv, m, -q), q * p
-    return u
-
-
 # recombination subsets tried before a polynomial is refused
 _SUBSET_BUDGET = 2**14
 
 
-def _rootless_factors(part: UniPoly) -> list[UniPoly]:
-    """Monic irreducible factors of a squarefree polynomial of degree >= 2
-    with no rational root, so with no factor of degree 1 or n - 1.
+def _rootless_factors(ints: list[int]) -> list[list[int]]:
+    """Primitive irreducible factors of a primitive squarefree integer
+    polynomial of degree n >= 2 with no factor of degree 1 or n - 1.
 
-    Degrees 2 and 3 are irreducible outright. Otherwise the factor-degree
-    patterns modulo up to 25 usable primes bound the degrees a factor can
-    have, which certifies most irreducibles outright. If a proper degree
-    stays feasible, the factors modulo the odd prime with the fewest of them
-    are Hensel-lifted past twice lc * (Landau-Mignotte bound) and recombined
-    in subsets of increasing size, each kept only if it divides exactly
-    (Zassenhaus; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
-    Past _SUBSET_BUDGET subsets Inconclusive is raised rather than guessing.
-    """
-    n = part.degree
+    Degrees 2 and 3 are irreducible outright. Factor-degree patterns modulo
+    usable primes bound the degrees of factors, which certifies most
+    irreducibles. After 25 primes, or 4 in a row that neither shrink those
+    degrees nor lower the fewest factors, the factors modulo the odd prime
+    with the fewest are Hensel-lifted past 2 * lc * (Landau-Mignotte bound)
+    and recombined in subsets of increasing size, each kept only if it
+    divides exactly (Zassenhaus; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 15). Past _SUBSET_BUDGET subsets Inconclusive is raised
+    rather than guessing."""
+    n = len(ints) - 1
     if n <= 3:
-        return [part.monic()]
-    ints = _primitive(part.coeffs)[2]
+        return [ints]
     feasible = set(range(2, n - 1))
     best = None
-    used = 0
+    used = stale = 0
     for p in _PRIME_POOL:
-        pieces = _factor_degree_pattern(ints, p)
+        pieces = factor_degree_pattern(ints, p)
         if pieces is None:
             continue
         degrees = [d for g, d in pieces for _ in range((len(g) - 1) // d)]
+        size = len(feasible)
         feasible &= _subset_sums(degrees)
         if not feasible:
-            return [part.monic()]
+            return [ints]
+        stale = 0 if len(feasible) < size else stale + 1
         if p > 2 and (best is None or len(degrees) < best[0]):
-            best = len(degrees), p, pieces
+            best, stale = (len(degrees), p, pieces), 0
         used += 1
-        if used >= 25:
+        # 4, not 25, cut pattern calls on mixed products threefold
+        if used >= 25 or stale >= 4:
             break
     if best is None:
         raise Inconclusive(f"cannot factor degree-{n} polynomial "
-                           f"{poly_str(part, 't')}: no usable odd prime")
+                           f"{poly_str(_monic(ints), 't')}: no usable odd prime")
     _, p, pieces = best
     bound = 2 * ints[-1] * 2**n * sum(map(abs, ints))  # 2 * lc * Landau-Mignotte
     m = p
     while m <= bound:
         m *= p
     monic = [c * pow(ints[-1], -1, m) % m for c in ints]
-    lifted = [_hensel_lift(monic, u, p, m) for g, d in pieces
-              for u in _equal_degree_split(g, d, p, random.Random(f"{p} {g}"))]
+    lifted = [hensel_lift(monic, u, p, m) for g, d in pieces
+              for u in equal_degree_split(g, d, p, random.Random(f"{p} {g}"))]
     found, tried, size = [], 0, 1
+    whole = ints
     while 2 * size <= len(lifted):
         for pick in combinations(lifted, size):
             tried += 1
             if tried > _SUBSET_BUDGET:
                 raise Inconclusive(f"cannot factor degree-{n} polynomial "
-                                   f"{poly_str(part, 't')}: over "
+                                   f"{poly_str(_monic(whole), 't')}: over "
                                    f"{_SUBSET_BUDGET} recombination subsets")
             d = sum(len(u) - 1 for u in pick)
             if d not in feasible or len(ints) - 1 - d not in feasible:
@@ -662,7 +565,7 @@ def _rootless_factors(part: UniPoly) -> list[UniPoly]:
                 continue
             g = [ints[-1]]
             for u in pick:
-                g = _mod_mul(g, u, m)
+                g = mod_mul(g, u, m)
             g = [c - m if 2 * c > m else c for c in g]
             g = [c // int_gcd(*g) for c in g]
             _, quot, rem = _zdivmod(ints, g)
@@ -672,7 +575,7 @@ def _rootless_factors(part: UniPoly) -> list[UniPoly]:
                 break
         else:
             size += 1
-    return [UniPoly(tuple([Q(c, g[-1]) for c in g])) for g in found + [ints]]
+    return found + [ints]
 
 
 def irreducible_check_uni(f: UniPoly) -> bool:
@@ -682,11 +585,9 @@ def irreducible_check_uni(f: UniPoly) -> bool:
 
 
 def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
-    """Factor f into monic irreducibles: f = c * prod(q_i^e_i).
-
-    Each squarefree part loses its rational roots, and `_rootless_factors`
-    splits what is left. Raises Inconclusive when it cannot certify a split.
-    """
+    """Factor f into monic irreducibles: f = c * prod(q_i^e_i). Each
+    squarefree part (`_zyun`) of the primitive image loses its rational
+    roots (`_zroots`), and `_rootless_factors` splits the rest."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     c = f.leading
@@ -696,12 +597,11 @@ def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     if f.degree == 1:
         return c, [(f.monic(), 1)]
     out: list[tuple[UniPoly, int]] = []
-    for part, power in squarefree_decomposition(f):
-        for root, _ in rational_roots(part):
-            out.append((UniPoly.make([-root, 1]), power))
-            part = part.exact_div(UniPoly.make([-root, 1]))
-        if part.degree > 0:
-            out += [(q, power) for q in _rootless_factors(part)]
+    for part, power in _zyun(_primitive(f.coeffs)[2]):
+        roots, part = _zroots(part)
+        out += [(_monic([-num, q]), power) for num, q, _ in roots]
+        if len(part) > 1:
+            out += [(_monic(g), power) for g in _rootless_factors(part)]
     out.sort(key=lambda t: t[0].key())
     return c, out
 

@@ -147,6 +147,20 @@ def test_rational_roots_of_highly_composite_ends_end():
                            "+ w[17] + w[19] + w[23]\n")
 
 
+def test_rational_roots_with_large_values_at_plus_minus_one_end():
+    """f(1) = 577*5010890113 and f(-1) = 2663*361908073 are both large, so
+    the window they cut from the 6,720 divisors of 963761198400 held all of
+    them for every numerator: 45M pairs, 5-7 s, though each of f(1) and
+    f(-1) has only 4 divisors."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0",
+         "w[t, 963761198400*t^3+963761198400*t^2+t+963761198400]"],
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout == ("6*w[2] + 4*w[3] + 2*w[5] + w[7] + w[11] + w[13] "
+                           "+ w[17] + w[19] + w[23]\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("w[t, 3317044064679887385961981]",
      "cannot factor the integer 3317044064679887385961981: a probable prime"),

@@ -296,7 +296,7 @@ def _unfiltered_rational_roots(f):
     return sorted(out)
 
 
-def test_rational_roots_match_the_unfiltered_loop():
+def _root_products():
     """Seeded products of roots p/q with q - p or q + p in {-1, 0, 1}
     (p/q = +-1 among them, where the divisor tested is 0), roots with large
     numerators and denominators, repeated roots and rootless factors."""
@@ -314,7 +314,35 @@ def test_rational_roots_match_the_unfiltered_loop():
             f = f * P([rng.choice([1, 2, 360]), rng.randint(-3, 3), 0,
                        rng.choice([1, 2, 7])])
         if f.degree > 0:
-            assert rational_roots(f) == _unfiltered_rational_roots(f)
+            yield f
+
+
+def test_rational_roots_match_the_unfiltered_loop():
+    """The products of `_root_products`."""
+    for f in _root_products():
+        assert rational_roots(f) == _unfiltered_rational_roots(f)
+
+
+def test_rational_roots_from_the_divisors_of_f_at_plus_minus_one(monkeypatch):
+    """Past _PAIR_WALK candidate pairs (0 here), the denominators tried come
+    from the divisors of f(1) or f(-1); where those cannot be listed, the
+    window of divisors of a_n is walked as below that. Both find every root."""
+    monkeypatch.setattr(polynomials, "_PAIR_WALK", 0)
+    for f in _root_products():
+        assert rational_roots(f) == _unfiltered_rational_roots(f)
+    f = P([360, 1, 360, 360]) * P([-7, 5]) * P([2, 3]) ** 2
+    ints = polynomials._primitive(f.coeffs)[2]
+    values = {abs(sum(ints)), abs(sum(ints[::2]) - sum(ints[1::2]))}
+
+    def unlisted(n):
+        if n in values:
+            raise Inconclusive(f"cannot list the divisors of {n}")
+        return divisors(n)
+
+    expected = [(Q(-2, 3), 2), (Q(7, 5), 1)]
+    assert rational_roots(f) == expected
+    monkeypatch.setattr(polynomials, "divisors", unlisted)
+    assert rational_roots(f) == expected
 
 
 def test_rational_roots_test_candidates_at_plus_minus_one(monkeypatch):
@@ -470,6 +498,62 @@ def test_products_factor_to_their_construction():
         for q, e in expected.items():
             f = f * q ** e
         assert factor_uni(f) == (c, sorted(expected.items(), key=lambda t: t[0].key()))
+
+
+def _fraction_yun(f):
+    """Reference: Yun's algorithm on monic Fraction polynomials, with
+    Euclid's gcd and schoolbook division."""
+    f = f.monic()
+    a = _euclid_gcd(f, f.derivative())
+    b, c = _ref_divmod(f, a)[0], _ref_divmod(f.derivative(), a)[0]
+    out, i = [], 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = _euclid_gcd(b, d)
+        if a.degree > 0:
+            out.append((a, i))
+        b, c, i = _ref_divmod(b, a)[0], _ref_divmod(d, a)[0], i + 1
+    return out
+
+
+def test_yun_on_integers_matches_the_fraction_reference():
+    """squarefree_decomposition and factor_uni keep one integer image from
+    start to finish. On seeded products of known irreducibles with rational
+    content, and on inputs whose derivative or cofactors carry content
+    (c*t^n, (2t+2)^k, and (3^2048*t)^100, whose derivative is 100*t^99 on
+    the primitive image), Yun's parts equal the Fraction reference's and the
+    construction's, and factor_uni returns the construction."""
+    rng = random.Random(1212)
+    t, t1 = P([0, 1]), P([1, 1])
+    cases = [(P([0] * n + [c]), {t: n}) for n, c in ((1, 5), (7, Q(-3, 4)), (12, 6))]
+    cases += [(P([2, 2]) ** k, {t1: k}) for k in (2, 5, 9)]
+    cases += [(P([0, 3**2048]) ** 100, {t: 100}), (P([6, 6]) ** 3 * t**4, {t1: 3, t: 4})]
+    for _ in range(150):
+        expected = {}
+        for _ in range(rng.randint(1, 4)):
+            q = rng.choice((_rand_quadratic, _rand_eisenstein, lambda r: P(
+                [Q(r.randint(-6, 6), r.choice([1, 2, 3])), 1])))(rng)
+            expected[q] = rng.randint(1, 4)
+        f = P([Q(rng.choice([-6, -1, 2, 9]), rng.choice([1, 4, 15]))])
+        for q, e in expected.items():
+            f = f * q ** e
+        cases.append((f, expected))
+    for f, expected in cases:
+        parts = {}
+        for q, e in expected.items():
+            parts[e] = parts.get(e, P([1])) * q
+        assert squarefree_decomposition(f) == _fraction_yun(f) == [
+            (parts[e], e) for e in sorted(parts)]
+        assert factor_uni(f) == (f.leading, sorted(expected.items(), key=lambda t: t[0].key()))
+
+
+def test_inexact_integer_division_raises():
+    """The exact divisions of the integer kernels check their remainder and
+    their multiplier, so no answer rests on an assert that python -O drops:
+    2t+2 does not divide t^2+1, and divides t+1 only over Q."""
+    for a, b in (([1, 0, 1], [2, 2]), ([1, 1], [2, 2])):
+        with pytest.raises(ValueError):
+            polynomials._zexact(a, b)
 
 
 def test_powers_match_repeated_multiplication():
