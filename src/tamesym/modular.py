@@ -1,5 +1,5 @@
 """Polynomials over F_p and their p-adic lifting: the modular half of
-factoring over Q[t] (`polynomials._rootless_factors`). A polynomial is a
+factoring over Q[t] (`polynomials._squarefree_factors`). A polynomial is a
 list of integer coefficients in ascending order, returned without trailing
 zeros.
 """

@@ -3,14 +3,16 @@
 Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
 and no operation ever rounds. The univariate kernels work on integer images,
 a polynomial scaled by the lcm of its denominators (and divided by its
-content where that helps): `_zdivmod`, `_zgcd`, `_zyun` and `_zroots` under
-`UniPoly.divmod`, `gcd_uni`, `squarefree_decomposition` and `rational_roots`.
+content where that helps): `_zdivmod`, `_zgcd` and `_zyun` under
+`UniPoly.divmod`, `gcd_uni` and `squarefree_decomposition`.
 
 Factoring runs on one integer image: `factor_uni` keeps integer lists from
-the primitive image of f through its squarefree parts (Yun) and their
-rational roots to `_rootless_factors`, and builds Fractions only for the
-monic factors it returns. Degrees 2-3 are irreducible outright,
-factor-degree patterns modulo small primes certify most others (Knuth,
+the primitive image of f through its squarefree parts (Yun) to
+`_squarefree_factors`, and builds Fractions only for the monic factors it
+returns; `rational_roots` are its factors of degree 1. Rational roots come
+from a walk over bounded pairs of divisors of the end coefficients
+(`_zroots`) or, past that bound, from the same lift as every other factor:
+factor-degree patterns modulo small primes certify most irreducibles (Knuth,
 TAOCP vol. 2, 4.6.2), and the rest are split modulo a prime, Hensel-lifted
 and recombined (Zassenhaus), with the arithmetic over F_p in `modular`.
 `factor_uni` and `irreducible_check_uni` certify an answer or raise
@@ -22,14 +24,13 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, count, zip_longest
 from math import gcd as int_gcd
 from math import lcm, prod
 
 from .errors import Inconclusive, TooManyDigits
-from .integers import divisors
+from .integers import divisors, factor_positive_int
 from .modular import equal_degree_split, factor_degree_pattern, hensel_lift, mod_mul
 
 Q = Fraction
@@ -368,70 +369,45 @@ def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
         k += 1
 
 
-# candidate pairs past which f(1) or f(-1) is factored (see _zroots)
-_PAIR_WALK = 2**20
+# coprime divisor pairs past which _zroots leaves the roots to the lift:
+# about where walking them costs what the lift does (see CHANGES.md)
+_PAIR_WALK = 2**14
 
 
-def _zroots(ints: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """(roots, rest) for a primitive integer polynomial: its rational roots
-    num/q (q > 0) with multiplicities k as (num, q, k), and the polynomial
-    with each q*t - num divided out, still primitive (Gauss's lemma).
+def _zroots(ints: list[int]) -> list[tuple[int, int]] | None:
+    """The rational roots num/q (q > 0) of a primitive integer polynomial
+    with ints[0] != 0 and degree >= 1, as (num, q) in lowest terms; None when
+    the coprime pairs of divisors p | a_0 and q | a_n number more than
+    _PAIR_WALK, or when the divisors of a_0 or the primes of a_n cannot be
+    listed.
 
-    A root p/q in lowest terms has p | a_0 and q | a_n, and q - p | f(1) and
-    q + p | f(-1); each candidate that passes is tested by the integer
-    q^n * f(p/q). The q tried for p are the divisors of a_n in the window
-    that f(1) and f(-1) leave. When the windows hold more than _PAIR_WALK
-    pairs in all, the divisors e of the smaller nonzero one of |f(1)| and
-    |f(-1)| are listed, and p + e and |p - e| are tried instead wherever
-    they are fewer; if they cannot be listed, the windows are walked."""
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots = [(0, 1, low)] if low else []
-    ints = ints[low:]
-    if len(ints) > 1:
-        dens, nums = divisors(ints[-1]), divisors(ints[0])
-        f1, fm = sum(ints), sum(ints[::2]) - sum(ints[1::2])
-
-        def window(p):
-            # |q - p| <= one of |f(1)|, |f(-1)| (a <= b), q + p <= the other
-            a, b = sorted((abs(f1) or dens[-1] + p, abs(fm) or dens[-1] + p))
-            return bisect_left(dens, p - a), bisect_right(dens, min(p + a, b - p))
-
-        es = []
-        if (len(dens) * len(nums) > _PAIR_WALK
-                and sum(j - i for i, j in map(window, nums)) > _PAIR_WALK):
-            try:
-                es = divisors(min([abs(v) for v in (f1, fm) if v], default=0))
-            except Inconclusive:
-                pass
-        for p in nums:
-            i, j = window(p)
-            qs = dens[i:j]
-            if es and 2 * len(es) < j - i:
-                qs = {q for e in es for q in (p + e, abs(p - e)) if q and not ints[-1] % q}
-            for q in qs:
-                if int_gcd(p, q) != 1:
-                    continue
-                for num in (p, -p):
-                    d1, dm = q - num, q + num   # 0 divides only 0
-                    if (f1 % d1 if d1 else f1) or (fm % dm if dm else fm):
-                        continue
-                    k = 0
-                    while len(ints) > 1 and _homogeneous_value(ints, num, q) == 0:
-                        ints = _zexact(ints, [-num, q])
-                        k += 1
-                    if k:
-                        roots.append((num, q, k))
-                        f1, fm = sum(ints), sum(ints[::2]) - sum(ints[1::2])
-    return roots, ints
-
-
-def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted ascending."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    return sorted([(Q(num, q), k) for num, q, k in _zroots(_primitive(f.coeffs)[2])[0]])
+    The roots +-1 are divided out first, so that f(1) and f(-1) of what is
+    left are not 0. A root p/q of that in lowest terms has p | a_0 and
+    q | a_n, and q - p | f(1) and q + p | f(-1), so q != p; each coprime
+    pair that passes is tested by the integer q^n * f(p/q)."""
+    try:
+        nums, primes = divisors(ints[0]), factor_positive_int(ints[-1])
+    except Inconclusive:
+        return None
+    pairs = sum(prod(e + 1 for r, e in primes.items() if p % r) for p in nums)
+    if pairs > _PAIR_WALK:
+        return None
+    roots = []
+    for num in (1, -1):
+        if not _homogeneous_value(ints, num, 1):
+            roots.append((num, 1))
+            ints = _zexact(ints, [-num, 1])
+    f1, fm = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+    for p in nums:
+        dens = [1]   # the divisors of a_n coprime to p
+        for r, e in primes.items():
+            if p % r:
+                dens = [q * r**k for q in dens for k in range(e + 1)]
+        for num in (p, -p):
+            roots += [(num, q) for q in dens
+                      if q != p and not f1 % (q - num) and not fm % (q + num)
+                      and not _homogeneous_value(ints, num, q)]
+    return roots
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
@@ -500,23 +476,38 @@ def _subset_sums(degrees: list[int]) -> set[int]:
 _SUBSET_BUDGET = 2**14
 
 
-def _rootless_factors(ints: list[int]) -> list[list[int]]:
+def _squarefree_factors(ints: list[int], linear_only: bool = False) -> list[list[int]]:
     """Primitive irreducible factors of a primitive squarefree integer
-    polynomial of degree n >= 2 with no factor of degree 1 or n - 1.
+    polynomial of degree >= 1; with linear_only, its factors of degree 1 and
+    what is left of it past them.
 
-    Degrees 2 and 3 are irreducible outright. Factor-degree patterns modulo
-    usable primes bound the degrees of factors, which certifies most
-    irreducibles. After 25 primes, or 4 in a row that neither shrink those
-    degrees nor lower the fewest factors, the factors modulo the odd prime
-    with the fewest are Hensel-lifted past 2 * lc * (Landau-Mignotte bound)
-    and recombined in subsets of increasing size, each kept only if it
-    divides exactly (Zassenhaus; von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 15). Past _SUBSET_BUDGET subsets Inconclusive is raised
-    rather than guessing."""
+    t and the rational roots that `_zroots` finds are divided out first, and
+    then what is left has no factor of degree 1 or n - 1, so at degree 2 or
+    3 it is irreducible outright. Where `_zroots` gives up, the feasible
+    degrees start at 1 instead, and the lift below finds the linear factors
+    too. Factor-degree patterns modulo usable primes bound the degrees of
+    factors, which certifies most irreducibles. After 25 primes, or 4 in a
+    row that neither shrink those degrees nor lower the fewest factors, the
+    factors modulo the odd prime with the fewest are Hensel-lifted past
+    2 * lc * (Landau-Mignotte bound) and recombined in subsets of increasing
+    size (of size 1 alone with linear_only), each kept only if it divides
+    exactly (Zassenhaus; von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 15). Past _SUBSET_BUDGET subsets Inconclusive is raised rather than
+    guessing."""
+    found = []
+    if not ints[0]:
+        found, ints = [[0, 1]], ints[1:]
+    roots = _zroots(ints) if len(ints) > 1 else []
+    low = 1 if roots is None else 2
+    for num, q in roots or []:
+        found.append([-num, q])
+        ints = _zexact(ints, [-num, q])
     n = len(ints) - 1
-    if n <= 3:
-        return [ints]
-    feasible = set(range(2, n - 1))
+    # below degree 2 * low what is left is irreducible (or 1); with its
+    # roots stripped it has no factor of degree 1
+    if n < 2 * low or linear_only and low == 2:
+        return found + [ints] if n else found
+    feasible = set(range(low, n - low + 1))
     best = None
     used = stale = 0
     for p in _PRIME_POOL:
@@ -527,7 +518,7 @@ def _rootless_factors(ints: list[int]) -> list[list[int]]:
         size = len(feasible)
         feasible &= _subset_sums(degrees)
         if not feasible:
-            return [ints]
+            return found + [ints]
         stale = 0 if len(feasible) < size else stale + 1
         if p > 2 and (best is None or len(degrees) < best[0]):
             best, stale = (len(degrees), p, pieces), 0
@@ -546,9 +537,9 @@ def _rootless_factors(ints: list[int]) -> list[list[int]]:
     monic = [c * pow(ints[-1], -1, m) % m for c in ints]
     lifted = [hensel_lift(monic, u, p, m) for g, d in pieces
               for u in equal_degree_split(g, d, p, random.Random(f"{p} {g}"))]
-    found, tried, size = [], 0, 1
+    tried, size = 0, 1
     whole = ints
-    while 2 * size <= len(lifted):
+    while 2 * size <= len(lifted) and (size == 1 or not linear_only):
         for pick in combinations(lifted, size):
             tried += 1
             if tried > _SUBSET_BUDGET:
@@ -585,9 +576,9 @@ def irreducible_check_uni(f: UniPoly) -> bool:
 
 
 def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
-    """Factor f into monic irreducibles: f = c * prod(q_i^e_i). Each
-    squarefree part (`_zyun`) of the primitive image loses its rational
-    roots (`_zroots`), and `_rootless_factors` splits the rest."""
+    """Factor f into monic irreducibles: f = c * prod(q_i^e_i), splitting
+    each squarefree part (`_zyun`) of the primitive image by
+    `_squarefree_factors`."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     c = f.leading
@@ -598,12 +589,18 @@ def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
         return c, [(f.monic(), 1)]
     out: list[tuple[UniPoly, int]] = []
     for part, power in _zyun(_primitive(f.coeffs)[2]):
-        roots, part = _zroots(part)
-        out += [(_monic([-num, q]), power) for num, q, _ in roots]
-        if len(part) > 1:
-            out += [(_monic(g), power) for g in _rootless_factors(part)]
+        out += [(_monic(g), power) for g in _squarefree_factors(part)]
     out.sort(key=lambda t: t[0].key())
     return c, out
+
+
+def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
+    """All rational roots with multiplicities, sorted ascending: the degree-1
+    factors of `factor_uni(f)`, found without splitting the others."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    return sorted([(Q(-g[0], g[1]), k) for part, k in _zyun(_primitive(f.coeffs)[2])
+                   for g in _squarefree_factors(part, linear_only=True) if len(g) == 2])
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,17 @@ THREE_2048_X100 = "*".join(["3^2048"] * 100)
     ("w[t, t^2+1000000000000000003]", "w[1000000000000000003]\n"),
     ("w[t, 1000000007*t^4+3]", "w[3]\n"),
     ("w[t, 65537^200*65537^200*65537^200]", "600*w[65537]\n"),
+    (f"w[t, t^2+{THREE_2048_X40}]", "81920*w[3]\n"),
 ], ids=["power-of-product", "product-of-40-powers", "product-of-powers",
         "prime", "prime-constant-term", "quartic-leading-coefficient",
-        "power-of-prime-above-2^16"])
+        "power-of-prime-above-2^16", "too-many-divisors"])
 def test_large_integer_classes_end(text, expected):
     """A prime power was divided out one factor at a time, and integers were
     factored (or their divisors listed) by trial division up to the square
-    root, so the first six took seconds or never ended. The last has 9,600
-    bits with no prime below 2^16, too large for Pollard rho alone."""
+    root, so the first six took seconds or never ended. The seventh has 9,600
+    bits with no prime below 2^16, too large for Pollard rho alone. The last
+    was refused: its constant term has 81,921 divisors, too many to list as
+    root candidates, and the Hensel lift now looks for the roots instead."""
     proc = subprocess.run(
         [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
         capture_output=True, text=True, timeout=10)
@@ -161,15 +164,27 @@ def test_rational_roots_with_large_values_at_plus_minus_one_end():
                            "+ w[17] + w[19] + w[23]\n")
 
 
+LINEAR_24 = "*".join(f"(t+{k})" for k in range(1, 25))
+
+
+def test_many_linear_factors_end():
+    """24! has 242,880 divisors, past the divisor-list budget, so the
+    rational roots of (t+1)*(t+2)*...*(t+24) could not be listed and it
+    was refused; the Hensel lift finds its 24 linear factors."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", f"w[t, {LINEAR_24}]"],
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout == ("22*w[2] + 10*w[3] + 4*w[5] + 3*w[7] + 2*w[11] + w[13] "
+                           "+ w[17] + w[19] + w[23]\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("w[t, 3317044064679887385961981]",
      "cannot factor the integer 3317044064679887385961981: a probable prime"),
-    (f"w[t, t^2+{THREE_2048_X40}]",
-     "cannot list the divisors of an integer of 129841 bits: 81921 of them"),
-], ids=["strong-pseudoprime", "too-many-divisors"])
+], ids=["strong-pseudoprime"])
 def test_integer_past_the_limits_is_refused_by_name(text, message):
-    """The least strong pseudoprime to the 13 Miller-Rabin bases, and a
-    constant term whose divisor list would take gigabytes."""
+    """The least strong pseudoprime to the 13 Miller-Rabin bases."""
     proc = subprocess.run(
         [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
         capture_output=True, text=True, timeout=10)

@@ -318,37 +318,37 @@ def _root_products():
 
 
 def test_rational_roots_match_the_unfiltered_loop():
-    """The products of `_root_products`."""
+    """The products of `_root_products`, whose squarefree parts have at most
+    2,112 coprime candidates each, within _PAIR_WALK: all walked."""
     for f in _root_products():
         assert rational_roots(f) == _unfiltered_rational_roots(f)
 
 
-def test_rational_roots_from_the_divisors_of_f_at_plus_minus_one(monkeypatch):
-    """Past _PAIR_WALK candidate pairs (0 here), the denominators tried come
-    from the divisors of f(1) or f(-1); where those cannot be listed, the
-    window of divisors of a_n is walked as below that. Both find every root."""
-    monkeypatch.setattr(polynomials, "_PAIR_WALK", 0)
-    for f in _root_products():
-        assert rational_roots(f) == _unfiltered_rational_roots(f)
-    f = P([360, 1, 360, 360]) * P([-7, 5]) * P([2, 3]) ** 2
-    ints = polynomials._primitive(f.coeffs)[2]
-    values = {abs(sum(ints)), abs(sum(ints[::2]) - sum(ints[1::2]))}
+def test_rational_roots_past_the_pair_walk_come_from_the_lift(monkeypatch):
+    """Past _PAIR_WALK coprime candidates (0 here), and wherever the
+    divisors of a_0 cannot be listed, no candidate is evaluated: the Hensel
+    lift finds the linear factors, and so every root."""
+    def unused(ints, p, q):
+        raise AssertionError("a root candidate was evaluated")
 
     def unlisted(n):
-        if n in values:
-            raise Inconclusive(f"cannot list the divisors of {n}")
-        return divisors(n)
+        raise Inconclusive(f"cannot list the divisors of {n}")
 
-    expected = [(Q(-2, 3), 2), (Q(7, 5), 1)]
-    assert rational_roots(f) == expected
-    monkeypatch.setattr(polynomials, "divisors", unlisted)
-    assert rational_roots(f) == expected
+    products = [*_root_products(), P([360, 1, 360, 360]) * P([-7, 5]) * P([2, 3]) ** 2]
+    expected = [_unfiltered_rational_roots(f) for f in products]
+    assert expected[-1] == [(Q(-2, 3), 2), (Q(7, 5), 1)]
+    monkeypatch.setattr(polynomials, "_homogeneous_value", unused)
+    for name, value in (("_PAIR_WALK", 0), ("divisors", unlisted)):
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, name, value)
+            assert [rational_roots(f) for f in products] == expected
 
 
 def test_rational_roots_test_candidates_at_plus_minus_one(monkeypatch):
     """963761198400 has 6,720 divisors, so 963761198400*t^3+t+963761198400
-    has 426k coprime candidates p/q. A root p/q makes q*t - p a factor, so
-    q - p divides f(1) and q + p divides f(-1) = -1: a few are left."""
+    has 426k coprime candidates p/q, past _PAIR_WALK: raised here, so the
+    walk runs. A root p/q makes q*t - p a factor, so q - p divides f(1) and
+    q + p divides f(-1) = -1: a few are left to evaluate, +-1 among them."""
     calls = 0
     value = polynomials._homogeneous_value
 
@@ -358,13 +358,14 @@ def test_rational_roots_test_candidates_at_plus_minus_one(monkeypatch):
         return value(ints, p, q)
 
     monkeypatch.setattr(polynomials, "_homogeneous_value", counted)
+    monkeypatch.setattr(polynomials, "_PAIR_WALK", 2**22)
     c = 963761198400
     assert rational_roots(P([c, 1, 0, c])) == []
-    assert calls <= 10
+    assert 2 <= calls <= 10
     calls = 0
     f = P([c, 1, 0, c]) * P([-1, 1]) ** 2 * P([1, 1]) * P([-7, 5])
     assert rational_roots(f) == [(Q(-1), 1), (Q(1), 2), (Q(7, 5), 1)]
-    assert calls <= 40
+    assert 2 <= calls <= 40
 
 
 def test_refusal_without_a_usable_odd_prime(monkeypatch):
@@ -498,6 +499,16 @@ def test_products_factor_to_their_construction():
         for q, e in expected.items():
             f = f * q ** e
         assert factor_uni(f) == (c, sorted(expected.items(), key=lambda t: t[0].key()))
+
+
+def test_many_quadratics_factor_by_the_lift():
+    """The product of t^2+k for k = 1..30 has no rational root, and its
+    constant term 30! has too many divisors to list, so it was refused;
+    the lift splits it into exactly those 30 quadratics."""
+    f = P([1])
+    for k in range(1, 31):
+        f = f * P([k, 0, 1])
+    assert factor_uni(f) == (Q(1), [(P([k, 0, 1]), 1) for k in range(1, 31)])
 
 
 def _fraction_yun(f):
