@@ -2,8 +2,8 @@
 
 A MultVec is the class of a nonzero function in F*/torsion tensored with Q,
 written on a basis of atoms: prime integers, monic irreducible univariate
-polynomials, or registered irreducible bivariate polynomials. Signs die in
-the tensor, so class(-2) = class(2) and class(-1) = 0.
+polynomials, or primitive irreducible bivariate polynomials linear in x or
+in y. Signs die in the tensor, so class(-2) = class(2) and class(-1) = 0.
 
 Atoms compare by a mathematical key (never by creation order), so every run
 and every registry produce the same canonical order.
@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import prod
 
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
 from .polynomials import (ZERO, BiPoly, UniPoly, _int_image, _monic, _zgcd,
-                          bipoly_div_uni, bipoly_exact_div, bipoly_str,
-                          cached_hash, factor_uni, field_state, num_str,
-                          poly_str, set_field_state)
+                          bipoly_exact_div, bipoly_str, cached_hash,
+                          factor_uni, field_state, num_str, poly_str,
+                          rational_roots, set_field_state)
 
 Q = Fraction
 
@@ -84,11 +86,7 @@ def atom_str(a: Atom, field: str) -> str:
 
 
 class AtomRegistry:
-    """Append-only interning table for atoms: one atom object per value.
-
-    Registered bivariate atoms double as the trial-division list when a
-    bivariate polynomial is not linear in either variable.
-    """
+    """Append-only interning table for atoms: one atom object per value."""
 
     def __init__(self) -> None:
         self._primes: dict[int, PrimeAtom] = {}
@@ -119,9 +117,6 @@ class AtomRegistry:
             atom = BiAtom(poly)
             self._bi[key] = atom
         return atom
-
-    def known_bi_polys(self) -> tuple[BiPoly, ...]:
-        return tuple(a.poly for a in self._bi.values())
 
 
 @dataclass(frozen=True)
@@ -216,12 +211,84 @@ def _uni_content_of_bipoly_in_y(g: BiPoly) -> UniPoly:
     return _monic(content)
 
 
-def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
-    """Factor a nonzero bivariate polynomial into registered atoms.
+# candidates a factor walk may weigh, counted before any list is built
+_WALK_BUDGET = 2**14
 
-    Pieces linear in one of the variables are certified irreducible by the
-    primitive-part criterion; everything else must divide out against atoms
-    already in the registry, otherwise Inconclusive is raised.
+
+def _monic_divisors(factors: list[tuple[UniPoly, int]], xs: list[int]) -> list:
+    """Each monic divisor d of prod(q^e), as ((q, k), ...) and d's values at xs."""
+    divisors: list = [((), (Q(1),) * len(xs))]
+    for q, e in factors:
+        powers = [[q.evaluate(x) ** k for x in xs] for k in range(e + 1)]
+        divisors = [(parts + ((q, k),), tuple([d * v for d, v in zip(ds, powers[k])]))
+                    for parts, ds in divisors for k in range(e + 1)]
+    return divisors
+
+
+def _linear_factors_in_y(h: BiPoly, shown: BiPoly) -> tuple[list[BiPoly], BiPoly]:
+    """The factors a(x)*y - b(x) of h, one per multiplicity, and the rest.
+
+    h has no content in Q[x] or Q[y] and degree >= 2 in both variables. By
+    Gauss's lemma a | lc_y(h) and b | h(x, 0) up to constants, and b(x)/a(x)
+    is a root of h(x, y) at x0 < x1 < x2, the first integers from 0 where
+    lc_y(h) * h(x, 0) != 0. A monic a and roots at x0 and x1 fix the ratio
+    b(x1)/b(x0) of the monic b, which indexes the b's. A candidate that is a
+    root at x2 too is divided out as often as the root multiplicities at x0
+    and x1 allow; past `_WALK_BUDGET` candidates, Inconclusive names `shown`.
+    """
+    cols = h.y_coefficients()
+    lead, tail = cols[-1], cols[0]
+    points = (x for x in count() if lead.evaluate(x) and tail.evaluate(x))
+    xs = [next(points) for _ in range(3)]
+    h0, h1, h2 = (UniPoly.make([c.evaluate(x) for c in cols]) for x in xs)
+    roots0, roots1 = rational_roots(h0), rational_roots(h1)
+    if not roots0 or not roots1:
+        return [], h
+    lead_factors, tail_factors = factor_uni(lead)[1], factor_uni(tail)[1]
+    candidates = (prod(e + 1 for _, e in lead_factors) * len(roots0) * len(roots1)
+                  + prod(e + 1 for _, e in tail_factors))
+    if candidates > _WALK_BUDGET:
+        raise Inconclusive(
+            f"cannot factor bivariate polynomial {bipoly_str(shown)}: its "
+            f"factor walk of {candidates} candidates exceeds {_WALK_BUDGET}")
+    index: dict[Fraction, list] = {}
+    for b, (b0, b1, b2) in _monic_divisors(tail_factors, xs):
+        index.setdefault(b1 / b0, []).append((b, b0, b2))
+    ratios = [(r1 / r0, r0, min(e0, e1)) for r0, e0 in roots0 for r1, e1 in roots1]
+    one, y, found = UniPoly.const(1), BiPoly.var_y(), []
+    for a, (a0, a1, a2) in _monic_divisors(lead_factors, xs):
+        a_ratio = a1 / a0
+        for ratio, r0, most in ratios:
+            for b, b0, b2 in index.get(ratio * a_ratio, ()):
+                c = r0 * a0 / b0
+                if h2.evaluate(c * b2 / a2):
+                    continue
+                ax = prod((q**k for q, k in a), start=one)
+                bx = prod((q**k for q, k in b), start=one).scale(c)
+                factor = BiPoly.from_uni(ax, "x") * y - BiPoly.from_uni(bx, "x")
+                for _ in range(most):
+                    quo = bipoly_exact_div(h, factor)
+                    if quo is None:
+                        break
+                    found.append(factor)
+                    h = quo
+    return found, h
+
+
+def _mirrors(h: BiPoly):
+    """h as it is, then with x and y swapped, each with the map back."""
+    yield "x", h, lambda p: p
+    yield "y", h.swap_xy(), BiPoly.swap_xy
+
+
+def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
+    """Factor a nonzero bivariate polynomial into atoms.
+
+    The content in Q[x] and in Q[y] is factored by `factor_uni`, a piece
+    linear in one variable is irreducible once primitive, and any other
+    piece splits off its factors linear in y or in x by
+    `_linear_factors_in_y`. Every divisor class the engine handles is linear
+    in x or in y, so a piece with no such factor raises Inconclusive.
     """
     if g.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
@@ -243,45 +310,36 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
             bump(BiPoly.from_uni(q, var), k)
 
     h = g
-    # a leftover of content removal or trial division goes round again, so it
+    # a leftover of content removal or of a factor goes round again, so it
     # is tested again for content and for linearity in either variable
-    while True:
-        if h.deg_x <= 0 and h.deg_y <= 0:
-            const *= h.evaluate(0, 0)
-            break
-        if h.deg_y <= 0:
-            bump_uni(h.subst_y(0), "x")
-            break
-        if h.deg_x <= 0:
-            bump_uni(h.subst_x(0), "y")
-            break
-        content = _uni_content_of_bipoly_in_y(h)
-        if content.degree > 0:
-            bump_uni(content, "x")
-            h = bipoly_div_uni(h, content)
-            continue
-        if h.deg_y == 1:
-            bump(h)  # primitive and linear in y, hence irreducible
-            break
-        content = _uni_content_of_bipoly_in_y(h.swap_xy())
-        if content.degree > 0:
-            bump_uni(content, "y")
-            h = bipoly_div_uni(h.swap_xy(), content).swap_xy()
-            continue
-        if h.deg_x == 1:
-            bump(h)
-            break
-        for candidate in sorted(reg.known_bi_polys(),
-                                key=lambda p: (p.deg_x, p.deg_y, p.terms)):
-            quo = bipoly_exact_div(h, candidate)
-            if quo is not None:
-                bump(candidate)
-                h = quo
+    while h.deg_x > 0 and h.deg_y > 0:
+        for var, p, back in _mirrors(h):
+            content = _uni_content_of_bipoly_in_y(p)
+            if content.degree > 0:
+                bump_uni(content, var)
+                h = back(bipoly_exact_div(p, BiPoly.from_uni(content, "x")))
                 break
+            if p.deg_y == 1:
+                bump(h)  # primitive and linear in y, hence irreducible
+                return const, exps
         else:
-            raise Inconclusive(
-                f"cannot factor bivariate polynomial {bipoly_str(h)}: not "
-                "linear in either variable and no registered atom divides it")
+            for _, p, back in _mirrors(h):
+                factors, rest = _linear_factors_in_y(p, h)
+                for factor in factors:
+                    bump(back(factor))
+                if factors:
+                    h = back(rest)
+                    break
+            else:
+                raise Inconclusive(
+                    f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
+                    "has no factor linear in x or in y")
+    if h.deg_y > 0:
+        bump_uni(h.swap_xy().subst_y(0), "y")
+    elif h.deg_x > 0:
+        bump_uni(h.subst_y(0), "x")
+    else:
+        const *= h.evaluate(0, 0)
     return const, exps
 
 

@@ -189,11 +189,13 @@ class UniPoly:
         return UniPoly.make([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x) -> Fraction:
+        """f(x), by Horner's rule on the integer image."""
+        if not self.coeffs:
+            return Q(0)
         x = _as_fraction(x)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        den, ints = _int_image(self.coeffs)
+        return Q(_homogeneous_value(ints, x.numerator, x.denominator),
+                 den * x.denominator ** self.degree)
 
     def key(self) -> tuple:
         return (self.degree, self.coeffs)
@@ -699,15 +701,6 @@ class BiPoly:
         a, b = _as_fraction(a), _as_fraction(b)
         return sum((c * a**i * b**j for (i, j), c in self.terms), Q(0))
 
-    def subst_x(self, a) -> UniPoly:
-        """g(a, y) as a polynomial in y."""
-        a = _as_fraction(a)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms:
-            out[j] = out.get(j, ZERO) + c * a**i
-        n = max(out, default=-1)
-        return UniPoly.make([out.get(k, ZERO) for k in range(n + 1)])
-
     def subst_y(self, b) -> UniPoly:
         """g(x, b) as a polynomial in x."""
         b = _as_fraction(b)
@@ -771,9 +764,6 @@ class BiPoly:
         g, den, ints = _primitive([c for _, c in self.terms])
         return Q(g, den), BiPoly.make(zip([k for k, _ in self.terms], ints))
 
-    def key(self) -> tuple:
-        return (self.deg_x, self.deg_y, self.terms)
-
     def __str__(self) -> str:
         return bipoly_str(self)
 
@@ -799,43 +789,20 @@ def bipoly_str(p: BiPoly, xname: str = "x", yname: str = "y") -> str:
     return "".join(parts)
 
 
-def bipoly_pseudo_divmod(g: BiPoly, h: BiPoly) -> tuple[BiPoly, BiPoly, int]:
-    """Pseudo-division in y: lc_y(h)^k * g = q*h + r with deg_y r < deg_y h."""
-    dh = h.deg_y
-    if dh < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    lc = BiPoly.from_uni(h.y_coefficients()[-1], "x")
-    q = BiPoly(())
-    r = g
-    k = 0
-    while r.deg_y >= dh and not r.is_zero:
-        rc = BiPoly.from_uni(r.y_coefficients()[-1], "x")
-        shift = BiPoly.make({(0, r.deg_y - dh): 1})
-        q = q * lc + rc * shift
-        r = r * lc - rc * shift * h
-        k += 1
-    return q, r, k
-
-
 def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:
-    """g / h in Q[x, y] if h divides g exactly (h nonconstant in y), else None."""
-    q, r, k = bipoly_pseudo_divmod(g, h)
-    if not r.is_zero:
-        return None
-    return bipoly_div_uni(q, h.y_coefficients()[-1] ** k)
-
-
-def bipoly_div_uni(g: BiPoly, d: UniPoly) -> BiPoly | None:
-    """g / d for d in Q[x], coefficientwise in y; None unless d divides
-    every coefficient exactly."""
+    """g / h in Q[x, y] if h divides g exactly, else None: long division in
+    y, each quotient column one exact division by lc_y(h)."""
+    hc = h.y_coefficients()
+    dh = len(hc) - 1
+    rem = g.y_coefficients()
     out: dict[tuple[int, int], Fraction] = {}
-    for j, col in enumerate(g.y_coefficients()):
-        if col.is_zero:
-            continue
-        quo, rem = col.divmod(d)
-        if not rem.is_zero:
+    for k in range(len(rem) - 1 - dh, -1, -1):
+        col, r = rem[k + dh].divmod(hc[-1])
+        if not r.is_zero:
             return None
-        for i, c in enumerate(quo.coeffs):
-            if c != 0:
-                out[(i, j)] = c
+        for j in range(dh):
+            rem[k + j] = rem[k + j] - col * hc[j]
+        out.update(((i, k), c) for i, c in enumerate(col.coeffs))
+    if any(not r.is_zero for r in rem[:dh]):
+        return None
     return BiPoly.make(out)

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction as Q
 
@@ -186,8 +187,8 @@ def test_degenerate_wedge_entry_is_an_error_not_a_zero():
 
 
 def test_bivariate_leftovers_are_rechecked():
-    """A leftover of content removal or trial division is tested again for
-    linearity in both variables, in a fresh registry."""
+    """A leftover of content removal or of a factor found by the walk is
+    tested again for linearity in both variables, in a fresh registry."""
     from tamesym import BiFrac, BiPoly
     x, y, c3 = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const(3)
     parabola, other = y - x * x, x - y * y  # each linear in one variable
@@ -198,10 +199,80 @@ def test_bivariate_leftovers_are_rechecked():
     reg = AtomRegistry()
     v = mult_vec(BiFrac.make(parabola * (y - c3)), reg, "Qxy")
     assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, y - c3): 1}
-    reg = AtomRegistry()
-    mult_vec(BiFrac.make(parabola), reg, "Qxy")
-    v = mult_vec(BiFrac.make(parabola * other), reg, "Qxy")
-    assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, other): 1}
+    for known in ((), (parabola,)):
+        reg = AtomRegistry()
+        for p in known:
+            mult_vec(BiFrac.make(p), reg, "Qxy")
+        v = mult_vec(BiFrac.make(parabola * other), reg, "Qxy")
+        assert v.as_dict() == {atom(reg, parabola): 1, atom(reg, other): 1}
+
+
+def test_bivariate_factors_known_by_construction():
+    """Factors linear in x or in y split off in a fresh registry, a
+    non-monic coefficient a(x) of y included; the constant and the atoms
+    multiply back to the polynomial."""
+    from tamesym import BiPoly
+    from tamesym.atoms import factor_bipoly
+    x, y, one = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const(1)
+    cases = [
+        [(y - x, 1), (x * y - one, 1)],
+        [(y - x, 1), (y + x, 1)],
+        [(y - x * x, 2), (x - y * y, 1), (y - x - one, 3)],
+        [((x * x + one) * y - (x**3 - BiPoly.const(2)), 1), (y - x * x, 1)],
+    ]
+    for pieces in cases:
+        g = one
+        for p, e in pieces:
+            g = g * p**e
+        reg = AtomRegistry()
+        const, exps = factor_bipoly(g, reg)
+        assert exps == {reg.bi(p.primitive_int()[1]): e for p, e in pieces}
+        back = BiPoly.const(const)
+        for a, e in exps.items():
+            back = back * a.poly**e
+        assert back == g
+
+
+def _linear_piece(rng):
+    """a(x)*y - b(x) with small integer coefficients, or its mirror."""
+    from tamesym import BiPoly
+
+    def uni(deg):
+        cs = [rng.randint(-3, 3) for _ in range(deg)] + [rng.choice([-2, -1, 1, 2])]
+        return BiPoly.make({(i, 0): c for i, c in enumerate(cs)})
+
+    piece = uni(rng.randint(0, 2)) * BiPoly.var_y() - uni(rng.randint(0, 3))
+    return piece.swap_xy() if rng.random() < 0.5 else piece
+
+
+def test_bivariate_class_does_not_depend_on_registry_history():
+    """The class of a seeded product of pieces linear in x or in y is the sum
+    of the pieces' classes in a fresh registry, and the same again once the
+    pieces are registered in reverse order."""
+    from tamesym import BiFrac, BiPoly
+    rng = random.Random(20261019)
+    for _ in range(150):
+        pieces = [(_linear_piece(rng), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 4))]
+        g = BiPoly.const(1)
+        for p, e in pieces:
+            g = g * p**e
+        fresh = mult_vec(BiFrac.make(g), AtomRegistry(), "Qxy")
+        reg = AtomRegistry()
+        total = MultVec.zero("Qxy")
+        for p, e in reversed(pieces):
+            total = total + mult_vec(BiFrac.make(p), reg, "Qxy").scale(e)
+        assert fresh == total == mult_vec(BiFrac.make(g), reg, "Qxy")
+
+
+def test_bivariate_factor_walk_is_bounded(monkeypatch):
+    """Past its candidate budget the walk refuses, naming the polynomial."""
+    from tamesym import BiFrac, BiPoly, Inconclusive, atoms, bipoly_str
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    g = (y - x * x) * (x - y * y)
+    monkeypatch.setattr(atoms, "_WALK_BUDGET", 3)
+    with pytest.raises(Inconclusive, match=re.escape(bipoly_str(g))):
+        mult_vec(BiFrac.make(g), AtomRegistry(), "Qxy")
 
 
 def test_bivariate_factoring_leaves_no_reference_cycles():
@@ -214,7 +285,8 @@ def test_bivariate_factoring_leaves_no_reference_cycles():
         reg = AtomRegistry()
         ref = weakref.ref(reg)
         for k in range(20):
-            # the content y - k, then a registered atom, then a linear piece
+            # the content y - k, then a factor found by the walk, then a
+            # linear piece
             other = x - y * y + BiPoly.const(k)
             mult_vec(BiFrac.make(other), reg, "Qxy")
             g = (y - x * x) * other * (y - BiPoly.const(k))

@@ -226,17 +226,37 @@ def test_answer_does_not_depend_on_slot_order(capsys):
     assert answers[0][0] == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a bivariate piece that is linear in neither variable divides out only "
-    "against atoms parsed before it; bivariate factoring (ROADMAP "
-    "direction 2) mends it"))
 def test_bivariate_answer_does_not_depend_on_slot_order(capsys):
-    """(y-x^2)*(y-x-1) splits only once y-x^2 is registered."""
+    """(y-x^2)*(y-x-1) split only once y-x^2 was registered, when factors
+    linear in neither variable were found by trial division against the
+    registry; now the factor walk finds both in either order."""
     answers = [run(capsys, "snc", text)
                for text in ("w[y-x^2, (y-x^2)*(y-x-1), y-x-1]",
                             "w[(y-x^2)*(y-x-1), y-x^2, y-x-1]")]
     assert answers[0] == answers[1]
     assert answers[0][0] == 0
+
+
+@pytest.mark.parametrize("text, code, expected", [
+    ("w[(y-x)*(x*y-1), x]", 0, "strictly-regular: yes\n"),
+    ("w[y^2-x^2, x]", 1, "strictly-regular: no\ntriple at (0, 0): x=0, y=-x, y=x\n"),
+])
+def test_bivariate_products_split_in_a_fresh_registry(capsys, text, code, expected):
+    """Products of factors linear in x or in y answer with no atom parsed
+    before them."""
+    assert run(capsys, "snc", text) == (code, expected, "")
+
+
+@pytest.mark.parametrize("text, leftover", [
+    ("w[y^2-x^3-2, x]", "-x^3+y^2-2"),
+    ("w[(y-x)*(x^2+y^2-1), x]", "x^2+y^2-1"),
+])
+def test_bivariate_refusal_names_the_leftover(capsys, text, leftover):
+    """A piece with no factor linear in x or in y is refused by name."""
+    code, out, err = run(capsys, "snc", text)
+    assert (code, out) == (3, "")
+    assert err == (f"snc: Inconclusive: cannot factor bivariate polynomial "
+                   f"{leftover}: it has no factor linear in x or in y\n")
 
 
 def test_engine_error_exits_three(capsys):
@@ -276,6 +296,8 @@ REFUSALS = [
     ("NonSplitResidue", 3, ["ts-gamma", "--place", "t^2+1=0",
                             "{t}_2 @ w[t^2+1]"]),
     ("Inconclusive", 3, ["snc", "w[x^2+y^2-1, x]"]),
+    ("Inconclusive", 3, ["snc", "w[y^2-x^3-2, x]"]),
+    ("Inconclusive", 3, ["snc", "w[(y-x)*(x^2+y^2-1), x]"]),
     ("NotAdmissible", 3, ["bdry", "cyc[t, 1-t, 1-3/t]"]),
     ("DegenerateArgument", 3, ["delta", "{0}_2"]),
     ("UnsupportedDivisorClass", 3, ["snc", "w[x^2-2, y]"]),

@@ -9,8 +9,8 @@ import pytest
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
 from tamesym import polynomials
 from tamesym.integers import divisors
-from tamesym.polynomials import (_SUBSET_BUDGET, factor_uni, gcd_uni,
-                                 irreducible_check_uni,
+from tamesym.polynomials import (_SUBSET_BUDGET, bipoly_exact_div,
+                                 factor_uni, gcd_uni, irreducible_check_uni,
                                  multiplicity_at, multiplicity_of_factor,
                                  rational_roots, squarefree_decomposition)
 
@@ -587,6 +587,61 @@ def test_bipoly_arithmetic():
     assert f * g == g * f
     assert (f * g).deg_x == 2 and (f * g).deg_y == 2
     assert BiPoly.from_uni(P([1, 1]), "x") == x + BiPoly.const(1)
+
+
+def _pseudo_divmod(g, h):
+    """Pseudo-division in y, the reference: lc_y(h)^k * g = q*h + r with
+    deg_y r < deg_y h."""
+    dh = h.deg_y
+    lc = BiPoly.from_uni(h.y_coefficients()[-1], "x")
+    q, r, k = BiPoly(()), g, 0
+    while r.deg_y >= dh and not r.is_zero:
+        rc = BiPoly.from_uni(r.y_coefficients()[-1], "x")
+        shift = BiPoly.make({(0, r.deg_y - dh): 1})
+        q = q * lc + rc * shift
+        r = r * lc - rc * shift * h
+        k += 1
+    return q, r, k
+
+
+def _reference_exact_div(g, h):
+    """g / h by pseudo-division, then division of q by lc_y(h)^k."""
+    q, r, k = _pseudo_divmod(g, h)
+    if not r.is_zero:
+        return None
+    d = h.y_coefficients()[-1] ** k
+    cols = [col.divmod(d) for col in q.y_coefficients()]
+    if any(not rem.is_zero for _, rem in cols):
+        return None
+    return BiPoly.make({(i, j): c for j, (col, _) in enumerate(cols)
+                        for i, c in enumerate(col.coeffs)})
+
+
+def test_bipoly_exact_division_matches_pseudo_division():
+    """Column-wise exact division gives p*q / q = p, and None wherever
+    pseudo-division leaves a remainder or lc_y^k does not divide out."""
+    rng = random.Random(14)
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+
+    def rand_bipoly(dx, dy):
+        return BiPoly.make({(rng.randint(0, dx), rng.randint(0, dy)):
+                            Q(rng.randint(-6, 6), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 5))})
+
+    # pseudo-division leaves no remainder, but x*y does not divide y
+    assert _pseudo_divmod(y, x * y)[1].is_zero
+    assert bipoly_exact_div(y, x * y) is None
+    inexact = 0
+    for _ in range(150):
+        p, q = rand_bipoly(3, 2), rand_bipoly(2, 2)
+        if q.is_zero:
+            continue
+        assert bipoly_exact_div(p * q, q) == p
+        g = p * q + rand_bipoly(2, 2) if rng.random() < 0.5 else rand_bipoly(4, 3)
+        expected = _reference_exact_div(g, q)
+        assert bipoly_exact_div(g, q) == expected
+        inexact += expected is None
+    assert inexact > 50
 
 
 def test_bipoly_str():
