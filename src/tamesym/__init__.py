@@ -33,8 +33,8 @@ from .lambda_complex import (ChainGroup, LambdaElem, ParshinReport,
                              bs_vanishing_check, d_squared_check,
                              differential, lambda_str, parshin_check,
                              totaro_element, totaro_wedge)
-from .places import (INFINITY, FinRat, Graph, Infinity, IrredPlace, Line,
-                     LineInf, Place1, SurfDivisor, classify_atom_divisor,
+from .places import (INFINITY, FinRat, Graph, Infinity, IrredPlace, LineInf,
+                     Place1, SurfDivisor, classify_atom_divisor,
                      defining_bipoly, tame_symbol, weil_sum)
 from .polynomials import BiPoly, UniPoly, bipoly_str, poly_str
 from .snc import SncProblem, SncReport, snc_check

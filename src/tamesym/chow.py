@@ -129,7 +129,7 @@ def cube_boundary(z: CubeCurve, reg: AtomRegistry) -> list[PointCycle]:
             for j, g in enumerate(z.coords):
                 if j == i:
                     continue
-                v = g.evaluate_at_infinity() if t0 is INF else g.evaluate(t0)
+                v = g.evaluate_projective(t0)
                 if v is INF or v == 0:
                     raise NotAdmissible(
                         f"coordinate {j + 1} lies in {{0, inf}} at the "

@@ -363,14 +363,16 @@ def parse_gamma(text: str, reg: AtomRegistry,
 # graded elements
 # ---------------------------------------------------------------------------
 
-_PART_SHAPE = {"S": ("Qxy", 2), "P1": ("Qt", 1), "pt": ("Q", 0)}
+_PART_SHAPE = {"S": ("Qxy", 2, "surface"), "P1": ("Qt", 1, "curve"),
+               "pt": ("Q", 0, "point")}
 
 
 def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
     """Graded element from text like 'm=2; [S: w[x-1, y-2, x-y, 5]]'.
 
-    Parts are bracketed, tagged S, P1, or pt, and joined by '+' or '-';
-    their degrees must be m+2, m+1, and m. 'm=2; 0' is the zero element.
+    Parts are bracketed, tagged S, P1, or pt, and joined by '+' or '-'
+    after an optional leading sign; their degrees must be m+2, m+1, and m.
+    'm=2; 0' is the zero element.
     """
     s = _Scanner(text)
     s.expect("m")
@@ -381,11 +383,7 @@ def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
         _finish(s)
         return LambdaElem.zero(m)
 
-    parts = {"S": Wedge.zero("Qxy", m + 2),
-             "P1": Wedge.zero("Qt", m + 1),
-             "pt": Wedge.zero("Q", m)}
-
-    def epart() -> tuple[str, Wedge]:
+    def epart() -> LambdaElem:
         coeff = Q(1)
         if s.peek().isdigit():
             coeff = s.parse_rational()
@@ -397,7 +395,7 @@ def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
         else:
             s.fail("expected S, P1, or pt")
         s.expect(":")
-        field, shift = _PART_SHAPE[tag]
+        field, shift, name = _PART_SHAPE[tag]
         here = s.pos
         w = _wedge_sum(s, reg, field)
         s.expect("]")
@@ -407,22 +405,12 @@ def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
             raise ParseError(
                 f"{tag} part must have degree {m + shift}, got {w.degree}",
                 here)
-        return tag, wedge_scale(w, coeff) if coeff != 1 else w
+        return LambdaElem.make(
+            m, **{name: wedge_scale(w, coeff) if coeff != 1 else w})
 
-    sign = -1 if s.match("-") else 1
-    while True:
-        tag, w = epart()
-        parts[tag] = wedge_add(parts[tag],
-                               wedge_scale(w, -1) if sign < 0 else w)
-        if s.match("+"):
-            sign = 1
-        elif s.match("-"):
-            sign = -1
-        else:
-            break
+    total = _signed_sum(s, epart, LambdaElem.add, LambdaElem.scale)
     _finish(s)
-    return LambdaElem.make(m, point=parts["pt"], curve=parts["P1"],
-                           surface=parts["S"])
+    return total
 
 
 # ---------------------------------------------------------------------------

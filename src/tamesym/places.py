@@ -8,9 +8,10 @@ reduce the remaining unit slots into the residue field. Residue fields are
 Q for places of Q(t) and Q(t) again (in the divisor's own parameter,
 renamed to t) for surface divisors.
 
-Mirror convention: each surface divisor (`Line`, `Graph`, `LineInf`) names
-the coordinate `var` it fixes or solves for; its parameter is the other
-one. `mirror()` flips `var`, and with `BiPoly.swap_xy` that is the map
+Mirror convention: each surface divisor, a `Graph` var = phi(s) or a
+`LineInf` var = inf, names the coordinate `var` it solves for; its
+parameter s is the other one, and a line var = c is the graph of a
+constant. `mirror()` flips `var`, and with `BiPoly.swap_xy` that is the map
 (x, y) -> (y, x). Equations, restrictions and chain points are worked out
 for var = "y" (parameter x); a divisor with var = "x" is mirrored there and
 its results swapped back. Surface points (x, y) are ordered and printed by
@@ -86,24 +87,6 @@ def _other(var: str) -> str:
 
 
 @dataclass(frozen=True)
-class Line:
-    """The line var = c; the parameter on the divisor is the other
-    coordinate."""
-
-    var: str
-    c: Fraction
-
-    def sort_key(self) -> tuple:
-        return (0 if self.var == "x" else 1, self.c)
-
-    def mirror(self) -> "Line":
-        return Line(_other(self.var), self.c)
-
-    def __str__(self) -> str:
-        return f"{self.var}={num_str(self.c)}"
-
-
-@dataclass(frozen=True)
 class Graph:
     """The closure of var = num(s)/den(s); s, the other coordinate, is the
     parameter."""
@@ -116,6 +99,9 @@ class Graph:
         return RatFunc(self.num, self.den)
 
     def sort_key(self) -> tuple:
+        c = self.phi().constant_value()
+        if c is not None:  # the line var = c
+            return (0 if self.var == "x" else 1, c)
         return (2 if self.var == "y" else 3, self.num.key(), self.den.key())
 
     def mirror(self) -> "Graph":
@@ -141,31 +127,28 @@ class LineInf:
         return f"{self.var}=inf"
 
 
-SurfDivisor = Line | Graph | LineInf
+SurfDivisor = Graph | LineInf
 
 
-def solved_divisor(var: str, f: RatFunc) -> Line | Graph:
+def solved_divisor(var: str, f: RatFunc) -> Graph:
     """The divisor var = f, f a function of the other coordinate."""
-    cv = f.constant_value()
-    return Line(var, cv) if cv is not None else Graph(var, f.num, f.den)
+    return Graph(var, f.num, f.den)
 
 
 def defining_bipoly(d: SurfDivisor) -> BiPoly:
-    """A polynomial cutting out the divisor in the finite chart.
+    """den(s)*var - num(s), s the other coordinate: the polynomial cutting
+    out the graph var = num(s)/den(s) in the finite chart.
 
-    For the two lines at infinity this is the empty locus viewpoint of the
-    finite chart; callers needing their chart equations handle those
-    directly (the checker does), so asking for them here is an error.
+    The two lines at infinity have no finite-chart equation; callers
+    needing their chart equations handle those directly (the checker
+    does), so asking for them here is an error.
     """
     if isinstance(d, LineInf):
         raise ValueError(f"{d} has no finite-chart equation")
-    if d.var == "x":
-        return defining_bipoly(d.mirror()).swap_xy()
-    if isinstance(d, Line):
-        return BiPoly.make({(0, 1): 1, (0, 0): -d.c})
-    den = BiPoly.from_uni(d.den, "x")
-    num = BiPoly.from_uni(d.num, "x")
-    return den * BiPoly.var_y() - num
+    terms = [((i, 1), c) for i, c in enumerate(d.den.coeffs)]
+    terms += [((i, 0), -c) for i, c in enumerate(d.num.coeffs)]
+    g = BiPoly.make(terms)
+    return g if d.var == "y" else g.swap_xy()
 
 
 def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
@@ -248,11 +231,8 @@ def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
     fn, fd, e = f.num, f.den, d
     if d.var == "x":
         fn, fd, e = fn.swap_xy(), fd.swap_xy(), d.mirror()
-    if isinstance(e, Line):
-        num, den = fn.subst_y(e.c), fd.subst_y(e.c)
-    else:
-        num = fn.eval_y_ratfunc(e.num, e.den) * e.den ** fd.deg_y
-        den = fd.eval_y_ratfunc(e.num, e.den) * e.den ** fn.deg_y
+    num = fn.eval_y_ratfunc(e.num, e.den) * e.den ** fd.deg_y
+    den = fd.eval_y_ratfunc(e.num, e.den) * e.den ** fn.deg_y
     if num.is_zero or den.is_zero:
         raise IdenticallyZeroOnDivisor(
             f"restriction to {d} is identically zero or infinite")
@@ -303,8 +283,8 @@ def reduce_unit(u: MultVec, place, reg: AtomRegistry) -> MultVec:
 
 def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
     """The class of the place's own atom, registered without factoring: t - c,
-    -t, -x, -y and a Line's or Graph's primitive den*y - num (coprime
-    coefficients) are linear, so irreducible by shape. An IrredPlace's
+    -t, -x, -y and a Graph's primitive den*var - num (coprime coefficients)
+    are linear in one variable, so irreducible by shape. An IrredPlace's
     polynomial goes through the class map, which certifies it."""
     if isinstance(place, IrredPlace):
         return mult_vec(RatFunc.make(place.poly), reg, "Qt")
@@ -484,13 +464,8 @@ def chain_point(d: SurfDivisor, v: Place1):
         x, y = chain_point(d.mirror(), v)
         return (y, x)
     t = INF if isinstance(v, Infinity) else v.c
-    if isinstance(d, Line):
-        return (t, d.c)
     if isinstance(d, Graph):
-        phi = d.phi()
-        if t is INF:
-            return (INF, phi.evaluate_at_infinity())
-        return (t, phi.evaluate(t))
+        return (t, d.phi().evaluate_projective(t))
     return (t, INF)
 
 

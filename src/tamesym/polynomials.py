@@ -139,13 +139,8 @@ class UniPoly:
             return UniPoly(())
         da, a = _int_image(self.coeffs)
         db, b = _int_image(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         den = da * db
-        return UniPoly(tuple([Q(v, den) for v in out]))
+        return UniPoly(tuple([Q(v, den) for v in _zmul(a, b)]))
 
     def scale(self, c) -> "UniPoly":
         c = _as_fraction(c)
@@ -266,6 +261,16 @@ def _int_image(coeffs) -> tuple[int, list[int]]:
     """(den, ints): den is the lcm of the denominators, ints = den * coeffs."""
     den = lcm(*[c.denominator for c in coeffs])
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _primitive(coeffs) -> tuple[int, int, list[int]]:
@@ -723,12 +728,27 @@ class BiPoly:
         return out
 
     def eval_y_ratfunc(self, num: UniPoly, den: UniPoly) -> UniPoly:
-        """den^deg_y * g(x, num/den), a polynomial in x."""
+        """den^deg_y * g(x, num/den), a polynomial in x, for den != 0.
+
+        By Horner's rule in y on integer images n = dn*num and d = dd*den:
+        the sum of c_j * (dd*n)^j * (dn*d)^(deg_y-j) over (dn*dd)^deg_y."""
+        if self.is_zero:
+            return UniPoly(())
+        dn, n = _int_image(num.coeffs)
+        dd, d = _int_image(den.coeffs)
+        dc, ints = _int_image([c for _, c in self.terms])
         dy = self.deg_y
-        acc = UniPoly(())
-        for j, cj in enumerate(self.y_coefficients()):
-            acc = acc + cj * num**j * den ** (dy - j)
-        return acc
+        cols = [[0] * (self.deg_x + 1) for _ in range(dy + 1)]
+        for ((i, j), _), v in zip(self.terms, ints):
+            cols[j][i] = v
+        n, d = [v * dd for v in n], [v * dn for v in d]
+        acc, dpow = cols[dy], [1]
+        for col in reversed(cols[:dy]):
+            dpow = _zmul(dpow, d)
+            acc = [u + v for u, v in zip_longest(_zmul(acc, n), _zmul(col, dpow),
+                                                 fillvalue=0)]
+        den_all = dc * (dn * dd) ** dy
+        return UniPoly.make([Q(v, den_all) for v in acc])
 
     def swap_xy(self) -> "BiPoly":
         """g(y, x): the same polynomial with x and y exchanged."""

@@ -1,14 +1,17 @@
 """Strict normal crossing checker for configurations of rational divisors
 on the product of two projective lines.
 
-Every divisor in the supported vocabulary (vertical and horizontal lines,
-graphs of rational functions in either direction) is smooth, so the two
-things that can go wrong are a non-transversal pairwise meeting and three
-or more divisors through one point. The checker enumerates a finite
-candidate set that provably contains every intersection point: pairwise
-finite solutions plus all boundary points (where a divisor meets the
-infinity lines), then tests membership of every divisor at every candidate
-through the four affine charts.
+Every divisor in the supported vocabulary (graphs of rational functions
+in either direction, a vertical or horizontal line being the graph of a
+constant) is smooth, so the two things that can go wrong are a
+non-transversal pairwise meeting and three or more divisors through one
+point. The checker enumerates a finite candidate set that provably
+contains every intersection point: pairwise finite solutions plus all
+boundary points (where a divisor meets the infinity lines), then tests
+membership of every divisor at every candidate through the four affine
+charts. Once one divisor of a pair, y = phi1(x), solves for y, x solves
+num1*den2 - num2*den1 = 0 when the other is a graph y = phi2(x) too, and
+the fixed-point equation x = psi(phi1(x)) when the other is x = psi(y).
 
 Points with algebraic coordinates are handled as clusters: an irreducible
 polynomial q together with the other coordinate expressed as a rational
@@ -16,12 +19,12 @@ function of the first (or the infinite marker). Membership and
 transversality are decided modulo q, which settles all conjugate points at
 once.
 
-Configurations mirrored by (x, y) -> (y, x) share one code path: a cluster
-over y, and a boundary or pair whose divisors solve for x (var = "x"), are
-mirrored (`mirror()` on the cluster and the divisors) into the case with
-parameter x, and the points found are swapped back before they are
-recorded. Points are ordered and printed by `places.point_key` and
-`places.point_str`.
+Configurations mirrored by (x, y) -> (y, x) share one code path: a
+cluster over y, and a boundary or pair whose divisors all solve for x
+(var = "x"), are mirrored (`mirror()` on the cluster and the divisors)
+into the case with parameter x, and the points found are swapped back
+before they are recorded. Points are ordered and printed by
+`places.point_key` and `places.point_str`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (Graph, Line, SurfDivisor, defining_bipoly,
+from .places import (Graph, SurfDivisor, defining_bipoly,
                      finite_support_divisors, point_key, point_str)
 from .polynomials import BiPoly, UniPoly, factor_uni, poly_str
 from .wedges import Wedge
@@ -126,10 +129,6 @@ def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
         return _through_cluster(d.mirror(), cl.mirror())
     q = cl.q
     e = cl.expr
-    if isinstance(d, Line):
-        # a rational abscissa cannot be a root of q
-        return d.var == "y" and e is not None \
-            and ((e.num - e.den.scale(d.c)) % q).is_zero
     if d.var == "y":
         if e is None:
             return (d.den % q).is_zero
@@ -199,8 +198,6 @@ def _boundary_candidates(d: SurfDivisor) -> tuple[list, list]:
     """Points and clusters where d meets the lines at infinity."""
     if d.var == "x":
         return _mirrored(_boundary_candidates(d.mirror()))
-    if isinstance(d, Line):
-        return [(INF, d.c)], []
     points = [(INF, d.phi().evaluate_at_infinity())]
     roots, hard = _roots_and_factors(d.den)
     points += [(r, INF) for r in roots]
@@ -213,47 +210,27 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
     in the candidate set."""
     if d1.sort_key() > d2.sort_key():
         d1, d2 = d2, d1
-    if isinstance(d2, Graph) and d2.var == "x" \
-            and not (isinstance(d1, Graph) and d1.var == "y"):
+    if d1.var == d2.var == "x":
         return _mirrored(_pair_candidates(d1.mirror(), d2.mirror()))
-    # past this point d2 solves for x only if d1 is a graph y = phi(x)
-    points: list = []
-    clusters: list = []
-    if isinstance(d1, Line) and d1.var == "x":
-        if isinstance(d2, Line) and d2.var == "y":
-            points.append((d1.c, d2.c))
-        elif isinstance(d2, Graph):
-            yv = d2.phi().evaluate(d1.c)
-            if yv is not INF:
-                points.append((d1.c, yv))
-    elif isinstance(d1, Line):
-        if isinstance(d2, Graph):
-            f = d2.num - d2.den.scale(d1.c)
-            roots, hard = _roots_and_factors(f)
-            points += [(r, d1.c) for r in roots]
-            clusters += [Cluster("x", q, RatFunc.const(d1.c)) for q in hard]
-    elif d2.var == "y":
-        r = d1.num * d2.den - d2.num * d1.den
-        roots, hard = _roots_and_factors(r)
-        for x0 in roots:
-            if d1.den.evaluate(x0) != 0:
-                points.append((x0, d1.phi().evaluate(x0)))
-            # a shared pole meets at (x0, inf): boundary of both
-        for q in hard:
-            if (d1.den % q).is_zero:
-                clusters.append(Cluster("x", q, None))
-            else:
-                clusters.append(Cluster("x", q, d1.phi()))
+    if d1.var == "x":
+        d1, d2 = d2, d1
+    # d1 is y = phi(x); x solves phi's equation with d2
+    phi = d1.phi()
+    if d2.var == "y":
+        eqn = d1.num * d2.den - d2.num * d1.den
     else:
-        roots, hard = _roots_and_factors(_fixed_point_eqn(d2, d1.phi())[0])
-        for x0 in roots:
-            if d1.den.evaluate(x0) != 0:
-                points.append((x0, d1.phi().evaluate(x0)))
-        for q in hard:
-            if not (d1.den % q).is_zero:
-                clusters.append(Cluster("x", q, d1.phi()))
-            # factors of phi's denominator give y = inf clusters, which the
-            # boundary pass already contributed
+        eqn = _fixed_point_eqn(d2, phi)[0]
+    roots, hard = _roots_and_factors(eqn)
+    # a root at a pole of phi meets at (x0, inf): boundary of both
+    points = [(x0, phi.evaluate(x0)) for x0 in roots
+              if d1.den.evaluate(x0) != 0]
+    clusters = []
+    for q in hard:
+        if not (d1.den % q).is_zero:
+            clusters.append(Cluster("x", q, phi))
+        elif d2.var == "y":  # a shared pole
+            clusters.append(Cluster("x", q, None))
+        # else q divides the equation only through the d1.den clearing it
     return points, clusters
 
 

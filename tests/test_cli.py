@@ -310,7 +310,7 @@ REFUSALS = [
     ("DegenerateArgument", 3, ["homotopy-check", "--sub", "{1}_2 @ w[t]"]),
 ]
 
-# a raw dataclass repr such as Line(var='x', c=...)
+# a raw dataclass repr such as Graph(var='x', num=...)
 RAW_REPR = re.compile(r"[A-Z]\w*\(\w+=")
 
 

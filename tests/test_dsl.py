@@ -115,6 +115,19 @@ def test_element_round_trip():
         assert parse_element(lambda_str(e), reg) == e
 
 
+def test_leading_plus():
+    """A leading '+' parses on elements as on wedge and gamma sums, and
+    means what the unsigned text means."""
+    reg = AtomRegistry()
+    for text in ("m=1; [P1: w[t, 1-t]]",
+                 "m=2; [S: w[x-1, y-2, x-y, 5]] - 2*[pt: w[2, 3]]",
+                 "m=1; [P1: w[t, t-1]] + [pt: w[2]] - [P1: w[t, 3]]"):
+        plus = text.replace("; ", "; +", 1)
+        assert parse_element(plus, reg) == parse_element(text, reg)
+    assert parse_wedge("+w[t, 1-t]", reg) == parse_wedge("w[t, 1-t]", reg)
+    assert parse_gamma("+{t}_2", reg) == parse_gamma("{t}_2", reg)
+
+
 def test_element_degree_validation():
     reg = AtomRegistry()
     with pytest.raises(ParseError):
@@ -165,7 +178,7 @@ def test_divisor_parsing():
     assert str(parse_divisor("y=inf")) == "y=inf"
     assert str(parse_divisor("y=(x+3)/(x-1)")) == "y=(x+3)/(x-1)"
     assert str(parse_divisor("x=y^2-1")) == "x=y^2-1"
-    # a graph that is secretly constant folds to a line
+    # a graph that is secretly constant is a line
     assert str(parse_divisor("y=(2*x+6)/(x+3)")) == "y=2"
 
 

@@ -589,6 +589,27 @@ def test_bipoly_arithmetic():
     assert BiPoly.from_uni(P([1, 1]), "x") == x + BiPoly.const(1)
 
 
+def test_eval_y_ratfunc_matches_the_sum_of_powers():
+    """The integer Horner evaluation equals the reference
+    sum of c_j * num^j * den^(deg_y - j), zero numerators and zero
+    polynomials included."""
+    rng = random.Random(15)
+
+    def r():
+        return Q(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+
+    for _ in range(400):
+        g = BiPoly.make({(rng.randint(0, 3), rng.randint(0, 4)): r()
+                         for _ in range(rng.randint(0, 6))})
+        num = P([r() for _ in range(rng.randint(0, 4))])
+        den = P([r() for _ in range(rng.randint(0, 3))] + [rng.choice([1, -2, 3])])
+        dy = g.deg_y
+        expected = P([])
+        for j, cj in enumerate(g.y_coefficients()):
+            expected = expected + cj * num**j * den ** (dy - j)
+        assert g.eval_y_ratfunc(num, den) == expected, (g, num, den)
+
+
 def _pseudo_divmod(g, h):
     """Pseudo-division in y, the reference: lc_y(h)^k * g = q*h + r with
     deg_y r < deg_y h."""

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
-from tamesym import AtomRegistry, parse_wedge, snc_check
+from tamesym import (AtomRegistry, BiPoly, RatFunc, defining_bipoly,
+                     parse_wedge, snc_check)
+from tamesym.places import finite_support_divisors, solved_divisor
+from tamesym.snc import _pair_candidates, _through_cluster, _through_point
 
 
 def check(text):
@@ -106,3 +110,53 @@ def test_clusters_sharing_q_report():
     rep = check(SHARED_Q[1].translate(str.maketrans("xy", "yx")))
     assert [(p.kind, p.where) for p in rep.problems] \
         == [("tangency", "(0, -1/2)"), ("triple", "(inf, 0)")]
+
+
+SWAP = str.maketrans("xy", "yx")
+
+
+def _piece(rng):
+    """A line, slanted line, graph x*(y^2-k) - c with irrational poles or
+    parabola, in either orientation."""
+    a = Q(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) or 1
+    b = Q(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+    k = rng.choice([2, 3, 5, -1, -2])
+    text = rng.choice([f"y-({b})", f"y-({a})*x-({b})",
+                       f"x*(y^2-({k}))-({a})", f"y-({a})*x^2-({b})"])
+    return text.translate(SWAP) if rng.random() < 0.5 else text
+
+
+def test_pair_candidates_lie_on_both_divisors():
+    """Every point and cluster a pair of support divisors yields is on
+    both of them, in either order of the pair; no golden pins the
+    candidates that are not problem sites."""
+    rng = random.Random(20261019)
+    counts = {"points": 0, "clusters": 0}
+    for _ in range(300):
+        text = "w[" + ", ".join(_piece(rng)
+                                for _ in range(rng.randint(2, 4))) + "]"
+        w = parse_wedge(text, AtomRegistry(), field="Qxy")
+        divisors = finite_support_divisors(w)
+        for d1, d2 in permutations(divisors, 2):
+            points, clusters = _pair_candidates(d1, d2)
+            for pt in points:
+                assert _through_point(d1, pt) and _through_point(d2, pt), \
+                    (text, str(d1), str(d2), pt)
+            for cl in clusters:
+                assert _through_cluster(d1, cl) and _through_cluster(d2, cl), \
+                    (text, str(d1), str(d2), str(cl))
+            counts["points"] += len(points)
+            counts["clusters"] += len(clusters)
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+@pytest.mark.parametrize("c", [Q(0), Q(-1, 2), Q(3)])
+def test_line_is_the_graph_of_a_constant(var, c):
+    """var = c renders as a line, sorts before every nonconstant graph
+    (head 0 for x, 1 for y) and is cut out by var - c."""
+    d = solved_divisor(var, RatFunc.const(c))
+    assert str(d) == f"{var}={c}"
+    assert d.sort_key() == (0 if var == "x" else 1, c)
+    v = BiPoly.var_x() if var == "x" else BiPoly.var_y()
+    assert defining_bipoly(d) == v - BiPoly.const(c)
