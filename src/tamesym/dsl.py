@@ -122,6 +122,58 @@ def _ctx_for(field: str) -> _Ctx:
     raise ValueError(f"unknown field {field!r}")
 
 
+class _Product:
+    """A wedge entry's value as prod(base^e), never multiplied out: the
+    class map is a homomorphism, so the entry's class is the sum of
+    e * class(base). '*', '/' and '^' join or scale the factors, unary '-'
+    adds the factor -1 (so that value() builds what the value arithmetic
+    builds), and '+' and '-' multiply both sides out into one new base."""
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
+
+    @property
+    def is_zero(self) -> bool:
+        return any(e > 0 and (b == 0 if isinstance(b, Fraction) else b.is_zero)
+                   for b, e in self.factors)
+
+    def value(self):
+        """The product multiplied out with the value arithmetic."""
+        out = None
+        for b, e in self.factors:
+            p = b if e == 1 else b ** e
+            out = p if out is None else out * p
+        return out
+
+    def __neg__(self) -> "_Product":
+        one = self.factors[0][0] ** 0
+        return _Product(((-one, 1),) + self.factors)
+
+    def __mul__(self, other: "_Product") -> "_Product":
+        return _Product(self.factors + other.factors)
+
+    def __truediv__(self, other: "_Product") -> "_Product":
+        return self * other ** -1
+
+    def __pow__(self, e: int) -> "_Product":
+        if e < 0 and self.is_zero:
+            raise ZeroDivisionError("negative power of zero")
+        return _Product(tuple([(b, k * e) for b, k in self.factors]))
+
+    def __add__(self, other: "_Product") -> "_Product":
+        return _Product(((self.value() + other.value(), 1),))
+
+    def __sub__(self, other: "_Product") -> "_Product":
+        return _Product(((self.value() - other.value(), 1),))
+
+
+def _product_ctx(field: str) -> _Ctx:
+    """The context of `field` with every value kept as a _Product."""
+    ctx = _ctx_for(field)
+    return _Ctx({k: _Product(((v, 1),)) for k, v in ctx.variables.items()},
+                lambda n: _Product(((ctx.const(n), 1),)))
+
+
 def _expr(s: _Scanner, ctx: _Ctx):
     val = _expr_term(s, ctx)
     while True:
@@ -178,11 +230,13 @@ def _expr_power(s: _Scanner, ctx: _Ctx):
         neg = s.match("-")
         here = s.pos
         e = s.parse_uint()
-        deg = _degree(base)
+        # the bounds see the base reduced, as if it were multiplied out
+        reduced = base.value() if isinstance(base, _Product) else base
+        deg = _degree(reduced)
         if deg * e > MAX_POWER_DEGREE:
             raise ParseError(f"power of degree {deg} * {e} is above the limit "
                              f"{MAX_POWER_DEGREE}", here)
-        bits = 0 if deg else _bits(base)
+        bits = 0 if deg else _bits(reduced)
         if bits * e > MAX_POWER_BITS:
             raise ParseError(f"power of bit length {bits} * {e} is above the "
                              f"limit {MAX_POWER_BITS}", here)
@@ -244,12 +298,21 @@ def _infer_field(text: str) -> str:
 
 def _entry_class(s: _Scanner, reg: AtomRegistry, field: str,
                  ctx: _Ctx) -> MultVec:
+    """Class of one entry, one factor at a time: sum of e * class(base).
+    Equal bases are merged first, so a factor that cancels is not classed."""
     here = s.pos
     value = _expr(s, ctx)
-    try:
-        return mult_vec(value, reg, field)
-    except ZeroDivisionError:
-        raise ParseError("wedge entry is identically zero", here) from None
+    if value.is_zero:
+        raise ParseError("wedge entry is identically zero", here)
+    exps: dict = {}
+    for base, e in value.factors:
+        exps[base] = exps.get(base, 0) + e
+    out: dict = {}
+    for base, e in exps.items():
+        if e:
+            for a, c in mult_vec(base, reg, field).coeffs:
+                out[a] = out.get(a, 0) + e * c
+    return MultVec.make(field, out)
 
 
 def _wedge_item(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
@@ -262,7 +325,7 @@ def _wedge_item(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
             return Wedge.scalar(field, coeff)
     s.expect("w")
     s.expect("[")
-    ctx = _ctx_for(field)
+    ctx = _product_ctx(field)
     vecs = [_entry_class(s, reg, field, ctx)]
     while s.match(","):
         vecs.append(_entry_class(s, reg, field, ctx))
@@ -306,6 +369,9 @@ def parse_wedge(text: str, reg: AtomRegistry,
 
     Entries are arbitrary nonzero expressions; each is replaced by its
     multiplicative class, so 'w[6, t]' means (class 2 + class 3) ^ class t.
+    An entry's products, quotients and powers are classed one factor at a
+    time and never multiplied out; the power bounds still apply to each
+    base's reduced value.
     The coefficient field is inferred from the variables present unless
     given explicitly. A bare rational is a degree-zero scalar.
     """

@@ -79,11 +79,24 @@ class RatFunc:
             return self.num.coeff(0) / self.den.coeff(0) if not self.num.is_zero else Q(0)
         return None
 
+    @property
+    def is_poly(self) -> bool:
+        """den == 1; a reduced fraction has a monic denominator, so this is
+        the same as a constant denominator."""
+        return len(self.den.coeffs) == 1
+
+    # Sums, products and powers of polynomials need no gcd: each closed form
+    # below is what make() returns.
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.is_poly and other.is_poly:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc.make(self.num * other.den + other.num * self.den,
                             self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
+        if self.is_poly and other.is_poly:
+            return RatFunc(self.num - other.num, self.den)
         return RatFunc.make(self.num * other.den - other.num * self.den,
                             self.den * other.den)
 
@@ -91,6 +104,8 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.is_poly and other.is_poly:
+            return RatFunc(self.num * other.num, self.den)
         return RatFunc.make(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -102,8 +117,9 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc.make(self.den**(-n), self.num**(-n))
-        return RatFunc.make(self.num**n, self.den**n)
+            return RatFunc.coprime(self.den**(-n), self.num**(-n))
+        # powers of coprime num and monic den stay coprime and monic
+        return RatFunc(self.num**n, self.den**n)
 
     def one_minus(self) -> "RatFunc":
         """1 - f = (den - num)/den, rejecting f identically 1. Already
@@ -161,6 +177,9 @@ def ratfunc_str(f: RatFunc, var: str) -> str:
     return f"({poly_str(f.num, var)})/({poly_str(f.den, var)})"
 
 
+_BI_ONE = BiPoly.const(1)
+
+
 @dataclass(frozen=True)
 class BiFrac:
     """Unreduced ratio of bivariate polynomials."""
@@ -171,7 +190,7 @@ class BiFrac:
     @staticmethod
     def make(num: BiPoly, den: BiPoly | None = None) -> "BiFrac":
         if den is None:
-            den = BiPoly.const(1)
+            den = _BI_ONE
         if den.is_zero:
             raise ZeroDivisionError("bivariate fraction with zero denominator")
         return BiFrac(num, den)
@@ -188,10 +207,14 @@ class BiFrac:
         return (self.num - self.den.scale(c)).is_zero
 
     def __add__(self, other: "BiFrac") -> "BiFrac":
+        if self.den == other.den == _BI_ONE:
+            return BiFrac(self.num + other.num, self.den)
         return BiFrac.make(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 
     def __sub__(self, other: "BiFrac") -> "BiFrac":
+        if self.den == other.den == _BI_ONE:
+            return BiFrac(self.num - other.num, self.den)
         return BiFrac.make(self.num * other.den - other.num * self.den,
                            self.den * other.den)
 

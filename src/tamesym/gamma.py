@@ -16,7 +16,7 @@ from .atoms import Atom, AtomRegistry, mult_vec, one_minus
 from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
                      NotDistinct)
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (FinRat, INFINITY, Infinity, Place1, ratfunc_order,
+from .places import (INFINITY, Infinity, IrredPlace, Place1, ratfunc_order,
                      ratfunc_support, support, tame_symbol)
 from .polynomials import ZERO, num_str
 from .wedges import (Wedge, wedge_add, wedge_concat, wedge_of, wedge_scale,
@@ -256,12 +256,10 @@ def five_term(x1, x2, x3, x4, x5) -> GammaSub:
 
 def _value_at(x: B2Arg, v: Place1):
     if isinstance(x, RatFunc):
-        if isinstance(v, FinRat):
-            return x.evaluate(v.c)
-        if isinstance(v, Infinity):
-            return x.evaluate_at_infinity()
-        raise NonSplitResidue(
-            f"value of {x} at {v} lies in a proper extension of Q")
+        if isinstance(v, IrredPlace):
+            raise NonSplitResidue(
+                f"value of {x} at {v} lies in a proper extension of Q")
+        return x.evaluate_projective(INF if isinstance(v, Infinity) else v.c)
     return x
 
 

@@ -686,12 +686,16 @@ class BiPoly:
         return BiPoly(tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        d: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
+        """On integer images, as `UniPoly.__mul__`: one Fraction per term."""
+        da, a = _int_image([c for _, c in self.terms])
+        db, b = _int_image([c for _, c in other.terms])
+        d: dict[tuple[int, int], int] = {}
+        for ((i1, j1), _), x in zip(self.terms, a):
+            for ((i2, j2), _), y in zip(other.terms, b):
                 k = (i1 + i2, j1 + j2)
-                d[k] = d.get(k, ZERO) + c1 * c2
-        return BiPoly.make(d)
+                d[k] = d.get(k, 0) + x * y
+        den = da * db
+        return BiPoly(tuple(sorted([(k, Q(v, den)) for k, v in d.items() if v])))
 
     def scale(self, c) -> "BiPoly":
         c = _as_fraction(c)

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from tamesym import AtomRegistry, parse_gamma, parse_wedge
+from tamesym import AtomRegistry, parse_gamma, parse_wedge, poly_str
 from tamesym import cli
 from tamesym.cli import main
+from test_polynomials import swinnerton_dyer
 
 
 def run(capsys, *argv):
@@ -177,6 +178,35 @@ def test_many_linear_factors_end():
     assert proc.returncode == 0
     assert proc.stdout == ("22*w[2] + 10*w[3] + 4*w[5] + 3*w[7] + 2*w[11] + w[13] "
                            "+ w[17] + w[19] + w[23]\n")
+
+
+POWERS_60 = "*".join(f"(t+{k})^100" for k in range(1, 61))
+
+
+def test_long_product_of_powers_ends():
+    """The entry was multiplied out to degree 6,000 before it was factored
+    back into the same 60 factors: 13.8 s at 30 factors, and at 60 it did
+    not end within 90 s. Each factor is now classed on its own."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", f"w[t, {POWERS_60}]"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "5600*w[2] + 2800*w[3] + 1400*w[5] + 900*w[7] + 500*w[11] + 400*w[13] "
+        "+ 300*w[17] + 300*w[19] + 200*w[23] + 200*w[29] + 100*w[31] + 100*w[37] "
+        "+ 100*w[41] + 100*w[43] + 100*w[47] + 100*w[53] + 100*w[59]\n")
+
+
+def test_unfactorable_factor_is_named_alone(capsys):
+    """A refused product entry names the factor it could not split, not the
+    product multiplied out (which was the degree-34 product here)."""
+    sd32 = poly_str(swinnerton_dyer((2, 3, 5, 7, 11)), "t")
+    code, out, err = run(capsys, "ts", "--place", "t=0", f"w[t, ({sd32})*(t^2+1)]")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"ts: Inconclusive: cannot factor degree-32 polynomial {sd32}")
+    # equal factors are merged before any is classed, so this one cancels
+    code, out, _ = run(capsys, "ts", "--place", "t=0", f"w[t, ({sd32})^2*t/({sd32})^2]")
+    assert (code, out) == (0, "0\n")
 
 
 @pytest.mark.parametrize("text, message", [

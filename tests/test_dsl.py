@@ -197,3 +197,100 @@ def test_divisor_matches_atom_classification():
         v = mult_vec(parse_bifrac(text), reg, "Qxy")
         (atom, _), = v.coeffs
         assert classify_atom_divisor(atom) == parse_divisor(spelled)
+
+
+_ENTRY_LEAVES = {
+    "Qt": ["t", "(t-1)", "(t+2)", "(2*t-3)", "(t^2+1)", "3", "1/2", "0", "(t-t)"],
+    "Qxy": ["x", "y", "(x-1)", "(y+2)", "(x*y-1)", "(y-x^2)", "(x-y)", "6", "0"],
+    "Q": ["2", "3", "6", "1/3", "5", "12", "0", "(2-2)"],
+}
+
+
+def _rand_entry(rng, leaves, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+    a = _rand_entry(rng, leaves, depth - 1)
+    b = _rand_entry(rng, leaves, depth - 1)
+    op = rng.choice("*/^-+(")
+    if op == "^":
+        return f"({a})^{rng.choice(['0', '1', '2', '3', '-1', '-2'])}"
+    if op == "-":
+        return f"-{a}" if rng.random() < 0.5 else f"{a}/-{b}"
+    if op == "+":
+        return f"({a}{rng.choice('+-')}{b})"
+    if op == "(":
+        return f"({a})*({b})"
+    return f"{a}{op}{b}"
+
+
+def _expected_entry(text, field, reg):
+    """The one-entry wedge w[text] from the entry multiplied out as a value,
+    or the ParseError its value parse raises, shifted past 'w['."""
+    from tamesym import mult_vec, wedge_of
+    from tamesym.dsl import _Scanner, _ctx_for, _expr, _finish
+    try:
+        if field == "Qt":
+            value = parse_ratfunc(text)
+        elif field == "Qxy":
+            value = parse_bifrac(text)
+        else:
+            s = _Scanner(text)
+            value = _expr(s, _ctx_for("Q"))
+            _finish(s)
+    except ParseError as e:
+        return str(ParseError(str(e).rsplit(" (at position", 1)[0], e.pos + 2))
+    if value == 0 or getattr(value, "is_zero", False):
+        return str(ParseError("wedge entry is identically zero", 2))
+    try:
+        return wedge_of([mult_vec(value, reg, field)])
+    except Inconclusive:
+        return Inconclusive
+
+
+def test_entry_classes_match_the_expanded_value():
+    """Each factor of an entry is classed on its own, never multiplied out;
+    the class, or the refusal and its position, is the one the entry's
+    expanded value gives: products, quotients, powers (exponent 0 and
+    negative ones included), negations, nested parentheses and sums of
+    products, over Qt, Qxy and Q."""
+    rng = random.Random(1609)
+    reg = AtomRegistry()
+    for field, leaves in _ENTRY_LEAVES.items():
+        for _ in range(150):
+            text = _rand_entry(rng, leaves, 3)
+            want = _expected_entry(text, field, reg)
+            try:
+                got = parse_wedge(f"w[{text}]", reg, field=field)
+            except ParseError as e:
+                got = str(e)
+            except Inconclusive:
+                got = Inconclusive
+            assert got == want, (field, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("w[t, (t-1)/(t-t)]", "division by zero (at position 11)"),
+    ("w[t, (t-1)/((t+1)*0)]", "division by zero (at position 11)"),
+    ("w[t, (t-t)^-2]", "negative power of zero (at position 12)"),
+    ("w[t, ((t+1)*0)^-2]", "negative power of zero (at position 16)"),
+    ("w[t, (t-1)*0*(t+1)]", "wedge entry is identically zero (at position 4)"),
+    ("w[t, ((t-1)*(t+1))^60]",
+     "power of degree 2 * 60 is above the limit 100 (at position 19)"),
+    ("w[x-y, ((x-y)*(x+y))^60]",
+     "power of degree 4 * 60 is above the limit 100 (at position 21)"),
+    ("w[t, (3^2048*3^2048)^2]",
+     "power of bit length 6493 * 2 is above the limit 4096 (at position 21)"),
+    ("w[t, (3^2048*3^2048/3^2048)^2]",
+     "power of bit length 3247 * 2 is above the limit 4096 (at position 28)"),
+])
+def test_product_entry_refusals_keep_their_text(text, message):
+    """A power bound sees its base reduced, as if multiplied out."""
+    with pytest.raises(ParseError) as e:
+        parse_wedge(text, AtomRegistry())
+    assert str(e.value) == message
+
+
+def test_power_bound_sees_the_reduced_base():
+    reg = AtomRegistry()
+    assert parse_wedge("w[t, ((t-1)*(t+1)/(t-1))^60]", reg) == \
+        parse_wedge("w[t, (t+1)^60]", reg)

@@ -101,3 +101,30 @@ def test_bifrac_powers():
     assert (x ** 3).num == BiPoly.make({(3, 0): 1})
     inv = x ** -2
     assert (inv * x * x).is_identically(1)
+
+
+def test_closed_forms_are_what_make_returns():
+    """Sums, products and powers of polynomials, and every power, skip the
+    gcd; each equals the reduced fraction that make() builds."""
+    rng = random.Random(733)
+    for _ in range(200):
+        f, g = _rand_ratfunc(rng), _rand_ratfunc(rng)
+        if rng.random() < 0.5:
+            f, g = RatFunc.make(f.num), RatFunc.make(g.num)
+        cases = [(f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+                 (f - g, f.num * g.den - g.num * f.den, f.den * g.den),
+                 (f * g, f.num * g.num, f.den * g.den)]
+        for n in range(4):
+            cases.append((f ** n, f.num ** n, f.den ** n))
+            if n and not f.is_zero:
+                cases.append((f ** -n, f.den ** n, f.num ** n))
+        for got, num, den in cases:
+            want = RatFunc.make(num, den)
+            assert got == want and hash(got) == hash(want)
+    one = BiPoly.const(1)
+    for _ in range(50):
+        a, b = (BiPoly.make({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                             for _ in range(3)}) for _ in range(2))
+        f, g = BiFrac.make(a), BiFrac.make(b)
+        assert f + g == BiFrac.make(a * one + b * one, one * one)
+        assert f - g == BiFrac.make(a * one - b * one, one * one)

@@ -589,6 +589,38 @@ def test_bipoly_arithmetic():
     assert BiPoly.from_uni(P([1, 1]), "x") == x + BiPoly.const(1)
 
 
+def _bipoly_schoolbook(f, g):
+    """The term-by-term Fraction product, zero terms dropped."""
+    d = {}
+    for (i1, j1), c1 in f.terms:
+        for (i2, j2), c2 in g.terms:
+            k = (i1 + i2, j1 + j2)
+            d[k] = d.get(k, Q(0)) + c1 * c2
+    return BiPoly(tuple(sorted((k, c) for k, c in d.items() if c)))
+
+
+def test_bipoly_products_match_the_fraction_schoolbook():
+    """Products on integer images equal the Fraction term loop, term for
+    term, with cancelling terms, constants and zero included."""
+    rng = random.Random(4127)
+
+    def r():
+        return Q(rng.randint(-10**rng.randint(1, 20), 10**rng.randint(1, 20)),
+                 rng.choice([1, 2, 3, 35, 10**rng.randint(1, 12)]))
+
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    polys = [BiPoly(()), BiPoly.const(1), BiPoly.const(Q(-2, 3)), x + y, x - y,
+             x * x + x * y + y * y]
+    for _ in range(60):
+        polys.append(BiPoly.make({(rng.randint(0, 4), rng.randint(0, 4)): r()
+                                  for _ in range(rng.randint(1, 7))}))
+    for f in polys:
+        for g in rng.sample(polys, 10) + [f]:
+            got, want = f * g, _bipoly_schoolbook(f, g)
+            assert got == want and hash(got) == hash(want), (f, g)
+            assert all(type(c) is Q and c for _, c in got.terms)
+
+
 def test_eval_y_ratfunc_matches_the_sum_of_powers():
     """The integer Horner evaluation equals the reference
     sum of c_j * num^j * den^(deg_y - j), zero numerators and zero
