@@ -165,14 +165,15 @@ class MultVec:
 
 
 def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fraction]:
-    """Prime-atom exponents of a nonzero rational constant, sign dropped."""
+    """Prime-atom exponents of a nonzero rational constant, sign dropped.
+    Numerator and denominator are coprime, so each prime comes once."""
     if c == 0:
         raise ZeroDivisionError("the multiplicative class of 0 is undefined")
     out: dict[Atom, Fraction] = {}
     for p, e in factor_positive_int(abs(c.numerator)).items():
-        out[reg.prime(p)] = out.get(reg.prime(p), ZERO) + e
+        out[reg.prime(p)] = Q(e)
     for p, e in factor_positive_int(c.denominator).items():
-        out[reg.prime(p)] = out.get(reg.prime(p), ZERO) - e
+        out[reg.prime(p)] = Q(-e)
     return out
 
 
@@ -188,7 +189,8 @@ def factor_into_atoms(num: UniPoly, den: UniPoly, reg: AtomRegistry
     cd, fd = factor_uni(den)
     exps: dict[UniAtom, int] = {}
     for poly, e in fn:
-        exps[reg.uni(poly)] = exps.get(reg.uni(poly), 0) + e
+        a = reg.uni(poly)
+        exps[a] = exps.get(a, 0) + e
     for poly, e in fd:
         a = reg.uni(poly)
         exps[a] = exps.get(a, 0) - e

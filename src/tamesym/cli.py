@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decomp", parents=[common],
                        help="split-cone decomposition with certificate")
     p.add_argument("--order-seed", type=int, default=None,
-                   help="randomize the reduction order with this seed")
+                   help="randomize the reduction order with this seed "
+                   "(the result is the same for every order)")
     p.add_argument("wedge")
     p.set_defaults(handler=_h_decomp)
 

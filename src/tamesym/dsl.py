@@ -19,15 +19,17 @@ from .lambda_complex import LambdaElem
 from .places import (INFINITY, FinRat, IrredPlace, LineInf, Place1,
                      SurfDivisor, solved_divisor)
 from .polynomials import BiPoly, irreducible_check_uni, poly_str
-from .wedges import Wedge, wedge_add, wedge_of, wedge_scale
+from .wedges import (Wedge, class_factors, expand_products, wedge_add,
+                     wedge_scale)
 
 Q = Fraction
 
 # A power whose base has degree d (over Q(x, y): degree in x plus degree in
 # y) and whose exponent is e is refused when d * |e| exceeds MAX_POWER_DEGREE,
 # and a power of a constant whose numerator or denominator has b bits when
-# b * |e| exceeds MAX_POWER_BITS, before anything is expanded; see
-# docs/grammar.ebnf.
+# b * |e| exceeds MAX_POWER_BITS, before anything is expanded. In a wedge
+# entry, a sum is refused when either side's product has a degree bound
+# (`_Product.degree`) above MAX_POWER_DEGREE; see docs/grammar.ebnf.
 MAX_POWER_DEGREE = 100
 MAX_POWER_BITS = 4096
 
@@ -127,7 +129,8 @@ class _Product:
     class map is a homomorphism, so the entry's class is the sum of
     e * class(base). '*', '/' and '^' join or scale the factors, unary '-'
     adds the factor -1 (so that value() builds what the value arithmetic
-    builds), and '+' and '-' multiply both sides out into one new base."""
+    builds), and '+' and '-' multiply both sides out into one new base;
+    `_expr` first refuses a side whose `degree` is above MAX_POWER_DEGREE."""
 
     def __init__(self, factors: tuple):
         self.factors = factors
@@ -136,6 +139,22 @@ class _Product:
     def is_zero(self) -> bool:
         return any(e > 0 and (b == 0 if isinstance(b, Fraction) else b.is_zero)
                    for b, e in self.factors)
+
+    def merged(self) -> dict:
+        """Each distinct base with the sum of its exponents."""
+        exps: dict = {}
+        for b, e in self.factors:
+            exps[b] = exps.get(b, 0) + e
+        return exps
+
+    def degree(self) -> int:
+        """Sum of |e| * degree(base) over the merged bases: a bound on the
+        degree of the product multiplied out. Merging only lowers the sum,
+        so the unmerged sum is returned when it is within the limit."""
+        d = sum(abs(e) * _degree(b) for b, e in self.factors)
+        if d > MAX_POWER_DEGREE:
+            d = sum(abs(e) * _degree(b) for b, e in self.merged().items())
+        return d
 
     def value(self):
         """The product multiplied out with the value arithmetic."""
@@ -176,13 +195,16 @@ def _product_ctx(field: str) -> _Ctx:
 
 def _expr(s: _Scanner, ctx: _Ctx):
     val = _expr_term(s, ctx)
-    while True:
-        if s.match("+"):
-            val = val + _expr_term(s, ctx)
-        elif s.match("-"):
-            val = val - _expr_term(s, ctx)
-        else:
-            return val
+    while s.peek() in ("+", "-"):
+        here, op = s.pos, s.text[s.pos]
+        s.pos += 1
+        other = _expr_term(s, ctx)
+        for side in (val, other):
+            if isinstance(side, _Product) and side.degree() > MAX_POWER_DEGREE:
+                raise ParseError(f"sum with a term of degree {side.degree()} "
+                                 f"is above the limit {MAX_POWER_DEGREE}", here)
+        val = val + other if op == "+" else val - other
+    return val
 
 
 def _expr_term(s: _Scanner, ctx: _Ctx):
@@ -304,11 +326,8 @@ def _entry_class(s: _Scanner, reg: AtomRegistry, field: str,
     value = _expr(s, ctx)
     if value.is_zero:
         raise ParseError("wedge entry is identically zero", here)
-    exps: dict = {}
-    for base, e in value.factors:
-        exps[base] = exps.get(base, 0) + e
     out: dict = {}
-    for base, e in exps.items():
+    for base, e in value.merged().items():
         if e:
             for a, c in mult_vec(base, reg, field).coeffs:
                 out[a] = out.get(a, 0) + e * c
@@ -330,8 +349,7 @@ def _wedge_item(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
     while s.match(","):
         vecs.append(_entry_class(s, reg, field, ctx))
     s.expect("]")
-    w = wedge_of(vecs)
-    return wedge_scale(w, coeff) if coeff != 1 else w
+    return expand_products(field, len(vecs), [(coeff, class_factors(vecs))])
 
 
 def _signed_sum(s: _Scanner, parse_item, add, scale):

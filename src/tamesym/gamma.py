@@ -4,7 +4,9 @@ homotopy construction.
 An element is a Q-linear combination of terms {x}_2 (x) tail, where x is a
 rational number or rational function (never 0 or 1) and the tail is a wedge
 monomial. Arguments are normalized under the six-element symmetry group of
-the dilogarithm before storage, so equality is term-map identity.
+the dilogarithm before storage, so equality is term-map identity. A sum is
+built once: delta is one `expand_products` call, and the residue sums
+gather their terms in one dict and make the element once.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .expressions import INF, RatFunc, ratfunc_str
 from .places import (INFINITY, Infinity, IrredPlace, Place1, ratfunc_order,
                      ratfunc_support, support, tame_symbol)
 from .polynomials import ZERO, num_str
-from .wedges import (Wedge, wedge_add, wedge_concat, wedge_of, wedge_scale,
-                     wedge_str)
+from .wedges import Wedge, class_factors, expand_products, wedge_str
 
 Q = Fraction
 
@@ -185,14 +186,12 @@ def gamma_str(g: GammaSub) -> str:
 
 
 def delta(g: GammaSub, reg: AtomRegistry) -> Wedge:
-    """delta({x}_2 (x) b) = x ^ (1 - x) ^ b, summed over terms."""
-    total = Wedge.zero(g.field, g.tail_degree + 2)
-    for (x, key), c in g.terms:
-        head = wedge_of([mult_vec(x, reg, g.field),
-                         one_minus(x, reg, g.field)])
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
-        total = wedge_add(total, wedge_scale(wedge_concat(head, tail), c))
-    return total
+    """delta({x}_2 (x) b) = x ^ (1 - x) ^ b, summed over terms in one
+    expansion."""
+    return expand_products(g.field, g.tail_degree + 2, [
+        (c, class_factors([mult_vec(x, reg, g.field),
+                           one_minus(x, reg, g.field)]) + [[(key, 1)]])
+        for (x, key), c in g.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +262,10 @@ def _value_at(x: B2Arg, v: Place1):
     return x
 
 
-def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
-    """Residue at a place: terms where x is a unit at v contribute
-    -{x(v)}_2 (x) ts_v(tail); the rest die.
-
-    On scalar tails the whole map is zero: the target complex one weight
-    down has no symbol part for the degree these terms sit in.
-    """
-    out = GammaSub.zero("Q", g.tail_degree - 1)
+def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
+    """Add the terms of ts_gamma(g, v) into out."""
     if g.tail_degree == 0:
-        return out
+        return
     for (x, key), c in g.terms:
         if isinstance(x, RatFunc) and ratfunc_order(x, v) != 0:
             continue
@@ -283,13 +276,25 @@ def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
         ts = tame_symbol(tail, v, reg)
         if ts.is_zero:
             continue
-        out = gamma_add(out, gamma_term(-c, xv, ts))
-    return out
+        for k, tc in gamma_term(-c, xv, ts).terms:
+            out[k] = out.get(k, ZERO) + tc
+
+
+def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
+    """Residue at a place: terms where x is a unit at v contribute
+    -{x(v)}_2 (x) ts_v(tail); the rest die.
+
+    On scalar tails the whole map is zero: the target complex one weight
+    down has no symbol part for the degree these terms sit in.
+    """
+    out: dict = {}
+    _add_ts_gamma(out, g, v, reg)
+    return GammaSub.make("Q", g.tail_degree - 1, out)
 
 
 def tot_gamma(g: GammaSub, reg: AtomRegistry) -> GammaSub:
     """Sum of ts_gamma over every place where anything can happen: the
-    supports of x, 1 - x, the tail, and infinity."""
+    supports of x, 1 - x, the tail, and infinity; one dict, made once."""
     places: set[Place1] = {INFINITY}
     for (x, key), _ in g.terms:
         if isinstance(x, RatFunc):
@@ -297,7 +302,7 @@ def tot_gamma(g: GammaSub, reg: AtomRegistry) -> GammaSub:
             places.update(ratfunc_support(x.one_minus(), reg))
         tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         places.update(support(tail))
-    out = GammaSub.zero("Q", g.tail_degree - 1)
+    out: dict = {}
     for v in sorted(places, key=lambda p: p.sort_key()):
-        out = gamma_add(out, ts_gamma(g, v, reg))
-    return out
+        _add_ts_gamma(out, g, v, reg)
+    return GammaSub.make("Q", g.tail_degree - 1, out)

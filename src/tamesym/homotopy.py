@@ -7,9 +7,10 @@ The decomposition is by an explicit identity: a monomial containing
 delta({f}_2 (x) (t-a) ^ rest) for f = lambda (t-b)/(t-a) with
 lambda = (a-c)/(b-c), because then 1 - f = mu (t-c)/(t-a); every cross
 term has strictly fewer nonconstant atoms, so the rewriting terminates.
-The reciprocity map is the place-sum of residues of the accumulated
-preimage, and the two triangle identities it satisfies are checked
-exactly.
+Each step's image is one expansion, subtracted from a dict; the remainder
+and the preimage are canonicalised once, at the end. The reciprocity map
+is the place-sum of residues of the accumulated preimage, and the two
+triangle identities it satisfies are checked exactly.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import AtomRegistry, MultVec, UniAtom, constant_class
-from .errors import NonLinearAtom
+from .errors import MixedFields, NonLinearAtom
 from .expressions import RatFunc
-from .gamma import (GammaSub, delta, gamma_add, gamma_scale, gamma_term,
-                    tot_gamma)
+from .gamma import GammaSub, delta, gamma_term, tot_gamma
 from .places import weil_sum
-from .wedges import (Wedge, nonconstant_count, wedge_add, wedge_concat,
-                     wedge_of, wedge_scale, wedge_sub)
+from .polynomials import ZERO
+from .wedges import (Wedge, class_factors, expand_products, nonconstant_count,
+                     wedge_add)
 
 Q = Fraction
 
@@ -48,50 +49,58 @@ def decompose(w: Wedge, reg: AtomRegistry,
               rng: random.Random | None = None) -> DecompResult:
     """Split a wedge over Q(t) into a delta-image and a two-slot part.
 
-    Deterministic by default (always rewrite the first heaviest monomial
-    in canonical order); passing a seeded Random picks the monomial to
-    rewrite at random, which changes the preimage but not its delta-image
-    plus remainder.
+    By default the first heaviest monomial in canonical order is rewritten
+    first; passing a seeded Random picks the monomial to rewrite at random.
+    The result is the same either way: a step is linear in the coefficient
+    it removes and its cross terms have fewer nonconstant atoms, so every
+    monomial's whole coefficient is rewritten, whatever the order.
 
     Nothing is factored: f = lambda (t-b)/(t-a) is reduced as built (distinct
     monic linear atoms), and a step's image class(f) ^ class(1 - f) ^ tail is
-    read off t-a, t-b, t-c and the constants lambda and mu = 1 - lambda.
+    one expansion of t-a, t-b, t-c and the constants lambda and
+    mu = 1 - lambda. The remainder and the preimage are dicts while the
+    steps run, and are canonicalised once, on return.
     """
     _check_split(w)
-    preimage = GammaSub.zero("Qt", w.degree - 2)
-    current = w
+    preimage: dict = {}
+    current = w.as_dict()
     while True:
-        heavy = [(key, c) for key, c in current.terms
-                 if nonconstant_count(key) >= 3]
+        heavy = sorted((key for key in current if nonconstant_count(key) >= 3),
+                       key=lambda k: tuple(a.sort_key() for a in k))
         if not heavy:
             break
-        if rng is None:
-            heavy.sort(key=lambda kc: (-nonconstant_count(kc[0]),
-                                       tuple(a.sort_key() for a in kc[0])))
-            key, c = heavy[0]
-        else:
-            key, c = heavy[rng.randrange(len(heavy))]
+        # the first of the heaviest in canonical order, or a seeded pick
+        key = max(heavy, key=nonconstant_count) if rng is None \
+            else heavy[rng.randrange(len(heavy))]
         aa, bb, cc = [x for x in key if isinstance(x, UniAtom)][:3]
         a, b, c3 = (-x.poly.coeff(0) for x in (aa, bb, cc))
         lam = (a - c3) / (b - c3)
         tail_key = tuple(x for x in key if x not in (bb, cc))
-        tail = Wedge.make("Qt", len(tail_key), {tail_key: Q(1)})
+        tail = Wedge("Qt", len(tail_key), ((tail_key, Q(1)),))
         candidate = gamma_term(1, RatFunc(bb.poly.scale(lam), aa.poly), tail)
         slots = []
         for const, atom in ((lam, bb), (1 - lam, cc)):  # f, then 1 - f
             cls = constant_class(const, reg, "Qt")
             cls[atom], cls[aa] = Q(1), Q(-1)
             slots.append(MultVec.make("Qt", cls))
-        image = wedge_concat(wedge_of(slots), tail)
-        s = image.as_dict().get(key)
+        image = expand_products("Qt", w.degree, [
+            (1, class_factors(slots) + [[(tail_key, 1)]])]).as_dict()
+        s = image.get(key)
         if s is None or s == 0:
             raise AssertionError(
                 "rewriting identity lost its pure term; the atom order "
                 "changed underneath the decomposition")
-        step = gamma_scale(candidate, c / s)
-        preimage = gamma_add(preimage, step)
-        current = wedge_sub(current, wedge_scale(image, c / s))
-    return DecompResult(preimage=preimage, remainder=current)
+        if w.field != "Qt":  # the image lives over Q(t)
+            raise MixedFields(f"{w.field} vs Qt")
+        r = current[key] / s
+        for k, c in image.items():
+            current[k] = current.get(k, ZERO) - r * c
+            if not current[k]:
+                del current[k]
+        for k, c in candidate.terms:
+            preimage[k] = preimage.get(k, ZERO) + r * c
+    return DecompResult(preimage=GammaSub.make("Qt", w.degree - 2, preimage),
+                        remainder=Wedge.make(w.field, w.degree, current))
 
 
 def h_map(w: Wedge, reg: AtomRegistry) -> GammaSub:

@@ -22,8 +22,8 @@ from .places import (chain_point, point_key, point_str, single_pi_residue,
                      support, support_sum, tame_symbol, weil_sum)
 from .snc import SncReport, snc_check
 from .polynomials import ZERO, BiPoly, UniPoly
-from .wedges import (Wedge, retag, wedge_add, wedge_concat, wedge_of,
-                     wedge_scale, wedge_str)
+from .wedges import (Wedge, expand_products, retag, wedge_add, wedge_concat,
+                     wedge_of, wedge_scale, wedge_str)
 
 Q = Fraction
 
@@ -157,12 +157,9 @@ def parshin_check(w: Wedge, reg: AtomRegistry) -> ParshinReport:
     groups = []
     for key in sorted(buckets, key=point_key):
         contributions = buckets[key]
-        total = Wedge.zero("Q", w.degree - 2)
-        nonzero = 0
-        for c in contributions:
-            total = wedge_add(total, c)
-            if not c.is_zero:
-                nonzero += 1
+        total = expand_products("Q", w.degree - 2,
+                                [(1, [c.terms]) for c in contributions])
+        nonzero = sum(1 for c in contributions if not c.is_zero)
         groups.append(ChainGroup(point_str(key), len(contributions),
                                  nonzero, total.is_zero))
     return ParshinReport(ok=all(g.ok for g in groups), groups=groups)

@@ -4,9 +4,10 @@ tame symbol.
 One residue kernel, `single_pi_residue`, serves every place, divisor and
 blow-up chart: split each slot of a wedge monomial into (order) *
 uniformizer + unit part, expand, keep the single-uniformizer terms, and
-reduce the remaining unit slots into the residue field. Residue fields are
-Q for places of Q(t) and Q(t) again (in the divisor's own parameter,
-renamed to t) for surface divisors.
+reduce the remaining unit slots into the residue field. A sum of residues
+over a support gathers every place's summands (`pi_summands`) and expands
+them once. Residue fields are Q for places of Q(t) and Q(t) again (in the
+divisor's own parameter, renamed to t) for surface divisors.
 
 Mirror convention: each surface divisor, a `Graph` var = phi(s) or a
 `LineInf` var = inf, names the coordinate `var` it solves for; its
@@ -28,8 +29,8 @@ from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
-from .polynomials import (ZERO, BiPoly, UniPoly, multiplicity_of_factor,
-                          num_str, poly_str)
+from .polynomials import (BiPoly, UniPoly, multiplicity_of_factor, num_str,
+                          poly_str)
 from .wedges import Wedge, class_factors, expand_products
 
 Q = Fraction
@@ -273,8 +274,9 @@ def residue_field_of(place) -> str:
 
 def reduce_unit(u: MultVec, place, reg: AtomRegistry) -> MultVec:
     """Residue class of a unit's class vector, atom by atom."""
-    if order_at(u, place) != 0:
-        raise NotAUnit(f"class has order {order_at(u, place)} at {place}")
+    k = order_at(u, place)
+    if k != 0:
+        raise NotAUnit(f"class has order {k} at {place}")
     out = MultVec.zero(residue_field_of(place))
     for atom, c in u.coeffs:
         out = out + _atom_residue_class(atom, place, reg).scale(c)
@@ -304,12 +306,13 @@ def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
 # ---------------------------------------------------------------------------
 
 
-def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
-    """The residue rule shared by every place, divisor and blow-up chart.
+def pi_summands(w: Wedge, order, unit) -> list:
+    """The `expand_products` summands of the residue rule shared by every
+    place, divisor and blow-up chart.
 
     order(a) is the order of atom a along the divisor and unit(a) the class
-    in the residue field `field` of a's unit part. Each slot of a monomial
-    is order * pi + unit; expanded terms with two or more pi slots vanish,
+    in the residue field of a's unit part. Each slot of a monomial is
+    order * pi + unit; expanded terms with two or more pi slots vanish,
     all-unit terms contribute nothing, and a single pi slot at position i
     contributes sign (-1)^i times the order times the wedge of the other
     slots' unit classes. Degree-1 wedges reduce to bare orders on the
@@ -339,7 +342,30 @@ def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
                     rest.append(units[b])
             summands.append((coeff * (-k if i % 2 else k),
                              class_factors(rest) if rest else []))
-    return expand_products(field, w.degree - 1, summands)
+    return summands
+
+
+def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
+    """The residue rule of `pi_summands`, expanded over `field`."""
+    return expand_products(field, w.degree - 1, pi_summands(w, order, unit))
+
+
+def _place_rule(w: Wedge, place, reg: AtomRegistry,
+                uniformizer: MultVec | None = None) -> tuple:
+    """order and unit of the residue rule at a place or divisor: the atoms'
+    orders there and the residue classes of their unit parts."""
+    pi_hat = uniformizer if uniformizer is not None else uniformizer_class(place, reg)
+
+    def unit(atom) -> MultVec:
+        if w.field != pi_hat.field:
+            raise MixedFields(f"{w.field} vs {pi_hat.field}")
+        k = _atom_order(atom, place)
+        if k == 0:  # the atom is its own unit part
+            return _atom_residue_class(atom, place, reg)
+        single = MultVec.make(w.field, {atom: Q(1)})
+        return reduce_unit(single - pi_hat.scale(k), place, reg)
+
+    return (lambda a: _atom_order(a, place)), unit
 
 
 def tame_symbol(w: Wedge, place, reg: AtomRegistry,
@@ -355,19 +381,8 @@ def tame_symbol(w: Wedge, place, reg: AtomRegistry,
     """
     if w.degree < 1:
         raise ValueError("tame symbol needs degree at least 1")
-    pi_hat = uniformizer if uniformizer is not None else uniformizer_class(place, reg)
-
-    def unit(atom) -> MultVec:
-        if w.field != pi_hat.field:
-            raise MixedFields(f"{w.field} vs {pi_hat.field}")
-        k = _atom_order(atom, place)
-        if k == 0:  # the atom is its own unit part
-            return _atom_residue_class(atom, place, reg)
-        single = MultVec.make(w.field, {atom: Q(1)})
-        return reduce_unit(single - pi_hat.scale(k), place, reg)
-
     return single_pi_residue(w, residue_field_of(place),
-                             lambda a: _atom_order(a, place), unit)
+                             *_place_rule(w, place, reg, uniformizer))
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +427,14 @@ def finite_support_divisors(w: Wedge) -> list[SurfDivisor]:
 
 def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
     """Sum of the tame symbols of w over its support, a wedge over the
-    residue field `field`."""
-    out: dict = {}
+    residue field `field`: the residue summands of every place or divisor,
+    expanded once."""
+    summands = []
     for place in support(w):
-        ts = tame_symbol(w, place, reg)
-        if ts.field != field:
-            raise MixedFields(f"{field} vs {ts.field}")
-        for key, c in ts.terms:
-            out[key] = out.get(key, ZERO) + c
-    return Wedge.make(field, w.degree - 1, out)
+        summands += pi_summands(w, *_place_rule(w, place, reg))
+        if residue_field_of(place) != field:
+            raise MixedFields(f"{field} vs {residue_field_of(place)}")
+    return expand_products(field, w.degree - 1, summands)
 
 
 def weil_sum(w: Wedge, reg: AtomRegistry) -> Wedge:

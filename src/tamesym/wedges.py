@@ -66,6 +66,9 @@ def _ranks(atoms) -> tuple[list[Atom], dict[Atom, int]]:
 def expand_products(field: str, degree: int, summands) -> Wedge:
     """Sum over (c, factors) of c times the product of the factors, each a
     sequence of (monomial, coefficient) alternatives: the one expansion.
+    A whole sum (the terms of delta, a decomposition step's image, the
+    residues at every place of a support) is one call, canonicalised once,
+    not a fold of wedge_add.
 
     It runs on integers: atoms are ranked once, every coefficient is scaled
     to an integer over one common denominator, and each product is an

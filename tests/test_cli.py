@@ -197,6 +197,32 @@ def test_long_product_of_powers_ends():
         "+ 100*w[41] + 100*w[43] + 100*w[47] + 100*w[53] + 100*w[59]\n")
 
 
+def test_sum_around_a_long_product_is_refused(capsys):
+    """A sum multiplies both its sides out: the degree-300 side below was
+    then factored for 53-56 s before exit 3. A side whose degree bound (the
+    sum of |e| * degree over its merged bases) is above MAX_POWER_DEGREE
+    is now refused at the operator, like a power above it."""
+    text = "w[t, (t+1)^100*(t+2)^100*(t+3)^100+1]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "ts", "--place", "t=0", text],
+        capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("ts: sum with a term of degree 300 is above the "
+                           "limit 100 (at position 34)\n")
+    code, out, err = run(capsys, "ts", "--place", "t=0", "w[t, 1 - (t+1)^60*(t+2)^41]")
+    assert (code, out, err) == (2, "", "ts: sum with a term of degree 101 is "
+                                "above the limit 100 (at position 7)\n")
+    code, _, err = run(capsys, "ts", "--divisor", "x=0", "w[x, y - (x+y)^30*(x-y)^21]")
+    assert (code, err) == (2, "ts: sum with a term of degree 102 is above the "
+                           "limit 100 (at position 7)\n")
+    # equal bases are merged first, and a bound of exactly 100 is accepted
+    code, out, _ = run(capsys, "ts", "--place", "t=0",
+                       "w[t, (t+1)^100/(t+1)^100*(t+2) + 1]")
+    assert (code, out) == (0, "w[3]\n")
+    code, out, _ = run(capsys, "ts", "--place", "t=0", "w[t, (t+1)^100 + 1 - 1]")
+    assert (code, out) == (0, "0\n")
+
+
 def test_unfactorable_factor_is_named_alone(capsys):
     """A refused product entry names the factor it could not split, not the
     product multiplied out (which was the degree-34 product here)."""

@@ -59,15 +59,15 @@ def test_decompose_randomized_corpus():
 
 
 def test_decompose_reduction_order_does_not_matter():
-    """Different reduction orders may pick different preimages, but the
-    class they hit, delta(preimage), is the same."""
+    """A step is linear in the coefficient it removes and its cross terms
+    have fewer nonconstant atoms, so every monomial's whole coefficient is
+    rewritten in any order: the preimage and the remainder are the same."""
     reg = AtomRegistry()
-    w = parse_wedge("w[t, t-1, t-2] + w[2*t, t-5, t-7]", reg)
+    w = parse_wedge("w[t, t-1, t-2, t-3] + w[2*t, t-5, t-7, t+1]", reg)
     base = decompose(w, reg)
-    for seed in range(6):
-        d = decompose(w, reg, random.Random(seed))
-        assert wedge_equal(delta(d.preimage, reg), delta(base.preimage, reg))
-        assert wedge_equal(d.remainder, base.remainder)
+    assert len(base.preimage.terms) > 1
+    for seed in range(20):
+        assert decompose(w, reg, random.Random(seed)) == base
 
 
 def test_decompose_requires_split_slots():
