@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import (INF, AtomRegistry, DegenerateArgument, NotDistinct,
-                     RatFunc, Wedge, cross_ratio, delta, five_term, gamma_add,
+from tamesym import (INF, AtomRegistry, DegenerateArgument, NonSplitResidue,
+                     NotDistinct, RatFunc, Wedge, cross_ratio, delta, five_term, gamma_add,
                      gamma_scale, gamma_str, gamma_term, parse_gamma,
                      parse_place, tame_symbol, tot_gamma, ts_gamma, wedge_str,
                      wedge_scale, weil_sum)
@@ -163,6 +163,23 @@ def test_ts_gamma_frozen_values():
     assert ts_gamma(g, parse_place("t=2"), reg).is_zero
     # argument not a unit at t=3, so the term dies there
     assert ts_gamma(g, parse_place("t=3"), reg).is_zero
+
+
+def test_ts_gamma_at_a_quadratic_place():
+    """At t^2+1=0 an argument with a zero or a pole there contributes
+    nothing, though its tail's residue is 1; a unit argument's value lies
+    in Q(i), and the residue is refused."""
+    reg = AtomRegistry()
+    v = parse_place("t^2+1=0")
+    q = UniPoly.make([1, 0, 1])
+    for text, zero in (("{-(t^2+1)/t^2}_2 @ w[t^2+1]", True),
+                       ("{(t-2)/(t^2+1)}_2 @ w[t^2+1]", False)):
+        g = parse_gamma(text, reg)
+        (x, _), _ = g.terms[0]  # the stored representative
+        assert ((x.num if zero else x.den) % q).is_zero
+        assert ts_gamma(g, v, reg).is_zero, text
+    with pytest.raises(NonSplitResidue):
+        ts_gamma(parse_gamma("{(t-1)/(t-2)}_2 @ w[t^2+1]", reg), v, reg)
 
 
 def test_ts_gamma_on_scalar_tail_is_zero():

@@ -9,11 +9,14 @@ import io
 import random
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
+from tamesym import INF, AtomRegistry, defining_bipoly, parse_wedge
 from tamesym.cli import main
+from tamesym.places import finite_support_divisors
 from test_mirror import SWAP, _slot
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,9 +86,32 @@ def _run_block(argv: list[str]) -> str:
             + f"exit {code}\n")
 
 
+_PARAMS = sorted({Q(p, q) for p in range(-9, 10) for q in (1, 2, 3)})
+
+
+def meeting_points(text: str) -> list[tuple[Q, Q]]:
+    """Finite points where two or more of the wedge's finite divisors meet,
+    found by walking each divisor over the parameters -9..9 in steps of
+    1/6 or 1/3."""
+    divisors = finite_support_divisors(
+        parse_wedge(text, AtomRegistry(), field="Qxy"))
+    equations = [defining_bipoly(d) for d in divisors]
+    points = set()
+    for d in divisors:
+        for s in _PARAMS:
+            v = d.phi().evaluate_projective(s)
+            if v is INF:
+                continue
+            pt = (s, v) if d.var == "y" else (v, s)
+            if sum(g.evaluate(*pt) == 0 for g in equations) >= 2:
+                points.add(pt)
+    return sorted(points)
+
+
 def surface_verbs_text() -> str:
     """`snc`, `dd2` and `ts --divisor` at x=0, y=inf and y=x on every
-    corpus wedge."""
+    corpus wedge, and `blowup` at every point where two of its divisors
+    meet."""
     blocks = []
     for text in surface_wedges():
         m = text.count(",") - 1
@@ -94,6 +120,8 @@ def surface_verbs_text() -> str:
                      ["ts", "--divisor", "y=inf", text],
                      ["ts", "--divisor", "y=x", text]):
             blocks.append(_run_block(argv))
+        for a, b in meeting_points(text):
+            blocks.append(_run_block(["blowup", f"--center={a},{b}", text]))
     return "".join(blocks)
 
 

@@ -105,6 +105,17 @@ def test_symbol_independent_of_uniformizer():
         other = mult_vec(rf([-1, 1]) * rf([c]) * rf([-Q(r2), 1]) ** 0, reg)
         assert tame_symbol(w, v, reg) == tame_symbol(w, v, reg,
                                                      uniformizer=other)
+    # the line y = inf: the default is 1/y, the other c/(y - a)
+    x, y = BiFrac.make(BiPoly.var_x()), BiFrac.make(BiPoly.var_y())
+    d = LineInf("y")
+    for _ in range(20):
+        a, b, c = (Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3))
+        slots = [y - BiFrac.const(a), x * y - BiFrac.const(b),
+                 y - x * BiFrac.const(c), BiFrac.const(c * c + 1)]
+        w = wedge_of([mult_vec(f, reg, "Qxy") for f in rng.sample(slots, 3)])
+        other = mult_vec(BiFrac.const(c) / (y - BiFrac.const(a)), reg, "Qxy")
+        want = tame_symbol(w, d, reg)
+        assert tame_symbol(w, d, reg, uniformizer=other) == want
 
 
 def test_weil_sum_vanishes_on_split_wedges():

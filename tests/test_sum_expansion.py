@@ -11,7 +11,8 @@ the same terms in the same order, or refuse with the same error.
 import random
 from fractions import Fraction as Q
 
-from tamesym import (AtomRegistry, GammaSub, MixedFields, MultVec, RatFunc,
+from tamesym import (AtomRegistry, FinRat, GammaSub, Infinity, IrredPlace,
+                     MixedFields, MultVec, NonSplitResidue, RatFunc,
                      TameSymError, Wedge, decompose, delta, gamma_add,
                      gamma_scale, gamma_term, mult_vec, one_minus,
                      parse_wedge, tame_symbol, tot_gamma, wedge_add,
@@ -19,10 +20,9 @@ from tamesym import (AtomRegistry, GammaSub, MixedFields, MultVec, RatFunc,
                      weil_sum)
 from tamesym.atoms import UniAtom, constant_class
 from tamesym.expressions import INF
-from tamesym.gamma import _value_at
 from tamesym.homotopy import DecompResult, _check_split
-from tamesym.places import (INFINITY, ratfunc_order, ratfunc_support,
-                            support, support_sum)
+from tamesym.places import INFINITY, ratfunc_support, support, support_sum
+from tamesym.polynomials import multiplicity_of_factor
 from tamesym.suite import _gamma_element, _rand_rational, _split_slot
 from tamesym.wedges import nonconstant_count
 
@@ -84,14 +84,32 @@ def _ref_support_sum(w, field, reg):
     return Wedge.make(field, w.degree - 1, out)
 
 
+def _ref_ratfunc_order(f, place):
+    if isinstance(place, FinRat):
+        return f.order_at_rational(place.c)
+    if isinstance(place, Infinity):
+        return f.order_at_infinity()
+    up = multiplicity_of_factor(f.num, place.poly) if not f.num.is_zero else 0
+    return up - multiplicity_of_factor(f.den, place.poly)
+
+
+def _ref_value_at(x, v):
+    if isinstance(x, RatFunc):
+        if isinstance(v, IrredPlace):
+            raise NonSplitResidue(
+                f"value of {x} at {v} lies in a proper extension of Q")
+        return x.evaluate_projective(INF if isinstance(v, Infinity) else v.c)
+    return x
+
+
 def _ref_ts_gamma(g, v, reg):
     out = GammaSub.zero("Q", g.tail_degree - 1)
     if g.tail_degree == 0:
         return out
     for (x, key), c in g.terms:
-        if isinstance(x, RatFunc) and ratfunc_order(x, v) != 0:
+        if isinstance(x, RatFunc) and _ref_ratfunc_order(x, v) != 0:
             continue
-        xv = _value_at(x, v)
+        xv = _ref_value_at(x, v)
         if xv is INF or xv == 0 or xv == 1:
             continue
         tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
