@@ -29,13 +29,13 @@ from .homotopy import (DecompResult, HomotopySubReport, HomotopyTopReport,
                        decompose, h_map, homotopy_check_sub,
                        homotopy_check_top)
 from .lambda_complex import (ChainGroup, LambdaElem, ParshinReport,
-                             blowup_as_curve, blowup_residue,
-                             bs_vanishing_check, d_squared_check,
-                             differential, lambda_str, parshin_check,
-                             totaro_element, totaro_wedge)
-from .places import (INFINITY, FinRat, Graph, Infinity, IrredPlace, LineInf,
-                     Place1, SurfDivisor, classify_atom_divisor,
-                     defining_bipoly, tame_symbol, weil_sum)
+                             blowup_as_curve, bs_vanishing_check,
+                             d_squared_check, differential, lambda_str,
+                             parshin_check, totaro_element, totaro_wedge)
+from .places import (INFINITY, ExceptionalCurve, FinRat, Graph, Infinity,
+                     IrredPlace, LineInf, Place1, SurfDivisor,
+                     classify_atom_divisor, defining_bipoly, tame_symbol,
+                     weil_sum)
 from .polynomials import BiPoly, UniPoly, bipoly_str, poly_str
 from .snc import SncProblem, SncReport, snc_check
 from .suite import criterion_ids, run_criterion, run_suite, suite_report

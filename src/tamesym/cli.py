@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import traceback
 from dataclasses import dataclass
@@ -26,9 +25,8 @@ from .errors import ParseError, TameSymError
 from .expressions import INF
 from .gamma import delta, five_term, gamma_str, ts_gamma
 from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
-from .lambda_complex import (blowup_residue, d_squared_check, differential,
-                             lambda_str)
-from .places import tame_symbol, weil_sum
+from .lambda_complex import d_squared_check, differential, lambda_str
+from .places import ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import num_str
 from .snc import snc_check
 from .suite import run_suite, suite_report
@@ -154,7 +152,7 @@ def _h_blowup(args, reg) -> Outcome:
             f"--center expects two rationals like 1,-2/3, got {args.center!r}"
         ) from None
     w = parse_wedge(args.wedge, reg, field="Qxy")
-    render = wedge_str(blowup_residue(w, (c1, c2), reg))
+    render = wedge_str(tame_symbol(w, ExceptionalCurve(c1, c2), reg))
     return Outcome({"wedge": args.wedge, "center": args.center},
                    render, [], True, [render])
 
@@ -210,9 +208,7 @@ def _h_h(args, reg) -> Outcome:
 def _h_decomp(args, reg) -> Outcome:
     w = parse_wedge(args.wedge, reg)
     _require_field(w, "Qt", "the decomposition input")
-    rng = random.Random(args.order_seed) if args.order_seed is not None \
-        else None
-    dec = decompose(w, reg, rng)
+    dec = decompose(w, reg)
     exact = wedge_equal(wedge_add(delta(dec.preimage, reg), dec.remainder), w)
     small = all(nonconstant_count(key) <= 2 for key, _ in dec.remainder.terms)
     lines = [f"preimage: {gamma_str(dec.preimage)}",
@@ -346,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decomp", parents=[common],
                        help="split-cone decomposition with certificate")
-    p.add_argument("--order-seed", type=int, default=None,
-                   help="randomize the reduction order with this seed "
-                   "(the result is the same for every order)")
     p.add_argument("wedge")
     p.set_defaults(handler=_h_decomp)
 

@@ -203,9 +203,6 @@ class BiFrac:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_identically(self, c) -> bool:
-        return (self.num - self.den.scale(c)).is_zero
-
     def __add__(self, other: "BiFrac") -> "BiFrac":
         if self.den == other.den == _BI_ONE:
             return BiFrac(self.num + other.num, self.den)

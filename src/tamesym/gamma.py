@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import Atom, AtomRegistry, mult_vec, one_minus
-from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
-                     NotDistinct)
+from .errors import DegenerateArgument, MixedFields, NotDistinct
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (INFINITY, Infinity, IrredPlace, Place1, ratfunc_order,
-                     ratfunc_support, support, tame_symbol)
+from .places import INFINITY, Place1, ratfunc_support, support, tame_symbol
 from .polynomials import ZERO, num_str
 from .wedges import Wedge, class_factors, expand_products, wedge_str
 
@@ -253,23 +251,12 @@ def five_term(x1, x2, x3, x4, x5) -> GammaSub:
 # ---------------------------------------------------------------------------
 
 
-def _value_at(x: B2Arg, v: Place1):
-    if isinstance(x, RatFunc):
-        if isinstance(v, IrredPlace):
-            raise NonSplitResidue(
-                f"value of {x} at {v} lies in a proper extension of Q")
-        return x.evaluate_projective(INF if isinstance(v, Infinity) else v.c)
-    return x
-
-
 def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
     """Add the terms of ts_gamma(g, v) into out."""
     if g.tail_degree == 0:
         return
     for (x, key), c in g.terms:
-        if isinstance(x, RatFunc) and ratfunc_order(x, v) != 0:
-            continue
-        xv = _value_at(x, v)
+        xv = v.value(x) if isinstance(x, RatFunc) else x
         if xv is INF or xv == 0 or xv == 1:
             continue
         tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))

@@ -15,7 +15,6 @@ triangle identities it satisfies are checked exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,15 +44,14 @@ def _check_split(w: Wedge) -> None:
                     f"atom {a.poly} is nonconstant but not linear")
 
 
-def decompose(w: Wedge, reg: AtomRegistry,
-              rng: random.Random | None = None) -> DecompResult:
+def decompose(w: Wedge, reg: AtomRegistry) -> DecompResult:
     """Split a wedge over Q(t) into a delta-image and a two-slot part.
 
-    By default the first heaviest monomial in canonical order is rewritten
-    first; passing a seeded Random picks the monomial to rewrite at random.
-    The result is the same either way: a step is linear in the coefficient
-    it removes and its cross terms have fewer nonconstant atoms, so every
-    monomial's whole coefficient is rewritten, whatever the order.
+    Each step rewrites a heaviest monomial left. Which one comes first does
+    not change the result: a step is linear in the coefficient it removes
+    and its cross terms have fewer nonconstant atoms, so every monomial's
+    whole coefficient is rewritten, whatever the order, and decompose is
+    Q-linear.
 
     Nothing is factored: f = lambda (t-b)/(t-a) is reduced as built (distinct
     monic linear atoms), and a step's image class(f) ^ class(1 - f) ^ tail is
@@ -64,14 +62,10 @@ def decompose(w: Wedge, reg: AtomRegistry,
     _check_split(w)
     preimage: dict = {}
     current = w.as_dict()
-    while True:
-        heavy = sorted((key for key in current if nonconstant_count(key) >= 3),
-                       key=lambda k: tuple(a.sort_key() for a in k))
-        if not heavy:
+    while current:
+        key = max(current, key=nonconstant_count)
+        if nonconstant_count(key) < 3:
             break
-        # the first of the heaviest in canonical order, or a seeded pick
-        key = max(heavy, key=nonconstant_count) if rng is None \
-            else heavy[rng.randrange(len(heavy))]
         aa, bb, cc = [x for x in key if isinstance(x, UniAtom)][:3]
         a, b, c3 = (-x.poly.coeff(0) for x in (aa, bb, cc))
         lam = (a - c3) / (b - c3)

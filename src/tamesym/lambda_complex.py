@@ -8,6 +8,10 @@ differential sends surface terms to the sum of their tame symbols over all
 support divisors (including the two infinity lines) and curve terms to the
 sum over places; point terms die. Surface inputs must present a strict
 normal crossing support; no attempt is made to repair one that does not.
+Every residue is `tame_symbol` at a place, which gives its own orders,
+unit classes, uniformizer and residue field; the blow-up probe is the
+place `ExceptionalCurve(c1, c2)`, whose residues over Q(v) become curve
+wedges by `blowup_as_curve`.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import AtomRegistry, MultVec, mult_vec, one_minus
+from .atoms import AtomRegistry, mult_vec, one_minus
 from .errors import DegreeMismatch, MixedFields, NotStrictlyRegular
 from .expressions import RatFunc
-from .places import (chain_point, point_key, point_str, single_pi_residue,
-                     support, support_sum, tame_symbol, weil_sum)
-from .snc import SncReport, snc_check
-from .polynomials import ZERO, BiPoly, UniPoly
+from .places import (chain_point, point_key, point_str, support, support_sum,
+                     tame_symbol, weil_sum)
+from .snc import snc_check
 from .wedges import (Wedge, expand_products, retag, wedge_add, wedge_concat,
                      wedge_of, wedge_scale, wedge_str)
 
@@ -180,37 +183,6 @@ def bs_vanishing_check(f: RatFunc, g: RatFunc, cbar: Wedge,
     head = wedge_of([mult_vec(f, reg), mult_vec(g, reg)])
     w = wedge_concat(head, retag(cbar, "Qt"))
     return weil_sum(w, reg).is_zero
-
-
-def blowup_residue(w: Wedge, center: tuple[Fraction, Fraction],
-                   reg: AtomRegistry) -> Wedge:
-    """Residue along the exceptional curve of one blow-up chart.
-
-    The chart is x = c1 + u, y = c2 + u v after moving the center to the
-    origin; the exceptional curve is u = 0 with coordinate v. Every atom
-    pulls back to u^k * (g_k(v) + O(u)) with g_k nonzero, so the
-    single-pi residue rule applies with unit classes [g_k(v)].
-    """
-    c1, c2 = Q(center[0]), Q(center[1])
-    xv = BiPoly.make({(0, 0): c1, (1, 0): 1})
-    yv = BiPoly.make({(0, 0): c2, (1, 1): 1})
-    pulled: dict = {}
-
-    def pull(atom) -> tuple[int, MultVec]:
-        if atom not in pulled:
-            if not hasattr(atom, "poly") or not isinstance(atom.poly, BiPoly):
-                pulled[atom] = (0, MultVec.make("Qv", {atom: Q(1)}))
-            else:
-                sub = atom.poly.substitute(xv, yv)
-                k = min(i for (i, _), _ in sub.terms)
-                layer = {j: c for (i, j), c in sub.terms if i == k}
-                n = max(layer)
-                gk = UniPoly.make([layer.get(s, ZERO) for s in range(n + 1)])
-                pulled[atom] = (k, mult_vec(RatFunc.make(gk), reg, "Qv"))
-        return pulled[atom]
-
-    return single_pi_residue(w, "Qv", lambda a: pull(a)[0],
-                             lambda a: pull(a)[1])
 
 
 def blowup_as_curve(w: Wedge) -> Wedge:

@@ -1,13 +1,16 @@
-"""Places of Q(t), divisors on the product of two projective lines, and the
-tame symbol.
+"""Places of Q(t), divisors on the product of two projective lines, the
+exceptional curves of point blow-ups, and the tame symbol.
 
-One residue kernel, `single_pi_residue`, serves every place, divisor and
-blow-up chart: split each slot of a wedge monomial into (order) *
-uniformizer + unit part, expand, keep the single-uniformizer terms, and
-reduce the remaining unit slots into the residue field. A sum of residues
-over a support gathers every place's summands (`pi_summands`) and expands
-them once. Residue fields are Q for places of Q(t) and Q(t) again (in the
-divisor's own parameter, renamed to t) for surface divisors.
+Every place answers for itself: `order(atom)`, `unit(atom, reg)` (the
+residue class of the atom's unit part), `uniformizer(reg)` and
+`residue_field`: Q for places of Q(t), Q(t) again (in the divisor's own
+parameter, renamed to t) for surface divisors, Q(v) for an exceptional
+curve. Places of Q(t) also give `value(f)`, 0 at a zero and INF at a pole.
+One residue kernel, `single_pi_residue`, serves them all: split each slot
+of a wedge monomial into (order) * uniformizer + unit part, expand, keep
+the single-uniformizer terms, and reduce the remaining unit slots into the
+residue field. A sum over a support expands every place's summands
+(`pi_summands`) once.
 
 Mirror convention: each surface divisor, a `Graph` var = phi(s) or a
 `LineInf` var = inf, names the coordinate `var` it solves for; its
@@ -29,8 +32,7 @@ from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
                      NotAUnit, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
-from .polynomials import (BiPoly, UniPoly, multiplicity_of_factor, num_str,
-                          poly_str)
+from .polynomials import ZERO, BiPoly, UniPoly, num_str, poly_str
 from .wedges import Wedge, class_factors, expand_products
 
 Q = Fraction
@@ -46,6 +48,26 @@ class FinRat:
     """The place t = c of Q(t)."""
 
     c: Fraction
+    residue_field = "Q"
+
+    def order(self, atom) -> int:
+        return 1 if (isinstance(atom, UniAtom)
+                     and atom.poly.degree == 1
+                     and -atom.poly.coeff(0) == self.c) else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if isinstance(atom, PrimeAtom):
+            return mult_vec(Q(atom.p), reg, "Q")
+        value = atom.poly.evaluate(self.c)
+        if value == 0:
+            raise NotAUnit(f"atom {atom_str(atom, 'Qt')} vanishes at {self}")
+        return mult_vec(value, reg, "Q")
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        return MultVec("Qt", ((reg.uni(UniPoly.make([-self.c, 1])), Q(1)),))
+
+    def value(self, f: RatFunc):
+        return f.evaluate_projective(self.c)
 
     def sort_key(self) -> tuple:
         return (0, self.c)
@@ -59,6 +81,26 @@ class IrredPlace:
     """The place cut out by a monic irreducible polynomial of degree >= 2."""
 
     poly: UniPoly
+    residue_field = "Q"
+
+    def order(self, atom) -> int:
+        return 1 if isinstance(atom, UniAtom) and atom.poly == self.poly else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        raise NonSplitResidue(
+            f"residue field of {self} is a degree-{self.poly.degree} "
+            "extension of Q")
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        return mult_vec(RatFunc.make(self.poly), reg, "Qt")  # certifies it
+
+    def value(self, f: RatFunc):
+        if (f.num % self.poly).is_zero:
+            return Q(0)
+        if (f.den % self.poly).is_zero:
+            return INF
+        raise NonSplitResidue(
+            f"value of {f} at {self} lies in a proper extension of Q")
 
     def sort_key(self) -> tuple:
         return (1, self.poly.degree, self.poly.coeffs)
@@ -70,6 +112,22 @@ class IrredPlace:
 @dataclass(frozen=True)
 class Infinity:
     """The place t = infinity."""
+
+    residue_field = "Q"
+
+    def order(self, atom) -> int:
+        return -atom.poly.degree if isinstance(atom, UniAtom) else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if isinstance(atom, PrimeAtom):
+            return mult_vec(Q(atom.p), reg, "Q")
+        return MultVec.zero("Q")  # monic atoms have leading coefficient 1
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        return MultVec("Qt", ((reg.uni(UniPoly.var()), Q(-1)),))
+
+    def value(self, f: RatFunc):
+        return f.evaluate_projective(INF)
 
     def sort_key(self) -> tuple:
         return (2,)
@@ -95,9 +153,29 @@ class Graph:
     var: str
     num: UniPoly
     den: UniPoly
+    residue_field = "Qt"
+    finite = True  # has an equation in the finite chart
 
     def phi(self) -> RatFunc:
         return RatFunc(self.num, self.den)
+
+    def equation_atom(self) -> BiPoly:
+        """The primitive integer form of `defining_bipoly`."""
+        return defining_bipoly(self).primitive_int()[1]
+
+    def order(self, atom) -> int:
+        return 1 if (isinstance(atom, BiAtom)
+                     and atom.poly == self.equation_atom()) else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if isinstance(atom, PrimeAtom):
+            return mult_vec(Q(atom.p), reg, "Qt")
+        return mult_vec(restrict_bi(BiFrac.make(atom.poly), self), reg, "Qt")
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        """den*var - num with coprime integer coefficients, linear in var, so
+        irreducible by shape and registered without factoring."""
+        return MultVec("Qxy", ((reg.bi(self.equation_atom()), Q(1)),))
 
     def sort_key(self) -> tuple:
         c = self.phi().constant_value()
@@ -114,9 +192,26 @@ class Graph:
 
 @dataclass(frozen=True)
 class LineInf:
-    """The line var = infinity; the parameter is the other coordinate."""
+    """The line var = infinity; the parameter is the other coordinate, and
+    unit classes are leading coefficients in var."""
 
     var: str
+    residue_field = "Qt"
+    finite = False
+
+    def order(self, atom) -> int:
+        return 0 if isinstance(atom, PrimeAtom) else \
+            -(atom.poly.deg_x if self.var == "x" else atom.poly.deg_y)
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if isinstance(atom, PrimeAtom):
+            return mult_vec(Q(atom.p), reg, "Qt")
+        g = atom.poly.swap_xy() if self.var == "x" else atom.poly
+        return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        v = BiPoly.var_x() if self.var == "x" else BiPoly.var_y()
+        return MultVec("Qxy", ((reg.bi(v), Q(-1)),))
 
     def sort_key(self) -> tuple:
         return (4,) if self.var == "x" else (5,)
@@ -129,6 +224,39 @@ class LineInf:
 
 
 SurfDivisor = Graph | LineInf
+
+
+@dataclass(frozen=True)
+class ExceptionalCurve:
+    """The curve u = 0, with coordinate v, of the blow-up of (c1, c2) in the
+    chart x = c1 + u, y = c2 + u*v. An atom pulls back to u^k * (g_k(v) +
+    O(u)), g_k nonzero: k is its order and [g_k] its unit class. The
+    uniformizer, the primitive form of x - c1, is a constant times u."""
+
+    c1: Fraction
+    c2: Fraction
+    residue_field = "Qv"
+
+    def _leading(self, atom) -> tuple[int, UniPoly]:
+        """k and g_k of the pull-back of a bivariate atom."""
+        sub = atom.poly.substitute(BiPoly.make({(0, 0): self.c1, (1, 0): 1}),
+                                   BiPoly.make({(0, 0): self.c2, (1, 1): 1}))
+        k = min(i for (i, _), _ in sub.terms)
+        layer = {j: c for (i, j), c in sub.terms if i == k}
+        return k, UniPoly.make([layer.get(j, ZERO)
+                                for j in range(max(layer) + 1)])
+
+    def order(self, atom) -> int:
+        return self._leading(atom)[0] if isinstance(atom, BiAtom) else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if not isinstance(atom, BiAtom):
+            return MultVec.make("Qv", {atom: Q(1)})
+        return mult_vec(RatFunc.make(self._leading(atom)[1]), reg, "Qv")
+
+    def uniformizer(self, reg: AtomRegistry) -> MultVec:
+        _, prim = BiPoly.make({(0, 0): -self.c1, (1, 0): 1}).primitive_int()
+        return MultVec("Qxy", ((reg.bi(prim), Q(1)),))
 
 
 def solved_divisor(var: str, f: RatFunc) -> Graph:
@@ -144,7 +272,7 @@ def defining_bipoly(d: SurfDivisor) -> BiPoly:
     needing their chart equations handle those directly (the checker
     does), so asking for them here is an error.
     """
-    if isinstance(d, LineInf):
+    if not d.finite:
         raise ValueError(f"{d} has no finite-chart equation")
     terms = [((i, 1), c) for i, c in enumerate(d.den.coeffs)]
     terms += [((i, 0), -c) for i, c in enumerate(d.num.coeffs)]
@@ -172,27 +300,8 @@ def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
 
 
 # ---------------------------------------------------------------------------
-# orders of vanishing
+# orders and unit classes of class vectors
 # ---------------------------------------------------------------------------
-
-
-def _atom_order(atom, place) -> int:
-    if isinstance(atom, PrimeAtom):
-        return 0
-    if isinstance(place, FinRat):
-        return 1 if (isinstance(atom, UniAtom)
-                     and atom.poly.degree == 1
-                     and -atom.poly.coeff(0) == place.c) else 0
-    if isinstance(place, IrredPlace):
-        return 1 if isinstance(atom, UniAtom) and atom.poly == place.poly else 0
-    if isinstance(place, Infinity):
-        return -atom.poly.degree if isinstance(atom, UniAtom) else 0
-    if isinstance(place, LineInf):
-        return -(atom.poly.deg_x if place.var == "x" else atom.poly.deg_y)
-    # finite surface divisors: an irreducible atom vanishes on an
-    # irreducible divisor iff it is its defining polynomial
-    _, prim = defining_bipoly(place).primitive_int()
-    return 1 if isinstance(atom, BiAtom) and atom.poly == prim else 0
 
 
 def order_at(v: MultVec, place) -> Fraction:
@@ -203,23 +312,8 @@ def order_at(v: MultVec, place) -> Fraction:
     """
     total = Q(0)
     for atom, c in v.coeffs:
-        total += c * _atom_order(atom, place)
+        total += c * place.order(atom)
     return total
-
-
-def ratfunc_order(f: RatFunc, place: Place1) -> int:
-    """Order of a concrete rational function (not just its class)."""
-    if isinstance(place, FinRat):
-        return f.order_at_rational(place.c)
-    if isinstance(place, Infinity):
-        return f.order_at_infinity()
-    up = multiplicity_of_factor(f.num, place.poly) if not f.num.is_zero else 0
-    return up - multiplicity_of_factor(f.den, place.poly)
-
-
-# ---------------------------------------------------------------------------
-# residue reduction
-# ---------------------------------------------------------------------------
 
 
 def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
@@ -240,65 +334,15 @@ def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
     return RatFunc.make(num, den)
 
 
-def _atom_residue_class(atom, place, reg: AtomRegistry) -> MultVec:
-    """Residue class of one atom; callers guarantee the aggregate is a unit
-    (any uniformizer content cancels at the MultVec level first)."""
-    if isinstance(place, (FinRat, Infinity)):
-        if isinstance(atom, PrimeAtom):
-            return mult_vec(Q(atom.p), reg, "Q")
-        if isinstance(place, FinRat):
-            value = atom.poly.evaluate(place.c)
-            if value == 0:
-                raise NotAUnit(
-                    f"atom {atom_str(atom, 'Qt')} vanishes at {place}")
-            return mult_vec(value, reg, "Q")
-        return MultVec.zero("Q")  # monic atoms have leading coefficient 1
-    if isinstance(place, IrredPlace):
-        raise NonSplitResidue(
-            f"residue field of {place} is a degree-{place.poly.degree} "
-            "extension of Q")
-    # surface divisors; residue field Q(t)
-    if isinstance(atom, PrimeAtom):
-        return mult_vec(Q(atom.p), reg, "Qt")
-    g = atom.poly
-    if isinstance(place, LineInf):
-        if place.var == "x":
-            g = g.swap_xy()
-        return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
-    return mult_vec(restrict_bi(BiFrac.make(g), place), reg, "Qt")
-
-
-def residue_field_of(place) -> str:
-    return "Q" if isinstance(place, (FinRat, IrredPlace, Infinity)) else "Qt"
-
-
 def reduce_unit(u: MultVec, place, reg: AtomRegistry) -> MultVec:
     """Residue class of a unit's class vector, atom by atom."""
     k = order_at(u, place)
     if k != 0:
         raise NotAUnit(f"class has order {k} at {place}")
-    out = MultVec.zero(residue_field_of(place))
+    out = MultVec.zero(place.residue_field)
     for atom, c in u.coeffs:
-        out = out + _atom_residue_class(atom, place, reg).scale(c)
+        out = out + place.unit(atom, reg).scale(c)
     return out
-
-
-def uniformizer_class(place, reg: AtomRegistry) -> MultVec:
-    """The class of the place's own atom, registered without factoring: t - c,
-    -t, -x, -y and a Graph's primitive den*var - num (coprime coefficients)
-    are linear in one variable, so irreducible by shape. An IrredPlace's
-    polynomial goes through the class map, which certifies it."""
-    if isinstance(place, IrredPlace):
-        return mult_vec(RatFunc.make(place.poly), reg, "Qt")
-    if isinstance(place, FinRat):
-        return MultVec("Qt", ((reg.uni(UniPoly.make([-place.c, 1])), Q(1)),))
-    if isinstance(place, Infinity):
-        return MultVec("Qt", ((reg.uni(UniPoly.var()), Q(-1)),))
-    if isinstance(place, LineInf):
-        v = BiPoly.var_x() if place.var == "x" else BiPoly.var_y()
-        return MultVec("Qxy", ((reg.bi(v), Q(-1)),))
-    _, prim = defining_bipoly(place).primitive_int()
-    return MultVec("Qxy", ((reg.bi(prim), Q(1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +396,25 @@ def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
 
 def _place_rule(w: Wedge, place, reg: AtomRegistry,
                 uniformizer: MultVec | None = None) -> tuple:
-    """order and unit of the residue rule at a place or divisor: the atoms'
-    orders there and the residue classes of their unit parts."""
-    pi_hat = uniformizer if uniformizer is not None else uniformizer_class(place, reg)
+    """order and unit of the residue rule at a place: the atoms' orders
+    there and the residue classes of their unit parts."""
+    pi_hat = uniformizer if uniformizer is not None else place.uniformizer(reg)
 
     def unit(atom) -> MultVec:
         if w.field != pi_hat.field:
             raise MixedFields(f"{w.field} vs {pi_hat.field}")
-        k = _atom_order(atom, place)
+        k = place.order(atom)
         if k == 0:  # the atom is its own unit part
-            return _atom_residue_class(atom, place, reg)
+            return place.unit(atom, reg)
         single = MultVec.make(w.field, {atom: Q(1)})
         return reduce_unit(single - pi_hat.scale(k), place, reg)
 
-    return (lambda a: _atom_order(a, place)), unit
+    return place.order, unit
 
 
 def tame_symbol(w: Wedge, place, reg: AtomRegistry,
                 uniformizer: MultVec | None = None) -> Wedge:
-    """Residue of a wedge at a place or divisor; degree drops by one.
+    """Residue of a wedge at a place; degree drops by one.
 
     The single-pi rule of `single_pi_residue`, with the atoms' orders at
     the place and the residue classes of their unit parts.
@@ -381,13 +425,17 @@ def tame_symbol(w: Wedge, place, reg: AtomRegistry,
     """
     if w.degree < 1:
         raise ValueError("tame symbol needs degree at least 1")
-    return single_pi_residue(w, residue_field_of(place),
+    return single_pi_residue(w, place.residue_field,
                              *_place_rule(w, place, reg, uniformizer))
 
 
 # ---------------------------------------------------------------------------
 # support and reciprocity sums
 # ---------------------------------------------------------------------------
+
+
+def _place_of(poly: UniPoly) -> Place1:
+    return FinRat(-poly.coeff(0)) if poly.degree == 1 else IrredPlace(poly)
 
 
 def support(w: Wedge) -> list:
@@ -400,10 +448,7 @@ def support(w: Wedge) -> list:
         for a in atoms:
             if isinstance(a, UniAtom):
                 saw_poly = True
-                if a.poly.degree == 1:
-                    places.append(FinRat(-a.poly.coeff(0)))
-                else:
-                    places.append(IrredPlace(a.poly))
+                places.append(_place_of(a.poly))
         if saw_poly:
             places.append(INFINITY)
         places.sort(key=lambda p: p.sort_key())
@@ -422,7 +467,7 @@ def support(w: Wedge) -> list:
 def finite_support_divisors(w: Wedge) -> list[SurfDivisor]:
     """The divisors actually cut out by the wedge's atoms (no infinity
     lines); this is the configuration the crossing checker inspects."""
-    return [d for d in support(w) if not isinstance(d, LineInf)]
+    return [d for d in support(w) if d.finite]
 
 
 def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
@@ -432,8 +477,8 @@ def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
     summands = []
     for place in support(w):
         summands += pi_summands(w, *_place_rule(w, place, reg))
-        if residue_field_of(place) != field:
-            raise MixedFields(f"{field} vs {residue_field_of(place)}")
+        if place.residue_field != field:
+            raise MixedFields(f"{field} vs {place.residue_field}")
     return expand_products(field, w.degree - 1, summands)
 
 
@@ -449,12 +494,7 @@ def weil_sum(w: Wedge, reg: AtomRegistry) -> Wedge:
 def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
     """All places where a concrete rational function has nonzero order."""
     _, exps = factor_into_atoms(f.num, f.den, reg)
-    out: list[Place1] = []
-    for atom in exps:
-        if atom.poly.degree == 1:
-            out.append(FinRat(-atom.poly.coeff(0)))
-        else:
-            out.append(IrredPlace(atom.poly))
+    out = [_place_of(atom.poly) for atom in exps]
     if f.order_at_infinity() != 0:
         out.append(INFINITY)
     out.sort(key=lambda p: p.sort_key())
@@ -467,20 +507,19 @@ def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
 
 
 def chain_point(d: SurfDivisor, v: Place1):
-    """The surface point a second residue lives at, as a hashable key.
+    """The surface point a second residue lives at, as a hashable key: the
+    point of d over the parameter's value at v.
 
-    Coordinates are Fractions or INF. Residues at nonrational places get a
-    key that never merges across divisors (the split corpus never makes
-    them, and pretending to know the matching would be a guess)."""
-    if isinstance(v, IrredPlace):
+    Coordinates are Fractions or INF. Residues at nonrational places, where
+    the parameter has no rational value, get a key that never merges across
+    divisors (the split corpus never makes them, and pretending to know the
+    matching would be a guess)."""
+    try:
+        s = v.value(RatFunc.var())
+    except NonSplitResidue:
         return ("nonsplit", d.sort_key(), v.sort_key())
-    if d.var == "x":
-        x, y = chain_point(d.mirror(), v)
-        return (y, x)
-    t = INF if isinstance(v, Infinity) else v.c
-    if isinstance(d, Graph):
-        return (t, d.phi().evaluate_projective(t))
-    return (t, INF)
+    pt = (s, d.phi().evaluate_projective(s) if d.finite else INF)
+    return pt if d.var == "y" else pt[::-1]
 
 
 def point_key(pt) -> tuple:

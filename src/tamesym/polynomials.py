@@ -180,9 +180,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.leading)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.make([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x) -> Fraction:
         """f(x), by Horner's rule on the integer image."""
         if not self.coeffs:

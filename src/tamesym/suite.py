@@ -18,11 +18,10 @@ from .errors import NotAdmissible
 from .expressions import INF, BiFrac, RatFunc
 from .gamma import delta, five_term, gamma_add, gamma_term
 from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
-from .lambda_complex import (LambdaElem, blowup_as_curve, blowup_residue,
-                             bs_vanishing_check, d_squared_check,
-                             differential, parshin_check, totaro_element,
-                             totaro_wedge)
-from .places import weil_sum
+from .lambda_complex import (LambdaElem, blowup_as_curve, bs_vanishing_check,
+                             d_squared_check, differential, parshin_check,
+                             totaro_element, totaro_wedge)
+from .places import ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import BiPoly
 from .wedges import (Wedge, nonconstant_count, wedge_add, wedge_equal,
                      wedge_of)
@@ -288,10 +287,7 @@ def _run_c7(rng: random.Random, scale: int) -> tuple[bool, str]:
                                       dec.remainder), w)
         small = all(nonconstant_count(key) <= 2
                     for key, _ in dec.remainder.terms)
-        shuffled = decompose(w, reg, rng=random.Random(rng.randint(0, 10**9)))
-        same_image = wedge_equal(delta(dec.preimage, reg),
-                                 delta(shuffled.preimage, reg))
-        if exact and small and same_image:
+        if exact and small:
             good += 1
     return good == n, f"{good}/{n} cases"
 
@@ -310,7 +306,7 @@ def _run_c8(rng: random.Random, scale: int) -> tuple[bool, str]:
                  mult_vec(y - BiFrac.const(c2), reg)]
         slots += [mult_vec(c, reg, "Qxy") for c in consts]
         w = wedge_of(slots)
-        res = blowup_residue(w, (c1, c2), reg)
+        res = tame_symbol(w, ExceptionalCurve(c1, c2), reg)
         vslots = [mult_vec(RatFunc.var(), reg, "Qv")]
         vslots += [mult_vec(c, reg, "Qv") for c in consts]
         want = wedge_of(vslots)

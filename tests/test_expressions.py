@@ -91,7 +91,7 @@ def test_bifrac_operations():
     h = f * (x + y)
     assert h.num * (x - y).den == (x - y).num * h.den
     g = f ** -1
-    assert (f * g).is_identically(1)
+    assert (f * g - BiFrac.const(1)).is_zero
     assert ((x - y) - (x - y)).is_zero
     assert not (x * y).one_minus().is_zero
 
@@ -100,7 +100,7 @@ def test_bifrac_powers():
     x = BiFrac.make(BiPoly.var_x())
     assert (x ** 3).num == BiPoly.make({(3, 0): 1})
     inv = x ** -2
-    assert (inv * x * x).is_identically(1)
+    assert (inv * x * x - BiFrac.const(1)).is_zero
 
 
 def test_closed_forms_are_what_make_returns():

@@ -6,10 +6,10 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (INF, AtomRegistry, DegenerateArgument, NonSplitResidue,
-                     NotDistinct, RatFunc, Wedge, cross_ratio, delta, five_term, gamma_add,
-                     gamma_scale, gamma_str, gamma_term, parse_gamma,
-                     parse_place, tame_symbol, tot_gamma, ts_gamma, wedge_str,
-                     wedge_scale, weil_sum)
+                     NotDistinct, RatFunc, Wedge, cross_ratio, delta,
+                     five_term, gamma_add, gamma_scale, gamma_str, gamma_term,
+                     parse_gamma, parse_place, tame_symbol, tot_gamma,
+                     ts_gamma, wedge_str, wedge_scale, weil_sum)
 from tamesym.gamma import _orbit, b2_normalize
 from tamesym.polynomials import UniPoly
 

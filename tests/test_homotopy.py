@@ -6,11 +6,11 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (AtomRegistry, RatFunc, UniPoly, decompose, delta,
-                     gamma_str, gamma_term, h_map, homotopy_check_sub,
-                     homotopy_check_top, mult_vec, nonconstant_count,
-                     parse_gamma, parse_wedge, totaro_wedge, tot_gamma,
-                     wedge_add, wedge_equal, wedge_of, wedge_scale, wedge_str,
-                     weil_sum, Wedge)
+                     gamma_add, gamma_scale, gamma_str, gamma_term, h_map,
+                     homotopy_check_sub, homotopy_check_top, mult_vec,
+                     nonconstant_count, parse_gamma, parse_wedge, totaro_wedge,
+                     tot_gamma, wedge_add, wedge_equal, wedge_of, wedge_scale,
+                     wedge_str, weil_sum, Wedge)
 
 EX = "w[t, 1-t, 1-3/t]"
 
@@ -58,16 +58,26 @@ def test_decompose_randomized_corpus():
         assert all(nonconstant_count(key) <= 2 for key, _ in d.remainder.terms)
 
 
-def test_decompose_reduction_order_does_not_matter():
+def test_decompose_is_linear():
     """A step is linear in the coefficient it removes and its cross terms
     have fewer nonconstant atoms, so every monomial's whole coefficient is
-    rewritten in any order: the preimage and the remainder are the same."""
-    reg = AtomRegistry()
-    w = parse_wedge("w[t, t-1, t-2, t-3] + w[2*t, t-5, t-7, t+1]", reg)
-    base = decompose(w, reg)
-    assert len(base.preimage.terms) > 1
-    for seed in range(20):
-        assert decompose(w, reg, random.Random(seed)) == base
+    rewritten whatever the order, and decompose is Q-linear: the preimage
+    and the remainder of w1 + 3*w2 are those of w1 plus 3 times those of
+    w2."""
+    rng = random.Random(72)
+    nontrivial = 0
+    for _ in range(40):
+        reg = AtomRegistry()
+        degree = rng.choice([3, 3, 4])
+        w1, w2 = split_wedge(rng, reg, degree), split_wedge(rng, reg, degree)
+        d1, d2 = decompose(w1, reg), decompose(w2, reg)
+        d = decompose(wedge_add(w1, wedge_scale(w2, 3)), reg)
+        assert d.preimage == gamma_add(d1.preimage,
+                                       gamma_scale(d2.preimage, 3))
+        assert d.remainder == wedge_add(d1.remainder,
+                                        wedge_scale(d2.remainder, 3))
+        nontrivial += not d1.preimage.is_zero and not d2.preimage.is_zero
+    assert nontrivial >= 10
 
 
 def test_decompose_requires_split_slots():

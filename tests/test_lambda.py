@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import (AtomRegistry, LambdaElem, NotStrictlyRegular,
-                     blowup_as_curve, blowup_residue, bs_vanishing_check,
+from tamesym import (AtomRegistry, ExceptionalCurve, LambdaElem,
+                     NotStrictlyRegular, blowup_as_curve, bs_vanishing_check,
                      d_squared_check, differential, lambda_str, mult_vec,
                      parse_element, parse_ratfunc, parse_wedge, parshin_check,
-                     totaro_element, totaro_wedge, wedge_add, wedge_of,
-                     wedge_str, weil_sum)
+                     tame_symbol, totaro_element, totaro_wedge, wedge_add,
+                     wedge_of, wedge_str, weil_sum)
 
 
 def test_lambda_str_forms():
@@ -140,18 +140,19 @@ def test_bs_vanishing():
 def test_blowup_residue_frozen_values():
     reg = AtomRegistry()
     w = parse_wedge("w[x, y, 7]", reg)
-    got = blowup_residue(w, (Q(0), Q(0)), reg)
+    got = tame_symbol(w, ExceptionalCurve(Q(0), Q(0)), reg)
     # v ^ 7 in canonical order: primes sort before the chart coordinate
     assert wedge_str(got) == "-w[7, v]"
     shifted = parse_wedge("w[x-1, y+2, 7]", reg)
-    assert wedge_str(blowup_residue(shifted, (Q(1), Q(-2)), reg)) == "-w[7, v]"
-    assert blowup_residue(shifted, (Q(4), Q(4)), reg).is_zero
+    got = tame_symbol(shifted, ExceptionalCurve(Q(1), Q(-2)), reg)
+    assert wedge_str(got) == "-w[7, v]"
+    assert tame_symbol(shifted, ExceptionalCurve(Q(4), Q(4)), reg).is_zero
 
 
 def test_blowup_residue_has_zero_curve_differential():
     reg = AtomRegistry()
     w = parse_wedge("w[x, y, 7]", reg)
-    curve = blowup_as_curve(blowup_residue(w, (Q(0), Q(0)), reg))
+    curve = blowup_as_curve(tame_symbol(w, ExceptionalCurve(Q(0), Q(0)), reg))
     assert curve.field == "Qt"
     assert weil_sum(curve, reg).is_zero
 
@@ -160,7 +161,7 @@ def test_blowup_additive_in_the_wedge():
     reg = AtomRegistry()
     w1 = parse_wedge("w[x, y, 7]", reg)
     w2 = parse_wedge("w[x, y-1, 3]", reg)
-    lhs = blowup_residue(wedge_add(w1, w2), (Q(0), Q(0)), reg)
-    rhs = wedge_add(blowup_residue(w1, (Q(0), Q(0)), reg),
-                    blowup_residue(w2, (Q(0), Q(0)), reg))
+    e = ExceptionalCurve(Q(0), Q(0))
+    lhs = tame_symbol(wedge_add(w1, w2), e, reg)
+    rhs = wedge_add(tame_symbol(w1, e, reg), tame_symbol(w2, e, reg))
     assert lhs == rhs

@@ -5,14 +5,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import (INFINITY, AtomRegistry, BiFrac, BiPoly, FinRat,
-                     IrredPlace, MixedFields, NotAUnit, RatFunc, UniPoly,
-                     Wedge, classify_atom_divisor, defining_bipoly, mult_vec,
-                     one_minus, parse_place, parse_wedge, tame_symbol,
-                     wedge_of, wedge_str, weil_sum)
-from tamesym.places import (LineInf, _atom_residue_class, chain_point,
-                            order_at, ratfunc_support, solved_divisor,
-                            support, uniformizer_class)
+from tamesym import (INFINITY, AtomRegistry, BiFrac, BiPoly, ExceptionalCurve,
+                     FinRat, IrredPlace, MixedFields, NotAUnit, RatFunc,
+                     UniPoly, Wedge, classify_atom_divisor, defining_bipoly,
+                     mult_vec, one_minus, parse_place, parse_wedge,
+                     tame_symbol, wedge_of, wedge_str, weil_sum)
+from tamesym.places import (LineInf, chain_point, order_at, ratfunc_support,
+                            solved_divisor, support)
 
 P = UniPoly.make
 
@@ -116,6 +115,24 @@ def test_symbol_independent_of_uniformizer():
         other = mult_vec(BiFrac.const(c) / (y - BiFrac.const(a)), reg, "Qxy")
         want = tame_symbol(w, d, reg)
         assert tame_symbol(w, d, reg, uniformizer=other) == want
+    # the exceptional curve over (1/2, -2/3): the default is 2x - 1, or 2u
+    # in the chart x = 1/2 + u, y = -2/3 + u*v; the other c*(y + 2/3 + k*u),
+    # or c*u*(v + k), has order 1 too
+    c1, c2 = Q(1, 2), Q(-2, 3)
+    e = ExceptionalCurve(c1, c2)
+    u, s = x - BiFrac.const(c1), y - BiFrac.const(c2)
+    seen = set()
+    for _ in range(20):
+        a, b, c, k = (Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(4))
+        slots = [u, s, s - u * BiFrac.const(a), s * s - u * BiFrac.const(b),
+                 u + BiFrac.const(b), BiFrac.const(c * c + 1)]
+        w = wedge_of([mult_vec(f, reg, "Qxy") for f in rng.sample(slots, 3)])
+        other = mult_vec(BiFrac.const(c) * (s + u * BiFrac.const(k)), reg,
+                         "Qxy")
+        want = tame_symbol(w, e, reg)
+        assert tame_symbol(w, e, reg, uniformizer=other) == want
+        seen.add(want.is_zero)
+    assert seen == {True, False}
 
 
 def test_weil_sum_vanishes_on_split_wedges():
@@ -154,10 +171,9 @@ def test_support_is_deterministic_and_complete():
 
 def test_uniformizer_classes():
     reg = AtomRegistry()
-    assert order_at(uniformizer_class(FinRat(Q(3)), reg), FinRat(Q(3))) == 1
-    assert order_at(uniformizer_class(INFINITY, reg), INFINITY) == 1
-    qplace = IrredPlace(P([1, 0, 1]))
-    assert order_at(uniformizer_class(qplace, reg), qplace) == 1
+    for place in (FinRat(Q(3)), INFINITY, IrredPlace(P([1, 0, 1])),
+                  ExceptionalCurve(Q(1, 2), Q(-2, 3))):
+        assert order_at(place.uniformizer(reg), place) == 1
 
 
 def _tables(reg):
@@ -194,7 +210,7 @@ def test_uniformizer_class_is_the_class_of_the_defining_function():
         kinds.add(place.sort_key()[0] if surface else type(place).__name__)
         reg, ref = AtomRegistry(), AtomRegistry()
         field = "Qxy" if surface else "Qt"
-        assert uniformizer_class(place, reg) == mult_vec(f, ref, field)
+        assert place.uniformizer(reg) == mult_vec(f, ref, field)
         assert _tables(reg) == _tables(ref)
     # x=c, y=c, y=phi(x), x=psi(y), x=inf, y=inf
     assert kinds == {"FinRat", "Infinity", 0, 1, 2, 3, 4, 5}
@@ -294,8 +310,8 @@ def test_vanishing_atom_is_named_in_canonical_text():
     reg = AtomRegistry()
     atom = reg.uni(P([0, 1]))
     with pytest.raises(NotAUnit) as e:
-        _atom_residue_class(atom, FinRat(Q(0)), reg)
+        FinRat(Q(0)).unit(atom, reg)
     assert str(e.value) == "atom t vanishes at t=0"
     with pytest.raises(NotAUnit) as e:
-        _atom_residue_class(reg.uni(P([Q(-1, 2), 1])), FinRat(Q(1, 2)), reg)
+        FinRat(Q(1, 2)).unit(reg.uni(P([Q(-1, 2), 1])), reg)
     assert str(e.value) == "atom t-1/2 vanishes at t=1/2"
