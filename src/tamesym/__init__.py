@@ -38,7 +38,7 @@ from .places import (INFINITY, ExceptionalCurve, FinRat, Graph, Infinity,
                      weil_sum)
 from .polynomials import BiPoly, UniPoly, bipoly_str, poly_str
 from .snc import SncProblem, SncReport, snc_check
-from .suite import criterion_ids, run_criterion, run_suite, suite_report
+from .suite import run_criterion, run_suite, suite_report
 from .wedges import (Wedge, nonconstant_count, retag, wedge_add, wedge_concat,
                      wedge_equal, wedge_monomial, wedge_of, wedge_scale,
                      wedge_str, wedge_sub)

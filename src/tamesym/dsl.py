@@ -24,12 +24,12 @@ from .wedges import (Wedge, class_factors, expand_products, wedge_add,
 
 Q = Fraction
 
-# A power whose base has degree d (over Q(x, y): degree in x plus degree in
-# y) and whose exponent is e is refused when d * |e| exceeds MAX_POWER_DEGREE,
-# and a power of a constant whose numerator or denominator has b bits when
-# b * |e| exceeds MAX_POWER_BITS, before anything is expanded. In a wedge
-# entry, a sum is refused when either side's product has a degree bound
-# (`_Product.degree`) above MAX_POWER_DEGREE; see docs/grammar.ebnf.
+# Every product has a degree bound (`_Product.degree`; over Q(x, y) degree
+# in x plus degree in y). A power whose base has bound d is refused when
+# d * |e| exceeds MAX_POWER_DEGREE, and a power of a constant whose numerator
+# or denominator has b bits when b * |e| exceeds MAX_POWER_BITS; a side of a
+# sum, and a text multiplied out whole, when its bound exceeds
+# MAX_POWER_DEGREE. All before anything is expanded; see docs/grammar.ebnf.
 MAX_POWER_DEGREE = 100
 MAX_POWER_BITS = 4096
 
@@ -100,11 +100,11 @@ class _Scanner:
 
 class _Ctx:
     """Evaluation context for the expression grammar: named variables plus
-    a constant embedding, everything else supplied by operator overloads."""
+    a constant embedding, each leaf a one-factor _Product."""
 
     def __init__(self, variables: dict, const):
-        self.variables = variables
-        self.const = const
+        self.variables = {k: _Product(((v, 1),)) for k, v in variables.items()}
+        self.const = lambda n: _Product(((const(n), 1),))
 
 
 def _rat_ctx(var: str) -> _Ctx:
@@ -125,12 +125,11 @@ def _ctx_for(field: str) -> _Ctx:
 
 
 class _Product:
-    """A wedge entry's value as prod(base^e), never multiplied out: the
-    class map is a homomorphism, so the entry's class is the sum of
-    e * class(base). '*', '/' and '^' join or scale the factors, unary '-'
-    adds the factor -1 (so that value() builds what the value arithmetic
-    builds), and '+' and '-' multiply both sides out into one new base;
-    `_expr` first refuses a side whose `degree` is above MAX_POWER_DEGREE."""
+    """A parsed value as prod(base^e), multiplied out only by value(); a
+    wedge entry is classed base by base instead. '*', '/' and '^' join or
+    scale the factors, unary '-' adds the factor -1 (so that value() builds
+    what the value arithmetic builds), and '+' and '-' multiply both sides
+    out into one new base, each side first bounded by `degree`."""
 
     def __init__(self, factors: tuple):
         self.factors = factors
@@ -140,20 +139,20 @@ class _Product:
         return any(e > 0 and (b == 0 if isinstance(b, Fraction) else b.is_zero)
                    for b, e in self.factors)
 
-    def merged(self) -> dict:
-        """Each distinct base with the sum of its exponents."""
+    def merged(self) -> "_Product":
+        """Each distinct base once, with the sum of its exponents."""
         exps: dict = {}
         for b, e in self.factors:
             exps[b] = exps.get(b, 0) + e
-        return exps
+        return _Product(tuple(exps.items()))
 
-    def degree(self) -> int:
+    def degree(self, limit: int) -> int:
         """Sum of |e| * degree(base) over the merged bases: a bound on the
         degree of the product multiplied out. Merging only lowers the sum,
-        so the unmerged sum is returned when it is within the limit."""
+        so the unmerged sum is returned when it is within `limit`."""
         d = sum(abs(e) * _degree(b) for b, e in self.factors)
-        if d > MAX_POWER_DEGREE:
-            d = sum(abs(e) * _degree(b) for b, e in self.merged().items())
+        if d > limit:
+            d = sum(abs(e) * _degree(b) for b, e in self.merged().factors)
         return d
 
     def value(self):
@@ -186,28 +185,19 @@ class _Product:
         return _Product(((self.value() - other.value(), 1),))
 
 
-def _product_ctx(field: str) -> _Ctx:
-    """The context of `field` with every value kept as a _Product."""
-    ctx = _ctx_for(field)
-    return _Ctx({k: _Product(((v, 1),)) for k, v in ctx.variables.items()},
-                lambda n: _Product(((ctx.const(n), 1),)))
-
-
-def _expr(s: _Scanner, ctx: _Ctx):
+def _expr(s: _Scanner, ctx: _Ctx) -> _Product:
     val = _expr_term(s, ctx)
     while s.peek() in ("+", "-"):
         here, op = s.pos, s.text[s.pos]
         s.pos += 1
         other = _expr_term(s, ctx)
         for side in (val, other):
-            if isinstance(side, _Product) and side.degree() > MAX_POWER_DEGREE:
-                raise ParseError(f"sum with a term of degree {side.degree()} "
-                                 f"is above the limit {MAX_POWER_DEGREE}", here)
+            _bound(side, "sum with a term", here)
         val = val + other if op == "+" else val - other
     return val
 
 
-def _expr_term(s: _Scanner, ctx: _Ctx):
+def _expr_term(s: _Scanner, ctx: _Ctx) -> _Product:
     val = _expr_factor(s, ctx)
     while True:
         if s.match("*"):
@@ -222,14 +212,14 @@ def _expr_term(s: _Scanner, ctx: _Ctx):
             return val
 
 
-def _expr_factor(s: _Scanner, ctx: _Ctx):
+def _expr_factor(s: _Scanner, ctx: _Ctx) -> _Product:
     if s.match("-"):
         return -_expr_factor(s, ctx)
     return _expr_power(s, ctx)
 
 
 def _degree(val) -> int:
-    """Degree of a parsed value for the power bound; 0 for a constant."""
+    """Degree of a base for the degree bounds; 0 for a constant."""
     if isinstance(val, RatFunc):
         return max(val.num.degree, val.den.degree)
     if isinstance(val, BiFrac):
@@ -246,19 +236,18 @@ def _bits(val) -> int:
     return max(val.numerator.bit_length(), val.denominator.bit_length())
 
 
-def _expr_power(s: _Scanner, ctx: _Ctx):
+def _expr_power(s: _Scanner, ctx: _Ctx) -> _Product:
     base = _expr_primary(s, ctx)
     if s.match("^"):
         neg = s.match("-")
         here = s.pos
         e = s.parse_uint()
-        # the bounds see the base reduced, as if it were multiplied out
-        reduced = base.value() if isinstance(base, _Product) else base
-        deg = _degree(reduced)
+        # merged, so that a base that cancels to a constant reads as one
+        deg = base.degree(0)
         if deg * e > MAX_POWER_DEGREE:
             raise ParseError(f"power of degree {deg} * {e} is above the limit "
                              f"{MAX_POWER_DEGREE}", here)
-        bits = 0 if deg else _bits(reduced)
+        bits = 0 if deg else _bits(base.merged().value())
         if bits * e > MAX_POWER_BITS:
             raise ParseError(f"power of bit length {bits} * {e} is above the "
                              f"limit {MAX_POWER_BITS}", here)
@@ -269,7 +258,7 @@ def _expr_power(s: _Scanner, ctx: _Ctx):
     return base
 
 
-def _expr_primary(s: _Scanner, ctx: _Ctx):
+def _expr_primary(s: _Scanner, ctx: _Ctx) -> _Product:
     if s.match("("):
         val = _expr(s, ctx)
         s.expect(")")
@@ -283,6 +272,23 @@ def _expr_primary(s: _Scanner, ctx: _Ctx):
     s.fail("expected a number, a variable, or a parenthesized expression")
 
 
+def _bound(val: _Product, what: str, here: int) -> None:
+    """Refuse `val` at `here` when its degree bound is above the limit."""
+    d = val.degree(MAX_POWER_DEGREE)
+    if d > MAX_POWER_DEGREE:
+        raise ParseError(f"{what} of degree {d} is above the limit "
+                         f"{MAX_POWER_DEGREE}", here)
+
+
+def _value(s: _Scanner, ctx: _Ctx):
+    """One expression, bounded and then multiplied out: every text but a
+    wedge entry."""
+    here = s.pos
+    val = _expr(s, ctx)
+    _bound(val, "expression", here)
+    return val.value()
+
+
 def _finish(s: _Scanner) -> None:
     if not s.at_end():
         s.fail("unexpected trailing text")
@@ -291,7 +297,7 @@ def _finish(s: _Scanner) -> None:
 def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
     """Rational function in one variable from text like '(3*t-3)/(t-3)'."""
     s = _Scanner(text)
-    val = _expr(s, _rat_ctx(var))
+    val = _value(s, _rat_ctx(var))
     _finish(s)
     return val
 
@@ -299,7 +305,7 @@ def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
 def parse_bifrac(text: str) -> BiFrac:
     """Ratio of bivariate polynomials from text like '(x-y)/(x*y-1)'."""
     s = _Scanner(text)
-    val = _expr(s, _ctx_for("Qxy"))
+    val = _value(s, _ctx_for("Qxy"))
     _finish(s)
     return val
 
@@ -327,7 +333,7 @@ def _entry_class(s: _Scanner, reg: AtomRegistry, field: str,
     if value.is_zero:
         raise ParseError("wedge entry is identically zero", here)
     out: dict = {}
-    for base, e in value.merged().items():
+    for base, e in value.merged().factors:
         if e:
             for a, c in mult_vec(base, reg, field).coeffs:
                 out[a] = out.get(a, 0) + e * c
@@ -344,7 +350,7 @@ def _wedge_item(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
             return Wedge.scalar(field, coeff)
     s.expect("w")
     s.expect("[")
-    ctx = _product_ctx(field)
+    ctx = _ctx_for(field)
     vecs = [_entry_class(s, reg, field, ctx)]
     while s.match(","):
         vecs.append(_entry_class(s, reg, field, ctx))
@@ -388,8 +394,7 @@ def parse_wedge(text: str, reg: AtomRegistry,
     Entries are arbitrary nonzero expressions; each is replaced by its
     multiplicative class, so 'w[6, t]' means (class 2 + class 3) ^ class t.
     An entry's products, quotients and powers are classed one factor at a
-    time and never multiplied out; the power bounds still apply to each
-    base's reduced value.
+    time and never multiplied out.
     The coefficient field is inferred from the variables present unless
     given explicitly. A bare rational is a degree-zero scalar.
     """
@@ -412,7 +417,7 @@ def _gamma_item(s: _Scanner, reg: AtomRegistry, field: str) -> GammaSub:
         coeff = s.parse_rational()
         s.expect("*")
     s.expect("{")
-    x = _expr(s, _ctx_for(field))
+    x = _value(s, _ctx_for(field))
     s.expect("}")
     if not s.match("_2"):
         s.expect("₂")
@@ -514,9 +519,9 @@ def parse_cycle(text: str) -> CubeCurve:
     s.expect("cyc")
     s.expect("[")
     ctx = _rat_ctx("t")
-    coords = [_expr(s, ctx)]
+    coords = [_value(s, ctx)]
     while s.match(","):
-        coords.append(_expr(s, ctx))
+        coords.append(_value(s, ctx))
     s.expect("]")
     _finish(s)
     return CubeCurve.make(coords, sign * coeff)
@@ -545,7 +550,7 @@ def parse_place(text: str) -> Place1:
             _finish(s)
             return FinRat(sign * c)
         s.pos = 0
-    f = _expr(s, _rat_ctx("t"))
+    f = _value(s, _rat_ctx("t"))
     s.expect("=")
     s.expect("0")
     _finish(s)
@@ -577,6 +582,6 @@ def parse_divisor(text: str) -> SurfDivisor:
     if s.match("inf"):
         _finish(s)
         return LineInf(which)
-    f = _expr(s, _rat_ctx("y" if which == "x" else "x"))
+    f = _value(s, _rat_ctx("y" if which == "x" else "x"))
     _finish(s)
     return solved_divisor(which, f)

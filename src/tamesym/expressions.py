@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OneMinusOfOne
-from .polynomials import BiPoly, UniPoly, gcd_uni, multiplicity_at, poly_str
+from .polynomials import BiPoly, UniPoly, gcd_uni, poly_str
 
 Q = Fraction
 
@@ -128,12 +128,6 @@ class RatFunc:
         if num.is_zero:
             raise OneMinusOfOne("1 - f is identically zero")
         return RatFunc(num, self.den)
-
-    def order_at_rational(self, c) -> int:
-        """Order of vanishing at t = c (negative at a pole)."""
-        up = 0 if self.num.is_zero else multiplicity_at(self.num, c)
-        down = multiplicity_at(self.den, c)
-        return up - down
 
     def order_at_infinity(self) -> int:
         return self.den.degree - self.num.degree

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import Atom, AtomRegistry, mult_vec, one_minus
-from .errors import DegenerateArgument, MixedFields, NotDistinct
+from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
+                     NotDistinct)
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import INFINITY, Place1, ratfunc_support, support, tame_symbol
 from .polynomials import ZERO, num_str
@@ -256,10 +257,16 @@ def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
     if g.tail_degree == 0:
         return
     for (x, key), c in g.terms:
-        xv = v.value(x) if isinstance(x, RatFunc) else x
+        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
+        try:
+            xv = v.value(x) if isinstance(x, RatFunc) else x
+        except NonSplitResidue:
+            # a term whose tail has residue zero dies whatever x(v) is
+            if tame_symbol(tail, v, reg).is_zero:
+                continue
+            raise
         if xv is INF or xv == 0 or xv == 1:
             continue
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         ts = tame_symbol(tail, v, reg)
         if ts.is_zero:
             continue

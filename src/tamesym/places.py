@@ -95,10 +95,14 @@ class IrredPlace:
         return mult_vec(RatFunc.make(self.poly), reg, "Qt")  # certifies it
 
     def value(self, f: RatFunc):
-        if (f.num % self.poly).is_zero:
+        num, den = f.num % self.poly, f.den % self.poly
+        if num.is_zero:
             return Q(0)
-        if (f.den % self.poly).is_zero:
+        if den.is_zero:
             return INF
+        c = num.leading / den.leading
+        if num == den.scale(c):
+            return c
         raise NonSplitResidue(
             f"value of {f} at {self} lies in a proper extension of Q")
 

@@ -355,24 +355,6 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     return _monic(_zgcd(_int_image(f.coeffs)[1], _int_image(g.coeffs)[1]))
 
 
-def multiplicity_at(f: UniPoly, root) -> int:
-    """Order of vanishing of f at a rational point."""
-    return multiplicity_of_factor(f, UniPoly.make([-_as_fraction(root), 1]))
-
-
-def multiplicity_of_factor(f: UniPoly, q: UniPoly) -> int:
-    """Order of the (irreducible) factor q in f."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    k = 0
-    while True:
-        quo, rem = f.divmod(q)
-        if not rem.is_zero:
-            return k
-        f = quo
-        k += 1
-
-
 # coprime divisor pairs past which _zroots leaves the roots to the lift:
 # about where walking them costs what the lift does (see CHANGES.md)
 _PAIR_WALK = 2**14

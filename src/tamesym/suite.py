@@ -342,10 +342,6 @@ _CRITERIA = (
 )
 
 
-def criterion_ids() -> tuple[str, ...]:
-    return tuple(ident for ident, _, _ in _CRITERIA) + ("C10",)
-
-
 def run_criterion(ident: str, seed: int = 7, scale: int = 100) -> CriterionResult:
     """One criterion on a fresh seeded corpus; C10 is the determinism row
     and reruns all the others."""

@@ -223,6 +223,47 @@ def test_sum_around_a_long_product_is_refused(capsys):
     assert (code, out) == (0, "0\n")
 
 
+POWERS_3 = "(t+1)^100*(t+2)^100*(t+3)^100"
+POWERS_30 = "*".join(f"(t+{k})^100" for k in range(1, 31))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ts", "--place", "t=0", f"w[t, ({POWERS_30})^1]"],
+     "ts: power of degree 3000 * 1 is above the limit 100 (at position 328)"),
+    (["delta", f"{{{POWERS_3}}}_2"],
+     "delta: expression of degree 300 is above the limit 100 (at position 1)"),
+    (["delta", f"{{{POWERS_3}+1}}_2"],
+     "delta: sum with a term of degree 300 is above the limit 100 "
+     "(at position 30)"),
+], ids=["power-of-a-product", "symbol-argument", "sum-in-a-symbol-argument"])
+def test_value_above_the_degree_bound_is_refused_before_expanding(capsys, argv,
+                                                                  message):
+    """A power's base was multiplied out before its bound was checked
+    (15 s for the first), and a symbol argument was multiplied out whole
+    with no bound (54 s for the third, over 60 s for the second). Every
+    product is now bounded, with equal bases merged, before it is
+    multiplied out."""
+    proc = subprocess.run([sys.executable, "-m", "tamesym", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", message + "\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_symbol_at_a_quadratic_place_skips_dead_terms(capsys):
+    """At t^2+1=0 the value of -1/t^2 is 1, and the tail w[t] has residue
+    zero, so both terms die; each was refused as a value in Q(i)."""
+    assert run(capsys, "homotopy-check", "--sub", "{-t^2}_2 @ w[t]") == \
+        (0, "upper-triangle: yes\nsyntactic: yes\n", "")
+    assert run(capsys, "ts-gamma", "--place", "t^2+1=0", "{t}_2 @ w[t]") == \
+        (0, "0\n", "")
+    code, out, err = run(capsys, "ts-gamma", "--place", "t^2+1=0",
+                         "{t}_2 @ w[t^2+1, 2]")
+    assert (code, out) == (3, "")
+    assert err.startswith("ts-gamma: NonSplitResidue: ")
+
+
 def test_unfactorable_factor_is_named_alone(capsys):
     """A refused product entry names the factor it could not split, not the
     product multiplied out (which was the degree-34 product here)."""

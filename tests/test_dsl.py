@@ -235,7 +235,7 @@ def _expected_entry(text, field, reg):
             value = parse_bifrac(text)
         else:
             s = _Scanner(text)
-            value = _expr(s, _ctx_for("Q"))
+            value = _expr(s, _ctx_for("Q")).value()
             _finish(s)
     except ParseError as e:
         return str(ParseError(str(e).rsplit(" (at position", 1)[0], e.pos + 2))
@@ -282,9 +282,14 @@ def test_entry_classes_match_the_expanded_value():
      "power of bit length 6493 * 2 is above the limit 4096 (at position 21)"),
     ("w[t, (3^2048*3^2048/3^2048)^2]",
      "power of bit length 3247 * 2 is above the limit 4096 (at position 28)"),
+    ("w[t, ((t^2-1)/(t-1))^60]",
+     "power of degree 3 * 60 is above the limit 100 (at position 21)"),
 ])
 def test_product_entry_refusals_keep_their_text(text, message):
-    """A power bound sees its base reduced, as if multiplied out."""
+    """A power bound sees the degree bound of its base, with equal bases
+    merged, and a constant base multiplied out; a cancellation between
+    distinct bases, as in the last text, does not bring it under the
+    limit."""
     with pytest.raises(ParseError) as e:
         parse_wedge(text, AtomRegistry())
     assert str(e.value) == message
@@ -294,3 +299,33 @@ def test_power_bound_sees_the_reduced_base():
     reg = AtomRegistry()
     assert parse_wedge("w[t, ((t-1)*(t+1)/(t-1))^60]", reg) == \
         parse_wedge("w[t, (t+1)^60]", reg)
+
+
+def _gamma_arg(text):
+    return parse_gamma(f"{{{text}}}_2", AtomRegistry())
+
+
+# every text that is multiplied out to a value, with the offset of the
+# expression in it and the variable it is written in
+_VALUE_CONTEXTS = [
+    (parse_ratfunc, "{}", 0, "t"),
+    (parse_bifrac, "{}", 0, "x"),
+    (_gamma_arg, "{}", 1, "t"),
+    (parse_cycle, "cyc[t, {}]", 6, "t"),
+    (parse_place, "{}=0", 0, "t"),
+    (parse_divisor, "y={}", 2, "x"),
+]
+
+
+@pytest.mark.parametrize("parse, shape, at, var", _VALUE_CONTEXTS,
+                         ids=["ratfunc", "bifrac", "symbol", "cycle", "place",
+                              "divisor"])
+def test_value_texts_bound_the_merged_degree(parse, shape, at, var):
+    """A text outside a wedge entry is multiplied out only when its degree
+    bound, with equal bases merged, is within MAX_POWER_DEGREE; above it,
+    it is refused at the start of the expression."""
+    parse(shape.format("(V^100+2)*(V+3)/(V+3)".replace("V", var)))
+    with pytest.raises(ParseError) as e:
+        parse(shape.format("(V^100+2)*V".replace("V", var)))
+    assert str(e.value) == \
+        f"expression of degree 101 is above the limit 100 (at position {at})"

@@ -66,8 +66,6 @@ def test_one_minus_is_reduced_without_make():
 
 def test_orders_and_evaluation():
     f = RatFunc.make(P([0, 0, 1]), P([-1, 1]))  # t^2/(t-1)
-    assert f.order_at_rational(0) == 2
-    assert f.order_at_rational(1) == -1
     assert f.order_at_infinity() == -1
     assert f.evaluate(2) == 4
     assert f.evaluate_projective(1) is INF

@@ -182,6 +182,19 @@ def test_ts_gamma_at_a_quadratic_place():
         ts_gamma(parse_gamma("{(t-1)/(t-2)}_2 @ w[t^2+1]", reg), v, reg)
 
 
+def test_ts_gamma_at_a_quadratic_place_skips_dead_terms():
+    """A term whose tail has residue zero at t^2+1=0 dies before the value
+    of its argument there, which lies in Q(i), is asked for; a term whose
+    argument has the rational value 1 there dies too."""
+    reg = AtomRegistry()
+    v = parse_place("t^2+1=0")
+    for text in ("{t}_2 @ w[t]", "{-t^2}_2 @ w[t^2+1]",
+                 "{t}_2 @ w[t, t-1] + {(t-1)/(t+3)}_2 @ w[t+2, 5]"):
+        assert ts_gamma(parse_gamma(text, reg), v, reg).is_zero, text
+    with pytest.raises(NonSplitResidue):
+        ts_gamma(parse_gamma("{t}_2 @ w[t^2+1, 2]", reg), v, reg)
+
+
 def test_ts_gamma_on_scalar_tail_is_zero():
     reg = AtomRegistry()
     g = gamma_term(1, Q(-4), ONE)

@@ -92,6 +92,19 @@ def test_symbol_at_quadratic_place_needs_split_residues():
         tame_symbol(wedge_of([f, g]), place, reg)
 
 
+def test_value_at_a_quadratic_place_is_rational_when_it_can_be():
+    """f has a rational value c at q=0 when num = c * den modulo q; only a
+    value outside Q is refused."""
+    from tamesym import INF, NonSplitResidue
+    place = IrredPlace(P([1, 0, 1]))
+    assert place.value(rf([-1], [0, 0, 1])) == 1      # -1/t^2 at t = i
+    assert place.value(rf([3, 0, 1], [2, 0, 1])) == 2  # (t^2+3)/(t^2+2)
+    assert place.value(rf([1, 0, 1], [0, 1])) == 0
+    assert place.value(rf([1], [1, 0, 1])) is INF
+    with pytest.raises(NonSplitResidue):
+        place.value(rf([0, 1]))
+
+
 def test_symbol_independent_of_uniformizer():
     """Any class of order one at the place must produce the same symbol."""
     rng = random.Random(31)

@@ -11,7 +11,6 @@ from tamesym import polynomials
 from tamesym.integers import divisors
 from tamesym.polynomials import (_SUBSET_BUDGET, bipoly_exact_div,
                                  factor_uni, gcd_uni, irreducible_check_uni,
-                                 multiplicity_at, multiplicity_of_factor,
                                  rational_roots, squarefree_decomposition)
 
 P = UniPoly.make
@@ -97,14 +96,6 @@ def test_rational_roots():
     found = dict(rational_roots(g))
     assert found == {Q(1): 3, Q(-2): 1}
     assert rational_roots(P([1, 0, 1])) == []
-
-
-def test_multiplicities():
-    f = P([-1, 1]) ** 2 * P([-2, 1])
-    assert multiplicity_at(f, 1) == 2
-    assert multiplicity_at(f, 2) == 1
-    assert multiplicity_at(f, 3) == 0
-    assert multiplicity_of_factor(f, P([-1, 1])) == 2
 
 
 def test_squarefree_decomposition():

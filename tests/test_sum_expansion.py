@@ -25,7 +25,7 @@ from tamesym.atoms import UniAtom, constant_class
 from tamesym.expressions import INF
 from tamesym.homotopy import DecompResult, _check_split
 from tamesym.places import INFINITY, ratfunc_support, support, support_sum
-from tamesym.polynomials import multiplicity_of_factor
+from tamesym.polynomials import UniPoly
 from tamesym.suite import _gamma_element, _rand_rational, _split_slot
 from tamesym.wedges import nonconstant_count
 
@@ -88,12 +88,21 @@ def _ref_support_sum(w, field, reg):
 
 
 def _ref_ratfunc_order(f, place):
-    if isinstance(place, FinRat):
-        return f.order_at_rational(place.c)
     if isinstance(place, Infinity):
         return f.order_at_infinity()
-    up = multiplicity_of_factor(f.num, place.poly) if not f.num.is_zero else 0
-    return up - multiplicity_of_factor(f.den, place.poly)
+    q = UniPoly.make([-place.c, 1]) if isinstance(place, FinRat) else place.poly
+
+    def multiplicity(p):
+        """Order of the irreducible factor q in the nonzero polynomial p."""
+        k = 0
+        while True:
+            quo, rem = p.divmod(q)
+            if not rem.is_zero:
+                return k
+            p, k = quo, k + 1
+
+    up = multiplicity(f.num) if not f.num.is_zero else 0
+    return up - multiplicity(f.den)
 
 
 def _ref_value_at(x, v):
