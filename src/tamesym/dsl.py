@@ -129,7 +129,7 @@ class _Product:
     wedge entry is classed base by base instead. '*', '/' and '^' join or
     scale the factors, unary '-' adds the factor -1 (so that value() builds
     what the value arithmetic builds), and '+' and '-' multiply both sides
-    out into one new base, each side first bounded by `degree`."""
+    out into one new base (`_expr`), each side first bounded by `degree`."""
 
     def __init__(self, factors: tuple):
         self.factors = factors
@@ -146,19 +146,21 @@ class _Product:
             exps[b] = exps.get(b, 0) + e
         return _Product(tuple(exps.items()))
 
-    def degree(self, limit: int) -> int:
-        """Sum of |e| * degree(base) over the merged bases: a bound on the
-        degree of the product multiplied out. Merging only lowers the sum,
-        so the unmerged sum is returned when it is within `limit`."""
-        d = sum(abs(e) * _degree(b) for b, e in self.factors)
-        if d > limit:
-            d = sum(abs(e) * _degree(b) for b, e in self.merged().factors)
-        return d
+    @property
+    def degree(self) -> int:
+        """Sum of |e| * degree(base): a bound on the degree of the product
+        multiplied out, which merging only lowers."""
+        return sum(abs(e) * _degree(b) for b, e in self.factors)
+
+    def reduced(self) -> "_Product":
+        """Self, or self merged when its degree is above MAX_POWER_DEGREE."""
+        return self if self.degree <= MAX_POWER_DEGREE else self.merged()
 
     def value(self):
-        """The product multiplied out with the value arithmetic."""
+        """`reduced()` multiplied out with the value arithmetic, factor by
+        factor: never above the merged bound that callers check first."""
         out = None
-        for b, e in self.factors:
+        for b, e in self.reduced().factors:
             p = b if e == 1 else b ** e
             out = p if out is None else out * p
         return out
@@ -178,12 +180,6 @@ class _Product:
             raise ZeroDivisionError("negative power of zero")
         return _Product(tuple([(b, k * e) for b, k in self.factors]))
 
-    def __add__(self, other: "_Product") -> "_Product":
-        return _Product(((self.value() + other.value(), 1),))
-
-    def __sub__(self, other: "_Product") -> "_Product":
-        return _Product(((self.value() - other.value(), 1),))
-
 
 def _expr(s: _Scanner, ctx: _Ctx) -> _Product:
     val = _expr_term(s, ctx)
@@ -193,7 +189,8 @@ def _expr(s: _Scanner, ctx: _Ctx) -> _Product:
         other = _expr_term(s, ctx)
         for side in (val, other):
             _bound(side, "sum with a term", here)
-        val = val + other if op == "+" else val - other
+        a, b = val.value(), other.value()
+        val = _Product(((a + b if op == "+" else a - b, 1),))
     return val
 
 
@@ -227,12 +224,19 @@ def _degree(val) -> int:
     return 0
 
 
+def _rational(val) -> Fraction:
+    """The rational number that a constant base stands for."""
+    if isinstance(val, BiFrac):
+        return val.num.evaluate(0, 0) / val.den.evaluate(0, 0)
+    return val.constant_value() if isinstance(val, RatFunc) else val
+
+
 def _bits(val) -> int:
-    """Bit length of the larger of numerator and denominator of a constant."""
-    if isinstance(val, RatFunc):
-        val = val.constant_value()
-    elif isinstance(val, BiFrac):
-        val = val.num.evaluate(0, 0) / val.den.evaluate(0, 0)
+    """Bit length of the larger of numerator and denominator of a constant
+    as written: of both sides of a bivariate one, which is not reduced."""
+    if isinstance(val, BiFrac):
+        return max(_bits(val.num.evaluate(0, 0)), _bits(val.den.evaluate(0, 0)))
+    val = _rational(val)
     return max(val.numerator.bit_length(), val.denominator.bit_length())
 
 
@@ -243,14 +247,19 @@ def _expr_power(s: _Scanner, ctx: _Ctx) -> _Product:
         here = s.pos
         e = s.parse_uint()
         # merged, so that a base that cancels to a constant reads as one
-        deg = base.degree(0)
+        deg = base.merged().degree
         if deg * e > MAX_POWER_DEGREE:
             raise ParseError(f"power of degree {deg} * {e} is above the limit "
                              f"{MAX_POWER_DEGREE}", here)
-        bits = 0 if deg else _bits(base.merged().value())
-        if bits * e > MAX_POWER_BITS:
-            raise ParseError(f"power of bit length {bits} * {e} is above the "
-                             f"limit {MAX_POWER_BITS}", here)
+        if not deg:
+            c = _rational(base.merged().value())
+            if _bits(c) * e > MAX_POWER_BITS:
+                raise ParseError(f"power of bit length {_bits(c)} * {e} is "
+                                 f"above the limit {MAX_POWER_BITS}", here)
+            # factors that cancel (3^2048/3^2048) are not raised as written
+            if e * sum(abs(k) * _bits(b) for b, k in base.factors
+                       if not _degree(b)) > MAX_POWER_BITS:
+                base = ctx.const(c)
         try:
             return base ** (-e if neg else e)
         except ZeroDivisionError:
@@ -274,7 +283,7 @@ def _expr_primary(s: _Scanner, ctx: _Ctx) -> _Product:
 
 def _bound(val: _Product, what: str, here: int) -> None:
     """Refuse `val` at `here` when its degree bound is above the limit."""
-    d = val.degree(MAX_POWER_DEGREE)
+    d = val.reduced().degree
     if d > MAX_POWER_DEGREE:
         raise ParseError(f"{what} of degree {d} is above the limit "
                          f"{MAX_POWER_DEGREE}", here)

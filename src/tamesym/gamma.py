@@ -257,16 +257,17 @@ def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
     if g.tail_degree == 0:
         return
     for (x, key), c in g.terms:
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         try:
             xv = v.value(x) if isinstance(x, RatFunc) else x
         except NonSplitResidue:
             # a term whose tail has residue zero dies whatever x(v) is
+            tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
             if tame_symbol(tail, v, reg).is_zero:
                 continue
             raise
         if xv is INF or xv == 0 or xv == 1:
             continue
+        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         ts = tame_symbol(tail, v, reg)
         if ts.is_zero:
             continue

@@ -251,17 +251,31 @@ def test_value_above_the_degree_bound_is_refused_before_expanding(capsys, argv,
     assert time.perf_counter() - start < 1.0
 
 
-def test_symbol_at_a_quadratic_place_skips_dead_terms(capsys):
+@pytest.mark.parametrize("argv, reduced", [
+    (["delta", "{((t+1)^100/(t+1)^100)^4096*t}_2"], ["delta", "{t}_2"]),
+    (["delta", "{((3^2048/3^2048)^4096)^4*t}_2"], ["delta", "{t}_2"]),
+    (["delta", "{((3^2048*(1/3+0)^2048)^4096)^4*t}_2"], ["delta", "{t}_2"]),
+    (["delta", f"{{{POWERS_30}/({POWERS_30})*2/t}}_2"], ["delta", "{2/t}_2"]),
+    (["adm", "cyc[((t+1)^100/(t+1)^100)^4096*t, t-2]"],
+     ["adm", "cyc[t, t-2]"]),
+], ids=["degree-power", "bit-power", "bit-power-distinct-bases",
+        "long-quotient", "cycle"])
+def test_cancelling_factors_are_not_multiplied_out(capsys, argv, reduced):
+    """Factors that cancel pass the merged bounds, but were multiplied out
+    as written: (t+1)^409600 for the first text, 3^33554432 for the second
+    and third, and a degree-3000 product for the fourth. A text answers as
+    its reduced form does, and in bounded time."""
+    expected = run(capsys, *reduced)
+    proc = subprocess.run([sys.executable, "-m", "tamesym", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_homotopy_check_at_a_quadratic_place_skips_dead_terms(capsys):
     """At t^2+1=0 the value of -1/t^2 is 1, and the tail w[t] has residue
     zero, so both terms die; each was refused as a value in Q(i)."""
     assert run(capsys, "homotopy-check", "--sub", "{-t^2}_2 @ w[t]") == \
         (0, "upper-triangle: yes\nsyntactic: yes\n", "")
-    assert run(capsys, "ts-gamma", "--place", "t^2+1=0", "{t}_2 @ w[t]") == \
-        (0, "0\n", "")
-    code, out, err = run(capsys, "ts-gamma", "--place", "t^2+1=0",
-                         "{t}_2 @ w[t^2+1, 2]")
-    assert (code, out) == (3, "")
-    assert err.startswith("ts-gamma: NonSplitResidue: ")
 
 
 def test_unfactorable_factor_is_named_alone(capsys):

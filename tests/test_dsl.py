@@ -329,3 +329,22 @@ def test_value_texts_bound_the_merged_degree(parse, shape, at, var):
         parse(shape.format("(V^100+2)*V".replace("V", var)))
     assert str(e.value) == \
         f"expression of degree 101 is above the limit 100 (at position {at})"
+
+
+@pytest.mark.parametrize("parse, shape, at, var", _VALUE_CONTEXTS,
+                         ids=["ratfunc", "bifrac", "symbol", "cycle", "place",
+                              "divisor"])
+@pytest.mark.parametrize("factor", ["((V+1)^100/(V+1)^100)^4096",
+                                    "(3^2048/3^2048)^4096",
+                                    "(3^2048*(1/3+0)^2048)^4096",
+                                    "(3^2048/3^2048+0)^4096"],
+                         ids=["degree", "bits", "bits-distinct-bases",
+                              "bits-unreduced-base"])
+def test_value_texts_never_raise_factors_that_cancel(parse, shape, at, var,
+                                                     factor):
+    """A power whose factors cancel passes its bounds; it is multiplied out
+    with equal bases merged, and a constant base as the number it stands
+    for, never as written (over Q(x, y) the last base is 3^2048/3^2048 as
+    written, since a bivariate fraction is not reduced)."""
+    text = shape.format(f"{factor}*(V-2)".replace("V", var))
+    assert parse(text) == parse(shape.format(f"{var}-2"))
