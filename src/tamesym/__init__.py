@@ -18,7 +18,7 @@ from .dsl import (parse_bifrac, parse_cycle, parse_divisor, parse_element,
 from .errors import (CoordinateIdenticallyFace, DegenerateArgument,
                      DegreeMismatch, IdenticallyZeroOnDivisor, Inconclusive,
                      MixedFields, NonLinearAtom, NonSplitResidue,
-                     NotAdmissible, NotAUnit, NotDistinct, NotStrictlyRegular,
+                     NotAdmissible, NotDistinct, NotStrictlyRegular,
                      OneMinusOfOne, ParseError, TameSymError, TooManyDigits,
                      UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc

@@ -25,10 +25,6 @@ class DegreeMismatch(TameSymError):
     """Wedge arithmetic on operands of different exterior degrees."""
 
 
-class NotAUnit(TameSymError):
-    """Residue reduction requested for a class with nonzero order."""
-
-
 class NonSplitResidue(TameSymError):
     """A residue computation landed in a proper extension of the base field."""
 

@@ -9,9 +9,9 @@ support divisors (including the two infinity lines) and curve terms to the
 sum over places; point terms die. Surface inputs must present a strict
 normal crossing support; no attempt is made to repair one that does not.
 Every residue is `tame_symbol` at a place, which gives its own orders,
-unit classes, uniformizer and residue field; the blow-up probe is the
-place `ExceptionalCurve(c1, c2)`, whose residues over Q(v) become curve
-wedges by `blowup_as_curve`.
+unit classes and residue field; the blow-up probe is the place
+`ExceptionalCurve(c1, c2)`, whose residues over Q(v) become curve wedges
+by `blowup_as_curve`.
 """
 
 from __future__ import annotations

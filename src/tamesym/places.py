@@ -1,16 +1,23 @@
 """Places of Q(t), divisors on the product of two projective lines, the
 exceptional curves of point blow-ups, and the tame symbol.
 
-Every place answers for itself: `order(atom)`, `unit(atom, reg)` (the
-residue class of the atom's unit part), `uniformizer(reg)` and
+Every place answers for itself: `order(atom)`, `unit(atom, reg)`, the
+function field it is a place of (`field`, "Qt" or "Qxy") and its
 `residue_field`: Q for places of Q(t), Q(t) again (in the divisor's own
 parameter, renamed to t) for surface divisors, Q(v) for an exceptional
 curve. Places of Q(t) also give `value(f)`, 0 at a zero and INF at a pole.
-One residue kernel, `single_pi_residue`, serves them all: split each slot
-of a wedge monomial into (order) * uniformizer + unit part, expand, keep
-the single-uniformizer terms, and reduce the remaining unit slots into the
-residue field. A sum over a support expands every place's summands
-(`pi_summands`) once.
+
+Each place fixes a uniformizer pi without building it: t - c, the
+irreducible q, 1/t, a graph's equation, 1/var, and u = x - c1 on an
+exceptional curve. `unit(atom, reg)` is the residue class of
+atom / pi^order(atom), so the class of a place's own atom is 0. On the
+exterior powers of the classes (tensored with Q) the residue does not
+depend on that choice: replacing pi by pi*u0 shifts each unit class by
+order * [u0], and those terms cancel in the alternating sum. One residue
+kernel, `pi_summands`, serves every place: each slot of a wedge monomial
+is order * pi + unit, and the terms with a single pi slot are kept.
+`tame_symbol` expands one place's summands, and a sum over a support
+(`support_sum`) expands every place's summands once.
 
 Mirror convention: each surface divisor, a `Graph` var = phi(s) or a
 `LineInf` var = inf, names the coordinate `var` it solves for; its
@@ -28,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
-                    atom_str, factor_into_atoms, mult_vec)
+                    factor_into_atoms, mult_vec)
 from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
-                     NotAUnit, UnsupportedDivisorClass)
+                     UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import ZERO, BiPoly, UniPoly, num_str, poly_str
 from .wedges import Wedge, class_factors, expand_products
@@ -48,6 +55,7 @@ class FinRat:
     """The place t = c of Q(t)."""
 
     c: Fraction
+    field = "Qt"
     residue_field = "Q"
 
     def order(self, atom) -> int:
@@ -59,12 +67,9 @@ class FinRat:
         if isinstance(atom, PrimeAtom):
             return mult_vec(Q(atom.p), reg, "Q")
         value = atom.poly.evaluate(self.c)
-        if value == 0:
-            raise NotAUnit(f"atom {atom_str(atom, 'Qt')} vanishes at {self}")
+        if value == 0:  # the atom t - c is pi
+            return MultVec.zero("Q")
         return mult_vec(value, reg, "Q")
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        return MultVec("Qt", ((reg.uni(UniPoly.make([-self.c, 1])), Q(1)),))
 
     def value(self, f: RatFunc):
         return f.evaluate_projective(self.c)
@@ -81,18 +86,18 @@ class IrredPlace:
     """The place cut out by a monic irreducible polynomial of degree >= 2."""
 
     poly: UniPoly
+    field = "Qt"
     residue_field = "Q"
 
     def order(self, atom) -> int:
         return 1 if isinstance(atom, UniAtom) and atom.poly == self.poly else 0
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if self.order(atom):  # the atom is pi
+            return MultVec.zero("Q")
         raise NonSplitResidue(
             f"residue field of {self} is a degree-{self.poly.degree} "
             "extension of Q")
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        return mult_vec(RatFunc.make(self.poly), reg, "Qt")  # certifies it
 
     def value(self, f: RatFunc):
         num, den = f.num % self.poly, f.den % self.poly
@@ -117,6 +122,7 @@ class IrredPlace:
 class Infinity:
     """The place t = infinity."""
 
+    field = "Qt"
     residue_field = "Q"
 
     def order(self, atom) -> int:
@@ -126,9 +132,6 @@ class Infinity:
         if isinstance(atom, PrimeAtom):
             return mult_vec(Q(atom.p), reg, "Q")
         return MultVec.zero("Q")  # monic atoms have leading coefficient 1
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        return MultVec("Qt", ((reg.uni(UniPoly.var()), Q(-1)),))
 
     def value(self, f: RatFunc):
         return f.evaluate_projective(INF)
@@ -157,6 +160,7 @@ class Graph:
     var: str
     num: UniPoly
     den: UniPoly
+    field = "Qxy"
     residue_field = "Qt"
     finite = True  # has an equation in the finite chart
 
@@ -174,12 +178,9 @@ class Graph:
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
             return mult_vec(Q(atom.p), reg, "Qt")
+        if self.order(atom):  # the atom is the equation, pi
+            return MultVec.zero("Qt")
         return mult_vec(restrict_bi(BiFrac.make(atom.poly), self), reg, "Qt")
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        """den*var - num with coprime integer coefficients, linear in var, so
-        irreducible by shape and registered without factoring."""
-        return MultVec("Qxy", ((reg.bi(self.equation_atom()), Q(1)),))
 
     def sort_key(self) -> tuple:
         c = self.phi().constant_value()
@@ -200,6 +201,7 @@ class LineInf:
     unit classes are leading coefficients in var."""
 
     var: str
+    field = "Qxy"
     residue_field = "Qt"
     finite = False
 
@@ -212,10 +214,6 @@ class LineInf:
             return mult_vec(Q(atom.p), reg, "Qt")
         g = atom.poly.swap_xy() if self.var == "x" else atom.poly
         return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        v = BiPoly.var_x() if self.var == "x" else BiPoly.var_y()
-        return MultVec("Qxy", ((reg.bi(v), Q(-1)),))
 
     def sort_key(self) -> tuple:
         return (4,) if self.var == "x" else (5,)
@@ -234,11 +232,12 @@ SurfDivisor = Graph | LineInf
 class ExceptionalCurve:
     """The curve u = 0, with coordinate v, of the blow-up of (c1, c2) in the
     chart x = c1 + u, y = c2 + u*v. An atom pulls back to u^k * (g_k(v) +
-    O(u)), g_k nonzero: k is its order and [g_k] its unit class. The
-    uniformizer, the primitive form of x - c1, is a constant times u."""
+    O(u)), g_k nonzero: k is its order and [g_k] its unit class, for the
+    uniformizer u."""
 
     c1: Fraction
     c2: Fraction
+    field = "Qxy"
     residue_field = "Qv"
 
     def _leading(self, atom) -> tuple[int, UniPoly]:
@@ -257,10 +256,6 @@ class ExceptionalCurve:
         if not isinstance(atom, BiAtom):
             return MultVec.make("Qv", {atom: Q(1)})
         return mult_vec(RatFunc.make(self._leading(atom)[1]), reg, "Qv")
-
-    def uniformizer(self, reg: AtomRegistry) -> MultVec:
-        _, prim = BiPoly.make({(0, 0): -self.c1, (1, 0): 1}).primitive_int()
-        return MultVec("Qxy", ((reg.bi(prim), Q(1)),))
 
 
 def solved_divisor(var: str, f: RatFunc) -> Graph:
@@ -304,20 +299,8 @@ def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
 
 
 # ---------------------------------------------------------------------------
-# orders and unit classes of class vectors
+# restriction to a divisor
 # ---------------------------------------------------------------------------
-
-
-def order_at(v: MultVec, place) -> Fraction:
-    """Order of vanishing of a class vector at a place or divisor.
-
-    Q-linear in the exponents, so the result can be a fraction for
-    non-integer class combinations.
-    """
-    total = Q(0)
-    for atom, c in v.coeffs:
-        total += c * place.order(atom)
-    return total
 
 
 def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
@@ -338,38 +321,26 @@ def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
     return RatFunc.make(num, den)
 
 
-def reduce_unit(u: MultVec, place, reg: AtomRegistry) -> MultVec:
-    """Residue class of a unit's class vector, atom by atom."""
-    k = order_at(u, place)
-    if k != 0:
-        raise NotAUnit(f"class has order {k} at {place}")
-    out = MultVec.zero(place.residue_field)
-    for atom, c in u.coeffs:
-        out = out + place.unit(atom, reg).scale(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the tame symbol
 # ---------------------------------------------------------------------------
 
 
-def pi_summands(w: Wedge, order, unit) -> list:
-    """The `expand_products` summands of the residue rule shared by every
-    place, divisor and blow-up chart.
+def pi_summands(w: Wedge, place, reg: AtomRegistry) -> list:
+    """The `expand_products` summands of the residue of w at a place, a
+    divisor or an exceptional curve.
 
-    order(a) is the order of atom a along the divisor and unit(a) the class
-    in the residue field of a's unit part. Each slot of a monomial is
-    order * pi + unit; expanded terms with two or more pi slots vanish,
-    all-unit terms contribute nothing, and a single pi slot at position i
-    contributes sign (-1)^i times the order times the wedge of the other
-    slots' unit classes. Degree-1 wedges reduce to bare orders on the
-    scalar line.
+    Each slot of a monomial is order * pi + unit, pi the place's uniformizer
+    and unit the class of atom / pi^order in the residue field. Expanded
+    terms with two or more pi slots vanish, all-unit terms contribute
+    nothing, and a single pi slot at position i contributes sign (-1)^i
+    times the order times the wedge of the other slots' unit classes.
+    Degree-1 wedges reduce to bare orders on the scalar line.
 
-    order is asked for every atom of every monomial, unit only for the
-    other slots of a monomial with a pi slot; each at most once per atom,
-    so an atom whose unit class cannot be formed raises only where one is
-    needed.
+    `place.order` is asked once per atom of the wedge, `place.unit` once per
+    atom that is another slot of a monomial with a pi slot, so an atom
+    whose unit class cannot be formed raises only where one is needed, and
+    so does a wedge over another field than the place's.
     """
     orders: dict = {}
     units: dict = {}
@@ -377,7 +348,7 @@ def pi_summands(w: Wedge, order, unit) -> list:
     for key, coeff in w.terms:
         for a in key:
             if a not in orders:
-                orders[a] = order(a)
+                orders[a] = place.order(a)
         for i, a in enumerate(key):
             k = orders[a]
             if k == 0:
@@ -386,51 +357,22 @@ def pi_summands(w: Wedge, order, unit) -> list:
             for j, b in enumerate(key):
                 if j != i:
                     if b not in units:
-                        units[b] = unit(b)
+                        if w.field != place.field:
+                            raise MixedFields(f"{w.field} vs {place.field}")
+                        units[b] = place.unit(b, reg)
                     rest.append(units[b])
             summands.append((coeff * (-k if i % 2 else k),
                              class_factors(rest) if rest else []))
     return summands
 
 
-def single_pi_residue(w: Wedge, field: str, order, unit) -> Wedge:
-    """The residue rule of `pi_summands`, expanded over `field`."""
-    return expand_products(field, w.degree - 1, pi_summands(w, order, unit))
-
-
-def _place_rule(w: Wedge, place, reg: AtomRegistry,
-                uniformizer: MultVec | None = None) -> tuple:
-    """order and unit of the residue rule at a place: the atoms' orders
-    there and the residue classes of their unit parts."""
-    pi_hat = uniformizer if uniformizer is not None else place.uniformizer(reg)
-
-    def unit(atom) -> MultVec:
-        if w.field != pi_hat.field:
-            raise MixedFields(f"{w.field} vs {pi_hat.field}")
-        k = place.order(atom)
-        if k == 0:  # the atom is its own unit part
-            return place.unit(atom, reg)
-        single = MultVec.make(w.field, {atom: Q(1)})
-        return reduce_unit(single - pi_hat.scale(k), place, reg)
-
-    return place.order, unit
-
-
-def tame_symbol(w: Wedge, place, reg: AtomRegistry,
-                uniformizer: MultVec | None = None) -> Wedge:
-    """Residue of a wedge at a place; degree drops by one.
-
-    The single-pi rule of `single_pi_residue`, with the atoms' orders at
-    the place and the residue classes of their unit parts.
-
-    The default uniformizer follows the fixed conventions; passing another
-    class with order 1 must give the same answer (constants and units drop
-    in the residue wedge), which the test suite exercises.
-    """
+def tame_symbol(w: Wedge, place, reg: AtomRegistry) -> Wedge:
+    """Residue of a wedge at a place; degree drops by one. The summands of
+    `pi_summands`, expanded over the place's residue field."""
     if w.degree < 1:
         raise ValueError("tame symbol needs degree at least 1")
-    return single_pi_residue(w, place.residue_field,
-                             *_place_rule(w, place, reg, uniformizer))
+    return expand_products(place.residue_field, w.degree - 1,
+                           pi_summands(w, place, reg))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +422,7 @@ def support_sum(w: Wedge, field: str, reg: AtomRegistry) -> Wedge:
     expanded once."""
     summands = []
     for place in support(w):
-        summands += pi_summands(w, *_place_rule(w, place, reg))
+        summands += pi_summands(w, place, reg)
         if place.residue_field != field:
             raise MixedFields(f"{field} vs {place.residue_field}")
     return expand_products(field, w.degree - 1, summands)

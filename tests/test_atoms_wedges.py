@@ -10,9 +10,9 @@ import pytest
 
 from tamesym import (AtomRegistry, DegenerateArgument, DegreeMismatch,
                      MixedFields, MultVec, RatFunc, UniPoly, Wedge,
-                     constant_class, mult_vec, one_minus, wedge_add,
-                     wedge_concat, wedge_equal, wedge_of, wedge_scale,
-                     wedge_str, wedge_sub)
+                     constant_class, mult_vec, one_minus, tame_symbol,
+                     wedge_add, wedge_concat, wedge_equal, wedge_of,
+                     wedge_scale, wedge_str, wedge_sub)
 from tamesym.errors import OneMinusOfOne
 from tamesym.wedges import retag, wedge_monomial
 
@@ -539,8 +539,25 @@ def test_expansion_kernel_matches_the_fraction_loops():
             == _ref_make("Qt", w.degree, mapping).terms
 
 
+class _FakePlace:
+    """A place of Q(t) with residue field Q whose orders and unit classes
+    are drawn at random; each unit call is logged."""
+
+    field = "Qt"
+    residue_field = "Q"
+
+    def __init__(self, orders, units, log):
+        self.orders, self.units, self.log = orders, units, log
+
+    def order(self, a):
+        return self.orders[a]
+
+    def unit(self, a, reg):
+        self.log.append(a)
+        return self.units[a]
+
+
 def test_residue_kernel_matches_the_fraction_loop():
-    from tamesym.places import single_pi_residue
     rng = random.Random(2027)
     regs = (AtomRegistry(), AtomRegistry())
     pools = [_kernel_atoms(r) for r in regs]
@@ -552,16 +569,10 @@ def test_residue_kernel_matches_the_fraction_loop():
         orders = {a: rng.choice([0, 0, 1, -1, 2, -3]) for a in atoms}
         units = {a: _kernel_vector(rng, atoms[:9], "Q", 3) for a in atoms}
         calls = ([], [])
-
-        def order(a):
-            return orders[a]
-
-        def unit(a, log):
-            log.append(a)
-            return units[a]
-
-        got = single_pi_residue(w, "Q", order, lambda a: unit(a, calls[0]))
-        want = _ref_single_pi_residue(w, "Q", order, lambda a: unit(a, calls[1]))
+        place, ref = (_FakePlace(orders, units, log) for log in calls)
+        got = tame_symbol(w, place, regs[0])
+        want = _ref_single_pi_residue(w, "Q", ref.order,
+                                      lambda a: ref.unit(a, regs[0]))
         assert got.terms == want.terms and got.degree == want.degree
         assert got.field == "Q" and _all_fractions(got)
         assert calls[0] == calls[1]
@@ -569,9 +580,11 @@ def test_residue_kernel_matches_the_fraction_loop():
         odd = rng.choice(atoms)
         units[odd] = MultVec.make("Qv", {atoms[0]: Q(1)})
         errors = []
-        for kernel in (single_pi_residue, _ref_single_pi_residue):
+        for kernel in (lambda: tame_symbol(w, place, regs[0]),
+                       lambda: _ref_single_pi_residue(
+                           w, "Q", ref.order, lambda a: units[a])):
             try:
-                kernel(w, "Q", order, lambda a: units[a])
+                kernel()
             except MixedFields as exc:
                 errors.append(str(exc))
             else:

@@ -393,7 +393,7 @@ def test_not_distinct_points_render_canonically(capsys):
     assert "Fraction(" not in err
 
 
-# One CLI input per refusal class the CLI can reach. NotAUnit,
+# One CLI input per refusal class the CLI can reach.
 # IdenticallyZeroOnDivisor, MixedFields, DegreeMismatch and OneMinusOfOne
 # guard engine internals: the parser and the verbs refuse first, so no input
 # reaches them ({1}_2 is a DegenerateArgument).
