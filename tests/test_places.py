@@ -178,6 +178,55 @@ def test_value_at_a_quadratic_place_is_rational_when_it_can_be():
         place.value(rf([0, 1]))
 
 
+def test_uniformizer_classes():
+    reg = AtomRegistry()
+    for place in (FinRat(Q(3)), INFINITY, IrredPlace(P([1, 0, 1])),
+                  ExceptionalCurve(Q(1, 2), Q(-2, 3))):
+        assert _ref_order_at(_ref_uniformizer(place, reg), place) == 1
+
+
+def _tables(reg):
+    return reg._primes, reg._uni, reg._bi
+
+
+def test_uniformizer_class_is_the_class_of_the_defining_function():
+    """The closed form equals the class map of t - c, 1/t, the primitive
+    equation of a Graph and 1/x or 1/y, and registers the same atoms, in
+    both orientations of every surface divisor: lines x = c and y = c,
+    graphs y = phi(x) and x = psi(y), and the lines at infinity."""
+    rng = random.Random(606)
+    places = [(INFINITY, RatFunc.make(P([1]), P([0, 1]))),
+              (LineInf("x"), BiFrac.make(BiPoly.const(1), BiPoly.var_x())),
+              (LineInf("y"), BiFrac.make(BiPoly.const(1), BiPoly.var_y()))]
+    for _ in range(40):
+        c = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        places.append((FinRat(c), rf([-c, 1])))
+        num = [Q(rng.randint(-6, 6), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        den = [Q(rng.randint(-6, 6), rng.randint(1, 3))
+               for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, -3])]
+        phi = rf(num, den)
+        if phi.is_zero:
+            continue
+        for var in ("x", "y"):
+            d = solved_divisor(var, phi)
+            prim = defining_bipoly(d).primitive_int()[1]
+            places.append((d, BiFrac.make(prim)))
+    kinds = set()
+    for place, f in places:
+        surface = isinstance(f, BiFrac)
+        # a surface divisor's shape is its sort-key head
+        kinds.add(place.sort_key()[0] if surface else type(place).__name__)
+        reg, ref = AtomRegistry(), AtomRegistry()
+        field = "Qxy" if surface else "Qt"
+        pi = _ref_uniformizer(place, reg)
+        assert pi == mult_vec(f, ref, field)
+        assert _tables(reg) == _tables(ref)
+        assert _ref_order_at(pi, place) == 1
+    # x=c, y=c, y=phi(x), x=psi(y), x=inf, y=inf
+    assert kinds == {"FinRat", "Infinity", 0, 1, 2, 3, 4, 5}
+
+
 def _curve_cases(rng):
     """Places of Q(t), slots, and order-1 alternatives to the default
     uniformizer: pi times a constant and a quotient of units."""
