@@ -109,13 +109,14 @@ def meeting_points(text: str) -> list[tuple[Q, Q]]:
 
 
 def surface_verbs_text() -> str:
-    """`snc`, `dd2` and `ts --divisor` at x=0, y=inf and y=x on every
-    corpus wedge, and `blowup` at every point where two of its divisors
-    meet."""
+    """`snc` (as text and as JSON, whose certificate counts the candidate
+    points), `dd2` and `ts --divisor` at x=0, y=inf and y=x on every corpus
+    wedge, and `blowup` at every point where two of its divisors meet."""
     blocks = []
     for text in surface_wedges():
         m = text.count(",") - 1
-        for argv in (["snc", text], ["dd2", f"m={m}; [S: {text}]"],
+        for argv in (["snc", text], ["snc", "--format", "json", text],
+                     ["dd2", f"m={m}; [S: {text}]"],
                      ["ts", "--divisor", "x=0", text],
                      ["ts", "--divisor", "y=inf", text],
                      ["ts", "--divisor", "y=x", text]):
