@@ -7,17 +7,21 @@ constant) is smooth, so the two things that can go wrong are a
 non-transversal pairwise meeting and three or more divisors through one
 point. The checker enumerates a finite candidate set that provably
 contains every intersection point: pairwise finite solutions plus all
-boundary points (where a divisor meets the infinity lines), then tests
-membership of every divisor at every candidate through the four affine
-charts. Once one divisor of a pair, y = phi1(x), solves for y, x solves
-num1*den2 - num2*den1 = 0 when the other is a graph y = phi2(x) too, and
-the fixed-point equation x = psi(phi1(x)) when the other is x = psi(y).
+boundary points (where a divisor meets the infinity lines). Once one
+divisor of a pair, y = phi(x), solves for y, x solves the other's own
+equation along it, g2(x, phi(x)) = 0 with phi's denominator cleared.
+
+Members are the closures of the finite divisors; the lines at infinity
+are not members. Every question is asked by one rule: build a polynomial
+from the divisors' equations in the chart of the candidate (the equation
+itself for membership, the Jacobian determinant of two for
+transversality) and ask whether it vanishes at the candidate.
 
 Points with algebraic coordinates are handled as clusters: an irreducible
 polynomial q together with the other coordinate expressed as a rational
-function of the first (or the infinite marker). Membership and
-transversality are decided modulo q, which settles all conjugate points at
-once.
+function of the first (or the infinite marker). The polynomial vanishes on
+a cluster when it does so modulo q once the other coordinate is substituted,
+which settles all conjugate points at once.
 
 Configurations mirrored by (x, y) -> (y, x) share one code path: a
 cluster over y, and a boundary or pair whose divisors all solve for x
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (Graph, SurfDivisor, defining_bipoly,
-                     finite_support_divisors, point_key, point_str)
+from .places import (SurfDivisor, defining_bipoly, finite_support_divisors,
+                     point_key, point_str)
 from .polynomials import BiPoly, UniPoly, factor_uni, poly_str
 from .wedges import Wedge
 
@@ -88,7 +92,7 @@ class SncReport:
 
 
 # ---------------------------------------------------------------------------
-# charts and membership
+# one rule: does a chart polynomial vanish at the candidate?
 # ---------------------------------------------------------------------------
 
 
@@ -101,77 +105,34 @@ def _chart_poly(d: SurfDivisor, x_inf: bool, y_inf: bool) -> BiPoly:
     return g
 
 
-def _local_coords(pt) -> tuple[bool, bool, Fraction, Fraction]:
-    x_inf = pt[0] is INF
-    y_inf = pt[1] is INF
-    a = Q(0) if x_inf else pt[0]
-    b = Q(0) if y_inf else pt[1]
-    return x_inf, y_inf, a, b
-
-
-def _through_point(d: SurfDivisor, pt) -> bool:
-    x_inf, y_inf, a, b = _local_coords(pt)
-    return _chart_poly(d, x_inf, y_inf).evaluate(a, b) == 0
-
-
-def _fixed_point_eqn(d: Graph, e: RatFunc) -> tuple[UniPoly, UniPoly]:
-    """(eqn, dc) for x = psi(e(x)), d the graph x = psi(y): psi(e(x)) = nc/dc
-    with e's denominator cleared, and eqn = nc - dc*x."""
-    a = BiPoly.from_uni(d.num, "y").eval_y_ratfunc(e.num, e.den)
-    b = BiPoly.from_uni(d.den, "y").eval_y_ratfunc(e.num, e.den)
-    nc = a * e.den ** max(d.den.degree, 0)
-    dc = b * e.den ** max(d.num.degree, 0)
-    return nc - dc * UniPoly.var(), dc
-
-
-def _through_cluster(d: SurfDivisor, cl: Cluster) -> bool:
-    if cl.axis == "y":
-        return _through_cluster(d.mirror(), cl.mirror())
-    q = cl.q
-    e = cl.expr
-    if d.var == "y":
-        if e is None:
-            return (d.den % q).is_zero
-        if (d.den % q).is_zero:
-            return False
-        lhs = d.num * e.den - e.num * d.den
-        return (lhs % q).is_zero
-    # x = psi(y): need psi(e(x)) = x identically modulo q
-    if e is None:
-        return False  # psi at infinity is a rational point or infinite
-    eqn, dc = _fixed_point_eqn(d, e)
-    if (dc % q).is_zero:
-        return False
-    return (eqn % q).is_zero
-
-
-# ---------------------------------------------------------------------------
-# transversality
-# ---------------------------------------------------------------------------
+def _equation(g: BiPoly) -> BiPoly:
+    """The membership polynomial: a divisor's chart equation itself."""
+    return g
 
 
 def _jacobian_det(g1: BiPoly, g2: BiPoly) -> BiPoly:
+    """The transversality polynomial of two divisors' chart equations."""
     return g1.partial_x() * g2.partial_y() - g1.partial_y() * g2.partial_x()
 
 
-def _transversal_at_point(d1: SurfDivisor, d2: SurfDivisor, pt) -> bool:
-    x_inf, y_inf, a, b = _local_coords(pt)
-    det = _jacobian_det(_chart_poly(d1, x_inf, y_inf),
-                        _chart_poly(d2, x_inf, y_inf))
-    return det.evaluate(a, b) != 0
+def _vanishes_at_point(pt, rule, *ds: SurfDivisor) -> bool:
+    """rule(chart equations of ds) vanishes at the rational point pt."""
+    x_inf, y_inf = pt[0] is INF, pt[1] is INF
+    g = rule(*(_chart_poly(d, x_inf, y_inf) for d in ds))
+    return g.evaluate(Q(0) if x_inf else pt[0], Q(0) if y_inf else pt[1]) == 0
 
 
-def _transversal_at_cluster(d1, d2, cl: Cluster) -> bool:
+def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor) -> bool:
+    """rule(chart equations of ds) vanishes on the cluster: with the other
+    coordinate substituted it is 0 modulo q."""
     if cl.axis == "y":
-        return _transversal_at_cluster(d1.mirror(), d2.mirror(), cl.mirror())
+        return _vanishes_on_cluster(cl.mirror(), rule,
+                                    *(d.mirror() for d in ds))
     y_inf = cl.expr is None
-    det = _jacobian_det(_chart_poly(d1, False, y_inf),
-                        _chart_poly(d2, False, y_inf))
+    g = rule(*(_chart_poly(d, False, y_inf) for d in ds))
     if y_inf:
-        reduced = det.subst_y(0) % cl.q
-    else:
-        reduced = det.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q
-    return not reduced.is_zero
+        return (g.subst_y(0) % cl.q).is_zero
+    return (g.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +175,16 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
         return _mirrored(_pair_candidates(d1.mirror(), d2.mirror()))
     if d1.var == "x":
         d1, d2 = d2, d1
-    # d1 is y = phi(x); x solves phi's equation with d2
+    # d1 is y = phi(x); x solves d2's own equation along d1
     phi = d1.phi()
-    if d2.var == "y":
-        eqn = d1.num * d2.den - d2.num * d1.den
-    else:
-        eqn = _fixed_point_eqn(d2, phi)[0]
+    eqn = defining_bipoly(d2).eval_y_ratfunc(d1.num, d1.den)
     roots, hard = _roots_and_factors(eqn)
-    # a root at a pole of phi meets at (x0, inf): boundary of both
+    # a root or factor at a pole of phi meets with y = inf: a boundary
+    # candidate of d1
     points = [(x0, phi.evaluate(x0)) for x0 in roots
               if d1.den.evaluate(x0) != 0]
-    clusters = []
-    for q in hard:
-        if not (d1.den % q).is_zero:
-            clusters.append(Cluster("x", q, phi))
-        elif d2.var == "y":  # a shared pole
-            clusters.append(Cluster("x", q, None))
-        # else q divides the equation only through the d1.den clearing it
+    clusters = [Cluster("x", q, phi) for q in hard
+                if not (d1.den % q).is_zero]
     return points, clusters
 
 
@@ -253,16 +207,16 @@ def snc_check(w: Wedge) -> SncReport:
         points.update(pts)
         clusters.update(cls)
 
-    candidates = [(pt, point_str, _through_point, _transversal_at_point)
+    candidates = [(pt, point_str, _vanishes_at_point)
                   for pt in sorted(points, key=point_key)]
-    candidates += [(cl, str, _through_cluster, _transversal_at_cluster)
+    candidates += [(cl, str, _vanishes_on_cluster)
                    for cl in sorted(clusters, key=Cluster.sort_key)]
     problems: list[SncProblem] = []
-    for cand, describe, through, transversal in candidates:
-        members = [d for d in divisors if through(d, cand)]
+    for cand, describe, vanishes in candidates:
+        members = [d for d in divisors if vanishes(cand, _equation, d)]
         if len(members) >= 3:
             kind = "triple"
-        elif len(members) == 2 and not transversal(*members, cand):
+        elif len(members) == 2 and vanishes(cand, _jacobian_det, *members):
             kind = "tangency"
         else:
             continue

@@ -9,7 +9,8 @@ import pytest
 from tamesym import (AtomRegistry, BiPoly, RatFunc, defining_bipoly,
                      parse_wedge, snc_check)
 from tamesym.places import finite_support_divisors, solved_divisor
-from tamesym.snc import _pair_candidates, _through_cluster, _through_point
+from tamesym.snc import (_equation, _pair_candidates, _vanishes_at_point,
+                         _vanishes_on_cluster)
 
 
 def check(text):
@@ -140,10 +141,12 @@ def test_pair_candidates_lie_on_both_divisors():
         for d1, d2 in permutations(divisors, 2):
             points, clusters = _pair_candidates(d1, d2)
             for pt in points:
-                assert _through_point(d1, pt) and _through_point(d2, pt), \
+                assert _vanishes_at_point(pt, _equation, d1) \
+                    and _vanishes_at_point(pt, _equation, d2), \
                     (text, str(d1), str(d2), pt)
             for cl in clusters:
-                assert _through_cluster(d1, cl) and _through_cluster(d2, cl), \
+                assert _vanishes_on_cluster(cl, _equation, d1) \
+                    and _vanishes_on_cluster(cl, _equation, d2), \
                     (text, str(d1), str(d2), str(cl))
             counts["points"] += len(points)
             counts["clusters"] += len(clusters)
