@@ -206,8 +206,9 @@ class LineInf:
     finite = False
 
     def order(self, atom) -> int:
-        return 0 if isinstance(atom, PrimeAtom) else \
-            -(atom.poly.deg_x if self.var == "x" else atom.poly.deg_y)
+        if not isinstance(atom, BiAtom):
+            return 0
+        return -(atom.poly.deg_x if self.var == "x" else atom.poly.deg_y)
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):

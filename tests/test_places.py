@@ -324,6 +324,18 @@ def test_unit_class_of_a_places_own_atom_is_zero():
         assert place.unit(own, reg) == MultVec.zero(place.residue_field)
 
 
+@pytest.mark.parametrize("place", [LineInf("x"), LineInf("y"),
+                                   Graph("y", P([0, 1]), P([1])),
+                                   ExceptionalCurve(Q(0), Q(0))],
+                         ids=["x=inf", "y=inf", "y=x", "blowup(0,0)"])
+def test_surface_place_gives_univariate_atoms_order_zero(place):
+    """Only bivariate atoms vanish or have poles along a surface place, so a
+    wedge of univariate and prime atoms has the zero residue there."""
+    reg = AtomRegistry()
+    got = tame_symbol(parse_wedge("w[t-1, 2]", reg), place, reg)
+    assert got.is_zero and got.degree == 1
+
+
 def test_exceptional_curve_pulls_each_atom_back_at_most_twice(monkeypatch):
     """One pull-back for an atom's order and one for its unit class."""
     reg = AtomRegistry()
