@@ -144,7 +144,9 @@ class ParshinReport:
 def parshin_check(w: Wedge, reg: AtomRegistry) -> ParshinReport:
     """Group the double residues of a strictly regular surface wedge by the
     surface point their chain passes through; each group must cancel on its
-    own, with either zero or exactly two nonzero contributions."""
+    own, with either zero or exactly two nonzero contributions. A chain
+    through points that are not rational is refused by `chain_point`
+    (NonSplitResidue)."""
     report = snc_check(w)
     if not report.ok:
         raise NotStrictlyRegular("chain grouping needs an SNC support")

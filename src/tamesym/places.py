@@ -454,31 +454,27 @@ def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
 
 
 def chain_point(d: SurfDivisor, v: Place1):
-    """The surface point a second residue lives at, as a hashable key: the
-    point of d over the parameter's value at v.
+    """The surface point (x, y) a second residue lives at: the point of d
+    over the parameter's value at v. Coordinates are Fractions or INF.
 
-    Coordinates are Fractions or INF. Residues at nonrational places, where
-    the parameter has no rational value, get a key that never merges across
-    divisors (the split corpus never makes them, and pretending to know the
-    matching would be a guess)."""
+    Raises NonSplitResidue at a place of degree >= 2, whose points have
+    coordinates in a proper extension of Q."""
     try:
         s = v.value(RatFunc.var())
     except NonSplitResidue:
-        return ("nonsplit", d.sort_key(), v.sort_key())
+        raise NonSplitResidue(f"chain point of {d} over {v} lies in a "
+                              "proper extension of Q") from None
     pt = (s, d.phi().evaluate_projective(s) if d.finite else INF)
     return pt if d.var == "y" else pt[::-1]
 
 
 def point_key(pt) -> tuple:
     """Sort key of a surface point (x, y), each coordinate a Fraction or
-    INF, finite before infinite; nonsplit chain keys sort after every
-    point."""
-    if isinstance(pt[0], str):  # ("nonsplit", ...)
-        return (1, str(pt))
+    INF, finite before infinite."""
     x, y = pt
-    return (0, (1,) if x is INF else (0, x), (1,) if y is INF else (0, y))
+    return ((1,) if x is INF else (0, x), (1,) if y is INF else (0, y))
 
 
 def point_str(pt) -> str:
     """Canonical text of a surface point, e.g. (1/2, inf)."""
-    return str(pt) if isinstance(pt[0], str) else f"({num_str(pt[0])}, {num_str(pt[1])})"
+    return f"({num_str(pt[0])}, {num_str(pt[1])})"

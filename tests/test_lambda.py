@@ -6,11 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (AtomRegistry, ExceptionalCurve, LambdaElem,
-                     NotStrictlyRegular, blowup_as_curve, bs_vanishing_check,
-                     d_squared_check, differential, lambda_str, mult_vec,
-                     parse_element, parse_ratfunc, parse_wedge, parshin_check,
-                     tame_symbol, totaro_element, totaro_wedge, wedge_add,
-                     wedge_of, wedge_str, weil_sum)
+                     NonSplitResidue, NotStrictlyRegular, blowup_as_curve,
+                     bs_vanishing_check, d_squared_check, differential,
+                     lambda_str, mult_vec, parse_element, parse_ratfunc,
+                     parse_wedge, parshin_check, snc_check, tame_symbol,
+                     totaro_element, totaro_wedge, wedge_add, wedge_of,
+                     wedge_str, weil_sum)
 
 
 def test_lambda_str_forms():
@@ -86,6 +87,20 @@ def test_parshin_requires_snc_support():
     reg = AtomRegistry()
     with pytest.raises(NotStrictlyRegular):
         parshin_check(parse_wedge("w[y-x, y-x-1, 3]", reg), reg)
+
+
+def test_parshin_refuses_chains_through_conjugate_points():
+    """w[y-x^2-1, y] is strictly regular and d^2 = 0, but the chains of y=0
+    and y=x^2+1 meet at the conjugate points x^2+1 = 0, y = 0, which have no
+    rational key: the grouping refuses rather than file them apart."""
+    reg = AtomRegistry()
+    w = parse_wedge("w[y-x^2-1, y]", reg)
+    assert snc_check(w).ok
+    assert d_squared_check(LambdaElem.make(0, surface=w), reg).is_zero
+    with pytest.raises(NonSplitResidue,
+                       match=r"^chain point of y=0 over t\^2\+1=0 lies in a "
+                             r"proper extension of Q$"):
+        parshin_check(w, reg)
 
 
 def test_totaro_element_and_differential():
