@@ -18,8 +18,9 @@ from tamesym import (INFINITY, AtomRegistry, BiFrac, BiPoly, ExceptionalCurve,
                      classify_atom_divisor, defining_bipoly, mult_vec,
                      one_minus, parse_place, parse_wedge, tame_symbol,
                      wedge_add, wedge_of, wedge_scale, wedge_str, weil_sum)
+from tamesym.atoms import BiAtom
 from tamesym.places import (LineInf, chain_point, ratfunc_support,
-                            solved_divisor, support)
+                            restrict_bi, solved_divisor, support)
 
 P = UniPoly.make
 
@@ -462,6 +463,41 @@ def test_symbol_at_divisor():
     # canonical slot order is [5, y-2, x-y], an odd permutation of the
     # input, and the uniformizer sits in the even slot 2
     assert wedge_str(got) == "-w[5, t-2]"
+
+
+def _graph_piece(rng):
+    """A line, slanted line, parabola, x-solved graph or rational graph."""
+    a = Q(rng.randint(-4, 4), rng.choice([1, 2, 3])) or Q(1)
+    b = Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+    return rng.choice([f"y-({b})", f"y-({a})*x-({b})", f"y-({a})*x^2-({b})",
+                       f"x-({a})*y^2-({b})*y", f"y*(x^2-({b}))-({a})",
+                       f"y*(x-({b}))-({a})*x"])
+
+
+def test_graph_restricts_every_other_atom_to_a_nonzero_function():
+    """A bivariate atom other than a graph's own equation does not vanish
+    on the graph: its restriction is a nonzero, finite function of the
+    parameter, and `Graph.unit` is its class. Seeded, in both
+    orientations."""
+    rng = random.Random(20261020)
+    reg = AtomRegistry()
+    checked = {"x": 0, "y": 0}
+    for _ in range(60):
+        text = "w[" + ", ".join(_graph_piece(rng) for _ in range(4)) + "]"
+        for t in (text, text.translate(str.maketrans("xy", "yx"))):
+            w = parse_wedge(t, reg)
+            atoms = {a for key, _ in w.terms for a in key
+                     if isinstance(a, BiAtom)}
+            for d in map(classify_atom_divisor, atoms):
+                for atom in atoms:
+                    if d.order(atom):  # the graph's own equation
+                        continue
+                    f = restrict_bi(BiFrac.make(atom.poly), d)
+                    assert not f.num.is_zero and not f.den.is_zero, \
+                        (t, str(d), str(atom.poly))
+                    assert d.unit(atom, reg) == mult_vec(f, reg, "Qt")
+                    checked[d.var] += 1
+    assert all(checked.values()), checked
 
 
 def test_chain_point_pairs_divisor_and_place():
