@@ -16,11 +16,10 @@ from .chow import (CubeCurve, PointCycle, WCheckReport, admissible_check,
 from .dsl import (parse_bifrac, parse_cycle, parse_divisor, parse_element,
                   parse_gamma, parse_place, parse_ratfunc, parse_wedge)
 from .errors import (CoordinateIdenticallyFace, DegenerateArgument,
-                     DegreeMismatch, IdenticallyZeroOnDivisor, Inconclusive,
-                     MixedFields, NonLinearAtom, NonSplitResidue,
-                     NotAdmissible, NotDistinct, NotStrictlyRegular,
-                     OneMinusOfOne, ParseError, TameSymError, TooManyDigits,
-                     UnsupportedDivisorClass)
+                     DegreeMismatch, Inconclusive, MixedFields, NonLinearAtom,
+                     NonSplitResidue, NotAdmissible, NotDistinct,
+                     NotStrictlyRegular, OneMinusOfOne, ParseError,
+                     TameSymError, TooManyDigits, UnsupportedDivisorClass)
 from .expressions import INF, BiFrac, RatFunc
 from .gamma import (GammaSub, b2_normalize, cross_ratio, delta, five_term,
                     gamma_add, gamma_scale, gamma_str, gamma_term, tot_gamma,

@@ -29,10 +29,6 @@ class NonSplitResidue(TameSymError):
     """A residue computation landed in a proper extension of the base field."""
 
 
-class IdenticallyZeroOnDivisor(TameSymError):
-    """A function restricted to a divisor it vanishes on identically."""
-
-
 class OneMinusOfOne(TameSymError):
     """one_minus applied to the constant 1 (the class of 0 does not exist)."""
 

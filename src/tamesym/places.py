@@ -36,8 +36,7 @@ from fractions import Fraction
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
                     factor_into_atoms, mult_vec)
-from .errors import (IdenticallyZeroOnDivisor, MixedFields, NonSplitResidue,
-                     UnsupportedDivisorClass)
+from .errors import MixedFields, NonSplitResidue, UnsupportedDivisorClass
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import ZERO, BiPoly, UniPoly, num_str, poly_str
 from .wedges import Wedge, class_factors, expand_products
@@ -305,20 +304,13 @@ def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
 
 
 def restrict_bi(f: BiFrac, d: SurfDivisor) -> RatFunc:
-    """Restrict a bivariate function to a finite divisor, as a function of
-    the divisor's parameter (renamed to t).
-
-    Raises IdenticallyZeroOnDivisor when the restriction is 0 or infinite
-    identically, i.e. when f has nonzero order along d.
-    """
+    """Restrict a bivariate function of order 0 along a finite divisor to
+    it, as a function of the divisor's parameter (renamed to t)."""
     fn, fd, e = f.num, f.den, d
     if d.var == "x":
         fn, fd, e = fn.swap_xy(), fd.swap_xy(), d.mirror()
     num = fn.eval_y_ratfunc(e.num, e.den) * e.den ** fd.deg_y
     den = fd.eval_y_ratfunc(e.num, e.den) * e.den ** fn.deg_y
-    if num.is_zero or den.is_zero:
-        raise IdenticallyZeroOnDivisor(
-            f"restriction to {d} is identically zero or infinite")
     return RatFunc.make(num, den)
 
 

@@ -394,9 +394,9 @@ def test_not_distinct_points_render_canonically(capsys):
 
 
 # One CLI input per refusal class the CLI can reach.
-# IdenticallyZeroOnDivisor, MixedFields, DegreeMismatch and OneMinusOfOne
-# guard engine internals: the parser and the verbs refuse first, so no input
-# reaches them ({1}_2 is a DegenerateArgument).
+# MixedFields, DegreeMismatch and OneMinusOfOne guard engine internals: the
+# parser and the verbs refuse first, so no input reaches them ({1}_2 is a
+# DegenerateArgument).
 REFUSALS = [
     ("ParseError", 2, ["ts", "--place", "t=0", "w[t,"]),
     ("ParseError", 2, ["ts", "--place", "t=1/0", "w[t]"]),
