@@ -113,6 +113,19 @@ def test_clusters_sharing_q_report():
         == [("tangency", "(0, -1/2)"), ("triple", "(inf, 0)")]
 
 
+@pytest.mark.parametrize("text, problems", [
+    ("w[y*(x^2-2)-1, y*(x^2-2)-x]", []),
+    ("w[y*(x^2-2)-1, y*(x^2-2)-x^2+1]", [("tangency", "(x^2-2=0, y=inf)")]),
+    ("w[x*(y^2-2)-1, x*(y^2-2)-y^2+1]", [("tangency", "(x=inf, y^2-2=0)")])])
+def test_graphs_sharing_an_irrational_pole(text, problems):
+    """Two graphs with the pole q = 0 in common meet over it on the line at
+    infinity, where they cross or touch; that cluster comes from each
+    graph's boundary, and the pair adds none of its own."""
+    rep = check(text)
+    assert [(p.kind, p.where) for p in rep.problems] == problems
+    assert rep.candidates_checked == 3
+
+
 SWAP = str.maketrans("xy", "yx")
 
 
