@@ -11,8 +11,7 @@ is exact; nothing here uses floating point.
 from .atoms import (FIELD_VARS, AtomRegistry, BiAtom, MultVec, PrimeAtom,
                     UniAtom, atom_str, constant_class, mult_vec, one_minus)
 from .chow import (CubeCurve, PointCycle, WCheckReport, admissible_check,
-                   cube_boundary, w_commutes_check, w_map, w_map_curve,
-                   w_map_point)
+                   cube_boundary, w_commutes_check, w_map_curve, w_map_point)
 from .dsl import (parse_bifrac, parse_cycle, parse_divisor, parse_element,
                   parse_gamma, parse_place, parse_ratfunc, parse_wedge)
 from .errors import (CoordinateIdenticallyFace, DegenerateArgument,
@@ -28,9 +27,9 @@ from .homotopy import (DecompResult, HomotopySubReport, HomotopyTopReport,
                        decompose, h_map, homotopy_check_sub,
                        homotopy_check_top)
 from .lambda_complex import (ChainGroup, LambdaElem, ParshinReport,
-                             blowup_as_curve, bs_vanishing_check,
-                             d_squared_check, differential, lambda_str,
-                             parshin_check, totaro_element, totaro_wedge)
+                             bs_vanishing_check, d_squared_check,
+                             differential, lambda_str, parshin_check,
+                             totaro_element, totaro_wedge)
 from .places import (INFINITY, ExceptionalCurve, FinRat, Graph, Infinity,
                      IrredPlace, LineInf, Place1, SurfDivisor,
                      classify_atom_divisor, defining_bipoly, tame_symbol,

@@ -386,10 +386,8 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
 
 def one_minus(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
     """Class of 1 - f. Raises OneMinusOfOne when f is identically 1."""
-    if type(f) is Fraction or type(f) is int or (
-            not isinstance(f, (RatFunc, BiFrac)) and isinstance(f, (int, Fraction))):
-        c = Q(1) - Q(f)
-        if c == 0:
-            raise OneMinusOfOne("1 - f is identically zero")
-        return MultVec.make(field, constant_class(c, reg, field))
-    return mult_vec(f.one_minus(), reg, field)
+    if isinstance(f, (RatFunc, BiFrac)):
+        return mult_vec(f.one_minus(), reg, field)
+    if f == 1:
+        raise OneMinusOfOne("1 - f is identically zero")
+    return mult_vec(1 - f, reg, field)

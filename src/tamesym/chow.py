@@ -18,7 +18,7 @@ from .errors import (CoordinateIdenticallyFace, NonSplitResidue,
 from .expressions import INF, RatFunc, ratfunc_str
 from .lambda_complex import LambdaElem, differential
 from .polynomials import ZERO, gcd_uni, num_str
-from .wedges import Wedge, wedge_of, wedge_scale
+from .wedges import wedge_of, wedge_scale
 
 Q = Fraction
 
@@ -158,17 +158,11 @@ def w_map_point(p: PointCycle, reg: AtomRegistry) -> LambdaElem:
     return LambdaElem.make(len(p.values), point=wedge_scale(w, p.coeff))
 
 
-def w_map(zp, reg: AtomRegistry) -> LambdaElem:
-    if isinstance(zp, CubeCurve):
-        return w_map_curve(zp, reg)
-    return w_map_point(zp, reg)
-
-
 @dataclass
 class WCheckReport:
     ok: bool
-    lhs: LambdaElem  # differential of w_map(Z)
-    rhs: LambdaElem  # w_map of the boundary
+    lhs: LambdaElem  # differential of w_map_curve(Z)
+    rhs: LambdaElem  # w_map_point summed over the boundary
 
 
 def w_commutes_check(z: CubeCurve, reg: AtomRegistry) -> WCheckReport:

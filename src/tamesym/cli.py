@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import AtomRegistry
-from .chow import PointCycle, admissible_check, cube_boundary, w_commutes_check, w_map
+from .chow import (PointCycle, admissible_check, cube_boundary,
+                   w_commutes_check, w_map_curve)
 from .dsl import (parse_cycle, parse_divisor, parse_element, parse_gamma,
                   parse_place, parse_wedge)
 from .errors import ParseError, TameSymError
@@ -109,6 +110,7 @@ def _h_five_term(args, reg) -> Outcome:
 
 def _h_ts_gamma(args, reg) -> Outcome:
     g = parse_gamma(args.gamma, reg)
+    _require_field(g, "Qt", "a symbol evaluated at a place")
     v = parse_place(args.place)
     render = gamma_str(ts_gamma(g, v, reg))
     return Outcome({"gamma": args.gamma, "place": args.place},
@@ -184,7 +186,7 @@ def _h_bdry(args, reg) -> Outcome:
 
 def _h_wmap(args, reg) -> Outcome:
     z = parse_cycle(args.cycle)
-    render = lambda_str(w_map(z, reg))
+    render = lambda_str(w_map_curve(z, reg))
     return Outcome({"cycle": args.cycle}, render, [], True, [render])
 
 
@@ -255,12 +257,25 @@ def _h_suite(args, reg) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word that begins with a single '-' (any but -h) as text, not
+    as an option: every option but -h is long, and argparse would take
+    '-1/3' or '-2*{2*t}_2' for an option, since they miss its
+    negative-number pattern."""
+
+    def _parse_optional(self, arg_string):
+        single_dash = arg_string[:1] == "-" and arg_string[1:2] != "-"
+        if single_dash and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamesym",
         description="Exact tame-symbol calculus over Q.")
     sub = parser.add_subparsers(dest="verb", required=True)

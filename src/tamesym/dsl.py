@@ -3,14 +3,17 @@
 One character-level recursive-descent parser covers rational expressions,
 wedges, weight-two symbols, graded elements, cube cycles, places, and
 divisors. The grammar lives in docs/grammar.ebnf. Every renderer in the
-package produces text that parses back to an equal value.
+package produces text that parses back, over the value's field (whose
+variables `atoms.FIELD_VARS` names), to an equal value, with one exception:
+a zero wedge or symbol of positive degree prints "0", which reads back as
+the zero of degree 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .atoms import AtomRegistry, MultVec, mult_vec
+from .atoms import FIELD_VARS, AtomRegistry, MultVec, mult_vec
 from .chow import CubeCurve
 from .errors import DegreeMismatch, MixedFields, ParseError
 from .expressions import BiFrac, RatFunc
@@ -112,16 +115,17 @@ def _rat_ctx(var: str) -> _Ctx:
 
 
 def _ctx_for(field: str) -> _Ctx:
-    if field == "Q":
+    """The variables of `field`, named as FIELD_VARS names them."""
+    if field not in FIELD_VARS:
+        raise ValueError(f"unknown field {field!r}")
+    var = FIELD_VARS[field]
+    if var is None:
         return _Ctx({}, Q)
-    if field == "Qt":
-        return _rat_ctx("t")
-    if field == "Qv":
-        return _rat_ctx("v")
-    if field == "Qxy":
-        return _Ctx({"x": BiFrac.make(BiPoly.var_x()),
-                     "y": BiFrac.make(BiPoly.var_y())}, BiFrac.const)
-    raise ValueError(f"unknown field {field!r}")
+    if isinstance(var, str):
+        return _rat_ctx(var)
+    x, y = var
+    return _Ctx({x: BiFrac.make(BiPoly.var_x()),
+                 y: BiFrac.make(BiPoly.var_y())}, BiFrac.const)
 
 
 class _Product:
@@ -367,6 +371,16 @@ def _wedge_item(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
     return expand_products(field, len(vecs), [(coeff, class_factors(vecs))])
 
 
+def _coeff(s: _Scanner) -> Fraction:
+    """The optional `RATIONAL '*'` before a symbol, part or cycle; 1
+    without one."""
+    if not s.peek().isdigit():
+        return Q(1)
+    coeff = s.parse_rational()
+    s.expect("*")
+    return coeff
+
+
 def _signed_sum(s: _Scanner, parse_item, add, scale):
     """ITEM (('+'|'-') ITEM)* with an optional leading sign."""
     if s.match("-"):
@@ -421,10 +435,7 @@ def parse_wedge(text: str, reg: AtomRegistry,
 
 
 def _gamma_item(s: _Scanner, reg: AtomRegistry, field: str) -> GammaSub:
-    coeff = Q(1)
-    if s.peek().isdigit():
-        coeff = s.parse_rational()
-        s.expect("*")
+    coeff = _coeff(s)
     s.expect("{")
     x = _value(s, _ctx_for(field))
     s.expect("}")
@@ -482,10 +493,7 @@ def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
         return LambdaElem.zero(m)
 
     def epart() -> LambdaElem:
-        coeff = Q(1)
-        if s.peek().isdigit():
-            coeff = s.parse_rational()
-            s.expect("*")
+        coeff = _coeff(s)
         s.expect("[")
         for tag in ("S", "P1", "pt"):
             if s.match(tag):
@@ -521,10 +529,7 @@ def parse_cycle(text: str) -> CubeCurve:
     sign and rational coefficient prefix."""
     s = _Scanner(text)
     sign = -1 if s.match("-") else 1
-    coeff = Q(1)
-    if s.peek().isdigit():
-        coeff = s.parse_rational()
-        s.expect("*")
+    coeff = _coeff(s)
     s.expect("cyc")
     s.expect("[")
     ctx = _rat_ctx("t")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .atoms import Atom, AtomRegistry, mult_vec, one_minus
+from .atoms import FIELD_VARS, Atom, AtomRegistry, mult_vec, one_minus
 from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
                      NotDistinct)
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import INFINITY, Place1, ratfunc_support, support, tame_symbol
-from .polynomials import ZERO, num_str
+from .polynomials import ZERO, num_str, sum_str
 from .wedges import Wedge, class_factors, expand_products, wedge_str
 
 Q = Fraction
@@ -82,7 +83,6 @@ def b2_normalize(x) -> tuple[int, B2Arg] | None:
     seen: dict[tuple, int] = {}
     best = None
     for member, sign in _orbit(_as_arg(x)):
-        member = _as_arg(member)
         k = _arg_key(member)
         if k in seen and seen[k] != sign:
             return None
@@ -119,6 +119,10 @@ class GammaSub:
 
     def as_dict(self) -> dict:
         return dict(self.terms)
+
+    def tail(self, key: tuple[Atom, ...]) -> Wedge:
+        """The tail monomial `key` as a wedge with coefficient 1."""
+        return Wedge(self.field, self.tail_degree, ((key, Q(1)),))
 
 
 def gamma_term(c, x, tail: Wedge) -> GammaSub:
@@ -160,23 +164,14 @@ def gamma_scale(a: GammaSub, c) -> GammaSub:
 
 def gamma_str(g: GammaSub) -> str:
     """Canonical text form, e.g. '2*{3}_2 ⊗ w[t-1, t]'."""
-    if g.is_zero:
-        return "0"
-    parts: list[str] = []
-    for (x, key), c in g.terms:
-        xs = ratfunc_str(x, "t") if isinstance(x, RatFunc) else num_str(x)
-        body = f"{{{xs}}}_2"
-        mag = abs(c)
-        if g.tail_degree > 0:
-            tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
-            body += " ⊗ " + wedge_str(tail)
-        if mag != 1:
-            body = f"{num_str(mag)}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    var = FIELD_VARS[g.field]
+
+    def body(x, key) -> str:
+        xs = ratfunc_str(x, var) if isinstance(x, RatFunc) else num_str(x)
+        tail = f" ⊗ {wedge_str(g.tail(key))}" if g.tail_degree else ""
+        return f"{{{xs}}}_2{tail}"
+
+    return sum_str([(c, body(x, key)) for (x, key), c in g.terms], " ")
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +206,11 @@ def cross_ratio(x1, x2, x3, x4) -> Fraction:
         raise NotDistinct(f"cross-ratio of {_points_str(pts)}")
     a, b, c, d = pts
 
-    def diff(u, v):
-        if u is INF or v is INF:
-            return None  # dropped factor
-        return u - v
+    def finite_product(*pairs) -> Fraction:
+        return prod([u - v for u, v in pairs if u is not INF and v is not INF],
+                    start=Q(1))
 
-    num_fs = [diff(a, c), diff(b, d)]
-    den_fs = [diff(a, d), diff(b, c)]
-    num = Q(1)
-    den = Q(1)
-    for f in num_fs:
-        if f is not None:
-            num *= f
-    for f in den_fs:
-        if f is not None:
-            den *= f
-    return num / den
+    return finite_product((a, c), (b, d)) / finite_product((a, d), (b, c))
 
 
 def five_term(x1, x2, x3, x4, x5) -> GammaSub:
@@ -257,17 +241,16 @@ def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
     if g.tail_degree == 0:
         return
     for (x, key), c in g.terms:
+        tail = g.tail(key)
         try:
             xv = v.value(x) if isinstance(x, RatFunc) else x
         except NonSplitResidue:
             # a term whose tail has residue zero dies whatever x(v) is
-            tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
             if tame_symbol(tail, v, reg).is_zero:
                 continue
             raise
         if xv is INF or xv == 0 or xv == 1:
             continue
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         ts = tame_symbol(tail, v, reg)
         if ts.is_zero:
             continue
@@ -295,8 +278,7 @@ def tot_gamma(g: GammaSub, reg: AtomRegistry) -> GammaSub:
         if isinstance(x, RatFunc):
             places.update(ratfunc_support(x, reg))
             places.update(ratfunc_support(x.one_minus(), reg))
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
-        places.update(support(tail))
+        places.update(support(g.tail(key)))
     out: dict = {}
     for v in sorted(places, key=lambda p: p.sort_key()):
         _add_ts_gamma(out, g, v, reg)

@@ -11,7 +11,7 @@ normal crossing support; no attempt is made to repair one that does not.
 Every residue is `tame_symbol` at a place, which gives its own orders,
 unit classes and residue field; the blow-up probe is the place
 `ExceptionalCurve(c1, c2)`, whose residues over Q(v) become curve wedges
-by `blowup_as_curve`.
+by `retag(w, "Qt")`.
 """
 
 from __future__ import annotations
@@ -185,12 +185,6 @@ def bs_vanishing_check(f: RatFunc, g: RatFunc, cbar: Wedge,
     head = wedge_of([mult_vec(f, reg), mult_vec(g, reg)])
     w = wedge_concat(head, retag(cbar, "Qt"))
     return weil_sum(w, reg).is_zero
-
-
-def blowup_as_curve(w: Wedge) -> Wedge:
-    """Reinterpret a residue over Q(v) as a curve wedge over Q(t) so the
-    curve differential can consume it."""
-    return retag(w, "Qt")
 
 
 # ---------------------------------------------------------------------------

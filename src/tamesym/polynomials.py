@@ -219,29 +219,32 @@ def num_str(v) -> str:
                             f"the limit of {sys.get_int_max_str_digits()}") from None
 
 
+def sum_str(terms, sep: str = "") -> str:
+    """Canonical text of a signed Q-combination of (c, body) terms, each c
+    a nonzero rational, in the order given: a magnitude of 1 is left out,
+    an empty body is the bare magnitude, each sign is its term's operator,
+    set off by sep on both sides; no terms is "0"."""
+    parts: list[str] = []
+    for c, body in terms:
+        neg = c.numerator < 0
+        mag = -c if neg else c
+        piece = (num_str(mag) if not body else body if mag == 1
+                 else f"{num_str(mag)}*{body}")
+        if parts:
+            parts.append(f"{sep}{'-' if neg else '+'}{sep}{piece}")
+        else:
+            parts.append(f"-{piece}" if neg else piece)
+    return "".join(parts) or "0"
+
+
+def _power_str(var: str, i: int) -> str:
+    return var if i == 1 else f"{var}^{i}"
+
+
 def poly_str(p: UniPoly, var: str) -> str:
     """Canonical text form, highest degree first, explicit '*' and '^'."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        if i == 0:
-            body = num_str(abs(c))
-        else:
-            mag = abs(c)
-            head = "" if mag == 1 else f"{num_str(mag)}*"
-            if i == 1:
-                body = f"{head}{var}"
-            else:
-                body = f"{head}{var}^{i}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
+    return sum_str([(c, _power_str(var, i) if i else "")
+                    for i, c in reversed(list(enumerate(p.coeffs))) if c])
 
 
 # -- integer images ----------------------------------------------------------
@@ -771,25 +774,11 @@ class BiPoly:
         return bipoly_str(self)
 
 
-def bipoly_str(p: BiPoly, xname: str = "x", yname: str = "y") -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for (i, j), c in sorted(p.terms, reverse=True):
-        pieces = []
-        mag = abs(c)
-        if i:
-            pieces.append(xname if i == 1 else f"{xname}^{i}")
-        if j:
-            pieces.append(yname if j == 1 else f"{yname}^{j}")
-        if not pieces or mag != 1:
-            pieces.insert(0, num_str(mag))
-        body = "*".join(pieces)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
+def bipoly_str(p: BiPoly) -> str:
+    """Canonical text form, terms in decreasing (x, y) order."""
+    return sum_str([(c, "*".join([_power_str(v, k)
+                                  for v, k in (("x", i), ("y", j)) if k]))
+                    for (i, j), c in sorted(p.terms, reverse=True)])
 
 
 def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:

@@ -13,17 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import AtomRegistry, mult_vec
-from .chow import CubeCurve, admissible_check, cube_boundary, w_commutes_check, w_map
+from .chow import (CubeCurve, admissible_check, cube_boundary,
+                   w_commutes_check, w_map_curve)
 from .errors import NotAdmissible
 from .expressions import INF, BiFrac, RatFunc
 from .gamma import delta, five_term, gamma_add, gamma_term
 from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
-from .lambda_complex import (LambdaElem, blowup_as_curve, bs_vanishing_check,
-                             d_squared_check, differential, parshin_check,
-                             totaro_element, totaro_wedge)
+from .lambda_complex import (LambdaElem, bs_vanishing_check, d_squared_check,
+                             differential, parshin_check, totaro_element,
+                             totaro_wedge)
 from .places import ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import BiPoly
-from .wedges import (Wedge, nonconstant_count, wedge_add, wedge_equal,
+from .wedges import (Wedge, nonconstant_count, retag, wedge_add, wedge_equal,
                      wedge_of)
 
 Q = Fraction
@@ -53,12 +54,12 @@ def _rand_constant(rng: random.Random) -> Fraction:
     return _rand_rational(rng, avoid=(0, 1, -1))
 
 
-def _split_ratfunc(rng: random.Random, max_factors: int = 4) -> RatFunc:
-    """Nonzero product of at most max_factors linear factors, with signed
+def _split_ratfunc(rng: random.Random) -> RatFunc:
+    """Nonzero product of at most four linear factors, with signed
     exponents and a random constant in front."""
     t = RatFunc.var()
     f = RatFunc.const(_rand_rational(rng))
-    for r in rng.sample(range(-6, 7), rng.randint(1, max_factors)):
+    for r in rng.sample(range(-6, 7), rng.randint(1, 4)):
         factor = t - RatFunc.const(r)
         f = f * factor if rng.random() < 0.7 else f / factor
     return f
@@ -205,7 +206,7 @@ def _run_c5(rng: random.Random, scale: int) -> tuple[bool, str]:
     one = RatFunc.const(1)
     bad = CubeCurve.make([t, one - t, one - RatFunc.const(3) / t], 1)
     gap_ok = not admissible_check(bad)[0]
-    gap_ok = gap_ok and isinstance(w_map(bad, reg), LambdaElem)
+    gap_ok = gap_ok and isinstance(w_map_curve(bad, reg), LambdaElem)
     try:
         cube_boundary(bad, reg)
         gap_ok = False
@@ -310,7 +311,7 @@ def _run_c8(rng: random.Random, scale: int) -> tuple[bool, str]:
         vslots = [mult_vec(RatFunc.var(), reg, "Qv")]
         vslots += [mult_vec(c, reg, "Qv") for c in consts]
         want = wedge_of(vslots)
-        e = LambdaElem.make(len(consts), curve=blowup_as_curve(res))
+        e = LambdaElem.make(len(consts), curve=retag(res, "Qt"))
         if res == want and differential(e, reg).is_zero:
             good += 1
     return good == n, f"{good}/{n} cases"

@@ -15,7 +15,7 @@ from math import lcm
 
 from .atoms import Atom, MultVec, PrimeAtom, atom_str
 from .errors import DegreeMismatch, MixedFields
-from .polynomials import ZERO, num_str
+from .polynomials import ZERO, sum_str
 
 Q = Fraction
 
@@ -191,19 +191,8 @@ def nonconstant_count(key: tuple[Atom, ...]) -> int:
     return sum(1 for a in key if not isinstance(a, PrimeAtom))
 
 
-def wedge_str(w: Wedge, wrap: str = "w") -> str:
-    """Canonical text form, round-trippable through the DSL parser."""
-    if w.degree == 0:
-        return num_str(w.scalar_value())
-    if w.is_zero:
-        return "0"
-    parts: list[str] = []
-    for key, c in w.terms:
-        body = f"{wrap}[" + ", ".join(atom_str(a, w.field) for a in key) + "]"
-        mag = abs(c)
-        piece = body if mag == 1 else f"{num_str(mag)}*{body}"
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if c > 0 else f" - {piece}")
-    return "".join(parts)
+def wedge_str(w: Wedge) -> str:
+    """Canonical text form, round-trippable through the DSL parser; a
+    degree-zero wedge is its bare scalar."""
+    return sum_str([(c, f"w[{', '.join(atom_str(a, w.field) for a in key)}]"
+                     if key else "") for key, c in w.terms], " ")

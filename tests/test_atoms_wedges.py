@@ -73,6 +73,18 @@ def test_one_minus():
         one_minus(rf([1]), reg)
 
 
+def test_one_minus_of_a_constant_takes_what_mult_vec_takes():
+    """A rational or an integer is classed as 1 - f; a float is refused as
+    mult_vec refuses it, never read as the rational it rounds to."""
+    reg = AtomRegistry()
+    assert one_minus(Q(3), reg) == mult_vec(Q(-2), reg)
+    assert one_minus(3, reg, "Q") == mult_vec(Q(-2), reg, "Q")
+    with pytest.raises(OneMinusOfOne):
+        one_minus(Q(1), reg)
+    with pytest.raises(TypeError, match="cannot take the class of float"):
+        one_minus(0.5, reg)
+
+
 def test_wedge_alternation_and_swap():
     reg = AtomRegistry()
     a = mult_vec(rf([0, 1]), reg)

@@ -8,7 +8,7 @@ import pytest
 from tamesym import (AtomRegistry, CoordinateIdenticallyFace, CubeCurve,
                      NotAdmissible, admissible_check, cube_boundary,
                      differential, lambda_str, parse_cycle, parse_ratfunc,
-                     w_commutes_check, w_map)
+                     w_commutes_check)
 from tamesym.chow import w_map_curve, w_map_point
 
 GOOD = "cyc[2*(t-1)/(t-3), 5*(t-2)/(t-4)]"
@@ -77,7 +77,7 @@ def test_w_map_is_defined_even_off_admissibility():
 
 def test_w_map_frozen_render():
     reg = AtomRegistry()
-    e = w_map(parse_cycle(GOOD), reg)
+    e = w_map_curve(parse_cycle(GOOD), reg)
     assert lambda_str(e) == (
         "m=1; [P1: w[2, 5] - w[2, t-4] + w[2, t-2] + w[5, t-3] - w[5, t-1]"
         " - w[t-4, t-3] + w[t-4, t-1] - w[t-3, t-2] - w[t-2, t-1]]")
@@ -119,6 +119,6 @@ def test_w_map_point_lands_in_the_point_part():
 def test_w_map_scales_with_the_cycle_coefficient():
     from tamesym import wedge_scale
     reg = AtomRegistry()
-    e1 = w_map(parse_cycle(GOOD), reg)
-    e2 = w_map(parse_cycle("2*" + GOOD), reg)
+    e1 = w_map_curve(parse_cycle(GOOD), reg)
+    e2 = w_map_curve(parse_cycle("2*" + GOOD), reg)
     assert e2.curve == wedge_scale(e1.curve, 2)

@@ -478,6 +478,50 @@ def test_json_error_statuses(capsys):
     assert "NotAdmissible" in payload["result"]
 
 
+@pytest.mark.parametrize("place", ["t=-2", "t=0"])
+def test_ts_gamma_refuses_a_symbol_not_over_qt(capsys, place):
+    """At t=-2 this printed 0 (exit 0), and at t=0 it exited 3 with
+    MixedFields: the field is checked before any residue is taken, as
+    `ts --place` checks it."""
+    argv = ["ts-gamma", "--place", place, "{v+2}_2@w[v,v-1]"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("ts-gamma: a symbol evaluated at a place must live over "
+                   "Qt, got Qv\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["status"] == "parse-error"
+
+
+# Texts that begin with '-' and miss argparse's negative-number pattern.
+LEADING_MINUS = [(["five-term"], ["4", "-7", "5", "-6", "-1/3"]),
+                 (["delta"], ["-2*{2*t}_2"]),
+                 (["ts", "--place", "t=3"], ["-w[t, 1-t, 1-3/t]"])]
+
+
+@pytest.mark.parametrize("head, text", LEADING_MINUS,
+                         ids=[" ".join(h + t) for h, t in LEADING_MINUS])
+def test_text_may_begin_with_a_minus(capsys, head, text):
+    """Such a text reads as it does after '--', with --format before or
+    after it; five-term and delta exited 2 for want of the text."""
+    for fmt in ([], ["--format", "json"]):
+        want = run(capsys, *head, *fmt, "--", *text)
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, *head, *fmt, *text) == want
+        assert run(capsys, *head, *text, *fmt) == want
+
+
+def test_help_and_unknown_options_still_exit_as_options(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["delta", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tamesym delta")
+    with pytest.raises(SystemExit) as e:
+        main(["delta", "--bogus", "{t}_2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_five_term_verb(capsys):
     code, out, _ = run(capsys, "five-term", "0", "1", "3", "7", "inf")
     assert code == 0

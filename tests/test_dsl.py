@@ -5,11 +5,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tamesym import (AtomRegistry, Inconclusive, ParseError, gamma_str,
-                     lambda_str, parse_bifrac, parse_cycle, parse_divisor,
-                     parse_element, parse_gamma, parse_place, parse_ratfunc,
-                     parse_wedge, poly_str, wedge_str)
+from tamesym import (FIELD_VARS, AtomRegistry, Inconclusive, ParseError,
+                     gamma_str, lambda_str, parse_bifrac, parse_cycle,
+                     parse_divisor, parse_element, parse_gamma, parse_place,
+                     parse_ratfunc, parse_wedge, poly_str, wedge_str)
 from tamesym.expressions import ratfunc_str
+from test_mirror import _slot
 from test_polynomials import swinnerton_dyer
 
 
@@ -348,3 +349,126 @@ def test_value_texts_never_raise_factors_that_cancel(parse, shape, at, var,
     written, since a bivariate fraction is not reduced)."""
     text = shape.format(f"{factor}*(V-2)".replace("V", var))
     assert parse(text) == parse(shape.format(f"{var}-2"))
+
+
+# -- every value type reads back -------------------------------------------
+# Seeded texts are parsed into values; each nonzero value is rendered and
+# parsed again with its field, and must come back equal.
+
+def _q(rng) -> str:
+    n = rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 7])
+    return f"({n}/{rng.randint(1, 3)})"
+
+
+def _uni(rng, var: str) -> str:
+    """A nonconstant function of `var`: a constant times one or two
+    factors of distinct shapes, each maybe inverted."""
+    shapes = [f"({var}-{_q(rng)})", f"({var}^2+{rng.randint(1, 3)})",
+              f"({var}^2-{var}-{_q(rng)})", var]
+    factors = rng.sample(shapes, rng.randint(1, 2))
+    return _q(rng) + "".join(rng.choice(["*", "/"]) + f for f in factors)
+
+
+def _entry(rng, field: str) -> str:
+    if field == "Q" or rng.random() < 0.2:
+        return rng.choice(["2", "3", "5", "6", "-10", "7/3", "-4/9"])
+    if field == "Qxy":
+        return _slot(rng)
+    return _uni(rng, FIELD_VARS[field])
+
+
+def _entries(rng, field: str, degree: int) -> list[str]:
+    return [_entry(rng, field) for _ in range(degree)]
+
+
+def _sum(rng, items) -> str:
+    """A signed sum of the items with rational coefficients."""
+    text = ""
+    for i, item in enumerate(items):
+        sign = rng.choice(["+", "-"])
+        coeff = rng.choice(["", "", "2*", "1/2*", "7/3*"])
+        text += (f"{sign}{coeff}{item}" if i == 0 else
+                 f" {sign} {coeff}{item}")
+    return text
+
+
+def _wedge_text(rng, field: str, degree: int) -> str:
+    if degree == 0:
+        return _q(rng)[1:-1]
+    return _sum(rng, [f"w[{', '.join(_entries(rng, field, degree))}]"
+                      for _ in range(rng.randint(1, 3))])
+
+
+def _symbol_text(rng, field: str) -> str:
+    var = FIELD_VARS[field]
+    degree = rng.randint(0, 2)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        arg = rng.choice([_uni(rng, var), f"({var}-{_q(rng)})/({var}+1/4)",
+                          rng.choice(["-1", "3", "-2/5", "7"])])
+        tail = f" @ w[{', '.join(_entries(rng, field, degree))}]"
+        terms.append(f"{{{arg}}}_2" + (tail if degree else ""))
+    return _sum(rng, terms)
+
+
+def _element_text(rng) -> str:
+    m = rng.randint(0, 2)
+    parts = [f"[{tag}: {_wedge_text(rng, field, m + shift)}]"
+             for tag, field, shift in (("S", "Qxy", 2), ("P1", "Qt", 1),
+                                       ("pt", "Q", 0)) if rng.random() < 0.7]
+    return f"m={m}; " + (_sum(rng, parts) if parts else "0")
+
+
+def _place_text(rng) -> str:
+    return rng.choice([f"t={_q(rng)[1:-1]}", "t=inf", "t^2+1=0", "t^3-2=0",
+                       f"t^2-t+{rng.randint(1, 5)}=0",
+                       f"2*t-{rng.randint(1, 9)}=0"])
+
+
+def _divisor_text(rng) -> str:
+    a, b = rng.sample(["x", "y"], 2)
+    return rng.choice([f"{a}={_q(rng)[1:-1]}", f"{a}=inf", f"{a}={b}",
+                       f"{a}={_uni(rng, b)}", f"{a}=({b}-1)/({b}+{_q(rng)})"])
+
+
+def _cycle_text(rng) -> str:
+    coords = ", ".join(rng.choice([_uni(rng, "t"), "t", "1-t", "-3"])
+                       for _ in range(rng.randint(1, 3)))
+    return rng.choice(["", "-", "3*", "-1/2*"]) + f"cyc[{coords}]"
+
+
+def _value_type(kind: str, field: str, reg):
+    """A seeded text of the type, its parser over `field`, its renderer."""
+    return {
+        "wedge": (lambda rng: _wedge_text(rng, field, rng.randint(1, 3)),
+                  lambda s: parse_wedge(s, reg, field=field), wedge_str),
+        "symbol": (lambda rng: _symbol_text(rng, field),
+                   lambda s: parse_gamma(s, reg, field=field), gamma_str),
+        "element": (_element_text, lambda s: parse_element(s, reg),
+                    lambda_str),
+        "cycle": (_cycle_text, parse_cycle, str),
+        "place": (_place_text, parse_place, str),
+        "divisor": (_divisor_text, parse_divisor, str),
+    }[kind]
+
+
+READ_BACK = [("wedge", "Q"), ("wedge", "Qt"), ("wedge", "Qv"),
+             ("wedge", "Qxy"), ("symbol", "Qt"), ("symbol", "Qv"),
+             ("element", None), ("cycle", "Qt"), ("place", "Qt"),
+             ("divisor", "Qxy")]
+
+
+@pytest.mark.parametrize("kind, field", READ_BACK,
+                         ids=[f"{k}-{f}" for k, f in READ_BACK])
+def test_every_value_type_reads_back(kind, field):
+    """parse(render(v)) == v for 200 nonzero seeded values of each type and
+    field. Symbols over Q(v) printed their arguments in t."""
+    rng = random.Random(f"read-back-{kind}-{field}")
+    text_of, parse, render = _value_type(kind, field, AtomRegistry())
+    checked = 0
+    while checked < 200:
+        v = parse(text_of(rng))
+        if getattr(v, "is_zero", False):
+            continue
+        assert parse(render(v)) == v, render(v)
+        checked += 1

@@ -6,12 +6,11 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import (AtomRegistry, ExceptionalCurve, LambdaElem,
-                     NonSplitResidue, NotStrictlyRegular, blowup_as_curve,
-                     bs_vanishing_check, d_squared_check, differential,
-                     lambda_str, mult_vec, parse_element, parse_ratfunc,
-                     parse_wedge, parshin_check, snc_check, tame_symbol,
-                     totaro_element, totaro_wedge, wedge_add, wedge_of,
-                     wedge_str, weil_sum)
+                     NonSplitResidue, NotStrictlyRegular, bs_vanishing_check,
+                     d_squared_check, differential, lambda_str, mult_vec,
+                     parse_element, parse_ratfunc, parse_wedge, parshin_check,
+                     retag, snc_check, tame_symbol, totaro_element,
+                     totaro_wedge, wedge_add, wedge_of, wedge_str, weil_sum)
 
 
 def test_lambda_str_forms():
@@ -167,7 +166,7 @@ def test_blowup_residue_frozen_values():
 def test_blowup_residue_has_zero_curve_differential():
     reg = AtomRegistry()
     w = parse_wedge("w[x, y, 7]", reg)
-    curve = blowup_as_curve(tame_symbol(w, ExceptionalCurve(Q(0), Q(0)), reg))
+    curve = retag(tame_symbol(w, ExceptionalCurve(Q(0), Q(0)), reg), "Qt")
     assert curve.field == "Qt"
     assert weil_sum(curve, reg).is_zero
 

@@ -695,9 +695,9 @@ def test_bipoly_exact_division_matches_pseudo_division():
 
 def test_bipoly_str():
     x, y = BiPoly.var_x(), BiPoly.var_y()
-    assert bipoly_str(x - y, "x", "y") == "x-y"
-    assert bipoly_str(x * y + BiPoly.const(Q(1, 2)), "x", "y") == "x*y+1/2"
-    assert bipoly_str(BiPoly.const(0), "x", "y") == "0"
+    assert bipoly_str(x - y) == "x-y"
+    assert bipoly_str(x * y + BiPoly.const(Q(1, 2))) == "x*y+1/2"
+    assert bipoly_str(BiPoly.const(0)) == "0"
 
 
 def _schoolbook(a, b):
