@@ -17,7 +17,7 @@ from .errors import (CoordinateIdenticallyFace, NonSplitResidue,
                      NotAdmissible)
 from .expressions import INF, RatFunc, ratfunc_str
 from .lambda_complex import LambdaElem, differential
-from .polynomials import ZERO, gcd_uni, num_str
+from .polynomials import ZERO, gcd_uni, sum_str
 from .wedges import wedge_of, wedge_scale
 
 Q = Fraction
@@ -53,8 +53,7 @@ class CubeCurve:
 
     def __str__(self) -> str:
         inner = ", ".join(ratfunc_str(f, "t") for f in self.coords)
-        head = "" if self.coeff == 1 else f"{num_str(self.coeff)}*"
-        return f"{head}cyc[{inner}]"
+        return sum_str([(self.coeff, f"cyc[{inner}]")])
 
 
 @dataclass(frozen=True)

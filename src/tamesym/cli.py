@@ -28,7 +28,7 @@ from .gamma import delta, five_term, gamma_str, ts_gamma
 from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
 from .lambda_complex import d_squared_check, differential, lambda_str
 from .places import ExceptionalCurve, tame_symbol, weil_sum
-from .polynomials import num_str
+from .polynomials import num_str, sum_str
 from .snc import snc_check
 from .suite import run_suite, suite_report
 from .wedges import wedge_add, wedge_equal, wedge_str, nonconstant_count
@@ -170,9 +170,8 @@ def _h_adm(args, reg) -> Outcome:
 
 def _point_str(p: PointCycle) -> str:
     inner = ", ".join(num_str(v) for v in p.values)
-    head = "" if p.coeff == 1 else f"{num_str(p.coeff)}*"
     flag = " [touches 1]" if p.touches_one else ""
-    return f"{head}pt[{inner}]{flag}"
+    return sum_str([(p.coeff, f"pt[{inner}]")]) + flag
 
 
 def _h_bdry(args, reg) -> Outcome:

@@ -328,12 +328,14 @@ def parse_bifrac(text: str) -> BiFrac:
 # ---------------------------------------------------------------------------
 
 
-def _infer_field(text: str) -> str:
-    # the only letters in wedge or symbol text are w, t, v, x, y
-    if "x" in text or "y" in text:
-        return "Qxy"
-    if "v" in text:
-        return "Qv"
+def _infer_field(text: str, fields: tuple[str, ...]) -> str:
+    """The first of `fields` one of whose variables, as FIELD_VARS names
+    them, occurs in text, else Qt: the only other letters in wedge or
+    symbol text are w and t."""
+    for field in fields:
+        var = FIELD_VARS[field]
+        if any(v in text for v in ([var] if isinstance(var, str) else var)):
+            return field
     return "Qt"
 
 
@@ -422,7 +424,7 @@ def parse_wedge(text: str, reg: AtomRegistry,
     given explicitly. A bare rational is a degree-zero scalar.
     """
     if field is None:
-        field = _infer_field(text)
+        field = _infer_field(text, ("Qxy", "Qv"))
     s = _Scanner(text)
     total = _wedge_sum(s, reg, field)
     _finish(s)
@@ -456,7 +458,7 @@ def parse_gamma(text: str, reg: AtomRegistry,
     a scalar tail. Arguments of 0 or 1 raise DegenerateArgument.
     """
     if field is None:
-        field = "Qv" if "v" in text else "Qt"
+        field = _infer_field(text, ("Qv",))  # "(x)" may mark the tensor
     s = _Scanner(text)
     if s.match("0"):
         if s.at_end():

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
                     factor_into_atoms, mult_vec)
@@ -166,13 +167,15 @@ class Graph:
     def phi(self) -> RatFunc:
         return RatFunc(self.num, self.den)
 
+    @cached_property
     def equation_atom(self) -> BiPoly:
-        """The primitive integer form of `defining_bipoly`."""
+        """The primitive integer form of `defining_bipoly`, built once per
+        graph (kept outside the fields, so eq and hash do not see it)."""
         return defining_bipoly(self).primitive_int()[1]
 
     def order(self, atom) -> int:
         return 1 if (isinstance(atom, BiAtom)
-                     and atom.poly == self.equation_atom()) else 0
+                     and atom.poly == self.equation_atom) else 0
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
@@ -273,10 +276,13 @@ def defining_bipoly(d: SurfDivisor) -> BiPoly:
     """
     if not d.finite:
         raise ValueError(f"{d} has no finite-chart equation")
-    terms = [((i, 1), c) for i, c in enumerate(d.den.coeffs)]
-    terms += [((i, 0), -c) for i, c in enumerate(d.num.coeffs)]
-    g = BiPoly.make(terms)
-    return g if d.var == "y" else g.swap_xy()
+    num = [(i, -c) for i, c in enumerate(d.num.coeffs) if c]
+    den = [(i, c) for i, c in enumerate(d.den.coeffs) if c]
+    if d.var == "x":  # the terms of x^0, then those of x^1: already sorted
+        terms = [((0, i), c) for i, c in num] + [((1, i), c) for i, c in den]
+    else:
+        terms = sorted([((i, 0), c) for i, c in num] + [((i, 1), c) for i, c in den])
+    return BiPoly(tuple(terms))
 
 
 def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:

@@ -610,15 +610,22 @@ class BiPoly:
 
     @staticmethod
     def make(mapping) -> "BiPoly":
-        items = []
-        for (i, j), c in (mapping.items() if isinstance(mapping, dict) else mapping):
-            c = _as_fraction(c)
-            if c != 0:
-                items.append(((i, j), c))
-        merged: dict[tuple[int, int], Fraction] = {}
-        for key, c in items:
-            merged[key] = merged.get(key, ZERO) + c
-        return BiPoly(tuple(sorted((k, v) for k, v in merged.items() if v != 0)))
+        """From a dict or an iterable of ((i, j), c) pairs, whose
+        coefficients at a repeated key are added; zero terms are dropped."""
+        if isinstance(mapping, dict):  # distinct keys: nothing to merge
+            terms = []
+            for k, c in mapping.items():
+                c = _as_fraction(c)
+                if c:
+                    terms.append((k, c))
+        else:
+            merged: dict[tuple[int, int], Fraction] = {}
+            for k, c in mapping:
+                c = _as_fraction(c)
+                merged[k] = merged[k] + c if k in merged else c
+            terms = [(k, c) for k, c in merged.items() if c]
+        terms.sort()
+        return BiPoly(tuple(terms))
 
     @staticmethod
     def const(c) -> "BiPoly":
@@ -689,8 +696,21 @@ class BiPoly:
         return _power(self, n) if n else BiPoly.const(1)
 
     def evaluate(self, a, b) -> Fraction:
+        """g(a, b), by Horner's rule on the integer image, as
+        `UniPoly.evaluate`: in y along each row of x^i, then in x over the
+        rows, both homogenised, so that one Fraction is built."""
+        if not self.terms:
+            return Q(0)
         a, b = _as_fraction(a), _as_fraction(b)
-        return sum((c * a**i * b**j for (i, j), c in self.terms), Q(0))
+        den, ints = _int_image([c for _, c in self.terms])
+        dx, dy = self.terms[-1][0][0], max([j for (_, j), _ in self.terms])
+        rows = [[0] * (dy + 1) for _ in range(dx + 1)]
+        for ((i, j), _), v in zip(self.terms, ints):
+            rows[i][j] = v
+        r, s = b.numerator, b.denominator
+        value = _homogeneous_value([_homogeneous_value(row, r, s) for row in rows],
+                                   a.numerator, a.denominator)
+        return Q(value, den * a.denominator ** dx * s ** dy)
 
     def subst_y(self, b) -> UniPoly:
         """g(x, b) as a polynomial in x."""
@@ -768,7 +788,8 @@ class BiPoly:
         if self.is_zero:
             return Q(0), self
         g, den, ints = _primitive([c for _, c in self.terms])
-        return Q(g, den), BiPoly.make(zip([k for k, _ in self.terms], ints))
+        return Q(g, den), BiPoly(tuple([(k, Q(v))
+                                        for (k, _), v in zip(self.terms, ints)]))
 
     def __str__(self) -> str:
         return bipoly_str(self)

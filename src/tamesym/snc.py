@@ -15,7 +15,12 @@ Members are the closures of the finite divisors; the lines at infinity
 are not members. Every question is asked by one rule: build a polynomial
 from the divisors' equations in the chart of the candidate (the equation
 itself for membership, the Jacobian determinant of two for
-transversality) and ask whether it vanishes at the candidate.
+transversality) and ask whether it vanishes at the candidate. One
+`snc_check` call keeps a table of these rule polynomials, keyed by (rule,
+divisors, chart), so each divisor's chart equation and each pair's Jacobian
+determinant is built once per call however many candidates ask; the table
+is dropped when the call returns. A rational candidate is answered by
+`BiPoly.evaluate`, one integer Horner pass.
 
 Points with algebraic coordinates are handled as clusters: an irreducible
 polynomial q together with the other coordinate expressed as a rational
@@ -115,21 +120,37 @@ def _jacobian_det(g1: BiPoly, g2: BiPoly) -> BiPoly:
     return g1.partial_x() * g2.partial_y() - g1.partial_y() * g2.partial_x()
 
 
-def _vanishes_at_point(pt, rule, *ds: SurfDivisor) -> bool:
-    """rule(chart equations of ds) vanishes at the rational point pt."""
+def _rule_poly(table: dict, rule, ds: tuple, x_inf: bool, y_inf: bool) -> BiPoly:
+    """rule(chart equations of ds) in the chart that inverts each coordinate
+    flagged infinite, built once per table: the table is keyed by (rule,
+    divisors, chart), and a divisor's chart equation is its `_equation`
+    entry."""
+    key = (rule, ds, x_inf, y_inf)
+    if key not in table:
+        if rule is _equation:
+            table[key] = _chart_poly(ds[0], x_inf, y_inf)
+        else:
+            table[key] = rule(*[_rule_poly(table, _equation, (d,), x_inf, y_inf)
+                                for d in ds])
+    return table[key]
+
+
+def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table=None) -> bool:
+    """rule(chart equations of ds) vanishes at the rational point pt; the
+    polynomial comes from table, or is built afresh without one."""
     x_inf, y_inf = pt[0] is INF, pt[1] is INF
-    g = rule(*(_chart_poly(d, x_inf, y_inf) for d in ds))
+    g = _rule_poly({} if table is None else table, rule, ds, x_inf, y_inf)
     return g.evaluate(Q(0) if x_inf else pt[0], Q(0) if y_inf else pt[1]) == 0
 
 
-def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor) -> bool:
+def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table=None) -> bool:
     """rule(chart equations of ds) vanishes on the cluster: with the other
     coordinate substituted it is 0 modulo q."""
     if cl.axis == "y":
         return _vanishes_on_cluster(cl.mirror(), rule,
-                                    *(d.mirror() for d in ds))
+                                    *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
-    g = rule(*(_chart_poly(d, False, y_inf) for d in ds))
+    g = _rule_poly({} if table is None else table, rule, ds, False, y_inf)
     if y_inf:
         return (g.subst_y(0) % cl.q).is_zero
     return (g.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q).is_zero
@@ -211,12 +232,15 @@ def snc_check(w: Wedge) -> SncReport:
                   for pt in sorted(points, key=point_key)]
     candidates += [(cl, str, _vanishes_on_cluster)
                    for cl in sorted(clusters, key=Cluster.sort_key)]
+    table: dict = {}
     problems: list[SncProblem] = []
     for cand, describe, vanishes in candidates:
-        members = [d for d in divisors if vanishes(cand, _equation, d)]
+        members = [d for d in divisors
+                   if vanishes(cand, _equation, d, table=table)]
         if len(members) >= 3:
             kind = "triple"
-        elif len(members) == 2 and vanishes(cand, _jacobian_det, *members):
+        elif len(members) == 2 and vanishes(cand, _jacobian_det, *members,
+                                            table=table):
             kind = "tangency"
         else:
             continue

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tamesym import AtomRegistry, parse_gamma, parse_wedge, poly_str
+from tamesym import AtomRegistry, parse_cycle, parse_gamma, parse_wedge, poly_str
 from tamesym import cli
 from tamesym.cli import main
 from test_polynomials import swinnerton_dyer
@@ -464,6 +464,16 @@ def test_internal_failure_exits_three_not_one(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "engine-error"
     assert payload["result"] == "bug: AssertionError: guard tripped"
+
+
+def test_a_coefficient_of_minus_one_is_written_as_a_sign(capsys):
+    """Points and cycles write their coefficient as every signed sum does:
+    the boundary printed -1*pt[1/2] and a cycle -1*cyc[t, 2]."""
+    code, out, _ = run(capsys, "bdry", "cyc[(t-2)/(t-3), (t-5)/(t-7)]")
+    assert code == 0
+    assert out == "-pt[1/2]\npt[3/5]\npt[5/4]\n-pt[3/2]\n"
+    assert str(parse_cycle("-cyc[t, 2]")) == "-cyc[t, 2]"
+    assert str(parse_cycle("-1/2*cyc[t, 2]")) == "-1/2*cyc[t, 2]"
 
 
 def test_json_error_statuses(capsys):

@@ -472,3 +472,19 @@ def test_every_value_type_reads_back(kind, field):
             continue
         assert parse(render(v)) == v, render(v)
         checked += 1
+
+
+INFERRED = [(parse_wedge, "w[2, 3]", "Qt"), (parse_wedge, "w[t, 1-t]", "Qt"),
+            (parse_wedge, "w[v, 1-v]", "Qv"), (parse_wedge, "w[x-1, y]", "Qxy"),
+            (parse_gamma, "{3}_2", "Qt"),
+            (parse_gamma, "{t}_2 (x) w[t-1]", "Qt"),
+            (parse_gamma, "{v+2}_2 @ w[v]", "Qv")]
+
+
+@pytest.mark.parametrize("parse, text, field", INFERRED,
+                         ids=[text for _, text, _ in INFERRED])
+def test_field_is_inferred_from_the_field_variables(parse, text, field):
+    """Without a named field, a text is read over the first field whose
+    variables (FIELD_VARS) it holds: Q(x, y), then Q(v), else Q(t); a
+    symbol is never over Q(x, y), since "(x)" may mark its tensor."""
+    assert parse(text, AtomRegistry()).field == field

@@ -37,7 +37,7 @@ def _ref_uniformizer(place, reg):
     if kind is Infinity:
         return MultVec("Qt", ((reg.uni(UniPoly.var()), Q(-1)),))
     if kind is Graph:
-        return MultVec("Qxy", ((reg.bi(place.equation_atom()), Q(1)),))
+        return MultVec("Qxy", ((reg.bi(place.equation_atom), Q(1)),))
     if kind is LineInf:
         v = BiPoly.var_x() if place.var == "x" else BiPoly.var_y()
         return MultVec("Qxy", ((reg.bi(v), Q(-1)),))

@@ -638,6 +638,56 @@ def test_eval_y_ratfunc_matches_the_sum_of_powers():
         assert g.eval_y_ratfunc(num, den) == expected, (g, num, den)
 
 
+def test_bipoly_evaluate_matches_the_fraction_sum():
+    """The integer Horner evaluation equals the sum of c * a^i * b^j, at
+    points with zero, negative and non-integer coordinates, the zero
+    polynomial and constants included."""
+    rng = random.Random(4128)
+
+    def r():
+        return Q(rng.randint(-10**rng.randint(1, 12), 10**rng.randint(1, 12)),
+                 rng.choice([1, 2, 3, 35, 10**rng.randint(1, 8)]))
+
+    points = [Q(0), Q(1), Q(-1), Q(3), Q(-7), Q(1, 2), Q(-5, 3), Q(22, 7)]
+    polys = [BiPoly(()), BiPoly.const(Q(-2, 3))]
+    for _ in range(600):
+        polys.append(BiPoly.make({(rng.randint(0, 5), rng.randint(0, 5)): r()
+                                  for _ in range(rng.randint(0, 8))}))
+    assert sum(g.is_zero for g in polys) >= 2
+    for g in polys:
+        for a, b in [(rng.choice(points), rng.choice(points)) for _ in range(3)] \
+                + [(Q(0), Q(0)), (r(), r())]:
+            want = sum((c * a**i * b**j for (i, j), c in g.terms), Q(0))
+            got = g.evaluate(a, b)
+            assert got == want and type(got) is Q, (g, a, b)
+    assert BiPoly.make({(2, 1): 3, (0, 0): -1}).evaluate(2, -1) == -13
+
+
+def test_bipoly_make_from_a_dict_equals_make_from_its_pairs():
+    """A dict's keys are distinct, so it skips the merge an iterable needs;
+    both drop zero terms and sort, and repeated pairs are added."""
+    rng = random.Random(4129)
+    for _ in range(300):
+        d = {(rng.randint(0, 4), rng.randint(0, 4)):
+             rng.choice([0, 0, 1, -3, Q(2, 5), Q(0), Q(-7, 2)])
+             for _ in range(rng.randint(0, 8))}
+        got = BiPoly.make(d)
+        assert got == BiPoly.make(list(d.items()))
+        assert got.terms == tuple(sorted((k, Q(c)) for k, c in d.items() if c))
+        assert all(type(c) is Q and c for _, c in got.terms)
+    assert BiPoly.make([((1, 0), 2), ((0, 1), 1), ((1, 0), -2)]) == BiPoly.var_y()
+    assert BiPoly.make({(1, 1): 0, (0, 0): Q(0)}).is_zero
+
+
+@pytest.mark.parametrize("terms", [{(0, 0): 0.0}, {(1, 0): 1.5},
+                                   [((0, 0), 0.0)], [((1, 1), 2.5)]])
+def test_bipoly_make_refuses_a_float(terms):
+    """A float is refused, even one equal to zero: each coefficient is
+    converted before it is tested for zero."""
+    with pytest.raises(TypeError):
+        BiPoly.make(terms)
+
+
 def _pseudo_divmod(g, h):
     """Pseudo-division in y, the reference: lc_y(h)^k * g = q*h + r with
     deg_y r < deg_y h."""

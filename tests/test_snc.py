@@ -6,11 +6,14 @@ from itertools import permutations
 
 import pytest
 
-from tamesym import (AtomRegistry, BiPoly, RatFunc, defining_bipoly,
-                     parse_wedge, snc_check)
-from tamesym.places import finite_support_divisors, solved_divisor
-from tamesym.snc import (_equation, _pair_candidates, _vanishes_at_point,
-                         _vanishes_on_cluster)
+from tamesym import (AtomRegistry, BiPoly, Inconclusive, RatFunc,
+                     defining_bipoly, parse_wedge, snc, snc_check)
+from tamesym.expressions import INF
+from tamesym.places import (finite_support_divisors, point_key, point_str,
+                            solved_divisor)
+from tamesym.snc import (Cluster, SncProblem, SncReport, _boundary_candidates,
+                         _equation, _jacobian_det, _pair_candidates,
+                         _vanishes_at_point, _vanishes_on_cluster)
 
 
 def check(text):
@@ -176,3 +179,108 @@ def test_line_is_the_graph_of_a_constant(var, c):
     assert d.sort_key() == (0 if var == "x" else 1, c)
     v = BiPoly.var_x() if var == "x" else BiPoly.var_y()
     assert defining_bipoly(d) == v - BiPoly.const(c)
+
+
+def test_each_chart_equation_is_built_once_per_call(monkeypatch):
+    """One table per `snc_check` call: each divisor's equation in each chart
+    and each pair's Jacobian determinant is built once, and a second call
+    builds them again (no state outlives a call)."""
+    w = parse_wedge("w[y-x^2, y, x-1, y-x-1, x*(y^2-2)-1]", AtomRegistry(),
+                    field="Qxy")
+    charts, jacobians = [], []
+    chart_poly, jacobian_det = snc._chart_poly, snc._jacobian_det
+
+    def counted_chart(d, x_inf, y_inf):
+        charts.append((d, x_inf, y_inf))
+        return chart_poly(d, x_inf, y_inf)
+
+    def counted_jacobian(g1, g2):
+        jacobians.append((g1, g2))
+        return jacobian_det(g1, g2)
+
+    monkeypatch.setattr(snc, "_chart_poly", counted_chart)
+    monkeypatch.setattr(snc, "_jacobian_det", counted_jacobian)
+    rep = snc_check(w)
+    once = (len(charts), len(jacobians))
+    assert snc_check(w) == rep
+    monkeypatch.undo()
+    assert rep == snc_check(w)
+    assert [(p.kind, p.where) for p in rep.problems] == [("tangency", "(0, 0)")]
+    assert once == (30, 11)
+    assert all(charts.count(c) == 2 for c in charts)
+    assert all(jacobians.count(j) == 2 for j in jacobians)
+
+
+def _ref_evaluate(g, a, b):
+    return sum((c * a**i * b**j for (i, j), c in g.terms), Q(0))
+
+
+def _ref_chart(d, x_inf, y_inf):
+    g = defining_bipoly(d)
+    g = g.invert_x() if x_inf else g
+    return g.invert_y() if y_inf else g
+
+
+def _ref_vanishes(cand, rule, *ds):
+    """The one rule with every chart equation built afresh for each
+    candidate, and evaluated as a Fraction sum."""
+    if isinstance(cand, Cluster):
+        if cand.axis == "y":
+            return _ref_vanishes(cand.mirror(), rule, *(d.mirror() for d in ds))
+        y_inf = cand.expr is None
+        g = rule(*(_ref_chart(d, False, y_inf) for d in ds))
+        if y_inf:
+            return (g.subst_y(0) % cand.q).is_zero
+        return (g.eval_y_ratfunc(cand.expr.num, cand.expr.den) % cand.q).is_zero
+    x_inf, y_inf = cand[0] is INF, cand[1] is INF
+    g = rule(*(_ref_chart(d, x_inf, y_inf) for d in ds))
+    return _ref_evaluate(g, Q(0) if x_inf else cand[0],
+                         Q(0) if y_inf else cand[1]) == 0
+
+
+def _ref_snc_check(w):
+    divisors = finite_support_divisors(w)
+    points, clusters = set(), set()
+    found = [_boundary_candidates(d) for d in divisors]
+    found += [_pair_candidates(d1, d2) for i, d1 in enumerate(divisors)
+              for d2 in divisors[i + 1:]]
+    for pts, cls in found:
+        points.update(pts)
+        clusters.update(cls)
+    problems = []
+    for cand, describe in [(pt, point_str) for pt in sorted(points, key=point_key)] \
+            + [(cl, str) for cl in sorted(clusters, key=Cluster.sort_key)]:
+        members = [d for d in divisors if _ref_vanishes(cand, _equation, d)]
+        if len(members) >= 3:
+            kind = "triple"
+        elif len(members) == 2 and _ref_vanishes(cand, _jacobian_det, *members):
+            kind = "tangency"
+        else:
+            continue
+        problems.append(SncProblem(kind, describe(cand),
+                                   tuple(str(d) for d in members)))
+    return SncReport(not problems, divisors, problems, len(points) + len(clusters))
+
+
+def test_snc_check_matches_a_reference_that_rebuilds_every_chart():
+    """The per-call table and the integer evaluation change no report:
+    seeded surface texts of 2-5 divisors give the same `SncReport`,
+    candidates checked and order of problems included."""
+    rng = random.Random(20261020)
+    tally = {"yes": 0, "no": 0, "refused": 0, "problems": 0, "candidates": 0}
+    for _ in range(320):
+        text = "w[" + ", ".join(_piece(rng)
+                                for _ in range(rng.randint(2, 5))) + "]"
+        w = parse_wedge(text, AtomRegistry(), field="Qxy")
+        try:
+            want = _ref_snc_check(w)
+        except Inconclusive:
+            with pytest.raises(Inconclusive):
+                snc_check(w)
+            tally["refused"] += 1
+            continue
+        assert snc_check(w) == want, text
+        tally["yes" if want.ok else "no"] += 1
+        tally["problems"] += len(want.problems)
+        tally["candidates"] += want.candidates_checked
+    assert tally["yes"] and tally["no"] and tally["problems"] > tally["no"], tally
