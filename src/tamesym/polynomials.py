@@ -609,21 +609,13 @@ class BiPoly:
     __setstate__ = set_field_state
 
     @staticmethod
-    def make(mapping) -> "BiPoly":
-        """From a dict or an iterable of ((i, j), c) pairs, whose
-        coefficients at a repeated key are added; zero terms are dropped."""
-        if isinstance(mapping, dict):  # distinct keys: nothing to merge
-            terms = []
-            for k, c in mapping.items():
-                c = _as_fraction(c)
-                if c:
-                    terms.append((k, c))
-        else:
-            merged: dict[tuple[int, int], Fraction] = {}
-            for k, c in mapping:
-                c = _as_fraction(c)
-                merged[k] = merged[k] + c if k in merged else c
-            terms = [(k, c) for k, c in merged.items() if c]
+    def make(mapping: dict) -> "BiPoly":
+        """From a dict (i, j) -> c; zero terms are dropped."""
+        terms = []
+        for k, c in mapping.items():
+            c = _as_fraction(c)
+            if c:
+                terms.append((k, c))
         terms.sort()
         return BiPoly(tuple(terms))
 
@@ -695,22 +687,27 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         return _power(self, n) if n else BiPoly.const(1)
 
+    def _int_columns(self) -> tuple[int, list[list[int]]]:
+        """(den, cols) for nonzero g: den * g has integer coefficients, and
+        cols[j][i] is its coefficient of x^i * y^j."""
+        den, ints = _int_image([c for _, c in self.terms])
+        cols = [[0] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
+        for ((i, j), _), v in zip(self.terms, ints):
+            cols[j][i] = v
+        return den, cols
+
     def evaluate(self, a, b) -> Fraction:
         """g(a, b), by Horner's rule on the integer image, as
-        `UniPoly.evaluate`: in y along each row of x^i, then in x over the
-        rows, both homogenised, so that one Fraction is built."""
+        `UniPoly.evaluate`: in x along each column of y^j, then in y over the
+        columns, both homogenised, so that one Fraction is built."""
         if not self.terms:
             return Q(0)
         a, b = _as_fraction(a), _as_fraction(b)
-        den, ints = _int_image([c for _, c in self.terms])
-        dx, dy = self.terms[-1][0][0], max([j for (_, j), _ in self.terms])
-        rows = [[0] * (dy + 1) for _ in range(dx + 1)]
-        for ((i, j), _), v in zip(self.terms, ints):
-            rows[i][j] = v
-        r, s = b.numerator, b.denominator
-        value = _homogeneous_value([_homogeneous_value(row, r, s) for row in rows],
-                                   a.numerator, a.denominator)
-        return Q(value, den * a.denominator ** dx * s ** dy)
+        den, cols = self._int_columns()
+        p, q = a.numerator, a.denominator
+        value = _homogeneous_value([_homogeneous_value(col, p, q) for col in cols],
+                                   b.numerator, b.denominator)
+        return Q(value, den * q ** self.deg_x * b.denominator ** self.deg_y)
 
     def subst_y(self, b) -> UniPoly:
         """g(x, b) as a polynomial in x."""
@@ -742,11 +739,8 @@ class BiPoly:
             return UniPoly(())
         dn, n = _int_image(num.coeffs)
         dd, d = _int_image(den.coeffs)
-        dc, ints = _int_image([c for _, c in self.terms])
+        dc, cols = self._int_columns()
         dy = self.deg_y
-        cols = [[0] * (self.deg_x + 1) for _ in range(dy + 1)]
-        for ((i, j), _), v in zip(self.terms, ints):
-            cols[j][i] = v
         n, d = [v * dd for v in n], [v * dn for v in d]
         acc, dpow = cols[dy], [1]
         for col in reversed(cols[:dy]):

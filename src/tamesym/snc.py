@@ -135,22 +135,22 @@ def _rule_poly(table: dict, rule, ds: tuple, x_inf: bool, y_inf: bool) -> BiPoly
     return table[key]
 
 
-def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table=None) -> bool:
-    """rule(chart equations of ds) vanishes at the rational point pt; the
-    polynomial comes from table, or is built afresh without one."""
+def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table: dict) -> bool:
+    """rule(chart equations of ds), read from table, vanishes at the
+    rational point pt."""
     x_inf, y_inf = pt[0] is INF, pt[1] is INF
-    g = _rule_poly({} if table is None else table, rule, ds, x_inf, y_inf)
+    g = _rule_poly(table, rule, ds, x_inf, y_inf)
     return g.evaluate(Q(0) if x_inf else pt[0], Q(0) if y_inf else pt[1]) == 0
 
 
-def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table=None) -> bool:
+def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bool:
     """rule(chart equations of ds) vanishes on the cluster: with the other
     coordinate substituted it is 0 modulo q."""
     if cl.axis == "y":
         return _vanishes_on_cluster(cl.mirror(), rule,
                                     *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
-    g = _rule_poly({} if table is None else table, rule, ds, False, y_inf)
+    g = _rule_poly(table, rule, ds, False, y_inf)
     if y_inf:
         return (g.subst_y(0) % cl.q).is_zero
     return (g.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q).is_zero

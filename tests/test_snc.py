@@ -153,16 +153,16 @@ def test_pair_candidates_lie_on_both_divisors():
         text = "w[" + ", ".join(_piece(rng)
                                 for _ in range(rng.randint(2, 4))) + "]"
         w = parse_wedge(text, AtomRegistry(), field="Qxy")
-        divisors = finite_support_divisors(w)
+        divisors, table = finite_support_divisors(w), {}
         for d1, d2 in permutations(divisors, 2):
             points, clusters = _pair_candidates(d1, d2)
             for pt in points:
-                assert _vanishes_at_point(pt, _equation, d1) \
-                    and _vanishes_at_point(pt, _equation, d2), \
+                assert _vanishes_at_point(pt, _equation, d1, table=table) \
+                    and _vanishes_at_point(pt, _equation, d2, table=table), \
                     (text, str(d1), str(d2), pt)
             for cl in clusters:
-                assert _vanishes_on_cluster(cl, _equation, d1) \
-                    and _vanishes_on_cluster(cl, _equation, d2), \
+                assert _vanishes_on_cluster(cl, _equation, d1, table=table) \
+                    and _vanishes_on_cluster(cl, _equation, d2, table=table), \
                     (text, str(d1), str(d2), str(cl))
             counts["points"] += len(points)
             counts["clusters"] += len(clusters)
