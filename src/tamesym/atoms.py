@@ -177,28 +177,6 @@ def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fra
     return out
 
 
-def factor_into_atoms(num: UniPoly, den: UniPoly, reg: AtomRegistry
-                      ) -> tuple[Fraction, dict[UniAtom, int]]:
-    """num/den = constant * prod(atom^e) with monic irreducible atoms.
-
-    The constant keeps its sign; dropping it is the class map's job.
-    """
-    if num.is_zero:
-        raise ZeroDivisionError("cannot factor the zero function")
-    cn, fn = factor_uni(num)
-    cd, fd = factor_uni(den)
-    exps: dict[UniAtom, int] = {}
-    for poly, e in fn:
-        a = reg.uni(poly)
-        exps[a] = exps.get(a, 0) + e
-    for poly, e in fd:
-        a = reg.uni(poly)
-        exps[a] = exps.get(a, 0) - e
-        if exps[a] == 0:
-            del exps[a]
-    return cn / cd, exps
-
-
 # -- bivariate factoring ----------------------------------------------------
 
 
@@ -337,48 +315,53 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
                     f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
                     "has no factor linear in x or in y")
     if h.deg_y > 0:
-        bump_uni(h.swap_xy().subst_y(0), "y")
+        bump_uni(h.swap_xy().y_coefficients()[0], "y")
     elif h.deg_x > 0:
-        bump_uni(h.subst_y(0), "x")
+        bump_uni(h.y_coefficients()[0], "x")
     else:
         const *= h.evaluate(0, 0)
     return const, exps
 
 
-def factor_into_atoms_bi(num: BiPoly, den: BiPoly, reg: AtomRegistry
-                         ) -> tuple[Fraction, dict[BiAtom, int]]:
+# -- the class map ----------------------------------------------------------
+
+
+def factor_into_atoms(num: UniPoly | BiPoly, den: UniPoly | BiPoly,
+                      reg: AtomRegistry) -> tuple[Fraction, dict[Atom, int]]:
+    """num/den = constant * prod(atom^e), num and den both in Q[t], with
+    monic irreducible atoms, or both in Q[x, y], by `factor_bipoly`.
+
+    The constant keeps its sign; dropping it is the class map's job.
+    """
     if num.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
-    cn, en = factor_bipoly(num, reg)
-    cd, ed = factor_bipoly(den, reg)
-    for a, e in ed.items():
-        en[a] = en.get(a, 0) - e
-        if en[a] == 0:
-            del en[a]
-    return cn / cd, en
-
-
-# -- the class map ----------------------------------------------------------
+    if isinstance(num, BiPoly):
+        cn, exps = factor_bipoly(num, reg)
+        cd, den_exps = factor_bipoly(den, reg)
+    else:
+        (cn, fn), (cd, fd) = factor_uni(num), factor_uni(den)
+        exps = {reg.uni(p): e for p, e in fn}
+        den_exps = {reg.uni(p): e for p, e in fd}
+    for a, e in den_exps.items():
+        exps[a] = exps.get(a, 0) - e
+        if exps[a] == 0:
+            del exps[a]
+    return cn / cd, exps
 
 
 def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
     """Multiplicative class of a nonzero function as a MultVec.
 
-    Accepts Fraction/int (field 'Q' unless told otherwise), RatFunc
-    (fields 'Qt'/'Qv'), or BiFrac (field 'Qxy').
+    Accepts Fraction/int (field 'Qt' unless told otherwise), RatFunc
+    (fields 'Qt'/'Qv'), or BiFrac (field 'Qxy', whatever `field` says).
     """
-    if isinstance(f, RatFunc):
+    if isinstance(f, (RatFunc, BiFrac)):
+        field = "Qxy" if isinstance(f, BiFrac) else field
         const, exps = factor_into_atoms(f.num, f.den, reg)
         out: dict[Atom, Fraction] = constant_class(const, reg, field)
         for a, e in exps.items():
             out[a] = out.get(a, ZERO) + e
         return MultVec.make(field, out)
-    if isinstance(f, BiFrac):
-        const, exps = factor_into_atoms_bi(f.num, f.den, reg)
-        out = constant_class(const, reg, "Qxy")
-        for a, e in exps.items():
-            out[a] = out.get(a, ZERO) + e
-        return MultVec.make("Qxy", out)
     if type(f) is Fraction or type(f) is int or isinstance(f, (int, Fraction)):
         return MultVec.make(field, constant_class(Q(f), reg, field))
     raise TypeError(f"cannot take the class of {type(f).__name__}")

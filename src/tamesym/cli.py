@@ -226,6 +226,7 @@ def _h_decomp(args, reg) -> Outcome:
 def _h_homotopy_check(args, reg) -> Outcome:
     if args.sub:
         g = parse_gamma(args.input, reg)
+        _require_field(g, "Qt", "the homotopy input")
         rep = homotopy_check_sub(g, reg)
         lines = [f"upper-triangle: {'yes' if rep.ok else 'no'}",
                  f"syntactic: {'yes' if rep.syntactic else 'no'}"]

@@ -6,7 +6,9 @@ rational number or rational function (never 0 or 1) and the tail is a wedge
 monomial. Arguments are normalized under the six-element symmetry group of
 the dilogarithm before storage, so equality is term-map identity. A sum is
 built once: delta is one `expand_products` call, and the residue sums
-gather their terms in one dict and make the element once.
+gather their terms in one dict and make the element once. The residue of
+{x}_2 (x) b at v is -{x(v)}_2 (x) ts_v(b), and ts_v(b) is 0 off the support
+of b, so `tot_gamma` visits the places of its tails' supports alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .atoms import FIELD_VARS, Atom, AtomRegistry, mult_vec, one_minus
 from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
                      NotDistinct)
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import INFINITY, Place1, ratfunc_support, support, tame_symbol
+from .places import Place1, support, tame_symbol
 from .polynomials import ZERO, num_str, sum_str
 from .wedges import Wedge, class_factors, expand_products, wedge_str
 
@@ -46,23 +48,19 @@ def _orbit(x: B2Arg):
 
     For a reduced x = n/d the images are ratios of n, d and m = d - n, which
     are pairwise coprime (gcd(m, d) = gcd(m, n) = gcd(n, d) = 1), so each is
-    reduced once its denominator is made monic."""
+    reduced once its denominator is made monic: by `RatFunc.coprime` for a
+    rational function, by `Fraction` for a rational number."""
     if isinstance(x, RatFunc):
-        n, d = x.num, x.den
-        m = d - n
-        yield x, 1
-        yield RatFunc.coprime(d, n), -1
-        yield RatFunc(m, d), -1
-        yield RatFunc.coprime(d, m), 1
-        yield RatFunc.coprime(-m, n), 1
-        yield RatFunc.coprime(n, -m), -1
+        n, d, ratio = x.num, x.den, RatFunc.coprime
     else:
-        yield x, 1
-        yield 1 / x, -1
-        yield 1 - x, -1
-        yield 1 / (1 - x), 1
-        yield (x - 1) / x, 1
-        yield x / (x - 1), -1
+        n, d, ratio = x.numerator, x.denominator, Q
+    m = d - n
+    yield x, 1
+    yield ratio(d, n), -1
+    yield ratio(m, d), -1
+    yield ratio(d, m), 1
+    yield ratio(-m, n), 1
+    yield ratio(n, -m), -1
 
 
 def _arg_key(x: B2Arg) -> tuple:
@@ -271,13 +269,12 @@ def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
 
 
 def tot_gamma(g: GammaSub, reg: AtomRegistry) -> GammaSub:
-    """Sum of ts_gamma over every place where anything can happen: the
-    supports of x, 1 - x, the tail, and infinity; one dict, made once."""
-    places: set[Place1] = {INFINITY}
-    for (x, key), _ in g.terms:
-        if isinstance(x, RatFunc):
-            places.update(ratfunc_support(x, reg))
-            places.update(ratfunc_support(x.one_minus(), reg))
+    """Sum of ts_gamma over the places of the tails' supports, in sorted
+    order; one dict, made once. Off that set each tail's residue is 0, so a
+    place there adds no term and raises nothing (a NonSplitResidue of x(v)
+    is dropped with its term); x and 1 - x are never factored."""
+    places: set[Place1] = set()
+    for (_, key), _ in g.terms:
         places.update(support(g.tail(key)))
     out: dict = {}
     for v in sorted(places, key=lambda p: p.sort_key()):

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .atoms import (AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom,
-                    factor_into_atoms, mult_vec)
+from .atoms import AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom, mult_vec
 from .errors import MixedFields, NonSplitResidue, UnsupportedDivisorClass
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
 from .polynomials import ZERO, BiPoly, UniPoly, num_str, poly_str
@@ -434,16 +433,6 @@ def weil_sum(w: Wedge, reg: AtomRegistry) -> Wedge:
     it is the curve-level differential and can be nonzero.
     """
     return support_sum(w, "Q", reg)
-
-
-def ratfunc_support(f: RatFunc, reg: AtomRegistry) -> list[Place1]:
-    """All places where a concrete rational function has nonzero order."""
-    _, exps = factor_into_atoms(f.num, f.den, reg)
-    out = [_place_of(atom.poly) for atom in exps]
-    if f.order_at_infinity() != 0:
-        out.append(INFINITY)
-    out.sort(key=lambda p: p.sort_key())
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -709,15 +709,6 @@ class BiPoly:
                                    b.numerator, b.denominator)
         return Q(value, den * q ** self.deg_x * b.denominator ** self.deg_y)
 
-    def subst_y(self, b) -> UniPoly:
-        """g(x, b) as a polynomial in x."""
-        b = _as_fraction(b)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms:
-            out[i] = out.get(i, ZERO) + c * b**j
-        n = max(out, default=-1)
-        return UniPoly.make([out.get(k, ZERO) for k in range(n + 1)])
-
     def y_coefficients(self) -> list[UniPoly]:
         """Coefficients of y^0 .. y^deg_y, each a polynomial in x."""
         cols: dict[int, dict[int, Fraction]] = {}

@@ -145,15 +145,15 @@ def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table: dict) -> bool:
 
 def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bool:
     """rule(chart equations of ds) vanishes on the cluster: with the other
-    coordinate substituted it is 0 modulo q."""
+    coordinate substituted, 0 in the chart v = 1/y where it is infinite, it
+    is 0 modulo q."""
     if cl.axis == "y":
         return _vanishes_on_cluster(cl.mirror(), rule,
                                     *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
     g = _rule_poly(table, rule, ds, False, y_inf)
-    if y_inf:
-        return (g.subst_y(0) % cl.q).is_zero
-    return (g.eval_y_ratfunc(cl.expr.num, cl.expr.den) % cl.q).is_zero
+    other = RatFunc.const(0) if y_inf else cl.expr
+    return (g.eval_y_ratfunc(other.num, other.den) % cl.q).is_zero
 
 
 # ---------------------------------------------------------------------------

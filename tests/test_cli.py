@@ -503,6 +503,21 @@ def test_ts_gamma_refuses_a_symbol_not_over_qt(capsys, place):
     assert json.loads(out)["status"] == "parse-error"
 
 
+@pytest.mark.parametrize("text", ["{v}_2@w[v]", "{v+2}_2@w[v]"])
+def test_homotopy_check_sub_refuses_a_symbol_not_over_qt(capsys, text):
+    """The first printed upper-triangle: yes (exit 0), reading v as t, and
+    the second exited 3 with MixedFields: the field is checked as `h` and
+    `homotopy-check` on a wedge check it."""
+    code, out, err = run(capsys, "homotopy-check", "--sub", text)
+    assert (code, out) == (2, "")
+    assert err == ("homotopy-check: the homotopy input must live over Qt, "
+                   "got Qv\n")
+    code, out, _ = run(capsys, "homotopy-check", "--sub", text,
+                       "--format", "json")
+    assert code == 2
+    assert json.loads(out)["status"] == "parse-error"
+
+
 # Texts that begin with '-' and miss argparse's negative-number pattern.
 LEADING_MINUS = [(["five-term"], ["4", "-7", "5", "-6", "-1/3"]),
                  (["delta"], ["-2*{2*t}_2"]),

@@ -51,7 +51,8 @@ def test_b2_degenerate_arguments_raise():
 
 def test_orbit_closed_forms_match_ratfunc_arithmetic():
     """The six images of x, written as ratios of n, d and d - n, equal
-    1/x, 1 - x, ... computed by RatFunc arithmetic (gcd and all)."""
+    1/x, 1 - x, ... computed by RatFunc arithmetic (gcd and all), and by
+    Fraction arithmetic for a rational x."""
     rng = random.Random(404)
     one = RatFunc.const(1)
     seen = 0
@@ -69,6 +70,15 @@ def test_orbit_closed_forms_match_ratfunc_arithmetic():
                     ((x - one) / x, 1), (x / (x - one), -1)]
         assert list(_orbit(x)) == expected
     assert seen > 100
+    for _ in range(300):
+        x = Q(rng.randint(-50, 50), rng.randint(1, 30))
+        if x in (0, 1):
+            continue
+        expected = [(x, 1), (1 / x, -1), (1 - x, -1), (1 / (1 - x), 1),
+                    ((x - 1) / x, 1), (x / (x - 1), -1)]
+        got = list(_orbit(x))
+        assert got == expected
+        assert all(type(y) is Q for y, _ in got)
 
 
 def test_two_term_relations_hold_after_normalization():

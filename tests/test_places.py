@@ -19,8 +19,8 @@ from tamesym import (INFINITY, AtomRegistry, BiFrac, BiPoly, ExceptionalCurve,
                      one_minus, parse_place, parse_wedge, tame_symbol,
                      wedge_add, wedge_of, wedge_scale, wedge_str, weil_sum)
 from tamesym.atoms import BiAtom
-from tamesym.places import (LineInf, chain_point, ratfunc_support,
-                            restrict_bi, solved_divisor, support)
+from tamesym.places import (LineInf, chain_point, restrict_bi,
+                            solved_divisor, support)
 
 P = UniPoly.make
 
@@ -389,8 +389,6 @@ def test_support_is_deterministic_and_complete():
     assert places == sorted(places, key=lambda p: p.sort_key())
     assert FinRat(Q(0)) in places and FinRat(Q(1)) in places
     assert FinRat(Q(2)) in places and INFINITY in places
-    assert ratfunc_support(rf([-2, 0, 1]), reg) \
-        == [IrredPlace(P([-2, 0, 1])), INFINITY]
 
 
 @pytest.mark.parametrize("text, place, raises", [

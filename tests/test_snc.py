@@ -11,6 +11,7 @@ from tamesym import (AtomRegistry, BiPoly, Inconclusive, RatFunc,
 from tamesym.expressions import INF
 from tamesym.places import (finite_support_divisors, point_key, point_str,
                             solved_divisor)
+from tamesym.polynomials import UniPoly
 from tamesym.snc import (Cluster, SncProblem, SncReport, _boundary_candidates,
                          _equation, _jacobian_det, _pair_candidates,
                          _vanishes_at_point, _vanishes_on_cluster)
@@ -229,8 +230,11 @@ def _ref_vanishes(cand, rule, *ds):
             return _ref_vanishes(cand.mirror(), rule, *(d.mirror() for d in ds))
         y_inf = cand.expr is None
         g = rule(*(_ref_chart(d, False, y_inf) for d in ds))
-        if y_inf:
-            return (g.subst_y(0) % cand.q).is_zero
+        if y_inf:  # the y^0 column, g(x, 0)
+            col = {i: c for (i, j), c in g.terms if j == 0}
+            g0 = UniPoly.make([col.get(i, Q(0))
+                               for i in range(max(col, default=-1) + 1)])
+            return (g0 % cand.q).is_zero
         return (g.eval_y_ratfunc(cand.expr.num, cand.expr.den) % cand.q).is_zero
     x_inf, y_inf = cand[0] is INF, cand[1] is INF
     g = rule(*(_ref_chart(d, x_inf, y_inf) for d in ds))

@@ -9,27 +9,32 @@ drawn at random on every other wedge, and the place-type switches
 on seeded curve wedges, their preimages and seeded symbol elements, and on
 the surface mirror corpus, both must give the same terms in the same
 order, or refuse with the same error.
+
+`_ref_tot_gamma` keeps the rule that visited every place where anything
+can happen, the supports of x, 1 - x (`ratfunc_support`) and the tail and
+infinity, against `tot_gamma`, which visits the tails' supports alone.
 """
 
 import random
 from fractions import Fraction as Q
 
-from tamesym import (AtomRegistry, FinRat, GammaSub, Infinity, IrredPlace,
-                     MixedFields, MultVec, NonSplitResidue, RatFunc,
-                     TameSymError, Wedge, decompose, delta, gamma_add,
-                     gamma_scale, gamma_term, mult_vec, one_minus,
-                     parse_wedge, tame_symbol, tot_gamma, wedge_add,
-                     wedge_concat, wedge_of, wedge_scale, wedge_sub,
-                     weil_sum)
-from tamesym.atoms import UniAtom, constant_class
+from tamesym import (AtomRegistry, DegenerateArgument, FinRat, GammaSub,
+                     Infinity, IrredPlace, MixedFields, MultVec,
+                     NonSplitResidue, RatFunc, TameSymError, Wedge, decompose,
+                     delta, gamma_add, gamma_scale, gamma_term, mult_vec,
+                     one_minus, parse_wedge, tame_symbol, tot_gamma,
+                     wedge_add, wedge_concat, wedge_of, wedge_scale,
+                     wedge_sub, weil_sum)
+from tamesym.atoms import UniAtom, constant_class, factor_into_atoms
 from tamesym.expressions import INF
 from tamesym.homotopy import DecompResult, _check_split
-from tamesym.places import INFINITY, ratfunc_support, support, support_sum
+from tamesym.places import INFINITY, _place_of, support, support_sum
 from tamesym.polynomials import UniPoly
 from tamesym.suite import _gamma_element, _rand_rational, _split_slot
 from tamesym.wedges import nonconstant_count
 
 from test_mirror import corpus
+from test_polynomials import swinnerton_dyer
 
 
 def _ref_delta(g, reg):
@@ -106,8 +111,15 @@ def _ref_ratfunc_order(f, place):
 
 
 def _ref_value_at(x, v):
+    """x(v) for x of order 0 at v."""
     if isinstance(x, RatFunc):
         if isinstance(v, IrredPlace):
+            # x(v) is the rational c when q divides num - c*den, and c is
+            # then the ratio of the leading coefficients modulo q
+            rn, rd = x.num.divmod(v.poly)[1], x.den.divmod(v.poly)[1]
+            c = rn.leading / rd.leading
+            if (x.num - x.den.scale(c)).divmod(v.poly)[1].is_zero:
+                return c
             raise NonSplitResidue(
                 f"value of {x} at {v} lies in a proper extension of Q")
         return x.evaluate_projective(INF if isinstance(v, Infinity) else v.c)
@@ -121,15 +133,39 @@ def _ref_ts_gamma(g, v, reg):
     for (x, key), c in g.terms:
         if isinstance(x, RatFunc) and _ref_ratfunc_order(x, v) != 0:
             continue
-        xv = _ref_value_at(x, v)
+        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
+        try:
+            xv = _ref_value_at(x, v)
+        except NonSplitResidue:
+            if tame_symbol(tail, v, reg).is_zero:
+                continue
+            raise
         if xv is INF or xv == 0 or xv == 1:
             continue
-        tail = Wedge(g.field, g.tail_degree, ((key, Q(1)),))
         ts = tame_symbol(tail, v, reg)
         if ts.is_zero:
             continue
         out = gamma_add(out, gamma_term(-c, xv, ts))
     return out
+
+
+def ratfunc_support(f, reg):
+    """All places where a concrete rational function has nonzero order."""
+    _, exps = factor_into_atoms(f.num, f.den, reg)
+    out = [_place_of(atom.poly) for atom in exps]
+    if f.order_at_infinity() != 0:
+        out.append(INFINITY)
+    out.sort(key=lambda p: p.sort_key())
+    return out
+
+
+def test_ratfunc_support_names_every_zero_and_pole():
+    reg = AtomRegistry()
+    t = RatFunc.var()
+    assert ratfunc_support(t * t - RatFunc.const(2), reg) \
+        == [IrredPlace(UniPoly.make([-2, 0, 1])), INFINITY]
+    assert ratfunc_support(t / (t - RatFunc.const(1)), reg) \
+        == [FinRat(Q(0)), FinRat(Q(1))]
 
 
 def _ref_tot_gamma(g, reg):
@@ -196,3 +232,106 @@ def test_surface_sums_match_the_pairwise_folds():
         for field in ("Qt", "Q") if i < 10 else ("Qt",):
             assert _outcome(lambda: support_sum(w, field, reg)) \
                 == _outcome(lambda: _ref_support_sum(w, field, reg)), text
+
+
+# irreducible quadratics over Q, shared by arguments and tails so that an
+# argument's value at a tail's place of degree 2 is sometimes rational
+QUADRATICS = [[1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 0, 1], [2, 2, 1]]
+
+
+def _rand_ratfunc_factor(rng):
+    """t - a, a split quadratic, or an irreducible one."""
+    r = rng.random()
+    a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+    if r < 0.45:
+        return UniPoly.make([-a, 1])
+    if r < 0.6:
+        return UniPoly.make([a * b, -a - b, 1])
+    return UniPoly.make(rng.choice(QUADRATICS))
+
+
+def _rand_argument(rng):
+    """A rational number, a scaled quotient of the factors above, or an
+    irreducible quadratic plus a constant (rational at that place)."""
+    r = rng.random()
+    if r < 0.25:
+        return _rand_rational(rng, avoid=(0, 1))
+    c = UniPoly.const(_rand_rational(rng))
+    if r < 0.4:
+        q = UniPoly.make(rng.choice(QUADRATICS))
+        return RatFunc.make(q + UniPoly.const(rng.randint(-3, 3)), c)
+    num = _rand_ratfunc_factor(rng) * c
+    den = _rand_ratfunc_factor(rng) if rng.random() < 0.6 else UniPoly.const(1)
+    return RatFunc.make(num, den)
+
+
+def _rand_symbol(rng, reg):
+    """A sum of 1-3 terms c * {x}_2 (x) tail over Q(t), or over Q(v) one
+    time in five, with tails of degree 0-2 whose slots are linear atoms,
+    quadratic atoms (split or not) and constants; None if every argument
+    drawn was 0 or 1."""
+    field = "Qv" if rng.random() < 0.2 else "Qt"
+    degree = rng.choice([0, 1, 1, 2, 2])
+    total = None
+    for _ in range(rng.randint(1, 3)):
+        slots = [mult_vec(RatFunc.make(_rand_ratfunc_factor(rng))
+                          if rng.random() < 0.75 else _rand_rational(rng),
+                          reg, field) for _ in range(degree)]
+        tail = wedge_of(slots) if slots else Wedge.scalar(field, 1)
+        try:
+            term = gamma_term(_rand_rational(rng), _rand_argument(rng), tail)
+        except DegenerateArgument:  # x in {0, 1}
+            continue
+        total = term if total is None else gamma_add(total, term)
+    return total
+
+
+def _drops_a_nonsplit_value(g):
+    """Some argument's value at a place of the tails' supports lies in a
+    proper extension of Q."""
+    places = {v for (_, key), _ in g.terms for v in support(g.tail(key))}
+    for v in places:
+        for (x, _), _ in g.terms:
+            if not isinstance(x, RatFunc):
+                continue
+            try:
+                v.value(x)
+            except NonSplitResidue:
+                return True
+    return False
+
+
+def test_tot_gamma_matches_the_all_places_rule():
+    """Answers and refusals, class and message, on seeded symbols with
+    quadratic atoms, values that do not split over Q and Q(v) tails; the
+    NonSplitResidue of a value whose tail has residue 0 is caught and the
+    term dropped on both sides."""
+    rng = random.Random(2411)
+    seen: dict = {}
+    caught = raised_at_a_value = 0
+    for i in range(1200):
+        reg = AtomRegistry()
+        g = _rand_symbol(rng, reg)
+        if g is None:
+            continue
+        got = _outcome(lambda: tot_gamma(g, reg))
+        assert got == _outcome(lambda: _ref_tot_gamma(g, reg)), i
+        kind = got[0] if got[0] == "ok" else got[1]
+        seen[kind] = seen.get(kind, 0) + 1
+        caught += got[0] == "ok" and _drops_a_nonsplit_value(g)
+        raised_at_a_value += got[0] == "refused" and got[2].startswith("value of")
+    assert sum(seen.values()) >= 1000
+    assert seen["ok"] >= 300 and seen["NonSplitResidue"] >= 100, seen
+    assert seen["MixedFields"] >= 20, seen
+    assert caught >= 50 and raised_at_a_value >= 50
+
+
+def test_tot_gamma_does_not_factor_its_arguments():
+    """A degree-32 argument that the factorer refuses: the all-places rule
+    raised Inconclusive, and the residues of the tail w[t] answer."""
+    reg = AtomRegistry()
+    sd = swinnerton_dyer((2, 3, 5, 7, 11))
+    g = gamma_term(1, RatFunc.make(sd), wedge_of([mult_vec(RatFunc.var(), reg)]))
+    assert _outcome(lambda: _ref_tot_gamma(g, reg))[:2] \
+        == ("refused", "Inconclusive")
+    assert tot_gamma(g, reg) == gamma_term(-1, sd.coeff(0), Wedge.scalar("Q", 1))
