@@ -133,10 +133,19 @@ class _Product:
     wedge entry is classed base by base instead. '*', '/' and '^' join or
     scale the factors, unary '-' adds the factor -1 (so that value() builds
     what the value arithmetic builds), and '+' and '-' multiply both sides
-    out into one new base (`_expr`), each side first bounded by `degree`."""
+    out into one new base (`_expr`), each side first bounded by `degree`.
 
-    def __init__(self, factors: tuple):
+    `degree` is carried, not re-summed: sum(|e| * degree(base)), a bound on
+    the degree of the product multiplied out, which merging only lowers. It
+    is computed over the factors for a leaf, by merged() and by unary '-';
+    '*' adds the bounds of its sides and '^e' scales the bound by |e|."""
+
+    __slots__ = ("factors", "degree")
+
+    def __init__(self, factors: tuple, degree: int | None = None):
         self.factors = factors
+        self.degree = (sum(abs(e) * _degree(b) for b, e in factors)
+                       if degree is None else degree)
 
     @property
     def is_zero(self) -> bool:
@@ -149,12 +158,6 @@ class _Product:
         for b, e in self.factors:
             exps[b] = exps.get(b, 0) + e
         return _Product(tuple(exps.items()))
-
-    @property
-    def degree(self) -> int:
-        """Sum of |e| * degree(base): a bound on the degree of the product
-        multiplied out, which merging only lowers."""
-        return sum(abs(e) * _degree(b) for b, e in self.factors)
 
     def reduced(self) -> "_Product":
         """Self, or self merged when its degree is above MAX_POWER_DEGREE."""
@@ -174,7 +177,7 @@ class _Product:
         return _Product(((-one, 1),) + self.factors)
 
     def __mul__(self, other: "_Product") -> "_Product":
-        return _Product(self.factors + other.factors)
+        return _Product(self.factors + other.factors, self.degree + other.degree)
 
     def __truediv__(self, other: "_Product") -> "_Product":
         return self * other ** -1
@@ -182,7 +185,8 @@ class _Product:
     def __pow__(self, e: int) -> "_Product":
         if e < 0 and self.is_zero:
             raise ZeroDivisionError("negative power of zero")
-        return _Product(tuple([(b, k * e) for b, k in self.factors]))
+        return _Product(tuple([(b, k * e) for b, k in self.factors]),
+                        abs(e) * self.degree)
 
 
 def _expr(s: _Scanner, ctx: _Ctx) -> _Product:

@@ -16,6 +16,8 @@ from .polynomials import BiPoly, UniPoly, gcd_uni, poly_str
 
 Q = Fraction
 
+_ONE = UniPoly.const(1)
+
 
 class _InfinityValue:
     """Point at infinity of the projective line, used as an evaluation value."""
@@ -42,11 +44,11 @@ class RatFunc:
     @staticmethod
     def make(num: UniPoly, den: UniPoly | None = None) -> "RatFunc":
         if den is None:
-            den = UniPoly.const(1)
+            den = _ONE
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            return RatFunc(UniPoly(()), UniPoly.const(1))
+            return RatFunc(num, _ONE)
         g = gcd_uni(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
@@ -62,13 +64,14 @@ class RatFunc:
             den = den.scale(1 / lead)
         return RatFunc(num, den)
 
+    # a polynomial over 1 is already reduced: no gcd
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc.make(UniPoly.const(c))
+        return RatFunc(UniPoly.const(c), _ONE)
 
     @staticmethod
     def var() -> "RatFunc":
-        return RatFunc.make(UniPoly.var())
+        return RatFunc(UniPoly.var(), _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -117,9 +120,10 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc.coprime(self.den**(-n), self.num**(-n))
+            den = self.den if self.is_poly else self.den**(-n)
+            return RatFunc.coprime(den, self.num**(-n))
         # powers of coprime num and monic den stay coprime and monic
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc(self.num**n, self.den if self.is_poly else self.den**n)
 
     def one_minus(self) -> "RatFunc":
         """1 - f = (den - num)/den, rejecting f identically 1. Already

@@ -18,9 +18,11 @@ itself for membership, the Jacobian determinant of two for
 transversality) and ask whether it vanishes at the candidate. One
 `snc_check` call keeps a table of these rule polynomials, keyed by (rule,
 divisors, chart), so each divisor's chart equation and each pair's Jacobian
-determinant is built once per call however many candidates ask; the table
-is dropped when the call returns. A rational candidate is answered by
-`BiPoly.evaluate`, one integer Horner pass.
+determinant is built once per call however many candidates ask, beside
+its integer grid; the table is dropped when the call returns. A rational
+candidate is answered from that grid by `grid_value`, one integer Horner
+pass that builds no Fraction. `_pair_candidates` reads each divisor's
+finite-chart equation from the same table.
 
 Points with algebraic coordinates are handled as clusters: an irreducible
 polynomial q together with the other coordinate expressed as a rational
@@ -44,7 +46,7 @@ from fractions import Fraction
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import (SurfDivisor, defining_bipoly, finite_support_divisors,
                      point_key, point_str)
-from .polynomials import BiPoly, UniPoly, factor_uni, poly_str
+from .polynomials import BiPoly, UniPoly, factor_uni, grid_value, poly_str
 from .wedges import Wedge
 
 Q = Fraction
@@ -120,27 +122,30 @@ def _jacobian_det(g1: BiPoly, g2: BiPoly) -> BiPoly:
     return g1.partial_x() * g2.partial_y() - g1.partial_y() * g2.partial_x()
 
 
-def _rule_poly(table: dict, rule, ds: tuple, x_inf: bool, y_inf: bool) -> BiPoly:
+def _rule_entry(table: dict, rule, ds: tuple, x_inf: bool,
+                y_inf: bool) -> tuple[BiPoly, list[list[int]]]:
     """rule(chart equations of ds) in the chart that inverts each coordinate
-    flagged infinite, built once per table: the table is keyed by (rule,
-    divisors, chart), and a divisor's chart equation is its `_equation`
-    entry."""
+    flagged infinite, and its integer grid (`BiPoly.int_columns`), built
+    once per table: the table is keyed by (rule, divisors, chart), and a
+    divisor's chart equation is its `_equation` entry."""
     key = (rule, ds, x_inf, y_inf)
     if key not in table:
         if rule is _equation:
-            table[key] = _chart_poly(ds[0], x_inf, y_inf)
+            g = _chart_poly(ds[0], x_inf, y_inf)
         else:
-            table[key] = rule(*[_rule_poly(table, _equation, (d,), x_inf, y_inf)
-                                for d in ds])
+            g = rule(*[_rule_entry(table, _equation, (d,), x_inf, y_inf)[0]
+                       for d in ds])
+        table[key] = g, g.int_columns()[1]
     return table[key]
 
 
 def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table: dict) -> bool:
-    """rule(chart equations of ds), read from table, vanishes at the
-    rational point pt."""
+    """rule(chart equations of ds) vanishes at the rational point pt: its
+    grid, read from table, has a homogenised value of 0 there."""
     x_inf, y_inf = pt[0] is INF, pt[1] is INF
-    g = _rule_poly(table, rule, ds, x_inf, y_inf)
-    return g.evaluate(Q(0) if x_inf else pt[0], Q(0) if y_inf else pt[1]) == 0
+    cols = _rule_entry(table, rule, ds, x_inf, y_inf)[1]
+    return not cols or not grid_value(cols, Q(0) if x_inf else pt[0],
+                                      Q(0) if y_inf else pt[1])
 
 
 def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bool:
@@ -151,7 +156,7 @@ def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bo
         return _vanishes_on_cluster(cl.mirror(), rule,
                                     *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
-    g = _rule_poly(table, rule, ds, False, y_inf)
+    g = _rule_entry(table, rule, ds, False, y_inf)[0]
     other = RatFunc.const(0) if y_inf else cl.expr
     return (g.eval_y_ratfunc(other.num, other.den) % cl.q).is_zero
 
@@ -186,19 +191,21 @@ def _boundary_candidates(d: SurfDivisor) -> tuple[list, list]:
     return points, [Cluster("x", q, None) for q in hard]
 
 
-def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor) -> tuple[list, list]:
+def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor, *,
+                     table: dict) -> tuple[list, list]:
     """Finite-chart intersection candidates of a pair. Meetings with an
     infinite coordinate are boundary points of both parties and are already
     in the candidate set."""
     if d1.sort_key() > d2.sort_key():
         d1, d2 = d2, d1
     if d1.var == d2.var == "x":
-        return _mirrored(_pair_candidates(d1.mirror(), d2.mirror()))
+        return _mirrored(_pair_candidates(d1.mirror(), d2.mirror(), table=table))
     if d1.var == "x":
         d1, d2 = d2, d1
-    # d1 is y = phi(x); x solves d2's own equation along d1
+    # d1 is y = phi(x); x solves d2's own equation, from table, along d1
     phi = d1.phi()
-    eqn = defining_bipoly(d2).eval_y_ratfunc(d1.num, d1.den)
+    g2 = _rule_entry(table, _equation, (d2,), False, False)[0]
+    eqn = g2.eval_y_ratfunc(d1.num, d1.den)
     roots, hard = _roots_and_factors(eqn)
     # a root or factor at a pole of phi meets with y = inf: a boundary
     # candidate of d1
@@ -219,9 +226,10 @@ def snc_check(w: Wedge) -> SncReport:
     pairwise transversal meetings and no triple points.
     """
     divisors = finite_support_divisors(w)
+    table: dict = {}
     found = [_boundary_candidates(d) for d in divisors]
-    found += [_pair_candidates(d1, d2) for i, d1 in enumerate(divisors)
-              for d2 in divisors[i + 1:]]
+    found += [_pair_candidates(d1, d2, table=table)
+              for i, d1 in enumerate(divisors) for d2 in divisors[i + 1:]]
     points: set = set()
     clusters: set = set()
     for pts, cls in found:
@@ -232,7 +240,6 @@ def snc_check(w: Wedge) -> SncReport:
                   for pt in sorted(points, key=point_key)]
     candidates += [(cl, str, _vanishes_on_cluster)
                    for cl in sorted(clusters, key=Cluster.sort_key)]
-    table: dict = {}
     problems: list[SncProblem] = []
     for cand, describe, vanishes in candidates:
         members = [d for d in divisors

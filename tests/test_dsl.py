@@ -9,6 +9,7 @@ from tamesym import (FIELD_VARS, AtomRegistry, Inconclusive, ParseError,
                      gamma_str, lambda_str, parse_bifrac, parse_cycle,
                      parse_divisor, parse_element, parse_gamma, parse_place,
                      parse_ratfunc, parse_wedge, poly_str, wedge_str)
+from tamesym import dsl
 from tamesym.expressions import ratfunc_str
 from test_mirror import _slot
 from test_polynomials import swinnerton_dyer
@@ -488,3 +489,166 @@ def test_field_is_inferred_from_the_field_variables(parse, text, field):
     variables (FIELD_VARS) it holds: Q(x, y), then Q(v), else Q(t); a
     symbol is never over Q(x, y), since "(x)" may mark its tensor."""
     assert parse(text, AtomRegistry()).field == field
+
+
+# -- the parser against an independent evaluation ---------------------------
+# Seeded expression trees are written out as text and evaluated directly on
+# Fractions; the parsed value must agree at rational points where every
+# node of the tree is defined.
+
+_SUM, _PROD, _NEG, _POW, _ATOM = range(5)   # binding strength of a node's text
+
+
+def _oracle_tree(rng, names, depth):
+    """A random expression tree: nested tuples over ("num", n), ("var", v),
+    ("+"|"-"|"*"|"/", a, b), ("neg", a) and ("^", a, e)."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return ("num", rng.randint(0, 12))
+        return ("var", rng.choice(names))
+    kind = rng.choice(["poly", "poly", "+", "-", "*", "*", "/", "neg", "^"])
+    if kind == "poly":   # a sum of monomials of degree up to 8
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            term = ("/", ("num", rng.randint(1, 9)), ("num", rng.randint(1, 5)))
+            for v in names:
+                k = rng.randint(0, 8 // len(names))
+                if k:
+                    term = ("*", term, ("^", ("var", v), k) if k > 1 else ("var", v))
+            terms.append(term)
+        out = terms[0]
+        for term in terms[1:]:
+            out = (rng.choice("+-"), out, term)
+        return out
+    if kind == "neg":
+        return ("neg", _oracle_tree(rng, names, depth - 1))
+    if kind == "^":
+        return ("^", _oracle_tree(rng, names, depth - 1),
+                rng.choice([-3, -2, -1, 0, 1, 2, 3]))
+    return (kind, _oracle_tree(rng, names, depth - 1),
+            _oracle_tree(rng, names, depth - 1))
+
+
+def _oracle_text(rng, node) -> tuple[str, int]:
+    """(text, strength) of a tree in the expression grammar: a child weaker
+    than its slot needs, and now and then any child, is parenthesised."""
+    def wrap(child, need):
+        text, strength = _oracle_text(rng, child)
+        if strength < need or rng.random() < 0.1:
+            return f"({text})"
+        return text
+
+    op = node[0]
+    if op == "num":
+        return str(node[1]), _ATOM
+    if op == "var":
+        return node[1], _ATOM
+    if op == "neg":
+        return "-" + wrap(node[1], _NEG), _NEG
+    if op == "^":
+        return f"{wrap(node[1], _ATOM)}^{node[2]}", _POW
+    space = rng.choice(["", " "])
+    if op in "+-":
+        return f"{wrap(node[1], _SUM)}{space}{op}{space}{wrap(node[2], _PROD)}", _SUM
+    return f"{wrap(node[1], _PROD)}{space}{op}{space}{wrap(node[2], _NEG)}", _PROD
+
+
+def _oracle_value(node, point: dict) -> Q:
+    """The tree evaluated on Fractions; ZeroDivisionError where a node is
+    not defined."""
+    op = node[0]
+    if op == "num":
+        return Q(node[1])
+    if op == "var":
+        return point[node[1]]
+    if op == "neg":
+        return -_oracle_value(node[1], point)
+    if op == "^":
+        return _oracle_value(node[1], point) ** node[2]
+    a, b = _oracle_value(node[1], point), _oracle_value(node[2], point)
+    return {"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b
+
+
+_ORACLE_POINTS = [Q(n, d) for n in range(-7, 8) for d in (1, 2, 3, 5)]
+
+
+def _oracle_corpus(field: str, count: int):
+    """count seeded (text, tree) pairs over Q(t) or Q(x, y)."""
+    rng = random.Random(f"parser-oracle-{field}")
+    names = ["t"] if field == "Qt" else ["x", "y"]
+    return [(_oracle_text(rng, tree)[0], tree)
+            for tree in (_oracle_tree(rng, names, rng.randint(1, 4))
+                         for _ in range(count))]
+
+
+def _check_against_the_oracle(field: str, count: int) -> int:
+    """Parse each text of the corpus and compare it with the tree at 3
+    points where the tree is defined; returns how many texts parsed."""
+    rng = random.Random(f"parser-oracle-points-{field}")
+    parsed = 0
+    for text, tree in _oracle_corpus(field, count):
+        try:
+            value = parse_ratfunc(text) if field == "Qt" else parse_bifrac(text)
+        except ParseError:
+            continue   # a negative power of zero, a division by zero
+        parsed += 1
+        checked = 0
+        for _ in range(200):
+            if field == "Qt":
+                point = {"t": rng.choice(_ORACLE_POINTS)}
+            else:
+                point = {v: rng.choice(_ORACLE_POINTS) for v in ("x", "y")}
+            try:
+                want = _oracle_value(tree, point)
+            except ZeroDivisionError:
+                continue
+            if field == "Qt":
+                got = value.evaluate(point["t"])
+            else:
+                got = (value.num.evaluate(point["x"], point["y"])
+                       / value.den.evaluate(point["x"], point["y"]))
+            assert got == want, (text, point)
+            checked += 1
+            if checked == 3:
+                break
+        assert checked == 3, text
+    return parsed
+
+
+@pytest.mark.parametrize("field, count", [("Qt", 400), ("Qxy", 200)])
+def test_parsed_values_match_an_independent_evaluation(field, count):
+    """Over Q(t) and Q(x, y), seeded texts of sums of monomials up to
+    degree 8, products, quotients, negative powers, unary minus and nested
+    parentheses evaluate, once parsed, to what their trees give on
+    Fractions at 3 rational points where every node is defined."""
+    assert _check_against_the_oracle(field, count) >= 0.9 * count
+
+
+def test_carried_degree_bound_is_the_sum_over_the_factors(monkeypatch):
+    """Each _Product built while a seeded corpus is parsed (values, wedge
+    entries and symbols) carries the degree bound sum(|e| * degree(base))
+    of its factors, however it was built: as a leaf, by '*', '/', '^',
+    unary '-' or merged()."""
+    init = dsl._Product.__init__
+    built = []
+
+    def checked(self, factors, *degree):
+        init(self, factors, *degree)
+        assert self.degree == sum(abs(e) * dsl._degree(b) for b, e in factors)
+        built.append(bool(degree))
+
+    monkeypatch.setattr(dsl._Product, "__init__", checked)
+    for field in ("Qt", "Qxy"):
+        for text, _ in _oracle_corpus(field, 100):
+            try:
+                parse_ratfunc(text) if field == "Qt" else parse_bifrac(text)
+            except ParseError:
+                pass
+    rng = random.Random("carried-degree-bound")
+    reg = AtomRegistry()
+    for field in ("Qt", "Qv", "Qxy"):
+        for _ in range(50):
+            parse_wedge(_wedge_text(rng, field, rng.randint(1, 3)), reg, field=field)
+    for _ in range(50):
+        parse_gamma(_symbol_text(rng, "Qt"), reg, field="Qt")
+    assert len(built) > 10_000 and sum(built) > 1_000

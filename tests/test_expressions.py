@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from tamesym import INF, BiFrac, BiPoly, RatFunc, UniPoly
 from tamesym.expressions import ratfunc_str
 
@@ -126,3 +128,40 @@ def test_closed_forms_are_what_make_returns():
         f, g = BiFrac.make(a), BiFrac.make(b)
         assert f + g == BiFrac.make(a * one + b * one, one * one)
         assert f - g == BiFrac.make(a * one - b * one, one * one)
+
+
+def test_const_and_var_are_what_make_returns():
+    """const(c) and var() are built reduced, with no gcd; each equals the
+    value make() builds, with an equal hash, c = 0 included."""
+    for c in (0, 1, -1, 12, Q(5, 3), Q(-7, 2), Q(0)):
+        got, want = RatFunc.const(c), RatFunc.make(UniPoly.const(c))
+        assert got == want and hash(got) == hash(want), c
+        assert got.constant_value() == c
+    assert RatFunc.const(0).is_zero and RatFunc.const(0).num == UniPoly(())
+    got, want = RatFunc.var(), RatFunc.make(UniPoly.var())
+    assert got == want and hash(got) == hash(want)
+
+
+def test_powers_with_a_denominator_and_negative_exponents():
+    """f^n for n in -5..5 equals |n| products of f or of 1/f, for
+    polynomials, constants and fractions with a non-unit denominator; a
+    negative power of zero is refused."""
+    t = RatFunc.var()
+    bases = [RatFunc.make(P([1, 2]), P([3, 1])),
+             RatFunc.make(P([0, 1]), P([1, 0, 1])),
+             RatFunc.make(P([Q(-1, 2), Q(3, 4)]), P([2, 0, 0, 5])),
+             RatFunc.make(P([2, -1])), t, RatFunc.const(Q(-2, 3)),
+             RatFunc.const(1)]
+    one = RatFunc.const(1)
+    for f in bases:
+        for n in range(-5, 6):
+            want = one
+            for _ in range(abs(n)):
+                want = want * f if n > 0 else want / f
+            got = f ** n
+            assert got == want and hash(got) == hash(want), (str(f), n)
+            assert got.den.leading == 1
+    assert RatFunc.const(0) ** 0 == one
+    assert RatFunc.const(0) ** 3 == RatFunc.const(0)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc.const(0) ** -1

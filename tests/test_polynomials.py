@@ -564,14 +564,22 @@ def test_inexact_integer_division_raises():
 
 
 def test_powers_match_repeated_multiplication():
-    """Square-and-multiply powers, the zero polynomial included (0^0 = 1)."""
+    """Square-and-multiply powers, the zero polynomial included (0^0 = 1),
+    of constants and of polynomials with and without denominators; a
+    univariate power is canonical, with the hash of the product."""
     x, y = BiPoly.var_x(), BiPoly.var_y()
-    cases = [(base, P([1])) for base in (P([]), P([1]), P([Q(-1, 2), 0, 3]), P([2, 1]))]
+    cases = [(base, P([1])) for base in
+             (P([]), P([1]), P([-1]), P([Q(-2, 3)]), P([7]), P([0, 1]),
+              P([Q(-1, 2), 0, 3]), P([2, 1]), P([Q(2, 3), Q(1, 5)]),
+              P([0, 0, Q(-1, 6)]))]
     cases += [(base, BiPoly.const(1)) for base in
               (BiPoly(()), x * y - BiPoly.const(Q(1, 3)), x + y * y)]
     for base, acc in cases:
         for n in range(10):
-            assert base ** n == acc
+            got = base ** n
+            assert got == acc and hash(got) == hash(acc)
+            if isinstance(got, UniPoly):
+                assert _is_canonical(got)
             acc = acc * base
 
 
@@ -824,3 +832,43 @@ def test_ratfunc_arithmetic_matches_the_fraction_schoolbook():
             got = gots[op]
             assert got == want and hash(got) == hash(want), op
             assert _is_canonical(got.num) and _is_canonical(got.den), op
+
+
+def _canonical_equal(got, want):
+    return _is_canonical(got) and got == want and hash(got) == hash(want)
+
+
+def test_sums_that_cancel_leading_terms_are_trimmed():
+    """A sum or difference whose top coefficients cancel drops them, down
+    to the zero polynomial UniPoly(()); no trailing zero is kept."""
+    a = P([1, Q(1, 2), 3, -2])
+    cases = [(a + P([0, 0, -3, 2]), P([1, Q(1, 2)])),
+             (a - P([0, Q(1, 2), 3, -2]), P([1])),
+             (a + P([-1, Q(-1, 2), -3, 2]), UniPoly(())),
+             (a - a, UniPoly(())),
+             (a + -a, UniPoly(())),
+             (P([Q(1, 3), Q(2, 3)]) + P([Q(2, 3), Q(-2, 3)]), P([1])),
+             (P([Q(1, 3), Q(2, 3)]) - P([Q(1, 3), Q(2, 3)]), UniPoly(())),
+             (P([]) + P([]), UniPoly(())),
+             (P([]) - P([]), UniPoly(())),
+             (P([]) - a, -a),
+             (a + P([]), a),
+             (P([1]) + P([0, 0, 0, Q(5, 7)]), P([1, 0, 0, Q(5, 7)]))]
+    for got, want in cases:
+        assert _canonical_equal(got, want), (got, want)
+    assert (a - a).coeffs == () and (a - a).degree == -1
+
+
+def test_products_with_and_without_a_denominator():
+    """A product whose combined denominator is 1 and one whose is not both
+    equal the schoolbook product, with reduced Fraction coefficients."""
+    cases = [(P([1, 2]), P([-3, 1])),              # integers: denominator 1
+             (P([Q(1, 2), 1]), P([2, 4])),         # denominator 2, cancels
+             (P([Q(1, 2)]), P([Q(1, 3), 1])),      # denominator 6, stays
+             (P([Q(2, 3), Q(-1, 4)]), P([Q(3, 2), Q(4, 5)])),
+             (P([5]), P([Q(1, 5)])),               # a constant product 1
+             (P([Q(1, 2), 1]), P([]))]             # zero
+    for a, b in cases:
+        want = P(_schoolbook(list(a.coeffs), list(b.coeffs)))
+        assert _canonical_equal(a * b, want) and _canonical_equal(b * a, want)
+    assert (P([Q(1, 2), 1]) * P([2, 4])).coeffs == (Q(1), Q(4), Q(4))

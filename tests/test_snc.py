@@ -156,7 +156,7 @@ def test_pair_candidates_lie_on_both_divisors():
         w = parse_wedge(text, AtomRegistry(), field="Qxy")
         divisors, table = finite_support_divisors(w), {}
         for d1, d2 in permutations(divisors, 2):
-            points, clusters = _pair_candidates(d1, d2)
+            points, clusters = _pair_candidates(d1, d2, table=table)
             for pt in points:
                 assert _vanishes_at_point(pt, _equation, d1, table=table) \
                     and _vanishes_at_point(pt, _equation, d2, table=table), \
@@ -246,7 +246,7 @@ def _ref_snc_check(w):
     divisors = finite_support_divisors(w)
     points, clusters = set(), set()
     found = [_boundary_candidates(d) for d in divisors]
-    found += [_pair_candidates(d1, d2) for i, d1 in enumerate(divisors)
+    found += [_pair_candidates(d1, d2, table={}) for i, d1 in enumerate(divisors)
               for d2 in divisors[i + 1:]]
     for pts, cls in found:
         points.update(pts)
