@@ -19,7 +19,7 @@ from math import prod
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
-from .polynomials import (ZERO, BiPoly, UniPoly, _int_image, _monic, _zgcd,
+from .polynomials import (ZERO, BiPoly, UniPoly, _zgcd,
                           bipoly_exact_div, bipoly_str, cached_hash,
                           factor_uni, field_state, num_str, poly_str,
                           rational_roots, set_field_state)
@@ -54,7 +54,7 @@ class UniAtom:
     __setstate__ = set_field_state
 
     def sort_key(self) -> tuple:
-        return (1, self.poly.degree, self.poly.coeffs)
+        return (1,) + self.poly.key()
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ class BiAtom:
     __setstate__ = set_field_state
 
     def sort_key(self) -> tuple:
-        return (2, self.poly.deg_x, self.poly.deg_y, self.poly.terms)
+        """(2, deg_x, deg_y, terms), the terms integers, as den is 1."""
+        return (2, self.poly.deg_x, self.poly.deg_y, self.poly.iterms)
 
 
 Atom = PrimeAtom | UniAtom | BiAtom
@@ -86,12 +87,13 @@ def atom_str(a: Atom, field: str) -> str:
 
 
 class AtomRegistry:
-    """Append-only interning table for atoms: one atom object per value."""
+    """Append-only interning table for atoms: one atom object per value,
+    keyed by the value itself, whose hash is computed once."""
 
     def __init__(self) -> None:
         self._primes: dict[int, PrimeAtom] = {}
-        self._uni: dict[tuple, UniAtom] = {}
-        self._bi: dict[tuple, BiAtom] = {}
+        self._uni: dict[UniPoly, UniAtom] = {}
+        self._bi: dict[BiPoly, BiAtom] = {}
 
     def prime(self, p: int) -> PrimeAtom:
         atom = self._primes.get(p)
@@ -101,21 +103,19 @@ class AtomRegistry:
         return atom
 
     def uni(self, poly: UniPoly) -> UniAtom:
-        if poly.is_zero or poly.leading != 1:
+        if not poly.is_monic:
             raise ValueError("univariate atoms must be monic and nonzero")
-        key = poly.coeffs
-        atom = self._uni.get(key)
+        atom = self._uni.get(poly)
         if atom is None:
             atom = UniAtom(poly)
-            self._uni[key] = atom
+            self._uni[poly] = atom
         return atom
 
     def bi(self, poly: BiPoly) -> BiAtom:
-        key = poly.terms
-        atom = self._bi.get(key)
+        atom = self._bi.get(poly)
         if atom is None:
             atom = BiAtom(poly)
-            self._bi[key] = atom
+            self._bi[poly] = atom
         return atom
 
 
@@ -182,13 +182,13 @@ def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fra
 
 def _uni_content_of_bipoly_in_y(g: BiPoly) -> UniPoly:
     """gcd over x of the y-coefficients (monic), the 'content' in Q[x][y],
-    folded by `_zgcd` on their integer images."""
+    folded by `_zgcd` on their integer coefficients."""
     content: list[int] = []
     for cj in g.y_coefficients():
-        content = _zgcd(content, _int_image(cj.coeffs)[1])
+        content = _zgcd(content, cj.ints)
         if len(content) == 1:
             break
-    return _monic(content)
+    return UniPoly.over(content[-1], content)
 
 
 # candidates a factor walk may weigh, counted before any list is built

@@ -1,7 +1,9 @@
 """Rational functions in one variable and ratios of bivariate polynomials.
 
 RatFunc is kept fully reduced (monic denominator, coprime with the
-numerator) so that equality and hashing are structural. BiFrac is a raw
+numerator) so that equality and hashing are structural: both compare the
+polynomials' stored integer forms, and a monic or constant denominator is
+read from them (`is_monic`, `degree`) with no Fraction built. BiFrac is a raw
 numerator/denominator pair: surface-level classes are computed atomwise, so
 reducing the pair buys nothing and bivariate gcds are deliberately avoided.
 """
@@ -58,10 +60,8 @@ class RatFunc:
     @staticmethod
     def coprime(num: UniPoly, den: UniPoly) -> "RatFunc":
         """num/den for coprime num and den != 0: no gcd, den made monic."""
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        if not den.is_monic:
+            num, den = num.scale(1 / den.leading), den.monic()
         return RatFunc(num, den)
 
     # a polynomial over 1 is already reduced: no gcd
@@ -86,7 +86,7 @@ class RatFunc:
     def is_poly(self) -> bool:
         """den == 1; a reduced fraction has a monic denominator, so this is
         the same as a constant denominator."""
-        return len(self.den.coeffs) == 1
+        return self.den.degree == 0
 
     # Sums, products and powers of polynomials need no gcd: each closed form
     # below is what make() returns.
@@ -163,14 +163,15 @@ class RatFunc:
         return self.evaluate(c)
 
     def key(self) -> tuple:
-        return (self.num.degree, self.den.degree, self.num.coeffs, self.den.coeffs)
+        (dn, cn), (dd, cd) = self.num.key(), self.den.key()
+        return (dn, dd, cn, cd)
 
     def __str__(self) -> str:
         return ratfunc_str(self, "t")
 
 
 def ratfunc_str(f: RatFunc, var: str) -> str:
-    if f.den.degree == 0 and f.den.coeff(0) == 1:
+    if f.den.degree == 0:
         return poly_str(f.num, var)
     return f"({poly_str(f.num, var)})/({poly_str(f.den, var)})"
 

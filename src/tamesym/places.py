@@ -34,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .atoms import AtomRegistry, BiAtom, MultVec, PrimeAtom, UniAtom, mult_vec
 from .errors import MixedFields, NonSplitResidue, UnsupportedDivisorClass
 from .expressions import INF, BiFrac, RatFunc, ratfunc_str
-from .polynomials import ZERO, BiPoly, UniPoly, num_str, poly_str
+from .polynomials import BiPoly, UniPoly, num_str, poly_str
 from .wedges import Wedge, class_factors, expand_products
 
 Q = Fraction
@@ -111,7 +112,7 @@ class IrredPlace:
             f"value of {f} at {self} lies in a proper extension of Q")
 
     def sort_key(self) -> tuple:
-        return (1, self.poly.degree, self.poly.coeffs)
+        return (1,) + self.poly.key()
 
     def __str__(self) -> str:
         return f"{poly_str(self.poly, 't')}=0"
@@ -246,10 +247,10 @@ class ExceptionalCurve:
         """k and g_k of the pull-back of a bivariate atom."""
         sub = atom.poly.substitute(BiPoly.make({(0, 0): self.c1, (1, 0): 1}),
                                    BiPoly.make({(0, 0): self.c2, (1, 1): 1}))
-        k = min(i for (i, _), _ in sub.terms)
-        layer = {j: c for (i, j), c in sub.terms if i == k}
-        return k, UniPoly.make([layer.get(j, ZERO)
-                                for j in range(max(layer) + 1)])
+        k = min(i for (i, _), _ in sub.iterms)
+        layer = {j: v for (i, j), v in sub.iterms if i == k}
+        return k, UniPoly.over(sub.den, [layer.get(j, 0)
+                                         for j in range(max(layer) + 1)])
 
     def order(self, atom) -> int:
         return self._leading(atom)[0] if isinstance(atom, BiAtom) else 0
@@ -275,13 +276,14 @@ def defining_bipoly(d: SurfDivisor) -> BiPoly:
     """
     if not d.finite:
         raise ValueError(f"{d} has no finite-chart equation")
-    num = [(i, -c) for i, c in enumerate(d.num.coeffs) if c]
-    den = [(i, c) for i, c in enumerate(d.den.coeffs) if c]
+    l = lcm(d.num.den, d.den.den)  # coprime to the content, as either den is
+    num = [(i, -v * (l // d.num.den)) for i, v in enumerate(d.num.ints) if v]
+    den = [(i, v * (l // d.den.den)) for i, v in enumerate(d.den.ints) if v]
     if d.var == "x":  # the terms of x^0, then those of x^1: already sorted
-        terms = [((0, i), c) for i, c in num] + [((1, i), c) for i, c in den]
+        terms = [((0, i), v) for i, v in num] + [((1, i), v) for i, v in den]
     else:
-        terms = sorted([((i, 0), c) for i, c in num] + [((i, 1), c) for i, c in den])
-    return BiPoly(tuple(terms))
+        terms = sorted([((i, 0), v) for i, v in num] + [((i, 1), v) for i, v in den])
+    return BiPoly(l, tuple(terms))
 
 
 def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:

@@ -1,22 +1,23 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
-Everything here is stdlib-only and exact: coefficients are fractions.Fraction,
-and no operation ever rounds. The univariate kernels work on integer images,
-a polynomial scaled by the lcm of its denominators (and divided by its
-content where that helps): `_zdivmod`, `_zgcd` and `_zyun` under
-`UniPoly.divmod`, `gcd_uni` and `squarefree_decomposition`. Products and
-powers of `UniPoly` work on integer images too: `_zmul` multiplies the
-integer lists, a power squares and multiplies them (`_power`, the one
-ladder, which `BiPoly` powers share), and one Fraction is built per
-coefficient of the result, with no gcd when its denominator is 1. A sum or
-difference is one pass over both coefficient tuples, trimmed; on integer
-images it measured no faster, since it needs an lcm and a Fraction per
-coefficient all the same.
+Everything here is stdlib-only and exact; no operation ever rounds. A
+polynomial has one stored form, FLINT's fmpq_poly layout: integer
+coefficients over one denominator den > 0 coprime to their content (the
+content and primitive part of von zur Gathen & Gerhard, Modern Computer
+Algebra, 6.2), and no zero term. `UniPoly` is (den, ints), lowest degree
+first; `BiPoly` is (den, iterms), ((i, j), v) terms sorted by exponent. The
+form is canonical, so equality compares it directly; `over` brings any
+integer result to it. The kernels run on the stored integers: `_zmul`
+multiplies coefficient lists, a power squares and multiplies them (`_power`,
+the one ladder, which `BiPoly` powers share) with no gcd, and `_zdivmod`,
+`_zgcd` and `_zyun` serve `divmod`, `gcd_uni` and
+`squarefree_decomposition`. Fractions are built only on request: `make`
+reads them, and `coeffs`, `terms`, `coeff`, `leading` and `evaluate` give
+them back.
 
-Factoring runs on one integer image: `factor_uni` keeps integer lists from
-the primitive image of f through its squarefree parts (Yun) to
-`_squarefree_factors`, and builds Fractions only for the monic factors it
-returns; `rational_roots` are its factors of degree 1. Rational roots come
+`factor_uni` keeps integer lists from the primitive part of f through its
+squarefree parts (Yun) to `_squarefree_factors`, and makes each factor
+monic; `rational_roots` are its factors of degree 1. Rational roots come
 from a walk over bounded pairs of divisors of the end coefficients
 (`_zroots`) or, past that bound, from the same lift as every other factor:
 factor-degree patterns modulo small primes certify most irreducibles (Knuth,
@@ -45,38 +46,56 @@ ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
 
 
 def cached_hash(self) -> int:
-    """__hash__ of a frozen value type with one field, named first in its
-    __slots__: the dataclass hash, hash((field,)), computed once and kept in
-    the `_hash` slot, so no set or dict of these values changes its
-    iteration order."""
+    """__hash__ of a frozen value type: hash((v,)) for v its `_hashed()`
+    or else its first field (the dataclass hash of an atom), computed once
+    and kept in the `_hash` slot, so no set or dict of these values changes
+    its iteration order."""
     try:
         return self._hash
     except AttributeError:
-        h = hash((getattr(self, type(self).__slots__[0]),))
+        h = hash((self._hashed() if hasattr(self, "_hashed")
+                  else getattr(self, type(self).__slots__[0]),))
         object.__setattr__(self, "_hash", h)
         return h
 
 
 def field_state(self):
-    """__getstate__ of such a type for copy and pickle: the field alone."""
-    return getattr(self, type(self).__slots__[0])
+    """__getstate__ of such a type for copy and pickle: its fields, every
+    slot but the last, `_hash`."""
+    return tuple([getattr(self, name) for name in type(self).__slots__[:-1]])
 
 
 def set_field_state(self, state) -> None:
     """__setstate__ of such a type; the frozen __setattr__ would refuse."""
-    object.__setattr__(self, type(self).__slots__[0], state)
+    for name, value in zip(type(self).__slots__, state):
+        object.__setattr__(self, name, value)
 
 
-def _as_fraction(v) -> Fraction:
-    if type(v) is Fraction:  # isinstance(int, Fraction) runs ABCMeta.__instancecheck__
+def _rational(v):
+    """v itself, an int or a Fraction, whose numerator and denominator are
+    read alike; anything else is refused."""
+    if type(v) is int or type(v) is Fraction or isinstance(v, (int, Fraction)):
         return v
-    if type(v) is int:
-        return Fraction(v)
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
     raise TypeError(f"expected a rational number, got {type(v).__name__}")
+
+
+def _divisor(den: int, vs) -> int:
+    """gcd(den, *vs) with the sign of den: den and vs divided by it give a
+    positive den coprime to the content of vs."""
+    if den == 1:
+        return 1
+    g = int_gcd(den, *vs)
+    return -g if den < 0 else g
+
+
+# Tuples here are built from lists, never from generators: CPython sizes a
+# tuple from a generator at 10 and then shrinks it, which drains one free
+# list into the others and raised peak memory of factoring by about 1 MB.
+# `wedges.expand_products` keeps the rule: with its result tuples built from
+# generators, a 4-round `suite` benchmark run peaked 0.46-0.77 MB above the
+# Fraction loops it replaced, against 0.1 MB when built from lists. A stored
+# int is smaller than a Fraction, and is hashed, compared and printed as the
+# Fraction of denominator 1 it stands for.
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +105,41 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial with Fraction coefficients, ascending order.
+    """Univariate polynomial over Q, ints / den: the integer coefficients
+    ints lowest degree first with no trailing zero, and den > 0 coprime to
+    their content. The zero polynomial is (1, ()), of degree -1.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    """
+    The hash is that of the Fraction tuple `coeffs`, computed once."""
 
-    __slots__ = ("coeffs", "_hash")
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("den", "ints", "_hash")
+    den: int
+    ints: tuple[int, ...]
 
     __hash__ = cached_hash
     __getstate__ = field_state
     __setstate__ = set_field_state
 
+    def _hashed(self) -> tuple:
+        return self.ints if self.den == 1 else self.coeffs
+
+    @staticmethod
+    def over(den: int, ints) -> "UniPoly":
+        """ints / den in stored form, for den != 0 and an integer sequence
+        ints, lowest degree first, which is left unchanged."""
+        n = len(ints)
+        while n and not ints[n - 1]:
+            n -= 1
+        if n < len(ints):
+            ints = ints[:n]
+        g = _divisor(den, ints)
+        return UniPoly(den // g, tuple(ints if g == 1 else [v // g for v in ints]))
+
     @staticmethod
     def make(seq) -> "UniPoly":
-        return _trimmed([_as_fraction(c) for c in seq])
+        """From rational coefficients, lowest degree first."""
+        cs = [_rational(c) for c in seq]
+        den = lcm(*[c.denominator for c in cs])
+        return UniPoly.over(den, [c.numerator * (den // c.denominator) for c in cs])
 
     @staticmethod
     def const(c) -> "UniPoly":
@@ -108,71 +147,78 @@ class UniPoly:
 
     @staticmethod
     def var() -> "UniPoly":
-        return UniPoly.make([0, 1])
+        return UniPoly(1, (0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients, lowest degree first, built per call."""
+        return tuple([Q(v, self.den) for v in self.ints])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.ints) and self.ints[-1] == self.den
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Q(self.ints[-1], self.den)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        return Q(self.ints[i], self.den) if 0 <= i < len(self.ints) else ZERO
+
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * other, over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        return UniPoly.over(den, [x * ma + y * mb for x, y in
+                                  zip_longest(self.ints, other.ints, fillvalue=0)])
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        return _trimmed([x + y for x, y in zip_longest(self.coeffs, other.coeffs,
-                                                       fillvalue=ZERO)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return _trimmed([x - y for x, y in zip_longest(self.coeffs, other.coeffs,
-                                                       fillvalue=ZERO)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly(self.den, tuple([-v for v in self.ints]))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly(())
-        da, a = _int_image(self.coeffs)
-        db, b = _int_image(other.coeffs)
-        return _from_ints(_zmul(a, b), da * db)
+        return UniPoly.over(self.den * other.den, _zmul(self.ints, other.ints))
 
     def scale(self, c) -> "UniPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return UniPoly(())
-        return UniPoly(tuple(c * a for a in self.coeffs))
+        c = _rational(c)
+        return UniPoly.over(self.den * c.denominator,
+                            [v * c.numerator for v in self.ints])
 
     def __pow__(self, n: int) -> "UniPoly":
-        """On the integer image: den^n over the n-th power of the integer
-        list, one Fraction per coefficient."""
+        """den^n over the n-th power of ints: both stay coprime, since the
+        content of a power is the power of the content, so no gcd."""
         if n < 0:
             raise ValueError("negative polynomial power")
         if not n:
-            return UniPoly.const(1)
-        den, ints = _int_image(self.coeffs)
-        return _from_ints(_power(ints, n, _zmul), den ** n)
+            return UniPoly(1, (1,))
+        return UniPoly(self.den ** n, tuple(_power(self.ints, n, _zmul)))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
-            return UniPoly(()), self
-        da, a = _int_image(self.coeffs)
-        g, db, b = _primitive(other.coeffs)
-        # d*da*self = quot*b + rem and other = (g/db)*b
-        d, quot, rem = _zdivmod(a, b)
-        qden, rden = d * da * g, d * da
-        return (UniPoly(tuple([Q(q * db, qden) for q in quot])),
-                UniPoly(tuple([Q(r, rden) for r in rem])))
+        if len(self.ints) < len(other.ints):
+            return UniPoly(1, ()), self
+        b = _zprim(other.ints)
+        g = other.ints[-1] // b[-1]
+        # d*ints = quot*b + rem, and other = (g/other.den) * b
+        d, quot, rem = _zdivmod(self.ints, b)
+        return (UniPoly.over(d * self.den * g, [q * other.den for q in quot]),
+                UniPoly.over(d * self.den, rem))
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -184,21 +230,22 @@ class UniPoly:
         return q
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        """ints over its leading coefficient."""
+        if self.is_zero or self.is_monic:
             return self
-        return self.scale(1 / self.leading)
+        return UniPoly.over(self.ints[-1], self.ints)
 
     def evaluate(self, x) -> Fraction:
-        """f(x), by Horner's rule on the integer image."""
-        if not self.coeffs:
+        """f(x), by Horner's rule on ints."""
+        if not self.ints:
             return Q(0)
-        x = _as_fraction(x)
-        den, ints = _int_image(self.coeffs)
-        return Q(_homogeneous_value(ints, x.numerator, x.denominator),
-                 den * x.denominator ** self.degree)
+        x = _rational(x)
+        return Q(_homogeneous_value(self.ints, x.numerator, x.denominator),
+                 self.den * x.denominator ** self.degree)
 
     def key(self) -> tuple:
-        return (self.degree, self.coeffs)
+        """(degree, coefficients), ints standing for Fractions of den 1."""
+        return (len(self.ints) - 1, self.ints if self.den == 1 else self.coeffs)
 
     def __str__(self) -> str:
         return poly_str(self, "t")
@@ -252,42 +299,15 @@ def _power_str(var: str, i: int) -> str:
 
 def poly_str(p: UniPoly, var: str) -> str:
     """Canonical text form, highest degree first, explicit '*' and '^'."""
+    cs = p.ints if p.den == 1 else p.coeffs
     return sum_str([(c, _power_str(var, i) if i else "")
-                    for i, c in reversed(list(enumerate(p.coeffs))) if c])
+                    for i, c in reversed(list(enumerate(cs))) if c])
 
 
-# -- integer images ----------------------------------------------------------
-
-# Tuples here are built from lists, never from generators: CPython sizes a
-# tuple from a generator at 10 and then shrinks it, which drains one free
-# list into the others and raised peak memory of factoring by about 1 MB.
-# `wedges.expand_products` keeps the rule: with its result tuples built from
-# generators, a 4-round `suite` benchmark run peaked 0.46-0.77 MB above the
-# Fraction loops it replaced, against 0.1 MB when built from lists.
+# -- integer kernels ---------------------------------------------------------
 
 
-def _int_image(coeffs) -> tuple[int, list[int]]:
-    """(den, ints): den is the lcm of the denominators, ints = den * coeffs."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _trimmed(cs: list) -> UniPoly:
-    """The UniPoly of the coefficients cs, trailing zeros dropped."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return UniPoly(tuple(cs))
-
-
-def _from_ints(ints: list[int], den: int) -> UniPoly:
-    """The UniPoly ints / den for ints with no trailing zero: Q(v) alone,
-    with no gcd, when den is 1."""
-    if den == 1:
-        return UniPoly(tuple([Q(v) for v in ints]))
-    return UniPoly(tuple([Q(v, den) for v in ints]))
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def _zmul(a, b) -> list[int]:
     """Product of integer coefficient lists, lowest degree first."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -295,14 +315,6 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _primitive(coeffs) -> tuple[int, int, list[int]]:
-    """(g, den, ints) with coeffs = (g/den) * ints, where ints is primitive
-    with a positive leading coefficient. coeffs must not be all zero."""
-    den, ints = _int_image(coeffs)
-    prim = _zprim(ints)
-    return ints[-1] // prim[-1], den, prim
 
 
 def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
@@ -340,12 +352,7 @@ def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     return d, quot, rem
 
 
-def _monic(ints) -> UniPoly:
-    """The monic UniPoly of integer coefficients ([] stays 0)."""
-    return UniPoly(tuple([Q(v, ints[-1]) for v in ints]))
-
-
-def _zprim(ints: list[int]) -> list[int]:
+def _zprim(ints) -> list[int]:
     """ints divided by their content, with a positive leading coefficient."""
     g = int_gcd(*ints)
     if ints and ints[-1] < 0:
@@ -377,9 +384,10 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor."""
-    if len(f.coeffs) == 1 or len(g.coeffs) == 1:
-        return _monic([1])  # a nonzero constant is a unit
-    return _monic(_zgcd(_int_image(f.coeffs)[1], _int_image(g.coeffs)[1]))
+    if len(f.ints) == 1 or len(g.ints) == 1:
+        return UniPoly(1, (1,))  # a nonzero constant is a unit
+    h = _zgcd(f.ints, g.ints)
+    return UniPoly.over(h[-1], h) if h else UniPoly(1, ())
 
 
 # coprime divisor pairs past which _zroots leaves the roots to the lift:
@@ -426,12 +434,30 @@ def _zroots(ints: list[int]) -> list[tuple[int, int]] | None:
 def grid_value(cols: list[list[int]], a: Fraction, b: Fraction) -> int:
     """q^m * s^n * h(p/q, r/s) for a = p/q, b = r/s and the integer
     polynomial h whose grid `BiPoly.int_columns` gives as cols (nonempty), m
-    and n its degrees in x and y: Horner's rule in x along each column of
-    y^j, then in y over the columns, both homogenised, so it is 0 exactly
-    where h vanishes."""
+    and n its degrees in x and y, h being a BiPoly's stored integers: Horner's
+    rule in x along each column of y^j, then in y over the columns, both
+    homogenised, so it is 0 exactly where h vanishes."""
     p, q = a.numerator, a.denominator
     return _homogeneous_value([_homogeneous_value(col, p, q) for col in cols],
                               b.numerator, b.denominator)
+
+
+def grid_at_y(cols: list[list[int]], num: UniPoly, den: UniPoly) -> UniPoly:
+    """den^n * h(x, num/den), for den != 0 and the integer polynomial h whose
+    grid `BiPoly.int_columns` gives as cols, n its degree in y: Horner's
+    rule in y on num and den as integer lists N = l*num and D = l*den, l the
+    lcm of their denominators, over l^n."""
+    if not cols:
+        return UniPoly(1, ())
+    n, l = len(cols) - 1, lcm(num.den, den.den)
+    N = [v * (l // num.den) for v in num.ints]
+    D = [v * (l // den.den) for v in den.ints]
+    acc, dpow = cols[n], [1]
+    for col in reversed(cols[:n]):
+        dpow = _zmul(dpow, D)
+        acc = [u + v for u, v in zip_longest(_zmul(acc, N), _zmul(col, dpow),
+                                             fillvalue=0)]
+    return UniPoly.over(l ** n, acc)
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
@@ -470,7 +496,7 @@ def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
     Returns the nontrivial (a_i, i) pairs."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree decomposition")
-    return [(_monic(a), i) for a, i in _zyun(_primitive(f.coeffs)[2])]
+    return [(UniPoly.over(a[-1], a), i) for a, i in _zyun(_zprim(f.ints))]
 
 
 # -- irreducibility ---------------------------------------------------------
@@ -552,7 +578,7 @@ def _squarefree_factors(ints: list[int], linear_only: bool = False) -> list[list
             break
     if best is None:
         raise Inconclusive(f"cannot factor degree-{n} polynomial "
-                           f"{poly_str(_monic(ints), 't')}: no usable odd prime")
+                           f"{UniPoly.over(ints[-1], ints)}: no usable odd prime")
     _, p, pieces = best
     bound = 2 * ints[-1] * 2**n * sum(map(abs, ints))  # 2 * lc * Landau-Mignotte
     m = p
@@ -568,7 +594,7 @@ def _squarefree_factors(ints: list[int], linear_only: bool = False) -> list[list
             tried += 1
             if tried > _SUBSET_BUDGET:
                 raise Inconclusive(f"cannot factor degree-{n} polynomial "
-                                   f"{poly_str(_monic(whole), 't')}: over "
+                                   f"{UniPoly.over(whole[-1], whole)}: over "
                                    f"{_SUBSET_BUDGET} recombination subsets")
             d = sum(len(u) - 1 for u in pick)
             if d not in feasible or len(ints) - 1 - d not in feasible:
@@ -612,8 +638,8 @@ def factor_uni(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     if f.degree == 1:
         return c, [(f.monic(), 1)]
     out: list[tuple[UniPoly, int]] = []
-    for part, power in _zyun(_primitive(f.coeffs)[2]):
-        out += [(_monic(g), power) for g in _squarefree_factors(part)]
+    for part, power in _zyun(_zprim(f.ints)):
+        out += [(UniPoly.over(g[-1], g), power) for g in _squarefree_factors(part)]
     out.sort(key=lambda t: t[0].key())
     return c, out
 
@@ -623,7 +649,7 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     factors of `factor_uni(f)`, found without splitting the others."""
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    return sorted([(Q(-g[0], g[1]), k) for part, k in _zyun(_primitive(f.coeffs)[2])
+    return sorted([(Q(-g[0], g[1]), k) for part, k in _zyun(_zprim(f.ints))
                    for g in _squarefree_factors(part, linear_only=True) if len(g) == 2])
 
 
@@ -634,25 +660,39 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Polynomial in x and y; sparse map (x_exp, y_exp) -> Fraction."""
+    """Polynomial in x and y over Q, iterms / den: the terms ((i, j), v) of
+    v * x^i * y^j with v a nonzero integer, sorted by (i, j), and den > 0
+    coprime to their content.
 
-    __slots__ = ("terms", "_hash")
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    The hash is that of the Fraction tuple `terms`, computed once."""
+
+    __slots__ = ("den", "iterms", "_hash")
+    den: int
+    iterms: tuple[tuple[tuple[int, int], int], ...]
 
     __hash__ = cached_hash
     __getstate__ = field_state
     __setstate__ = set_field_state
 
+    def _hashed(self) -> tuple:
+        return self.iterms if self.den == 1 else self.terms
+
+    @staticmethod
+    def over(den: int, items) -> "BiPoly":
+        """The terms ((i, j), v), distinct in (i, j), over den != 0 in
+        stored form."""
+        items = sorted([t for t in items if t[1]])
+        g = _divisor(den, [v for _, v in items])
+        return BiPoly(den // g,
+                      tuple(items if g == 1 else [(k, v // g) for k, v in items]))
+
     @staticmethod
     def make(mapping: dict) -> "BiPoly":
-        """From a dict (i, j) -> c; zero terms are dropped."""
-        terms = []
-        for k, c in mapping.items():
-            c = _as_fraction(c)
-            if c:
-                terms.append((k, c))
-        terms.sort()
-        return BiPoly(tuple(terms))
+        """From a dict (i, j) -> rational c; zero terms are dropped."""
+        cs = [(k, _rational(c)) for k, c in mapping.items()]
+        den = lcm(*[c.denominator for _, c in cs])
+        return BiPoly.over(den, [(k, c.numerator * (den // c.denominator))
+                                 for k, c in cs])
 
     @staticmethod
     def const(c) -> "BiPoly":
@@ -660,153 +700,135 @@ class BiPoly:
 
     @staticmethod
     def var_x() -> "BiPoly":
-        return BiPoly.make({(1, 0): 1})
+        return BiPoly(1, (((1, 0), 1),))
 
     @staticmethod
     def var_y() -> "BiPoly":
-        return BiPoly.make({(0, 1): 1})
+        return BiPoly(1, (((0, 1), 1),))
 
     @staticmethod
     def from_uni(p: UniPoly, var: str) -> "BiPoly":
-        if var == "x":
-            return BiPoly.make({(i, 0): c for i, c in enumerate(p.coeffs)})
-        if var == "y":
-            return BiPoly.make({(0, i): c for i, c in enumerate(p.coeffs)})
-        raise ValueError(f"unknown variable {var!r}")
+        if var not in ("x", "y"):
+            raise ValueError(f"unknown variable {var!r}")
+        return BiPoly(p.den, tuple([((i, 0) if var == "x" else (0, i), v)
+                                    for i, v in enumerate(p.ints) if v]))
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The terms ((i, j), c), c a Fraction, built per call."""
+        return tuple([(k, Q(v, self.den)) for k, v in self.iterms])
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.iterms
 
     @property
     def deg_x(self) -> int:
-        return max((k[0] for k, _ in self.terms), default=-1)
+        return max((k[0] for k, _ in self.iterms), default=-1)
 
     @property
     def deg_y(self) -> int:
-        return max((k[1] for k, _ in self.terms), default=-1)
+        return max((k[1] for k, _ in self.iterms), default=-1)
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
+    def _combine(self, other: "BiPoly", sign: int) -> "BiPoly":
+        """self + sign * other, over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        d = {k: v * ma for k, v in self.iterms}
+        for k, v in other.iterms:
+            d[k] = d.get(k, 0) + v * mb
+        return BiPoly.over(den, list(d.items()))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        d = self.as_dict()
-        for k, c in other.terms:
-            d[k] = d.get(k, ZERO) + c
-        return BiPoly.make(d)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly(tuple((k, -c) for k, c in self.terms))
+        return BiPoly(self.den, tuple([(k, -v) for k, v in self.iterms]))
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        """On integer images, as `UniPoly.__mul__`: one Fraction per term."""
-        da, a = _int_image([c for _, c in self.terms])
-        db, b = _int_image([c for _, c in other.terms])
         d: dict[tuple[int, int], int] = {}
-        for ((i1, j1), _), x in zip(self.terms, a):
-            for ((i2, j2), _), y in zip(other.terms, b):
+        for (i1, j1), x in self.iterms:
+            for (i2, j2), y in other.iterms:
                 k = (i1 + i2, j1 + j2)
                 d[k] = d.get(k, 0) + x * y
-        den = da * db
-        return BiPoly(tuple(sorted([(k, Q(v, den)) for k, v in d.items() if v])))
+        return BiPoly.over(self.den * other.den, list(d.items()))
 
     def scale(self, c) -> "BiPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return BiPoly(())
-        return BiPoly(tuple((k, c * v) for k, v in self.terms))
+        c = _rational(c)
+        return BiPoly.over(self.den * c.denominator,
+                           [(k, v * c.numerator) for k, v in self.iterms])
 
     def __pow__(self, n: int) -> "BiPoly":
-        return _power(self, n, BiPoly.__mul__) if n else BiPoly.const(1)
+        return _power(self, n, BiPoly.__mul__) if n else BiPoly(1, (((0, 0), 1),))
 
     def int_columns(self) -> tuple[int, list[list[int]]]:
-        """(den, cols): den * g has integer coefficients, and cols[j][i] is
-        its coefficient of x^i * y^j ([] for g = 0)."""
-        den, ints = _int_image([c for _, c in self.terms])
+        """(den, cols): cols[j][i] is the integer coefficient of x^i * y^j
+        ([] for g = 0), so g = cols / den."""
         cols = [[0] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
-        for ((i, j), _), v in zip(self.terms, ints):
+        for (i, j), v in self.iterms:
             cols[j][i] = v
-        return den, cols
+        return self.den, cols
 
     def evaluate(self, a, b) -> Fraction:
-        """g(a, b), by Horner's rule on the integer image (`grid_value`),
+        """g(a, b), by Horner's rule on the integer grid (`grid_value`),
         building one Fraction."""
-        if not self.terms:
+        if not self.iterms:
             return Q(0)
-        a, b = _as_fraction(a), _as_fraction(b)
-        den, cols = self.int_columns()
-        return Q(grid_value(cols, a, b),
-                 den * a.denominator ** self.deg_x * b.denominator ** self.deg_y)
+        a, b = _rational(a), _rational(b)
+        return Q(grid_value(self.int_columns()[1], a, b),
+                 self.den * a.denominator ** self.deg_x * b.denominator ** self.deg_y)
 
     def y_coefficients(self) -> list[UniPoly]:
         """Coefficients of y^0 .. y^deg_y, each a polynomial in x."""
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (i, j), c in self.terms:
-            cols.setdefault(j, {})[i] = c
-        out = []
-        for j in range(self.deg_y + 1):
-            col = cols.get(j, {})
-            n = max(col, default=-1)
-            out.append(UniPoly.make([col.get(k, ZERO) for k in range(n + 1)]))
-        return out
+        den, cols = self.int_columns()
+        return [UniPoly.over(den, col) for col in cols]
 
     def eval_y_ratfunc(self, num: UniPoly, den: UniPoly) -> UniPoly:
-        """den^deg_y * g(x, num/den), a polynomial in x, for den != 0.
-
-        By Horner's rule in y on integer images n = dn*num and d = dd*den:
-        the sum of c_j * (dd*n)^j * (dn*d)^(deg_y-j) over (dn*dd)^deg_y."""
-        if self.is_zero:
-            return UniPoly(())
-        dn, n = _int_image(num.coeffs)
-        dd, d = _int_image(den.coeffs)
-        dc, cols = self.int_columns()
-        dy = self.deg_y
-        n, d = [v * dd for v in n], [v * dn for v in d]
-        acc, dpow = cols[dy], [1]
-        for col in reversed(cols[:dy]):
-            dpow = _zmul(dpow, d)
-            acc = [u + v for u, v in zip_longest(_zmul(acc, n), _zmul(col, dpow),
-                                                 fillvalue=0)]
-        den_all = dc * (dn * dd) ** dy
-        return UniPoly.make([Q(v, den_all) for v in acc])
+        """den^deg_y * g(x, num/den), a polynomial in x, for den != 0: the
+        value of the integer grid (`grid_at_y`) over self.den."""
+        h = grid_at_y(self.int_columns()[1], num, den)
+        return UniPoly.over(h.den * self.den, h.ints)
 
     def swap_xy(self) -> "BiPoly":
         """g(y, x): the same polynomial with x and y exchanged."""
-        return BiPoly.make({(j, i): c for (i, j), c in self.terms})
+        return BiPoly.over(self.den, [((j, i), v) for (i, j), v in self.iterms])
 
     def invert_x(self) -> "BiPoly":
         """u^deg_x * g(1/u, y): the closure's equation in the 1/x chart."""
         dx = self.deg_x
-        return BiPoly.make({(dx - i, j): c for (i, j), c in self.terms})
+        return BiPoly.over(self.den, [((dx - i, j), v) for (i, j), v in self.iterms])
 
     def invert_y(self) -> "BiPoly":
         dy = self.deg_y
-        return BiPoly.make({(i, dy - j): c for (i, j), c in self.terms})
+        return BiPoly.over(self.den, [((i, dy - j), v) for (i, j), v in self.iterms])
 
     def partial_x(self) -> "BiPoly":
-        return BiPoly.make({(i - 1, j): c * i for (i, j), c in self.terms if i})
+        return BiPoly.over(self.den, [((i - 1, j), v * i)
+                                      for (i, j), v in self.iterms if i])
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly.make({(i, j - 1): c * j for (i, j), c in self.terms if j})
+        return BiPoly.over(self.den, [((i, j - 1), v * j)
+                                      for (i, j), v in self.iterms if j])
 
     def substitute(self, xv: "BiPoly", yv: "BiPoly") -> "BiPoly":
         """g(xv, yv) where xv, yv are polynomials in fresh variables."""
-        acc = BiPoly(())
-        for (i, j), c in self.terms:
-            acc = acc + (xv**i * yv**j).scale(c)
-        return acc
+        acc = BiPoly(1, ())
+        for (i, j), v in self.iterms:
+            acc = acc + (xv**i * yv**j).scale(v)
+        return BiPoly.over(acc.den * self.den, acc.iterms)
 
     def primitive_int(self) -> tuple[Fraction, "BiPoly"]:
         """content * primitive with integer coefficients; the leading
         coefficient in (x, y) lexicographic order is positive."""
         if self.is_zero:
             return Q(0), self
-        g, den, ints = _primitive([c for _, c in self.terms])
-        return Q(g, den), BiPoly(tuple([(k, Q(v))
-                                        for (k, _), v in zip(self.terms, ints)]))
+        g = _divisor(self.iterms[-1][1], [v for _, v in self.iterms])
+        if g == 1 and self.den == 1:
+            return Q(1), self
+        return Q(g, self.den), BiPoly(1, tuple([(k, v // g) for k, v in self.iterms]))
 
     def __str__(self) -> str:
         return bipoly_str(self)
@@ -816,7 +838,7 @@ def bipoly_str(p: BiPoly) -> str:
     """Canonical text form, terms in decreasing (x, y) order."""
     return sum_str([(c, "*".join([_power_str(v, k)
                                   for v, k in (("x", i), ("y", j)) if k]))
-                    for (i, j), c in sorted(p.terms, reverse=True)])
+                    for (i, j), c in reversed(p.iterms if p.den == 1 else p.terms)])
 
 
 def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:
@@ -825,14 +847,16 @@ def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:
     hc = h.y_coefficients()
     dh = len(hc) - 1
     rem = g.y_coefficients()
-    out: dict[tuple[int, int], Fraction] = {}
+    out: list[tuple[int, UniPoly]] = []
     for k in range(len(rem) - 1 - dh, -1, -1):
         col, r = rem[k + dh].divmod(hc[-1])
         if not r.is_zero:
             return None
         for j in range(dh):
             rem[k + j] = rem[k + j] - col * hc[j]
-        out.update(((i, k), c) for i, c in enumerate(col.coeffs))
+        out.append((k, col))
     if any(not r.is_zero for r in rem[:dh]):
         return None
-    return BiPoly.make(out)
+    den = lcm(*[col.den for _, col in out])
+    return BiPoly.over(den, [((i, k), v * (den // col.den))
+                             for k, col in out for i, v in enumerate(col.ints)])

@@ -18,11 +18,12 @@ itself for membership, the Jacobian determinant of two for
 transversality) and ask whether it vanishes at the candidate. One
 `snc_check` call keeps a table of these rule polynomials, keyed by (rule,
 divisors, chart), so each divisor's chart equation and each pair's Jacobian
-determinant is built once per call however many candidates ask, beside
-its integer grid; the table is dropped when the call returns. A rational
-candidate is answered from that grid by `grid_value`, one integer Horner
-pass that builds no Fraction. `_pair_candidates` reads each divisor's
-finite-chart equation from the same table.
+determinant is built once per call however many candidates ask, beside the
+grid of its stored integer coefficients; the table is dropped when the
+call returns. Every question reads that grid: a rational candidate by
+`grid_value`, one integer Horner pass that builds no Fraction, and a
+substitution y = num/den (`_pair_candidates` along a divisor, and a
+cluster's other coordinate) by `grid_at_y`, which builds none either.
 
 Points with algebraic coordinates are handled as clusters: an irreducible
 polynomial q together with the other coordinate expressed as a rational
@@ -46,7 +47,8 @@ from fractions import Fraction
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import (SurfDivisor, defining_bipoly, finite_support_divisors,
                      point_key, point_str)
-from .polynomials import BiPoly, UniPoly, factor_uni, grid_value, poly_str
+from .polynomials import (BiPoly, UniPoly, factor_uni, grid_at_y, grid_value,
+                          poly_str)
 from .wedges import Wedge
 
 Q = Fraction
@@ -125,9 +127,10 @@ def _jacobian_det(g1: BiPoly, g2: BiPoly) -> BiPoly:
 def _rule_entry(table: dict, rule, ds: tuple, x_inf: bool,
                 y_inf: bool) -> tuple[BiPoly, list[list[int]]]:
     """rule(chart equations of ds) in the chart that inverts each coordinate
-    flagged infinite, and its integer grid (`BiPoly.int_columns`), built
-    once per table: the table is keyed by (rule, divisors, chart), and a
-    divisor's chart equation is its `_equation` entry."""
+    flagged infinite, and the grid of its stored integers
+    (`BiPoly.int_columns`, which converts nothing), built once per table:
+    the table is keyed by (rule, divisors, chart), and a divisor's chart
+    equation is its `_equation` entry."""
     key = (rule, ds, x_inf, y_inf)
     if key not in table:
         if rule is _equation:
@@ -150,15 +153,15 @@ def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table: dict) -> bool:
 
 def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bool:
     """rule(chart equations of ds) vanishes on the cluster: with the other
-    coordinate substituted, 0 in the chart v = 1/y where it is infinite, it
-    is 0 modulo q."""
+    coordinate substituted into its grid, read from table, 0 in the chart
+    v = 1/y where it is infinite, it is 0 modulo q."""
     if cl.axis == "y":
         return _vanishes_on_cluster(cl.mirror(), rule,
                                     *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
-    g = _rule_entry(table, rule, ds, False, y_inf)[0]
+    cols = _rule_entry(table, rule, ds, False, y_inf)[1]
     other = RatFunc.const(0) if y_inf else cl.expr
-    return (g.eval_y_ratfunc(other.num, other.den) % cl.q).is_zero
+    return (grid_at_y(cols, other.num, other.den) % cl.q).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +205,11 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor, *,
         return _mirrored(_pair_candidates(d1.mirror(), d2.mirror(), table=table))
     if d1.var == "x":
         d1, d2 = d2, d1
-    # d1 is y = phi(x); x solves d2's own equation, from table, along d1
+    # d1 is y = phi(x); x solves d2's own equation, its grid from table,
+    # along d1, up to a positive constant that moves no root or factor
     phi = d1.phi()
-    g2 = _rule_entry(table, _equation, (d2,), False, False)[0]
-    eqn = g2.eval_y_ratfunc(d1.num, d1.den)
+    cols = _rule_entry(table, _equation, (d2,), False, False)[1]
+    eqn = grid_at_y(cols, d1.num, d1.den)
     roots, hard = _roots_and_factors(eqn)
     # a root or factor at a pole of phi meets with y = inf: a boundary
     # candidate of d1

@@ -74,7 +74,7 @@ def expand_products(field: str, degree: int, summands) -> Wedge:
     to an integer over one common denominator, and each product is an
     insertion sort of ranks in which a swap flips the sign and a repeated
     atom drops the product. One Fraction is built per nonzero term.
-    Tuples are built from lists (see `polynomials._int_image`).
+    Tuples are built from lists (see the note on tuples in `polynomials`).
     """
     ordered, rank = _ranks([a for _, fs in summands for f in fs
                             for mono, _ in f for a in mono])

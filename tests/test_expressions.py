@@ -137,7 +137,7 @@ def test_const_and_var_are_what_make_returns():
         got, want = RatFunc.const(c), RatFunc.make(UniPoly.const(c))
         assert got == want and hash(got) == hash(want), c
         assert got.constant_value() == c
-    assert RatFunc.const(0).is_zero and RatFunc.const(0).num == UniPoly(())
+    assert RatFunc.const(0).is_zero and RatFunc.const(0).num == UniPoly.make([])
     got, want = RatFunc.var(), RatFunc.make(UniPoly.var())
     assert got == want and hash(got) == hash(want)
 

@@ -273,7 +273,7 @@ def test_integer_kernels_match_fraction_references():
 def _unfiltered_rational_roots(f):
     """rational_roots with every coprime candidate p/q evaluated: the same
     integer kernels, no test at t = 1 and t = -1."""
-    ints = polynomials._primitive(f.coeffs)[2]
+    ints = polynomials._zprim(f.ints)
     low = next(i for i, c in enumerate(ints) if c)
     out = [(Q(0), low)] if low else []
     ints = ints[low:]
@@ -573,7 +573,7 @@ def test_powers_match_repeated_multiplication():
               P([Q(-1, 2), 0, 3]), P([2, 1]), P([Q(2, 3), Q(1, 5)]),
               P([0, 0, Q(-1, 6)]))]
     cases += [(base, BiPoly.const(1)) for base in
-              (BiPoly(()), x * y - BiPoly.const(Q(1, 3)), x + y * y)]
+              (BiPoly.make({}), x * y - BiPoly.const(Q(1, 3)), x + y * y)]
     for base, acc in cases:
         for n in range(10):
             got = base ** n
@@ -600,7 +600,7 @@ def _bipoly_schoolbook(f, g):
         for (i2, j2), c2 in g.terms:
             k = (i1 + i2, j1 + j2)
             d[k] = d.get(k, Q(0)) + c1 * c2
-    return BiPoly(tuple(sorted((k, c) for k, c in d.items() if c)))
+    return BiPoly.make(d)
 
 
 def test_bipoly_products_match_the_fraction_schoolbook():
@@ -613,7 +613,7 @@ def test_bipoly_products_match_the_fraction_schoolbook():
                  rng.choice([1, 2, 3, 35, 10**rng.randint(1, 12)]))
 
     x, y = BiPoly.var_x(), BiPoly.var_y()
-    polys = [BiPoly(()), BiPoly.const(1), BiPoly.const(Q(-2, 3)), x + y, x - y,
+    polys = [BiPoly.make({}), BiPoly.const(1), BiPoly.const(Q(-2, 3)), x + y, x - y,
              x * x + x * y + y * y]
     for _ in range(60):
         polys.append(BiPoly.make({(rng.randint(0, 4), rng.randint(0, 4)): r()
@@ -657,7 +657,7 @@ def test_bipoly_evaluate_matches_the_fraction_sum():
                  rng.choice([1, 2, 3, 35, 10**rng.randint(1, 8)]))
 
     points = [Q(0), Q(1), Q(-1), Q(3), Q(-7), Q(1, 2), Q(-5, 3), Q(22, 7)]
-    polys = [BiPoly(()), BiPoly.const(Q(-2, 3))]
+    polys = [BiPoly.make({}), BiPoly.const(Q(-2, 3))]
     for _ in range(600):
         polys.append(BiPoly.make({(rng.randint(0, 5), rng.randint(0, 5)): r()
                                   for _ in range(rng.randint(0, 8))}))
@@ -699,7 +699,7 @@ def _pseudo_divmod(g, h):
     deg_y r < deg_y h."""
     dh = h.deg_y
     lc = BiPoly.from_uni(h.y_coefficients()[-1], "x")
-    q, r, k = BiPoly(()), g, 0
+    q, r, k = BiPoly.make({}), g, 0
     while r.deg_y >= dh and not r.is_zero:
         rc = BiPoly.from_uni(r.y_coefficients()[-1], "x")
         shift = BiPoly.make({(0, r.deg_y - dh): 1})
@@ -840,17 +840,17 @@ def _canonical_equal(got, want):
 
 def test_sums_that_cancel_leading_terms_are_trimmed():
     """A sum or difference whose top coefficients cancel drops them, down
-    to the zero polynomial UniPoly(()); no trailing zero is kept."""
+    to the zero polynomial UniPoly.make([]); no trailing zero is kept."""
     a = P([1, Q(1, 2), 3, -2])
     cases = [(a + P([0, 0, -3, 2]), P([1, Q(1, 2)])),
              (a - P([0, Q(1, 2), 3, -2]), P([1])),
-             (a + P([-1, Q(-1, 2), -3, 2]), UniPoly(())),
-             (a - a, UniPoly(())),
-             (a + -a, UniPoly(())),
+             (a + P([-1, Q(-1, 2), -3, 2]), UniPoly.make([])),
+             (a - a, UniPoly.make([])),
+             (a + -a, UniPoly.make([])),
              (P([Q(1, 3), Q(2, 3)]) + P([Q(2, 3), Q(-2, 3)]), P([1])),
-             (P([Q(1, 3), Q(2, 3)]) - P([Q(1, 3), Q(2, 3)]), UniPoly(())),
-             (P([]) + P([]), UniPoly(())),
-             (P([]) - P([]), UniPoly(())),
+             (P([Q(1, 3), Q(2, 3)]) - P([Q(1, 3), Q(2, 3)]), UniPoly.make([])),
+             (P([]) + P([]), UniPoly.make([])),
+             (P([]) - P([]), UniPoly.make([])),
              (P([]) - a, -a),
              (a + P([]), a),
              (P([1]) + P([0, 0, 0, Q(5, 7)]), P([1, 0, 0, Q(5, 7)]))]
@@ -872,3 +872,145 @@ def test_products_with_and_without_a_denominator():
         want = P(_schoolbook(list(a.coeffs), list(b.coeffs)))
         assert _canonical_equal(a * b, want) and _canonical_equal(b * a, want)
     assert (P([Q(1, 2), 1]) * P([2, 4])).coeffs == (Q(1), Q(4), Q(4))
+
+
+def _stored_canonical(p):
+    """The stored form: int coefficients over an int den > 0 coprime to
+    their content, with no trailing zero (UniPoly) or no zero term and
+    strictly increasing exponents (BiPoly)."""
+    if isinstance(p, UniPoly):
+        vs, shape = list(p.ints), not p.ints or p.ints[-1] != 0
+    else:
+        keys, vs = [k for k, _ in p.iterms], [v for _, v in p.iterms]
+        shape = all(vs) and all(a < b for a, b in zip(keys, keys[1:]))
+    return (shape and type(p.den) is int and p.den > 0
+            and all(type(v) is int for v in vs) and math.gcd(p.den, *vs) == 1)
+
+
+def _same_value(got, want):
+    """got equals want, both stored canonically, with one hash and the
+    Fraction tuple of want."""
+    fractions = (lambda p: p.coeffs) if isinstance(want, UniPoly) else (lambda p: p.terms)
+    return (_stored_canonical(got) and _stored_canonical(want) and got == want
+            and hash(got) == hash(want) and fractions(got) == fractions(want))
+
+
+def _rand_frac(rng):
+    return Q(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 35, 10**rng.randint(1, 9)]))
+
+
+def _built_by_arithmetic(p):
+    """p rebuilt from constants and t by sums and products alone."""
+    t, acc = P([0, 1]), P([])
+    for c in reversed(p.coeffs):
+        acc = acc * t + P([c])
+    return acc
+
+
+def _bi_built_by_arithmetic(g):
+    """g rebuilt from constants, x and y by products, powers and sums."""
+    x, y, acc = BiPoly.var_x(), BiPoly.var_y(), BiPoly.make({})
+    for (i, j), c in g.terms:
+        acc = acc + (x**i * y**j).scale(c)
+    return acc
+
+
+def _fraction_partial(g, var):
+    d = {}
+    for (i, j), c in g.terms:
+        e = i if var == "x" else j
+        if e:
+            k = (i - 1, j) if var == "x" else (i, j - 1)
+            d[k] = c * e
+    return BiPoly.make(d)
+
+
+def test_stored_form_is_canonical_and_every_operation_matches_the_fraction_references():
+    """Each value built by make on Fractions and again by arithmetic has one
+    stored form and one hash, and every UniPoly and BiPoly operation equals
+    its Fraction reference in this file, in value, stored form, hash and
+    Fraction tuple."""
+    rng = random.Random(2601)
+    unis = _product_corpus(rng)
+    unis += [P([_rand_frac(rng) for _ in range(rng.randint(0, 6))]) for _ in range(40)]
+    for a in unis:
+        assert _same_value(_built_by_arithmetic(a), a), a
+        cs = [_rand_frac(rng) for _ in range(rng.randint(0, 5))] + [Q(0)] * rng.randint(0, 2)
+        while cs and not cs[-1]:
+            cs.pop()
+        assert P(cs).coeffs == tuple(cs) and _stored_canonical(P(cs))
+    for _ in range(150):
+        a, b = rng.choice(unis), rng.choice(unis)
+        c = _rand_frac(rng)
+        assert _same_value(a + b, P([x + y for x, y in zip(
+            list(a.coeffs) + [Q(0)] * (b.degree - a.degree),
+            list(b.coeffs) + [Q(0)] * (a.degree - b.degree))]))
+        assert _same_value(a - b, a + -b) and _same_value(-a, P([-x for x in a.coeffs]))
+        assert _same_value(a * b, P(_schoolbook(list(a.coeffs), list(b.coeffs))))
+        assert _same_value(a.scale(c), P([c * x for x in a.coeffs]))
+        n = rng.randint(0, 3)
+        want = [Q(1)]
+        for _ in range(n):
+            want = _schoolbook(want, list(a.coeffs))
+        assert _same_value(a ** n, P(want))
+        if not a.is_zero:
+            assert _same_value(a.monic(), P([x / a.leading for x in a.coeffs]))
+            assert a.leading == a.coeffs[-1] and type(a.leading) is Q
+        if not b.is_zero:
+            q, r = a.divmod(b)
+            wq, wr = _ref_divmod(a, b)
+            assert _same_value(q, wq) and _same_value(r, wr)
+        assert _same_value(gcd_uni(a, b), _euclid_gcd(a, b))
+        x = _rand_frac(rng)
+        assert a.evaluate(x) == sum((v * x**i for i, v in enumerate(a.coeffs)), Q(0))
+        assert [a.coeff(i) for i in range(a.degree + 2)] == list(a.coeffs) + [Q(0)]
+
+    def rand_bi():
+        return BiPoly.make({(rng.randint(0, 3), rng.randint(0, 3)): _rand_frac(rng)
+                            for _ in range(rng.randint(0, 6))})
+
+    bis = [rand_bi() for _ in range(60)]
+    for g in bis:
+        assert _same_value(_bi_built_by_arithmetic(g), g), g
+        d = {(rng.randint(0, 3), rng.randint(0, 3)): _rand_frac(rng) for _ in range(5)}
+        assert BiPoly.make(d).terms == tuple(sorted((k, c) for k, c in d.items() if c))
+    for _ in range(150):
+        f, g = rng.choice(bis), rng.choice(bis)
+        c = _rand_frac(rng)
+        sums = dict(f.terms)
+        for k, v in g.terms:
+            sums[k] = sums.get(k, Q(0)) + v
+        assert _same_value(f + g, BiPoly.make(sums))
+        assert _same_value(f - g, f + -g)
+        assert _same_value(-f, BiPoly.make({k: -v for k, v in f.terms}))
+        assert _same_value(f * g, _bipoly_schoolbook(f, g))
+        assert _same_value(f.scale(c), BiPoly.make({k: c * v for k, v in f.terms}))
+        assert _same_value(f.partial_x(), _fraction_partial(f, "x"))
+        assert _same_value(f.partial_y(), _fraction_partial(f, "y"))
+        assert _same_value(f.swap_xy(), BiPoly.make({(j, i): v for (i, j), v in f.terms}))
+        dx, dy = f.deg_x, f.deg_y
+        assert _same_value(f.invert_x(), BiPoly.make({(dx - i, j): v for (i, j), v in f.terms}))
+        assert _same_value(f.invert_y(), BiPoly.make({(i, dy - j): v for (i, j), v in f.terms}))
+        content, prim = f.primitive_int()
+        assert _same_value(prim.scale(content) if content else prim, f)
+        assert prim.den == 1 and (f.is_zero or prim.iterms[-1][1] > 0)
+        cols = f.y_coefficients()
+        assert all(_stored_canonical(col) for col in cols)
+        assert _same_value(sum((BiPoly.from_uni(col, "x") * BiPoly.var_y() ** j
+                                for j, col in enumerate(cols)), BiPoly.make({})), f)
+        u = rng.choice(unis)
+        assert _same_value(BiPoly.from_uni(u, "y"),
+                           BiPoly.make({(0, i): v for i, v in enumerate(u.coeffs)}))
+        num, den = rng.choice(unis), rng.choice([u for u in unis if not u.is_zero])
+        want = P([])
+        for j, cj in enumerate(cols):
+            want = want + cj * num**j * den ** (dy - j)
+        assert _same_value(f.eval_y_ratfunc(num, den), want)
+        assert _same_value(polynomials.grid_at_y(f.int_columns()[1], num, den),
+                           want.scale(f.den))
+        a, b = _rand_frac(rng), _rand_frac(rng)
+        assert f.evaluate(a, b) == sum((v * a**i * b**j for (i, j), v in f.terms), Q(0))
+        if not g.is_zero:
+            assert bipoly_exact_div(f * g, g) == f
+            got, want = bipoly_exact_div(f, g), _reference_exact_div(f, g)
+            assert got == want and (got is None or _same_value(got, want))
