@@ -1,6 +1,14 @@
 """Command-line front end.
 
-Parses DSL inputs, dispatches to the engine, and emits text or JSON.
+Parses DSL inputs, dispatches to the engine, and emits text or JSON. Each
+verb is declared once, in the `_verbs` table: handler, help, and arguments
+as (name, add_argument options). The table builds the parser and the JSON
+`input` record, which holds each declared argument that has a value, as
+text: a list joined by one space, any other value by str(); homotopy-check
+records its input as `gamma` with --sub and `wedge` without. A handler
+returns an Outcome, or just the rendered line for a one-line answer that
+asserts nothing.
+
 Exit codes: 0 all asserted properties hold, 1 a property is violated,
 2 usage or parse error, 3 engine error (an internal failure also exits 3,
 its message prefixed "bug:"). JSON output always carries the
@@ -25,20 +33,20 @@ from .dsl import (parse_cycle, parse_divisor, parse_element, parse_gamma,
 from .errors import ParseError, TameSymError
 from .expressions import INF
 from .gamma import delta, five_term, gamma_str, ts_gamma
-from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
+from .homotopy import (decomp_certificate, decompose, h_map,
+                       homotopy_check_sub, homotopy_check_top)
 from .lambda_complex import d_squared_check, differential, lambda_str
 from .places import ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import num_str, sum_str
 from .snc import snc_check
 from .suite import run_suite, suite_report
-from .wedges import wedge_add, wedge_equal, wedge_str, nonconstant_count
+from .wedges import wedge_str
 
 Q = Fraction
 
 
 @dataclass
 class Outcome:
-    input: dict
     result: object
     certificates: list
     ok: bool
@@ -59,33 +67,27 @@ def _require_field(w, wanted: str, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _h_ts(args, reg) -> Outcome:
+def _h_ts(args, reg) -> str:
     w = parse_wedge(args.wedge, reg)
     if (args.place is None) == (args.divisor is None):
         raise ParseError("exactly one of --place or --divisor is required")
     if args.place is not None:
         _require_field(w, "Qt", "a wedge evaluated at a place")
         at = parse_place(args.place)
-        where = {"place": args.place}
     else:
         _require_field(w, "Qxy", "a wedge evaluated at a divisor")
         at = parse_divisor(args.divisor)
-        where = {"divisor": args.divisor}
-    render = wedge_str(tame_symbol(w, at, reg))
-    return Outcome({"wedge": args.wedge, **where}, render, [], True, [render])
+    return wedge_str(tame_symbol(w, at, reg))
 
 
-def _h_weil(args, reg) -> Outcome:
+def _h_weil(args, reg) -> str:
     w = parse_wedge(args.wedge, reg)
     _require_field(w, "Qt", "the reciprocity sum input")
-    render = wedge_str(weil_sum(w, reg))
-    return Outcome({"wedge": args.wedge}, render, [], True, [render])
+    return wedge_str(weil_sum(w, reg))
 
 
-def _h_delta(args, reg) -> Outcome:
-    g = parse_gamma(args.gamma, reg)
-    render = wedge_str(delta(g, reg))
-    return Outcome({"gamma": args.gamma}, render, [], True, [render])
+def _h_delta(args, reg) -> str:
+    return wedge_str(delta(parse_gamma(args.gamma, reg), reg))
 
 
 def _point_value(text: str) -> object:
@@ -99,38 +101,30 @@ def _point_value(text: str) -> object:
 
 
 def _h_five_term(args, reg) -> Outcome:
-    pts = [_point_value(p) for p in args.points]
-    ft = five_term(*pts)
+    ft = five_term(*(_point_value(p) for p in args.points))
     in_kernel = delta(ft, reg).is_zero
     render = gamma_str(ft)
     lines = [render, f"in-delta-kernel: {'yes' if in_kernel else 'no'}"]
-    return Outcome({"points": " ".join(args.points)}, render,
-                   [_cert("in-delta-kernel", in_kernel)], in_kernel, lines)
+    return Outcome(render, [_cert("in-delta-kernel", in_kernel)], in_kernel,
+                   lines)
 
 
-def _h_ts_gamma(args, reg) -> Outcome:
+def _h_ts_gamma(args, reg) -> str:
     g = parse_gamma(args.gamma, reg)
     _require_field(g, "Qt", "a symbol evaluated at a place")
-    v = parse_place(args.place)
-    render = gamma_str(ts_gamma(g, v, reg))
-    return Outcome({"gamma": args.gamma, "place": args.place},
-                   render, [], True, [render])
+    return gamma_str(ts_gamma(g, parse_place(args.place), reg))
 
 
-def _h_dd(args, reg) -> Outcome:
-    e = parse_element(args.element, reg)
-    render = lambda_str(differential(e, reg))
-    return Outcome({"element": args.element}, render, [], True, [render])
+def _h_dd(args, reg) -> str:
+    return lambda_str(differential(parse_element(args.element, reg), reg))
 
 
 def _h_dd2(args, reg) -> Outcome:
-    e = parse_element(args.element, reg)
-    d2 = d_squared_check(e, reg)
+    d2 = d_squared_check(parse_element(args.element, reg), reg)
     render = lambda_str(d2)
     ok = d2.is_zero
     lines = [render, f"d-squared-zero: {'yes' if ok else 'no'}"]
-    return Outcome({"element": args.element}, render,
-                   [_cert("d-squared-zero", ok)], ok, lines)
+    return Outcome(render, [_cert("d-squared-zero", ok)], ok, lines)
 
 
 def _h_snc(args, reg) -> Outcome:
@@ -143,10 +137,10 @@ def _h_snc(args, reg) -> Outcome:
         lines.append(f"{p.kind} at {p.where}: {', '.join(p.divisors)}")
         certs.append(_cert(p.kind, False,
                            f"at {p.where}: {', '.join(p.divisors)}"))
-    return Outcome({"wedge": args.wedge}, lines[0], certs, rep.ok, lines)
+    return Outcome(lines[0], certs, rep.ok, lines)
 
 
-def _h_blowup(args, reg) -> Outcome:
+def _h_blowup(args, reg) -> str:
     try:
         c1, c2 = (Q(p) for p in args.center.split(","))
     except (ValueError, ZeroDivisionError):
@@ -154,18 +148,15 @@ def _h_blowup(args, reg) -> Outcome:
             f"--center expects two rationals like 1,-2/3, got {args.center!r}"
         ) from None
     w = parse_wedge(args.wedge, reg, field="Qxy")
-    render = wedge_str(tame_symbol(w, ExceptionalCurve(c1, c2), reg))
-    return Outcome({"wedge": args.wedge, "center": args.center},
-                   render, [], True, [render])
+    return wedge_str(tame_symbol(w, ExceptionalCurve(c1, c2), reg))
 
 
 def _h_adm(args, reg) -> Outcome:
-    z = parse_cycle(args.cycle)
-    ok, problems = admissible_check(z)
+    ok, problems = admissible_check(parse_cycle(args.cycle))
     lines = [f"admissible: {'yes' if ok else 'no'}"] + problems
     certs = [_cert("admissible", ok)]
     certs += [_cert("face-violation", False, p) for p in problems]
-    return Outcome({"cycle": args.cycle}, lines[0], certs, ok, lines)
+    return Outcome(lines[0], certs, ok, lines)
 
 
 def _point_str(p: PointCycle) -> str:
@@ -175,72 +166,59 @@ def _point_str(p: PointCycle) -> str:
 
 
 def _h_bdry(args, reg) -> Outcome:
-    z = parse_cycle(args.cycle)
-    pts = cube_boundary(z, reg)
-    renders = [_point_str(p) for p in pts]
-    lines = renders if renders else ["0"]
-    return Outcome({"cycle": args.cycle}, lines if renders else "0",
-                   [], True, lines)
+    renders = [_point_str(p)
+               for p in cube_boundary(parse_cycle(args.cycle), reg)]
+    return Outcome(renders or "0", [], True, renders or ["0"])
 
 
-def _h_wmap(args, reg) -> Outcome:
-    z = parse_cycle(args.cycle)
-    render = lambda_str(w_map_curve(z, reg))
-    return Outcome({"cycle": args.cycle}, render, [], True, [render])
+def _h_wmap(args, reg) -> str:
+    return lambda_str(w_map_curve(parse_cycle(args.cycle), reg))
 
 
 def _h_wcheck(args, reg) -> Outcome:
-    z = parse_cycle(args.cycle)
-    rep = w_commutes_check(z, reg)
+    rep = w_commutes_check(parse_cycle(args.cycle), reg)
     lines = [f"commutes: {'yes' if rep.ok else 'no'}",
              f"d(W(Z)) = {lambda_str(rep.lhs)}",
              f"W(dZ)   = {lambda_str(rep.rhs)}"]
-    return Outcome({"cycle": args.cycle}, lines[0],
-                   [_cert("square-commutes", rep.ok)], rep.ok, lines)
+    return Outcome(lines[0], [_cert("square-commutes", rep.ok)], rep.ok, lines)
 
 
-def _h_h(args, reg) -> Outcome:
+def _h_h(args, reg) -> str:
     w = parse_wedge(args.wedge, reg)
     _require_field(w, "Qt", "the homotopy input")
-    render = gamma_str(h_map(w, reg))
-    return Outcome({"wedge": args.wedge}, render, [], True, [render])
+    return gamma_str(h_map(w, reg))
 
 
 def _h_decomp(args, reg) -> Outcome:
     w = parse_wedge(args.wedge, reg)
     _require_field(w, "Qt", "the decomposition input")
     dec = decompose(w, reg)
-    exact = wedge_equal(wedge_add(delta(dec.preimage, reg), dec.remainder), w)
-    small = all(nonconstant_count(key) <= 2 for key, _ in dec.remainder.terms)
-    lines = [f"preimage: {gamma_str(dec.preimage)}",
-             f"remainder: {wedge_str(dec.remainder)}",
+    exact, small = decomp_certificate(w, dec, reg)
+    result = {"preimage": gamma_str(dec.preimage),
+              "remainder": wedge_str(dec.remainder)}
+    lines = [f"preimage: {result['preimage']}",
+             f"remainder: {result['remainder']}",
              f"certificate: {'yes' if exact and small else 'no'}"]
     certs = [_cert("delta-preimage-plus-remainder", exact),
              _cert("remainder-at-most-two-nonconstant", small)]
-    result = {"preimage": gamma_str(dec.preimage),
-              "remainder": wedge_str(dec.remainder)}
-    return Outcome({"wedge": args.wedge}, result, certs,
-                   exact and small, lines)
+    return Outcome(result, certs, exact and small, lines)
 
 
 def _h_homotopy_check(args, reg) -> Outcome:
+    x = (parse_gamma if args.sub else parse_wedge)(args.input, reg)
+    _require_field(x, "Qt", "the homotopy input")
     if args.sub:
-        g = parse_gamma(args.input, reg)
-        _require_field(g, "Qt", "the homotopy input")
-        rep = homotopy_check_sub(g, reg)
+        rep = homotopy_check_sub(x, reg)
         lines = [f"upper-triangle: {'yes' if rep.ok else 'no'}",
                  f"syntactic: {'yes' if rep.syntactic else 'no'}"]
         certs = [_cert("upper-triangle", rep.ok,
                        "syntactic" if rep.syntactic else "by delta-image")]
-        return Outcome({"gamma": args.input}, lines[0], certs, rep.ok, lines)
-    w = parse_wedge(args.input, reg)
-    _require_field(w, "Qt", "the homotopy input")
-    rep = homotopy_check_top(w, reg)
+        return Outcome(lines[0], certs, rep.ok, lines)
+    rep = homotopy_check_top(x, reg)
     lines = [f"lower-triangle: {'yes' if rep.ok else 'no'}",
              f"delta(h) = {wedge_str(rep.delta_h)}",
              f"residues = {wedge_str(rep.weil)}"]
-    return Outcome({"wedge": args.input}, lines[0],
-                   [_cert("lower-triangle", rep.ok)], rep.ok, lines)
+    return Outcome(lines[0], [_cert("lower-triangle", rep.ok)], rep.ok, lines)
 
 
 def _h_suite(args, reg) -> Outcome:
@@ -248,8 +226,7 @@ def _h_suite(args, reg) -> Outcome:
     report = suite_report(results, args.seed, args.scale)
     certs = [{"ident": r.ident, "title": r.title, "ok": r.ok,
               "detail": r.detail} for r in results]
-    return Outcome({"seed": str(args.seed), "scale": str(args.scale)},
-                   "PASS" if ok else "FAIL", certs, ok, report.splitlines())
+    return Outcome("PASS" if ok else "FAIL", certs, ok, report.splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -270,112 +247,78 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
+def _verbs() -> list:
+    """(verb, handler, help, arguments) of every verb, in help order; each
+    argument is (name, add_argument options)."""
+    return [
+        ("ts", _h_ts, "tame symbol of a wedge at a place or divisor",
+         [("--place", {"help": "place like t=3, t=inf, or t^2+1=0"}),
+          ("--divisor", {"help": "divisor like x=0, y=inf, or y=x"}),
+          ("wedge", {})]),
+        ("weil", _h_weil, "sum of tame symbols over all places",
+         [("wedge", {})]),
+        ("delta", _h_delta, "differential of a weight-two element",
+         [("gamma", {})]),
+        ("five-term", _h_five_term,
+         "five-term element of five distinct points",
+         [("points", {"nargs": 5, "metavar": "POINT",
+                      "help": "rational number or inf"})]),
+        ("ts-gamma", _h_ts_gamma,
+         "residue of a weight-two element at a place",
+         [("--place", {"required": True}), ("gamma", {})]),
+        ("dd", _h_dd, "differential of a graded element", [("element", {})]),
+        ("dd2", _h_dd2, "differential applied twice (should be zero)",
+         [("element", {})]),
+        ("snc", _h_snc, "strict normal crossing check of surface support",
+         [("wedge", {})]),
+        ("blowup", _h_blowup, "exceptional-curve residue at a blown-up point",
+         [("--center", {"required": True, "metavar": "C1,C2"}),
+          ("wedge", {})]),
+        ("adm", _h_adm, "admissibility of a cube curve", [("cycle", {})]),
+        ("bdry", _h_bdry, "cubical boundary of an admissible curve",
+         [("cycle", {})]),
+        ("wmap", _h_wmap, "comparison map of a cube curve", [("cycle", {})]),
+        ("wcheck", _h_wcheck, "d(W(Z)) = W(dZ) on an admissible curve",
+         [("cycle", {})]),
+        ("h", _h_h, "lifted reciprocity value of a split wedge",
+         [("wedge", {})]),
+        ("decomp", _h_decomp, "split-cone decomposition with certificate",
+         [("wedge", {})]),
+        ("homotopy-check", _h_homotopy_check, "homotopy triangle identities",
+         [("--sub", {"action": "store_true",
+                     "help": "treat the input as a weight-two element "
+                             "(upper triangle)"}),
+          ("input", {})]),
+        ("suite", _h_suite, "full acceptance corpus with pass/fail table",
+         [("--seed", {"type": int, "default": 7}),
+          ("--scale", {"type": int, "default": 100,
+                       "help": "corpus size as a percentage (default: 100)"})]),
+    ]
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tamesym",
         description="Exact tame-symbol calculus over Q.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("ts", parents=[common],
-                       help="tame symbol of a wedge at a place or divisor")
-    p.add_argument("--place", help="place like t=3, t=inf, or t^2+1=0")
-    p.add_argument("--divisor", help="divisor like x=0, y=inf, or y=x")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_ts)
-
-    p = sub.add_parser("weil", parents=[common],
-                       help="sum of tame symbols over all places")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_weil)
-
-    p = sub.add_parser("delta", parents=[common],
-                       help="differential of a weight-two element")
-    p.add_argument("gamma")
-    p.set_defaults(handler=_h_delta)
-
-    p = sub.add_parser("five-term", parents=[common],
-                       help="five-term element of five distinct points")
-    p.add_argument("points", nargs=5, metavar="POINT",
-                   help="rational number or inf")
-    p.set_defaults(handler=_h_five_term)
-
-    p = sub.add_parser("ts-gamma", parents=[common],
-                       help="residue of a weight-two element at a place")
-    p.add_argument("--place", required=True)
-    p.add_argument("gamma")
-    p.set_defaults(handler=_h_ts_gamma)
-
-    p = sub.add_parser("dd", parents=[common],
-                       help="differential of a graded element")
-    p.add_argument("element")
-    p.set_defaults(handler=_h_dd)
-
-    p = sub.add_parser("dd2", parents=[common],
-                       help="differential applied twice (should be zero)")
-    p.add_argument("element")
-    p.set_defaults(handler=_h_dd2)
-
-    p = sub.add_parser("snc", parents=[common],
-                       help="strict normal crossing check of surface support")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_snc)
-
-    p = sub.add_parser("blowup", parents=[common],
-                       help="exceptional-curve residue at a blown-up point")
-    p.add_argument("--center", required=True, metavar="C1,C2")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_blowup)
-
-    p = sub.add_parser("adm", parents=[common],
-                       help="admissibility of a cube curve")
-    p.add_argument("cycle")
-    p.set_defaults(handler=_h_adm)
-
-    p = sub.add_parser("bdry", parents=[common],
-                       help="cubical boundary of an admissible curve")
-    p.add_argument("cycle")
-    p.set_defaults(handler=_h_bdry)
-
-    p = sub.add_parser("wmap", parents=[common],
-                       help="comparison map of a cube curve")
-    p.add_argument("cycle")
-    p.set_defaults(handler=_h_wmap)
-
-    p = sub.add_parser("wcheck", parents=[common],
-                       help="d(W(Z)) = W(dZ) on an admissible curve")
-    p.add_argument("cycle")
-    p.set_defaults(handler=_h_wcheck)
-
-    p = sub.add_parser("h", parents=[common],
-                       help="lifted reciprocity value of a split wedge")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_h)
-
-    p = sub.add_parser("decomp", parents=[common],
-                       help="split-cone decomposition with certificate")
-    p.add_argument("wedge")
-    p.set_defaults(handler=_h_decomp)
-
-    p = sub.add_parser("homotopy-check", parents=[common],
-                       help="homotopy triangle identities")
-    p.add_argument("--sub", action="store_true",
-                   help="treat the input as a weight-two element "
-                        "(upper triangle)")
-    p.add_argument("input")
-    p.set_defaults(handler=_h_homotopy_check)
-
-    p = sub.add_parser("suite", parents=[common],
-                       help="full acceptance corpus with pass/fail table")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", type=int, default=100,
-                   help="corpus size as a percentage (default: 100)")
-    p.set_defaults(handler=_h_suite)
-
+    for verb, handler, help_text, arguments in _verbs():
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default: text)")
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler,
+                       names=[name.lstrip("-") for name, _ in arguments])
     return parser
+
+
+def _input_record(args) -> dict:
+    """The verb's declared arguments that have a value, as text."""
+    if args.verb == "homotopy-check":  # named by what --sub reads it as
+        return {"gamma" if args.sub else "wedge": args.input}
+    values = ((name, getattr(args, name)) for name in args.names)
+    return {name: " ".join(v) if isinstance(v, list) else str(v)
+            for name, v in values if v is not None}
 
 
 def _emit_json(verb: str, input_obj: dict, result, certificates: list,
@@ -398,6 +341,8 @@ def main(argv=None) -> int:
     reg = AtomRegistry()
     try:
         out = args.handler(args, reg)
+        if isinstance(out, str):  # a one-line answer asserts nothing
+            out = Outcome(out, [], True, [out])
     except ParseError as e:
         _report_error(args, str(e), "parse-error")
         return 2
@@ -411,8 +356,8 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         return 3
     if args.format == "json":
-        _emit_json(args.verb, out.input, out.result, out.certificates,
-                   "ok" if out.ok else "violation")
+        _emit_json(args.verb, _input_record(args), out.result,
+                   out.certificates, "ok" if out.ok else "violation")
     else:
         print("\n".join(out.lines))
     return 0 if out.ok else 1

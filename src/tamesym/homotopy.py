@@ -25,7 +25,7 @@ from .gamma import GammaSub, delta, gamma_term, tot_gamma
 from .places import weil_sum
 from .polynomials import ZERO
 from .wedges import (Wedge, class_factors, expand_products, nonconstant_count,
-                     wedge_add)
+                     wedge_add, wedge_equal)
 
 Q = Fraction
 
@@ -95,6 +95,15 @@ def decompose(w: Wedge, reg: AtomRegistry) -> DecompResult:
             preimage[k] = preimage.get(k, ZERO) + r * c
     return DecompResult(preimage=GammaSub.make("Qt", w.degree - 2, preimage),
                         remainder=Wedge.make(w.field, w.degree, current))
+
+
+def decomp_certificate(w: Wedge, dec: DecompResult,
+                       reg: AtomRegistry) -> tuple[bool, bool]:
+    """(exact, small): delta(preimage) + remainder is w, and no remainder
+    monomial has more than two nonconstant atoms."""
+    exact = wedge_equal(wedge_add(delta(dec.preimage, reg), dec.remainder), w)
+    small = all(nonconstant_count(key) <= 2 for key, _ in dec.remainder.terms)
+    return exact, small
 
 
 def h_map(w: Wedge, reg: AtomRegistry) -> GammaSub:

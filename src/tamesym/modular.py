@@ -1,7 +1,9 @@
 """Polynomials over F_p and their p-adic lifting: the modular half of
 factoring over Q[t] (`polynomials._squarefree_factors`). A polynomial is a
 list of integer coefficients in ascending order, returned without trailing
-zeros.
+zeros. The product over Z (`_zmul`) and the power ladder (`_power`) are the
+ones `polynomials` uses: a product mod p is the product over Z reduced
+once, and a power mod f runs the ladder on products reduced mod p and f.
 """
 
 from __future__ import annotations
@@ -17,16 +19,30 @@ def mod_trim(cs: list[int], p: int) -> list[int]:
     return cs
 
 
-def mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
+def _zmul(a, b) -> list[int]:
+    """Product of integer coefficient lists, lowest degree first."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return mod_trim(out, p)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _power(base, n: int, mul):
+    """base^n for n >= 1 under the product mul, from the top bit of n down:
+    one squaring per further bit and one product with base per further 1
+    bit."""
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
+def mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    return mod_trim(_zmul(a, b), p)
 
 
 def mod_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -60,15 +76,11 @@ def mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def mod_pow(h: list[int], q: int, f: list[int], p: int) -> list[int]:
-    """h^q mod f over F_p by square and multiply."""
-    result = [1]
-    base = mod_divmod(h, f, p)[1]
-    while q:
-        if q & 1:
-            result = mod_divmod(mod_mul(result, base, p), f, p)[1]
-        base = mod_divmod(mod_mul(base, base, p), f, p)[1]
-        q >>= 1
-    return result
+    """h^q mod f over F_p, by the one power ladder."""
+    if not q:
+        return [1]
+    return _power(mod_divmod(mod_trim(h, p), f, p)[1], q,
+                  lambda a, b: mod_divmod(mod_mul(a, b, p), f, p)[1])
 
 
 def factor_degree_pattern(ints: list[int], p: int) -> list[tuple[list[int], int]] | None:

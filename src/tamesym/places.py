@@ -65,7 +65,7 @@ class FinRat:
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
-            return mult_vec(Q(atom.p), reg, "Q")
+            return MultVec.make("Q", {atom: Q(1)})
         value = atom.poly.evaluate(self.c)
         if value == 0:  # the atom t - c is pi
             return MultVec.zero("Q")
@@ -130,7 +130,7 @@ class Infinity:
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
-            return mult_vec(Q(atom.p), reg, "Q")
+            return MultVec.make("Q", {atom: Q(1)})
         return MultVec.zero("Q")  # monic atoms have leading coefficient 1
 
     def value(self, f: RatFunc):
@@ -179,7 +179,7 @@ class Graph:
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
-            return mult_vec(Q(atom.p), reg, "Qt")
+            return MultVec.make("Qt", {atom: Q(1)})
         if self.order(atom):  # the atom is the equation, pi
             return MultVec.zero("Qt")
         return mult_vec(restrict_bi(BiFrac.make(atom.poly), self), reg, "Qt")
@@ -214,7 +214,7 @@ class LineInf:
 
     def unit(self, atom, reg: AtomRegistry) -> MultVec:
         if isinstance(atom, PrimeAtom):
-            return mult_vec(Q(atom.p), reg, "Qt")
+            return MultVec.make("Qt", {atom: Q(1)})
         g = atom.poly.swap_xy() if self.var == "x" else atom.poly
         return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
 

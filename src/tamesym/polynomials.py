@@ -8,12 +8,12 @@ Algebra, 6.2), and no zero term. `UniPoly` is (den, ints), lowest degree
 first; `BiPoly` is (den, iterms), ((i, j), v) terms sorted by exponent. The
 form is canonical, so equality compares it directly; `over` brings any
 integer result to it. The kernels run on the stored integers: `_zmul`
-multiplies coefficient lists, a power squares and multiplies them (`_power`,
-the one ladder, which `BiPoly` powers share) with no gcd, and `_zdivmod`,
-`_zgcd` and `_zyun` serve `divmod`, `gcd_uni` and
-`squarefree_decomposition`. Fractions are built only on request: `make`
-reads them, and `coeffs`, `terms`, `coeff`, `leading` and `evaluate` give
-them back.
+multiplies coefficient lists and a power squares and multiplies them
+(`_power`, the one ladder, which `BiPoly` powers and `modular.mod_pow`
+share), with no gcd; both come from `modular`. `_zdivmod`, `_zgcd` and
+`_zyun` serve `divmod`, `gcd_uni` and `squarefree_decomposition`.
+Fractions are built only on request: `make` reads them, and `coeffs`,
+`terms`, `coeff`, `leading` and `evaluate` give them back.
 
 `factor_uni` keeps integer lists from the primitive part of f through its
 squarefree parts (Yun) to `_squarefree_factors`, and makes each factor
@@ -39,7 +39,8 @@ from math import lcm, prod
 
 from .errors import Inconclusive, TooManyDigits
 from .integers import divisors, factor_positive_int
-from .modular import equal_degree_split, factor_degree_pattern, hensel_lift, mod_mul
+from .modular import (_power, _zmul, equal_degree_split, factor_degree_pattern,
+                      hensel_lift, mod_mul)
 
 Q = Fraction
 ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
@@ -251,18 +252,6 @@ class UniPoly:
         return poly_str(self, "t")
 
 
-def _power(base, n: int, mul):
-    """base^n for n >= 1 under the product mul, from the top bit of n down:
-    one squaring per further bit and one product with base per further 1
-    bit."""
-    result = base
-    for bit in bin(n)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(result, base)
-    return result
-
-
 def num_str(v) -> str:
     """str(v) for every rendered number; one past the interpreter's int-to-str
     limit is refused by name, and the process-wide limit is left alone."""
@@ -305,16 +294,6 @@ def poly_str(p: UniPoly, var: str) -> str:
 
 
 # -- integer kernels ---------------------------------------------------------
-
-
-def _zmul(a, b) -> list[int]:
-    """Product of integer coefficient lists, lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _zdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:

@@ -18,14 +18,14 @@ from .chow import (CubeCurve, admissible_check, cube_boundary,
 from .errors import NotAdmissible
 from .expressions import INF, BiFrac, RatFunc
 from .gamma import delta, five_term, gamma_add, gamma_term
-from .homotopy import decompose, h_map, homotopy_check_sub, homotopy_check_top
+from .homotopy import (decomp_certificate, decompose, h_map,
+                       homotopy_check_sub, homotopy_check_top)
 from .lambda_complex import (LambdaElem, bs_vanishing_check, d_squared_check,
                              differential, parshin_check, totaro_element,
                              totaro_wedge)
 from .places import ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import BiPoly
-from .wedges import (Wedge, nonconstant_count, retag, wedge_add, wedge_equal,
-                     wedge_of)
+from .wedges import Wedge, retag, wedge_of
 
 Q = Fraction
 
@@ -283,12 +283,7 @@ def _run_c7(rng: random.Random, scale: int) -> tuple[bool, str]:
         reg = AtomRegistry()
         m = 2 + i % 2
         w = _split_wedge(rng, reg, m + 1)
-        dec = decompose(w, reg)
-        exact = wedge_equal(wedge_add(delta(dec.preimage, reg),
-                                      dec.remainder), w)
-        small = all(nonconstant_count(key) <= 2
-                    for key, _ in dec.remainder.terms)
-        if exact and small:
+        if all(decomp_certificate(w, decompose(w, reg), reg)):
             good += 1
     return good == n, f"{good}/{n} cases"
 

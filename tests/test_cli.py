@@ -53,6 +53,138 @@ def test_json_schema(capsys):
     assert payload["input"] == {"place": "t=3", "wedge": "w[t, 1-t, 1-3/t]"}
 
 
+STATUS = {0: "ok", 1: "violation", 2: "parse-error", 3: "engine-error"}
+NOT_ADMISSIBLE = ("coordinates 1 and 2 both lie in {0, inf} at t=inf; "
+                  "coordinates 1 (zero) and 3 (pole) meet a face together "
+                  "where t = 0")
+SUITE_ROWS = [
+    ("C1", "totaro-differential", "1/1 cases"),
+    ("C2", "weil-reciprocity", "1/1 cases"),
+    ("C3", "parshin-d-squared", "1/1 cases"),
+    ("C4", "five-term-kernel", "1/1 cases"),
+    ("C5", "chow-comparison-morphism", "1/1 cases + non-admissible example"),
+    ("C6", "homotopy-triangles", "1/1 lower + 1/1 upper + named value"),
+    ("C7", "decomposition-certificate", "2/2 cases"),
+    ("C8", "blowup-residue", "1/1 cases"),
+    ("C9", "two-slot-vanishing", "1/1 cases"),
+    ("C10", "suite-determinism", "two passes identical"),
+]
+
+
+def _c(name, ok, detail=""):
+    return {"name": name, "ok": ok, "detail": detail}
+
+
+# (argv, exit code, text stdout lines, text stderr, JSON input, JSON result,
+#  JSON certificates): every verb once, both ts targets, both homotopy-check
+# triangles, one parse error and one engine refusal
+EVERY_VERB = [
+    (["ts", "--place", "t=3", "w[t, 1-t, 1-3/t]"], 0, ["-w[2, 3]"], "",
+     {"place": "t=3", "wedge": "w[t, 1-t, 1-3/t]"}, "-w[2, 3]", []),
+    (["ts", "--divisor", "y=x", "w[y-x, x-2, y+1]"], 0, ["w[t-2, t+1]"], "",
+     {"divisor": "y=x", "wedge": "w[y-x, x-2, y+1]"}, "w[t-2, t+1]", []),
+    (["weil", "w[t-1, 2*(t+3)/(t-5)]"], 0, ["0"], "",
+     {"wedge": "w[t-1, 2*(t+3)/(t-5)]"}, "0", []),
+    (["delta", "{2*t}_2 ⊗ w[t-4]"], 0,
+     ["-w[2, t-4, t-1/2] + w[2, t-4, t] - w[t-4, t-1/2, t]"], "",
+     {"gamma": "{2*t}_2 ⊗ w[t-4]"},
+     "-w[2, t-4, t-1/2] + w[2, t-4, t] - w[t-4, t-1/2, t]", []),
+    (["five-term", "4", "-7", "5", "-6", "-1/3"], 0,
+     ["{-120}_2 + {-187/13}_2 - {-51/4}_2 + {-143/17}_2 - {-39/5}_2",
+      "in-delta-kernel: yes"], "",
+     {"points": "4 -7 5 -6 -1/3"},
+     "{-120}_2 + {-187/13}_2 - {-51/4}_2 + {-143/17}_2 - {-39/5}_2",
+     [_c("in-delta-kernel", True)]),
+    (["ts-gamma", "--place", "t=3", "{2*t}_2 ⊗ w[t-3]"], 0, ["{-5}_2"], "",
+     {"gamma": "{2*t}_2 ⊗ w[t-3]", "place": "t=3"}, "{-5}_2", []),
+    (["dd", "m=2; [S: w[x-1, y-2, x-y, 5]]"], 0,
+     ["m=2; [P1: w[5, t-2, t-1]]"], "",
+     {"element": "m=2; [S: w[x-1, y-2, x-y, 5]]"},
+     "m=2; [P1: w[5, t-2, t-1]]", []),
+    (["dd2", "m=2; [S: w[y+x-2, y-2*x+1, x+1, y]]"], 1,
+     ["m=2; [pt: w[2, 3]]", "d-squared-zero: no"], "",
+     {"element": "m=2; [S: w[y+x-2, y-2*x+1, x+1, y]]"},
+     "m=2; [pt: w[2, 3]]", [_c("d-squared-zero", False)]),
+    (["snc", "w[y-x, y-x-1, 3]"], 1,
+     ["strictly-regular: no", "tangency at (inf, inf): y=x, y=x+1"], "",
+     {"wedge": "w[y-x, y-x-1, 3]"}, "strictly-regular: no",
+     [_c("strictly-regular", False, "1 candidate points"),
+      _c("tangency", False, "at (inf, inf): y=x, y=x+1")]),
+    (["blowup", "--center", "1,-2/3", "w[x-1, y+2/3, 5]"], 0, ["-w[5, v]"],
+     "", {"center": "1,-2/3", "wedge": "w[x-1, y+2/3, 5]"}, "-w[5, v]", []),
+    (["adm", "cyc[t, 1-t, 1-3/t]"], 1,
+     ["admissible: no"] + NOT_ADMISSIBLE.split("; "), "",
+     {"cycle": "cyc[t, 1-t, 1-3/t]"}, "admissible: no",
+     [_c("admissible", False)]
+     + [_c("face-violation", False, p) for p in NOT_ADMISSIBLE.split("; ")]),
+    (["bdry", "cyc[(t-2)/(t-3), (t-5)/(t-7)]"], 0,
+     ["-pt[1/2]", "pt[3/5]", "pt[5/4]", "-pt[3/2]"], "",
+     {"cycle": "cyc[(t-2)/(t-3), (t-5)/(t-7)]"},
+     ["-pt[1/2]", "pt[3/5]", "pt[5/4]", "-pt[3/2]"], []),
+    (["wmap", "cyc[(t-2)/(t-3), (t-5)/(t-7)]"], 0,
+     ["m=1; [P1: -w[t-7, t-3] + w[t-7, t-2] + w[t-5, t-3] - w[t-5, t-2]]"],
+     "", {"cycle": "cyc[(t-2)/(t-3), (t-5)/(t-7)]"},
+     "m=1; [P1: -w[t-7, t-3] + w[t-7, t-2] + w[t-5, t-3] - w[t-5, t-2]]", []),
+    (["wcheck", "cyc[2*(t-1)/(t-3), 5*(t-2)/(t-4)]"], 0,
+     ["commutes: yes", "d(W(Z)) = m=1; 0", "W(dZ)   = m=1; 0"], "",
+     {"cycle": "cyc[2*(t-1)/(t-3), 5*(t-2)/(t-4)]"}, "commutes: yes",
+     [_c("square-commutes", True)]),
+    (["h", "w[t, 1-t, 1-3/t]"], 0, ["{-2}_2"], "",
+     {"wedge": "w[t, 1-t, 1-3/t]"}, "{-2}_2", []),
+    (["decomp", "w[t, 1-t, 1-3/t]"], 0,
+     ["preimage: -{(3*t-3)/(t-3)}_2 ⊗ w[t-3]",
+      "remainder: -w[2, 3, t-3] + w[2, t-3, t-1] - w[3, t-3, t]",
+      "certificate: yes"], "",
+     {"wedge": "w[t, 1-t, 1-3/t]"},
+     {"preimage": "-{(3*t-3)/(t-3)}_2 ⊗ w[t-3]",
+      "remainder": "-w[2, 3, t-3] + w[2, t-3, t-1] - w[3, t-3, t]"},
+     [_c("delta-preimage-plus-remainder", True),
+      _c("remainder-at-most-two-nonconstant", True)]),
+    (["homotopy-check", "w[t, 1-t, 1-3/t]"], 0,
+     ["lower-triangle: yes", "delta(h) = w[2, 3]", "residues = -w[2, 3]"],
+     "", {"wedge": "w[t, 1-t, 1-3/t]"}, "lower-triangle: yes",
+     [_c("lower-triangle", True)]),
+    (["homotopy-check", "--sub", "{(3*t-3)/(t-3)}_2 ⊗ w[t-3]"], 0,
+     ["upper-triangle: yes", "syntactic: yes"], "",
+     {"gamma": "{(3*t-3)/(t-3)}_2 ⊗ w[t-3]"}, "upper-triangle: yes",
+     [_c("upper-triangle", True, "syntactic")]),
+    (["suite", "--scale", "1"], 0,
+     ["acceptance suite: seed=7 scale=1"]
+     + [f"{ident:<5}{title:<27}PASS {detail}"
+        for ident, title, detail in SUITE_ROWS] + ["overall: PASS"], "",
+     {"seed": "7", "scale": "1"}, "PASS",
+     [{"ident": ident, "title": title, "ok": True, "detail": detail}
+      for ident, title, detail in SUITE_ROWS]),
+    (["delta", "oops["], 2, [], "delta: expected '{' (at position 0)\n",
+     {}, "expected '{' (at position 0)", []),
+    (["bdry", "cyc[t, 1-t, 1-3/t]"], 3, [],
+     f"bdry: NotAdmissible: {NOT_ADMISSIBLE}\n",
+     {}, f"NotAdmissible: {NOT_ADMISSIBLE}", []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines, err, record, result, certificates", EVERY_VERB,
+    ids=[" ".join(case[0]) for case in EVERY_VERB])
+def test_every_verb_text_and_json(capsys, argv, code, lines, err, record,
+                                  result, certificates):
+    """Each verb's whole answer, as text and as JSON: the text lines, the
+    stderr message, the exit code and every byte of the JSON payload."""
+    assert run(capsys, *argv) == (code, "".join(f"{s}\n" for s in lines), err)
+    payload = {"verb": argv[0], "input": record, "result": result,
+               "certificates": certificates, "status": STATUS[code]}
+    want = json.dumps(payload, sort_keys=True) + "\n"
+    assert run(capsys, *argv, "--format", "json") == (code, want, "")
+
+
+
+def test_readme_verb_list_is_the_verb_table():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    sentence = re.search(r"The full verb list: (.*?)\.", text).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == [v for v, *_ in cli._verbs()]
+
+
 def test_property_violation_exits_one(capsys):
     code, out, _ = run(capsys, "snc", "w[y-x, y-x-1, 3]")
     assert code == 1

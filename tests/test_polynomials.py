@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
-from tamesym import polynomials
+from tamesym import modular, polynomials
 from tamesym.integers import divisors
 from tamesym.polynomials import (_SUBSET_BUDGET, bipoly_exact_div,
                                  factor_uni, gcd_uni, irreducible_check_uni,
@@ -581,6 +581,49 @@ def test_powers_match_repeated_multiplication():
             if isinstance(got, UniPoly):
                 assert _is_canonical(got)
             acc = acc * base
+
+
+
+def _ref_mod_rem(a, f, p):
+    """Remainder of a by f over F_p, one leading term at a time."""
+    a = [c % p for c in a]
+    inv = pow(f[-1], -1, p)
+    while len(a) >= len(f):
+        c, shift = a[-1] * inv % p, len(a) - len(f)
+        for j, y in enumerate(f):
+            a[shift + j] = (a[shift + j] - c * y) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_mod_mul(a, b, p):
+    """Schoolbook product over F_p, reduced term by term."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_modular_products_and_powers_match_plain_references():
+    """mod_mul and mod_pow, on unreduced and empty inputs, against the
+    schoolbook product mod p and q such products mod f, q = 0 included."""
+    rng = random.Random(29)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 101, 65537, 2**61 - 1))
+        a, b = ([rng.randrange(-p, 3 * p) for _ in range(rng.randint(0, 6))]
+                for _ in range(2))
+        assert modular.mod_mul(a, b, p) == _ref_mod_mul(a, b, p)
+        f = ([rng.randrange(p) for _ in range(rng.randint(1, 5))]
+             + [rng.randrange(1, p)])
+        q, want = rng.randrange(12), [1]
+        for _ in range(q):
+            want = _ref_mod_rem(_ref_mod_mul(want, a, p), f, p)
+        assert modular.mod_pow(a, q, f, p) == want
 
 
 def test_bipoly_arithmetic():
