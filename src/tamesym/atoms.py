@@ -6,7 +6,8 @@ polynomials, or primitive irreducible bivariate polynomials linear in x or
 in y. Signs die in the tensor, so class(-2) = class(2) and class(-1) = 0.
 
 Atoms compare by a mathematical key (never by creation order), so every run
-and every registry produce the same canonical order.
+and every registry produce the same canonical order. A registry interns the
+atoms and remembers one class per (value, field) for as long as it lives.
 """
 
 from __future__ import annotations
@@ -88,12 +89,16 @@ def atom_str(a: Atom, field: str) -> str:
 
 class AtomRegistry:
     """Append-only interning table for atoms: one atom object per value,
-    keyed by the value itself, whose hash is computed once."""
+    keyed by the value itself, whose hash is computed once. It also
+    remembers the class `mult_vec` computed for each (value, field), for
+    as long as the registry lives: classes depend on the value and field
+    alone, so what the registry saw before changes no answer."""
 
     def __init__(self) -> None:
         self._primes: dict[int, PrimeAtom] = {}
         self._uni: dict[UniPoly, UniAtom] = {}
         self._bi: dict[BiPoly, BiAtom] = {}
+        self._classes: dict[tuple, MultVec] = {}
 
     def prime(self, p: int) -> PrimeAtom:
         atom = self._primes.get(p)
@@ -354,17 +359,34 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
 
     Accepts Fraction/int (field 'Qt' unless told otherwise), RatFunc
     (fields 'Qt'/'Qv'), or BiFrac (field 'Qxy', whatever `field` says).
+    A class is computed once per registry; a refusal is not remembered.
     """
+    # keyed by the value's stored integers, whose tuple hashes in a fraction
+    # of the time a value built afresh (as every parsed one is) takes
+    if isinstance(f, RatFunc):
+        key = (field, f.num.den, f.num.ints, f.den.den, f.den.ints)
+    elif isinstance(f, BiFrac):
+        field = "Qxy"
+        key = (field, f.num.den, f.num.iterms, f.den.den, f.den.iterms)
+    elif isinstance(f, (int, Fraction)):
+        key = (field, f.numerator, f.denominator)
+    else:
+        raise TypeError(f"cannot take the class of {type(f).__name__}")
+    vec = reg._classes.get(key)
+    if vec is None:
+        vec = reg._classes[key] = _class_of(f, reg, field)
+    return vec
+
+
+def _class_of(f, reg: AtomRegistry, field: str) -> MultVec:
+    """The class of f as `mult_vec` defines it, computed by factoring."""
     if isinstance(f, (RatFunc, BiFrac)):
-        field = "Qxy" if isinstance(f, BiFrac) else field
         const, exps = factor_into_atoms(f.num, f.den, reg)
         out: dict[Atom, Fraction] = constant_class(const, reg, field)
         for a, e in exps.items():
             out[a] = out.get(a, ZERO) + e
         return MultVec.make(field, out)
-    if type(f) is Fraction or type(f) is int or isinstance(f, (int, Fraction)):
-        return MultVec.make(field, constant_class(Q(f), reg, field))
-    raise TypeError(f"cannot take the class of {type(f).__name__}")
+    return MultVec.make(field, constant_class(Q(f), reg, field))
 
 
 def one_minus(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:

@@ -46,23 +46,27 @@ def mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def mod_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quot, rem) of a by b over F_p, both without trailing zeros."""
+    """(quot, rem) of a by b over F_p, both reduced mod p and without
+    trailing zeros; a need not be reduced."""
     rem = list(a)
     quot = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    shift = len(rem)
     while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        coef = rem[-1] * inv % p
-        shift = len(rem) - len(b)
-        quot[shift] = coef
-        for j, y in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - coef * y) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
+        # each step takes off the top term and reduces the len(b) - 1 below
+        coef = rem.pop() * inv % p
+        if coef:
+            shift = len(rem) - len(low)
+            quot[shift] = coef
+            for j, y in enumerate(low):
+                rem[shift + j] = (rem[shift + j] - coef * y) % p
     while quot and quot[-1] == 0:
         quot.pop()
+    if shift:  # rem[:shift] is a as given
+        return quot, mod_trim(rem, p)
+    while rem and rem[-1] == 0:
+        rem.pop()
     return quot, rem
 
 
@@ -79,7 +83,7 @@ def mod_pow(h: list[int], q: int, f: list[int], p: int) -> list[int]:
     """h^q mod f over F_p, by the one power ladder."""
     if not q:
         return [1]
-    return _power(mod_divmod(mod_trim(h, p), f, p)[1], q,
+    return _power(mod_divmod(h, f, p)[1], q,
                   lambda a, b: mod_divmod(mod_mul(a, b, p), f, p)[1])
 
 
@@ -140,7 +144,7 @@ def hensel_lift(f: list[int], u: list[int], p: int, m: int) -> list[int]:
     w*v = 1 mod u and e = (f - u*v)/q mod p, u += q*(w*e mod u) and
     v += q*(the exact quotient of e - v*(w*e mod u) by u) keep f = u*v
     modulo q*p."""
-    v = mod_divmod(mod_trim(f, p), u, p)[0]
+    v = mod_divmod(f, u, p)[0]
     w = mod_pow(v, p ** (len(u) - 1) - 2, u, p)  # F_p[t]/(u) is a field
     q = p
     while q < m:

@@ -626,6 +626,25 @@ def test_modular_products_and_powers_match_plain_references():
         assert modular.mod_pow(a, q, f, p) == want
 
 
+def test_mod_divmod_returns_both_results_reduced_and_trimmed():
+    """On unreduced dividends, shorter than the divisor or not, quot and rem
+    come reduced mod p, without trailing zeros, with a = quot*b + rem."""
+    assert modular.mod_divmod([9, 0], [1, 2, 1], 7) == ([], [2])
+    assert modular.mod_divmod([9, 1, 1], [1, 1], 7) == ([0, 1], [2])
+    rng = random.Random(31)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 101, 65537))
+        a = [rng.randrange(-p, 3 * p) for _ in range(rng.randint(0, 7))]
+        b = ([rng.randrange(p) for _ in range(rng.randint(0, 4))]
+             + [rng.randrange(1, p)])
+        quot, rem = modular.mod_divmod(a, b, p)
+        for r in (quot, rem):
+            assert all(0 <= c < p for c in r) and (not r or r[-1])
+        assert rem == _ref_mod_rem(a, b, p)
+        assert modular.mod_sub(modular.mod_sub(a, rem, p),
+                               _ref_mod_mul(quot, b, p), p) == []
+
+
 def test_bipoly_arithmetic():
     x, y = BiPoly.var_x(), BiPoly.var_y()
     f = x * y - BiPoly.const(2)
