@@ -8,6 +8,8 @@ in y. Signs die in the tensor, so class(-2) = class(2) and class(-1) = 0.
 Atoms compare by a mathematical key (never by creation order), so every run
 and every registry produce the same canonical order. A registry interns the
 atoms and remembers one class per (value, field) for as long as it lives.
+MultVec, `wedges.Wedge` and `gamma.GammaSub` take their arithmetic from
+one core, `Combination`; MultVec adds its atom order and `coeffs`.
 """
 
 from __future__ import annotations
@@ -124,49 +126,80 @@ class AtomRegistry:
         return atom
 
 
+class Combination:
+    """A Q-linear combination on a canonical basis, as a frozen dataclass of
+    a header, its field and then the grade `_grade` names, if any, and
+    `terms`, (key, nonzero Fraction) pairs in the order `_order` sorts."""
+
+    _grade: str | None = None
+    _grade_error: type = MixedFields
+
+    @classmethod
+    def make(cls, *args):
+        """cls(*header, terms) from the header and then a mapping key -> c."""
+        items = [(k, c if type(c) is Fraction else Q(c))
+                 for k, c in args[-1].items() if c]
+        cls._order(items)
+        return cls(*args[:-1], tuple(items))
+
+    @classmethod
+    def zero(cls, *header):
+        return cls(*header, ())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def as_dict(self) -> dict:
+        return dict(self.terms)
+
+    def header(self, other=None) -> tuple:
+        """(field,) or (field, grade), which other, if given, must share."""
+        other = self if other is None else other
+        if self.field != other.field:
+            raise MixedFields(f"{self.field} vs {other.field}")
+        grade = self._grade
+        if grade is None:
+            return (self.field,)
+        mine, theirs = getattr(self, grade), getattr(other, grade)
+        if mine != theirs:
+            raise self._grade_error(f"{grade.replace('_', ' ')} {mine} vs {theirs}")
+        return (self.field, mine)
+
+    def __add__(self, other):
+        header = self.header(other)
+        d = dict(self.terms)
+        for k, c in other.terms:
+            d[k] = d.get(k, ZERO) + c
+        return self.make(*header, d)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        if type(c) is not Fraction:
+            c = Q(c)
+        if not c:
+            return self.zero(*self.header())
+        return type(self)(*self.header(), tuple([(k, c * v) for k, v in self.terms]))
+
+
 @dataclass(frozen=True)
-class MultVec:
+class MultVec(Combination):
     """Q-linear combination of atoms; the class of a function, or any
     Q-combination of such classes."""
 
     field: str
-    coeffs: tuple[tuple[Atom, Fraction], ...]
+    terms: tuple[tuple[Atom, Fraction], ...]
 
     @staticmethod
-    def make(field: str, mapping: dict[Atom, Fraction]) -> "MultVec":
-        items = [(a, c if type(c) is Fraction else Q(c))
-                 for a, c in mapping.items() if c]
+    def _order(items: list) -> None:
         items.sort(key=lambda ac: ac[0].sort_key())
-        return MultVec(field, tuple(items))
-
-    @staticmethod
-    def zero(field: str) -> "MultVec":
-        return MultVec(field, ())
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def as_dict(self) -> dict[Atom, Fraction]:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "MultVec") -> "MultVec":
-        if self.field != other.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
-        d = self.as_dict()
-        for a, c in other.coeffs:
-            d[a] = d.get(a, ZERO) + c
-        return MultVec.make(self.field, d)
-
-    def __sub__(self, other: "MultVec") -> "MultVec":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "MultVec":
-        if type(c) is not Fraction:
-            c = Q(c)
-        if not c:
-            return MultVec.zero(self.field)
-        return MultVec(self.field, tuple((a, c * v) for a, v in self.coeffs))
+    def coeffs(self) -> tuple[tuple[Atom, Fraction], ...]:
+        """The terms, read-only under their older name."""
+        return self.terms
 
 
 def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fraction]:

@@ -17,13 +17,12 @@ from .atoms import FIELD_VARS, AtomRegistry, MultVec, mult_vec
 from .chow import CubeCurve
 from .errors import DegreeMismatch, MixedFields, ParseError
 from .expressions import BiFrac, RatFunc
-from .gamma import GammaSub, gamma_add, gamma_scale, gamma_term
+from .gamma import GammaSub, gamma_add, gamma_term
 from .lambda_complex import LambdaElem
 from .places import (INFINITY, FinRat, IrredPlace, LineInf, Place1,
                      SurfDivisor, solved_divisor)
 from .polynomials import BiPoly, irreducible_check_uni, poly_str
-from .wedges import (Wedge, class_factors, expand_products, wedge_add,
-                     wedge_scale)
+from .wedges import Wedge, class_factors, expand_products, wedge_add
 
 Q = Fraction
 
@@ -354,7 +353,7 @@ def _entry_class(s: _Scanner, reg: AtomRegistry, field: str,
     out: dict = {}
     for base, e in value.merged().factors:
         if e:
-            for a, c in mult_vec(base, reg, field).coeffs:
+            for a, c in mult_vec(base, reg, field).terms:
                 out[a] = out.get(a, 0) + e * c
     return MultVec.make(field, out)
 
@@ -387,7 +386,7 @@ def _coeff(s: _Scanner) -> Fraction:
     return coeff
 
 
-def _signed_sum(s: _Scanner, parse_item, add, scale):
+def _signed_sum(s: _Scanner, parse_item, add):
     """ITEM (('+'|'-') ITEM)* with an optional leading sign."""
     if s.match("-"):
         sign = -1
@@ -395,7 +394,7 @@ def _signed_sum(s: _Scanner, parse_item, add, scale):
         s.match("+")
         sign = 1
     item = parse_item()
-    total = scale(item, -1) if sign < 0 else item
+    total = item.scale(-1) if sign < 0 else item
     while True:
         if s.match("+"):
             sign = 1
@@ -406,14 +405,13 @@ def _signed_sum(s: _Scanner, parse_item, add, scale):
         here = s.pos
         item = parse_item()
         try:
-            total = add(total, scale(item, -1) if sign < 0 else item)
+            total = add(total, item.scale(-1) if sign < 0 else item)
         except (DegreeMismatch, MixedFields) as e:
             raise ParseError(str(e), here) from None
 
 
 def _wedge_sum(s: _Scanner, reg: AtomRegistry, field: str) -> Wedge:
-    return _signed_sum(s, lambda: _wedge_item(s, reg, field),
-                       wedge_add, wedge_scale)
+    return _signed_sum(s, lambda: _wedge_item(s, reg, field), wedge_add)
 
 
 def parse_wedge(text: str, reg: AtomRegistry,
@@ -468,8 +466,7 @@ def parse_gamma(text: str, reg: AtomRegistry,
         if s.at_end():
             return GammaSub.zero(field, 0)
         s.pos = 0
-    total = _signed_sum(s, lambda: _gamma_item(s, reg, field),
-                        gamma_add, gamma_scale)
+    total = _signed_sum(s, lambda: _gamma_item(s, reg, field), gamma_add)
     _finish(s)
     return total
 
@@ -518,9 +515,9 @@ def parse_element(text: str, reg: AtomRegistry) -> LambdaElem:
                 f"{tag} part must have degree {m + shift}, got {w.degree}",
                 here)
         return LambdaElem.make(
-            m, **{name: wedge_scale(w, coeff) if coeff != 1 else w})
+            m, **{name: w.scale(coeff) if coeff != 1 else w})
 
-    total = _signed_sum(s, epart, LambdaElem.add, LambdaElem.scale)
+    total = _signed_sum(s, epart, LambdaElem.add)
     _finish(s)
     return total
 

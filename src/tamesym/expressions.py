@@ -6,6 +6,8 @@ polynomials' stored integer forms, and a monic or constant denominator is
 read from them (`is_monic`, `degree`) with no Fraction built. BiFrac is a raw
 numerator/denominator pair: surface-level classes are computed atomwise, so
 reducing the pair buys nothing and bivariate gcds are deliberately avoided.
+Both take their arithmetic from one base, `_Ratio`, and keep their own
+`make`, constructors and powers.
 """
 
 from __future__ import annotations
@@ -38,10 +40,61 @@ class _InfinityValue:
 INF = _InfinityValue()
 
 
+class _Ratio:
+    """num/den arithmetic. Only a result that may need reducing goes
+    through `make`: sums and products of polynomials, negation and 1 - f
+    stay as reduced as their operands."""
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    @property
+    def is_poly(self) -> bool:
+        """den == 1, most often `_one` itself, as make, const and var leave
+        it; for a reduced RatFunc, the same as a constant denominator."""
+        return self.den is self._one or self.den == self._one
+
+    def __add__(self, other):
+        if self.is_poly and other.is_poly:
+            return type(self)(self.num + other.num, self.den)
+        return self.make(self.num * other.den + other.num * self.den,
+                         self.den * other.den)
+
+    def __sub__(self, other):
+        if self.is_poly and other.is_poly:
+            return type(self)(self.num - other.num, self.den)
+        return self.make(self.num * other.den - other.num * self.den,
+                         self.den * other.den)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __mul__(self, other):
+        if self.is_poly and other.is_poly:
+            return type(self)(self.num * other.num, self.den)
+        return self.make(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero function")
+        return self.make(self.num * other.den, self.den * other.num)
+
+    def one_minus(self):
+        """1 - f = (den - num)/den, rejecting f identically 1. gcd(den - num,
+        den) = gcd(num, den), so a reduced f gives a reduced 1 - f."""
+        num = self.den - self.num
+        if num.is_zero:
+            raise OneMinusOfOne("1 - f is identically zero")
+        return type(self)(num, self.den)
+
+
 @dataclass(frozen=True)
-class RatFunc:
+class RatFunc(_Ratio):
     num: UniPoly
     den: UniPoly
+
+    _one = _ONE
 
     @staticmethod
     def make(num: UniPoly, den: UniPoly | None = None) -> "RatFunc":
@@ -73,48 +126,10 @@ class RatFunc:
     def var() -> "RatFunc":
         return RatFunc(UniPoly.var(), _ONE)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def constant_value(self) -> Fraction | None:
         if self.num.degree <= 0 and self.den.degree == 0:
             return self.num.coeff(0) / self.den.coeff(0) if not self.num.is_zero else Q(0)
         return None
-
-    @property
-    def is_poly(self) -> bool:
-        """den == 1; a reduced fraction has a monic denominator, so this is
-        the same as a constant denominator."""
-        return self.den.degree == 0
-
-    # Sums, products and powers of polynomials need no gcd: each closed form
-    # below is what make() returns.
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.is_poly and other.is_poly:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc.make(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if self.is_poly and other.is_poly:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc.make(self.num * other.den - other.num * self.den,
-                            self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.is_poly and other.is_poly:
-            return RatFunc(self.num * other.num, self.den)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -124,14 +139,6 @@ class RatFunc:
             return RatFunc.coprime(den, self.num**(-n))
         # powers of coprime num and monic den stay coprime and monic
         return RatFunc(self.num**n, self.den if self.is_poly else self.den**n)
-
-    def one_minus(self) -> "RatFunc":
-        """1 - f = (den - num)/den, rejecting f identically 1. Already
-        reduced: den stays monic and gcd(den - num, den) = gcd(num, den) = 1."""
-        num = self.den - self.num
-        if num.is_zero:
-            raise OneMinusOfOne("1 - f is identically zero")
-        return RatFunc(num, self.den)
 
     def order_at_infinity(self) -> int:
         return self.den.degree - self.num.degree
@@ -180,11 +187,13 @@ _BI_ONE = BiPoly.const(1)
 
 
 @dataclass(frozen=True)
-class BiFrac:
+class BiFrac(_Ratio):
     """Unreduced ratio of bivariate polynomials."""
 
     num: BiPoly
     den: BiPoly
+
+    _one = _BI_ONE
 
     @staticmethod
     def make(num: BiPoly, den: BiPoly | None = None) -> "BiFrac":
@@ -198,42 +207,9 @@ class BiFrac:
     def const(c) -> "BiFrac":
         return BiFrac.make(BiPoly.const(c))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "BiFrac") -> "BiFrac":
-        if self.den == other.den == _BI_ONE:
-            return BiFrac(self.num + other.num, self.den)
-        return BiFrac.make(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    def __sub__(self, other: "BiFrac") -> "BiFrac":
-        if self.den == other.den == _BI_ONE:
-            return BiFrac(self.num - other.num, self.den)
-        return BiFrac.make(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
-
-    def __neg__(self) -> "BiFrac":
-        return BiFrac(-self.num, self.den)
-
-    def __mul__(self, other: "BiFrac") -> "BiFrac":
-        return BiFrac.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "BiFrac") -> "BiFrac":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return BiFrac.make(self.num * other.den, self.den * other.num)
-
     def __pow__(self, n: int) -> "BiFrac":
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             return BiFrac(self.den**(-n), self.num**(-n))
         return BiFrac(self.num**n, self.den**n)
-
-    def one_minus(self) -> "BiFrac":
-        out = BiFrac.make(self.den - self.num, self.den)
-        if out.is_zero:
-            raise OneMinusOfOne("1 - f is identically zero")
-        return out

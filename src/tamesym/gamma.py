@@ -8,18 +8,21 @@ the dilogarithm before storage, so equality is term-map identity. A sum is
 built once: delta is one `expand_products` call, and the residue sums
 gather their terms in one dict and make the element once. The residue of
 {x}_2 (x) b at v is -{x(v)}_2 (x) ts_v(b), and ts_v(b) is 0 off the support
-of b, so `tot_gamma` visits the places of its tails' supports alone.
+of b, so `tot_gamma` visits a term only on its tail's support. GammaSub
+takes its arithmetic from `atoms.Combination`, with the tail degree as the
+grade, and adds its term order and `tail`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 
-from .atoms import FIELD_VARS, Atom, AtomRegistry, mult_vec, one_minus
-from .errors import (DegenerateArgument, MixedFields, NonSplitResidue,
-                     NotDistinct)
+from .atoms import (FIELD_VARS, Atom, AtomRegistry, Combination, mult_vec,
+                    one_minus)
+from .errors import DegenerateArgument, NonSplitResidue, NotDistinct
 from .expressions import INF, RatFunc, ratfunc_str
 from .places import Place1, support, tame_symbol
 from .polynomials import ZERO, num_str, sum_str
@@ -91,32 +94,19 @@ def b2_normalize(x) -> tuple[int, B2Arg] | None:
 
 
 @dataclass(frozen=True)
-class GammaSub:
+class GammaSub(Combination):
     """Sum of terms coeff * {x}_2 (x) (wedge monomial tail)."""
 
     field: str
     tail_degree: int
     terms: tuple[tuple[tuple[B2Arg, tuple[Atom, ...]], Fraction], ...]
 
+    _grade = "tail_degree"
+
     @staticmethod
-    def make(field: str, tail_degree: int,
-             mapping: dict[tuple[B2Arg, tuple[Atom, ...]], Fraction]) -> "GammaSub":
-        items = [(k, c if type(c) is Fraction else Q(c))
-                 for k, c in mapping.items() if c]
+    def _order(items: list) -> None:
         items.sort(key=lambda kc: (_arg_key(kc[0][0]),
                                    tuple(a.sort_key() for a in kc[0][1])))
-        return GammaSub(field, tail_degree, tuple(items))
-
-    @staticmethod
-    def zero(field: str, tail_degree: int) -> "GammaSub":
-        return GammaSub(field, tail_degree, ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def tail(self, key: tuple[Atom, ...]) -> Wedge:
         """The tail monomial `key` as a wedge with coefficient 1."""
@@ -135,29 +125,16 @@ def gamma_term(c, x, tail: Wedge) -> GammaSub:
     if norm is None or c == 0:
         return GammaSub.zero(tail.field, tail.degree)
     sign, rep = norm
-    out: dict = {}
-    for key, tc in tail.terms:
-        out[(rep, key)] = out.get((rep, key), ZERO) + c * sign * tc
-    return GammaSub.make(tail.field, tail.degree, out)
+    return GammaSub.make(tail.field, tail.degree,
+                         {(rep, key): c * sign * tc for key, tc in tail.terms})
 
 
 def gamma_add(a: GammaSub, b: GammaSub) -> GammaSub:
-    if a.field != b.field:
-        raise MixedFields(f"{a.field} vs {b.field}")
-    if a.tail_degree != b.tail_degree:
-        raise MixedFields(
-            f"tail degree {a.tail_degree} vs {b.tail_degree}")
-    d = a.as_dict()
-    for k, c in b.terms:
-        d[k] = d.get(k, ZERO) + c
-    return GammaSub.make(a.field, a.tail_degree, d)
+    return a + b
 
 
 def gamma_scale(a: GammaSub, c) -> GammaSub:
-    if type(c) is not Fraction:
-        c = Q(c)
-    return GammaSub.make(a.field, a.tail_degree,
-                         {k: c * v for k, v in a.terms})
+    return a.scale(c)
 
 
 def gamma_str(g: GammaSub) -> str:
@@ -234,26 +211,29 @@ def five_term(x1, x2, x3, x4, x5) -> GammaSub:
 # ---------------------------------------------------------------------------
 
 
-def _add_ts_gamma(out: dict, g: GammaSub, v: Place1, reg: AtomRegistry) -> None:
-    """Add the terms of ts_gamma(g, v) into out."""
-    if g.tail_degree == 0:
-        return
-    for (x, key), c in g.terms:
-        tail = g.tail(key)
-        try:
-            xv = v.value(x) if isinstance(x, RatFunc) else x
-        except NonSplitResidue:
-            # a term whose tail has residue zero dies whatever x(v) is
-            if tame_symbol(tail, v, reg).is_zero:
+def _residue_sum(g: GammaSub, visits, reg: AtomRegistry) -> GammaSub:
+    """Sum over (v, terms) in visits of the residues at v of the terms; one
+    dict, made once. A term reads x(v) first, and its tail's residue only
+    after it, once per (tail, v) in the call."""
+    residue = cache(lambda key, v: tame_symbol(g.tail(key), v, reg))
+    out: dict = {}
+    for v, terms in visits:
+        for (x, key), c in terms:
+            try:
+                xv = v.value(x) if isinstance(x, RatFunc) else x
+            except NonSplitResidue:
+                # a term whose tail has residue zero dies whatever x(v) is
+                if residue(key, v).is_zero:
+                    continue
+                raise
+            if xv is INF or xv == 0 or xv == 1:
                 continue
-            raise
-        if xv is INF or xv == 0 or xv == 1:
-            continue
-        ts = tame_symbol(tail, v, reg)
-        if ts.is_zero:
-            continue
-        for k, tc in gamma_term(-c, xv, ts).terms:
-            out[k] = out.get(k, ZERO) + tc
+            ts = residue(key, v)
+            if ts.is_zero:
+                continue
+            for k, tc in gamma_term(-c, xv, ts).terms:
+                out[k] = out.get(k, ZERO) + tc
+    return GammaSub.make("Q", g.tail_degree - 1, out)
 
 
 def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
@@ -263,20 +243,16 @@ def ts_gamma(g: GammaSub, v: Place1, reg: AtomRegistry) -> GammaSub:
     On scalar tails the whole map is zero: the target complex one weight
     down has no symbol part for the degree these terms sit in.
     """
-    out: dict = {}
-    _add_ts_gamma(out, g, v, reg)
-    return GammaSub.make("Q", g.tail_degree - 1, out)
+    return _residue_sum(g, [(v, g.terms if g.tail_degree else ())], reg)
 
 
 def tot_gamma(g: GammaSub, reg: AtomRegistry) -> GammaSub:
     """Sum of ts_gamma over the places of the tails' supports, in sorted
-    order; one dict, made once. Off that set each tail's residue is 0, so a
-    place there adds no term and raises nothing (a NonSplitResidue of x(v)
-    is dropped with its term); x and 1 - x are never factored."""
-    places: set[Place1] = set()
-    for (_, key), _ in g.terms:
-        places.update(support(g.tail(key)))
-    out: dict = {}
-    for v in sorted(places, key=lambda p: p.sort_key()):
-        _add_ts_gamma(out, g, v, reg)
-    return GammaSub.make("Q", g.tail_degree - 1, out)
+    order, each term on its own tail's support alone: off it the residue
+    is 0, so the term adds and raises nothing (a NonSplitResidue of x(v)
+    dies with it); x and 1 - x are never factored."""
+    at: dict[Place1, list] = {}
+    for term in g.terms:
+        for v in support(g.tail(term[0][1])):
+            at.setdefault(v, []).append(term)
+    return _residue_sum(g, sorted(at.items(), key=lambda vt: vt[0].sort_key()), reg)

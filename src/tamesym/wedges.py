@@ -5,6 +5,8 @@ over strictly increasing tuples of atoms. Degree 0 is the scalar line: its
 single monomial is the empty tuple. Products of monomials with a repeated
 atom vanish; reordering picks up the permutation sign. Since the atom order
 is canonical, two wedges are equal iff their term maps are identical.
+Wedge takes its arithmetic from `atoms.Combination`, with its degree as
+the grade, and adds its monomial order and the scalar line.
 """
 
 from __future__ import annotations
@@ -13,41 +15,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .atoms import Atom, MultVec, PrimeAtom, atom_str
+from .atoms import Atom, Combination, MultVec, PrimeAtom, atom_str
 from .errors import DegreeMismatch, MixedFields
-from .polynomials import ZERO, sum_str
+from .polynomials import sum_str
 
 Q = Fraction
 
 
 @dataclass(frozen=True)
-class Wedge:
+class Wedge(Combination):
     field: str
     degree: int
     terms: tuple[tuple[tuple[Atom, ...], Fraction], ...]
 
-    @staticmethod
-    def make(field: str, degree: int, mapping: dict[tuple[Atom, ...], Fraction]) -> "Wedge":
-        items = [(k, c if type(c) is Fraction else Q(c))
-                 for k, c in mapping.items() if c]
-        rank = _ranks([a for k, _ in items for a in k])[1]
-        items.sort(key=lambda kc: [rank[a] for a in kc[0]])
-        return Wedge(field, degree, tuple(items))
+    _grade = "degree"
+    _grade_error = DegreeMismatch
 
     @staticmethod
-    def zero(field: str, degree: int) -> "Wedge":
-        return Wedge(field, degree, ())
+    def _order(items: list) -> None:
+        rank = _ranks([a for k, _ in items for a in k])[1]
+        items.sort(key=lambda kc: [rank[a] for a in kc[0]])
 
     @staticmethod
     def scalar(field: str, c) -> "Wedge":
         return Wedge.make(field, 0, {(): Q(c)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict[tuple[Atom, ...], Fraction]:
-        return dict(self.terms)
 
     def scalar_value(self) -> Fraction:
         if self.degree != 0:
@@ -125,7 +116,7 @@ def class_factors(vectors: list[MultVec]) -> list:
     for v in vectors:
         if v.field != field:
             raise MixedFields(f"{v.field} vs {field}")
-    return [[((a,), c) for a, c in v.coeffs] for v in vectors]
+    return [[((a,), c) for a, c in v.terms] for v in vectors]
 
 
 def wedge_of(vectors: list[MultVec]) -> Wedge:
@@ -141,22 +132,11 @@ def wedge_monomial(field: str, atoms: list[Atom], coeff=1) -> Wedge:
 
 
 def wedge_add(a: Wedge, b: Wedge) -> Wedge:
-    if a.field != b.field:
-        raise MixedFields(f"{a.field} vs {b.field}")
-    if a.degree != b.degree:
-        raise DegreeMismatch(f"degree {a.degree} vs {b.degree}")
-    d = a.as_dict()
-    for k, c in b.terms:
-        d[k] = d.get(k, ZERO) + c
-    return Wedge.make(a.field, a.degree, d)
+    return a + b
 
 
 def wedge_scale(a: Wedge, c) -> Wedge:
-    if type(c) is not Fraction:
-        c = Q(c)
-    if not c:
-        return Wedge.zero(a.field, a.degree)
-    return Wedge(a.field, a.degree, tuple((k, c * v) for k, v in a.terms))
+    return a.scale(c)
 
 
 def wedge_sub(a: Wedge, b: Wedge) -> Wedge:
@@ -164,10 +144,7 @@ def wedge_sub(a: Wedge, b: Wedge) -> Wedge:
 
 
 def wedge_equal(a: Wedge, b: Wedge) -> bool:
-    if a.field != b.field:
-        raise MixedFields(f"{a.field} vs {b.field}")
-    if a.degree != b.degree:
-        raise DegreeMismatch(f"degree {a.degree} vs {b.degree}")
+    a.header(b)  # raises on a field or degree mismatch
     return a.terms == b.terms
 
 

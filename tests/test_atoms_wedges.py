@@ -11,7 +11,8 @@ import pytest
 
 from tamesym import (AtomRegistry, DegenerateArgument, DegreeMismatch,
                      MixedFields, MultVec, RatFunc, UniPoly, Wedge,
-                     constant_class, mult_vec, one_minus, tame_symbol,
+                     constant_class, gamma_add, gamma_scale, gamma_term,
+                     mult_vec, one_minus, tame_symbol,
                      wedge_add, wedge_concat, wedge_equal, wedge_of,
                      wedge_scale, wedge_str, wedge_sub)
 from tamesym.errors import OneMinusOfOne
@@ -161,15 +162,55 @@ def test_wedge_str_of_surface_class():
 
 
 def test_mixed_fields_and_degrees_are_rejected():
+    """Each value type refuses a sum across fields or degrees with its own
+    error class and text."""
     reg = AtomRegistry()
     a = mult_vec(rf([0, 1]), reg)
     b = mult_vec(Q(5), reg, "Q")
-    with pytest.raises(MixedFields):
+    with pytest.raises(MixedFields, match=r"^Q vs Qt$"):
         wedge_of([a, b])
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(MixedFields, match=r"^Qt vs Q$"):
+            op(a, b)
     w1 = wedge_of([a, mult_vec(rf([-1, 1]), reg)])
     w2 = wedge_of([a])
-    with pytest.raises(DegreeMismatch):
-        wedge_add(w1, w2)
+    for op in (wedge_add, wedge_sub, wedge_equal):
+        with pytest.raises(DegreeMismatch, match=r"^degree 2 vs 1$"):
+            op(w1, w2)
+        with pytest.raises(MixedFields, match=r"^Qt vs Q$"):
+            op(w2, wedge_of([b]))
+    g1, g2 = gamma_term(1, Q(2), w2), gamma_term(1, Q(2), w1)
+    with pytest.raises(MixedFields, match=r"^tail degree 1 vs 2$"):
+        gamma_add(g1, g2)
+    with pytest.raises(MixedFields, match=r"^Qt vs Q$"):
+        gamma_add(g1, gamma_term(1, Q(2), wedge_of([b])))
+
+
+def test_value_types_share_one_arithmetic():
+    """MultVec, Wedge and GammaSub take +, - and scale from one core: the
+    operators agree with the module functions, refuse alike, and a scale
+    by 0 is the zero of the same header."""
+    reg = AtomRegistry()
+    t, t1 = mult_vec(rf([0, 1]), reg), mult_vec(rf([-1, 1]), reg)
+    five = mult_vec(Q(5), reg, "Q")
+    w1, w2 = wedge_of([t, t1]), wedge_of([t1, mult_vec(Q(3), reg)])
+    assert w1 + w2 == wedge_add(w1, w2) and w1 - w2 == wedge_sub(w1, w2)
+    assert (w1 - w1).is_zero and w1.scale(Q(1, 2)) == wedge_scale(w1, Q(1, 2))
+    g1, g2 = gamma_term(2, Q(3), w1), gamma_term(-1, Q(5), w2)
+    assert g1 + g2 == gamma_add(g1, g2) and (g1 - g1).is_zero
+    assert g1.scale(3) == gamma_scale(g1, 3) == gamma_add(g1, gamma_add(g1, g1))
+    assert (t + t1).as_dict() == {**t.as_dict(), **t1.as_dict()}
+    assert t.coeffs is t.terms
+    for v in (t, w1, g1):
+        zero = v.scale(0)
+        assert zero.is_zero and zero == type(v).zero(*v.header())
+        assert type(v).make(*v.header(), v.as_dict()) == v
+    with pytest.raises(DegreeMismatch, match=r"^degree 2 vs 1$"):
+        w1 + wedge_of([t])
+    with pytest.raises(MixedFields, match=r"^tail degree 2 vs 1$"):
+        g1 - gamma_term(1, Q(2), wedge_of([t]))
+    with pytest.raises(MixedFields, match=r"^Qt vs Q$"):
+        t - five
 
 
 def test_concat_and_retag():

@@ -178,6 +178,21 @@ def test_every_verb_text_and_json(capsys, argv, code, lines, err, record,
 
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["weil", "w[t] + w[t, t-1]"], "degree 1 vs 2 (at position 6)"),
+    (["delta", "{2}_2@w[t] + {3}_2@w[t, t-1]"],
+     "tail degree 1 vs 2 (at position 12)"),
+])
+def test_mixed_degrees_are_refused_by_their_text(capsys, argv, message):
+    """A sum of wedges or of symbols whose degrees differ is a parse error
+    that names both degrees, as text and as JSON."""
+    assert run(capsys, *argv) == (2, "", f"{argv[0]}: {message}\n")
+    payload = {"verb": argv[0], "input": {}, "result": message,
+               "certificates": [], "status": "parse-error"}
+    want = json.dumps(payload, sort_keys=True) + "\n"
+    assert run(capsys, *argv, "--format", "json") == (2, want, "")
+
+
 def test_readme_verb_list_is_the_verb_table():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())

@@ -94,6 +94,11 @@ def test_bifrac_operations():
     assert (f * g - BiFrac.const(1)).is_zero
     assert ((x - y) - (x - y)).is_zero
     assert not (x * y).one_minus().is_zero
+    # one text for both fraction types
+    with pytest.raises(ZeroDivisionError, match="^division by the zero function$"):
+        x / (x - x)
+    with pytest.raises(ZeroDivisionError, match="^division by the zero function$"):
+        RatFunc.var() / RatFunc.const(0)
 
 
 def test_bifrac_powers():
@@ -128,6 +133,11 @@ def test_closed_forms_are_what_make_returns():
         f, g = BiFrac.make(a), BiFrac.make(b)
         assert f + g == BiFrac.make(a * one + b * one, one * one)
         assert f - g == BiFrac.make(a * one - b * one, one * one)
+        assert f * g == BiFrac.make(a * b, one * one)
+        # a constant denominator other than 1 is no polynomial
+        two, three = BiPoly.const(2), BiPoly.const(3)
+        assert BiFrac.make(a, two) + BiFrac.make(b, three) \
+            == BiFrac.make(a * three + b * two, two * three)
 
 
 def test_const_and_var_are_what_make_returns():

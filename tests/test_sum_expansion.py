@@ -23,8 +23,8 @@ from tamesym import (AtomRegistry, DegenerateArgument, FinRat, GammaSub,
                      NonSplitResidue, RatFunc, TameSymError, Wedge, decompose,
                      delta, gamma_add, gamma_scale, gamma_term, mult_vec,
                      one_minus, parse_wedge, tame_symbol, tot_gamma,
-                     wedge_add, wedge_concat, wedge_of, wedge_scale,
-                     wedge_sub, weil_sum)
+                     ts_gamma, wedge_add, wedge_concat, wedge_of,
+                     wedge_scale, wedge_sub, weil_sum)
 from tamesym.atoms import UniAtom, constant_class, factor_into_atoms
 from tamesym.expressions import INF
 from tamesym.homotopy import DecompResult, _check_split
@@ -335,3 +335,38 @@ def test_tot_gamma_does_not_factor_its_arguments():
     assert _outcome(lambda: _ref_tot_gamma(g, reg))[:2] \
         == ("refused", "Inconclusive")
     assert tot_gamma(g, reg) == gamma_term(-1, sd.coeff(0), Wedge.scalar("Q", 1))
+
+
+def test_tot_gamma_takes_each_tail_residue_once_on_its_support(monkeypatch):
+    """tot_gamma asks for a tail's residue only at a place of that tail's
+    support, and at most once per (tail, place) in a call; ts_gamma at most
+    once per tail. Seeded symbols of both corpora above, answered or
+    refused."""
+    import tamesym.gamma as gamma_module
+
+    calls = []
+
+    def recorded(w, v, reg):
+        calls.append((w, v))
+        return tame_symbol(w, v, reg)
+
+    monkeypatch.setattr(gamma_module, "tame_symbol", recorded)
+    rng = random.Random(2412)
+    total = repeated_tails = 0
+    for i in range(600):
+        reg = AtomRegistry()
+        g = _rand_symbol(rng, reg) if i % 2 else _gamma_element(rng, reg, 2 + i % 3)
+        if g is None:
+            continue
+        calls.clear()
+        _outcome(lambda: tot_gamma(g, reg))
+        assert all(v in support(w) for w, v in calls), i
+        assert len(set(calls)) == len(calls), i
+        total += len(calls)
+        tails = [key for (_, key), _ in g.terms]
+        repeated_tails += len(set(tails)) < len(tails)
+        for v in {v for w, v in calls}:
+            calls.clear()
+            _outcome(lambda: ts_gamma(g, v, reg))
+            assert len(set(calls)) == len(calls), i
+    assert total >= 800 and repeated_tails >= 60, (total, repeated_tails)
