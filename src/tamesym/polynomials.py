@@ -11,7 +11,12 @@ integer result to it. The kernels run on the stored integers: `_zmul`
 multiplies coefficient lists and a power squares and multiplies them
 (`_power`, the one ladder, which `BiPoly` powers and `modular.mod_pow`
 share), with no gcd; both come from `modular`. `_zdivmod`, `_zgcd` and
-`_zyun` serve `divmod`, `gcd_uni` and `squarefree_decomposition`.
+`_zyun` serve `divmod`, `gcd_uni` and `squarefree_decomposition`. A gcd is
+found by evaluation (GCDHEU, `_zheu`): the integer gcd of the two values at
+a large enough point, read back as a polynomial, is accepted only when it
+divides both inputs exactly, which certifies it, and those quotients are
+its cofactors; a primitive remainder sequence is the fallback. Yun's split
+takes its quotients from the cofactors.
 Fractions are built only on request: `make` reads them, and `coeffs`,
 `terms`, `coeff`, `leading` and `evaluate` give them back.
 
@@ -339,26 +344,113 @@ def _zprim(ints) -> list[int]:
     return ints if g in (0, 1) else [v // g for v in ints]
 
 
+def _zquo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when the integer polynomial b (b[-1] != 0) divides a over Z,
+    else None, found at the first quotient coefficient that is not an
+    integer; a primitive b divides a over Z exactly when it does over Q
+    (Gauss's lemma)."""
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return None if a else []
+    lc = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - nb)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem.pop(), lc)
+        if r:
+            return None
+        if q:
+            quot[k] = q
+            rem[k:] = [v - q * c for v, c in zip(rem[k:], b)]
+    return None if any(rem) else quot
+
+
 def _zexact(a: list[int], b: list[int]) -> list[int]:
     """a / b for integer polynomials that b divides over Z; raises otherwise
     (not by an assert, which python -O drops)."""
-    d, quot, rem = _zdivmod(a, b)
-    if d != 1 or rem:
+    quot = _zquo(a, b)
+    if quot is None:
         raise ValueError("polynomial division was not exact")
     return quot
 
 
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of integer polynomials, primitive with a positive leading
-    coefficient ([] when both are 0). A primitive remainder sequence: each
-    pseudo-remainder is divided by its content (Knuth, TAOCP vol. 2, 4.6.1)."""
-    a, b = _zprim(a), _zprim(b)
+def _zheu(a: list[int], b: list[int], xi: int) -> tuple[list[int], ...] | None:
+    """(g, a/g, b/g) for nonconstant integer polynomials a and b, g their
+    gcd, primitive with a positive leading coefficient, or None (GCDHEU:
+    Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor &
+    Labahn, Algorithms for Computer Algebra, 7.7).
+
+    G has the symmetric xi-adic digits of gcd(a(xi), b(xi)) as coefficients,
+    so |cont(G)| <= xi/2, and g = pp(G) is accepted only if it divides a and
+    b exactly. For xi >= 2 * min(|a|_inf, |b|_inf) + 2 that certifies it:
+    the gcd is D = g * k, D(xi) divides G(xi), so k(xi) divides cont(G); each
+    root of k is a root of a and of b, of modulus below
+    1 + min(|a|_inf, |b|_inf) (Cauchy), so |k(xi)| > xi/2 unless k is 1."""
+    va = vb = 0
+    for c in reversed(a):
+        va = va * xi + c
+    for c in reversed(b):
+        vb = vb * xi + c
+    gamma, half, digits = int_gcd(va, vb), xi // 2, []
+    while gamma:
+        gamma, d = divmod(gamma, xi)
+        if d > half:
+            d -= xi
+            gamma += 1
+        digits.append(d)
+    g = _zprim(digits)
+    if len(g) == 1:
+        return g, a, b
+    ca = _zquo(a, g)
+    cb = None if ca is None else _zquo(b, g)
+    return None if cb is None else (g, ca, cb)
+
+
+# evaluation points _zgcd_cofactors tries before the remainder sequence
+_HEU_TRIES = 3
+
+
+def _zgcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], ...]:
+    """(g, a/g, b/g) for integer polynomials a and b, not both 0, g their
+    gcd, primitive with a positive leading coefficient. Found by evaluation
+    (`_zheu`) at points from 2 * min(|a|_inf, |b|_inf) + 2 up, each
+    answer certified, and past _HEU_TRIES points by a primitive remainder
+    sequence (`_zprs`) and two exact divisions. The first point is 256
+    times that bound, plus 1, and each next one 2^16 times the last, plus 1:
+    a common factor of the two values beside D(xi) enters cont(G), so a
+    point at the bound itself failed on 1 in 10 of the gcds of the `factor`
+    benchmark, and this margin on about 1 in 350."""
+    if not a or not b:   # gcd(f, 0) is the primitive part of f
+        g = _zprim(a or b)
+    elif len(a) == 1 or len(b) == 1:
+        return [1], a, b
+    else:
+        xi = 256 * (2 * min(max(map(abs, a)), max(map(abs, b))) + 2) + 1
+        for _ in range(_HEU_TRIES):
+            found = _zheu(a, b, xi)
+            if found:
+                return found
+            xi = (xi << 16) + 1
+        g = _zprs(_zprim(a), _zprim(b))
+    return g, _zexact(a, g), _zexact(b, g)
+
+
+def _zprs(a: list[int], b: list[int]) -> list[int]:
+    """gcd of primitive integer polynomials with a positive leading
+    coefficient, b nonzero: a primitive remainder sequence, each
+    pseudo-remainder divided by its content (Knuth, TAOCP vol. 2, 4.6.1)."""
     while len(b) > 1:
         rem = _zdivmod(a, b)[2]
         if not rem:
             return b
         a, b = b, _zprim(rem)
-    return [1] if b else a
+    return [1]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of integer polynomials, primitive with a positive leading
+    coefficient ([] when both are 0), by `_zgcd_cofactors`."""
+    return _zgcd_cofactors(a, b)[0] if a or b else []
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -452,21 +544,19 @@ def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
 def _zyun(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm on a primitive integer f: the nontrivial (a_i, i) with
     f = prod(a_i^i), the a_i squarefree, coprime and primitive (von zur
-    Gathen & Gerhard, Modern Computer Algebra, 14.6). Every divisor is
-    primitive, so every quotient is integral (Gauss's lemma)."""
-    c = [i * v for i, v in enumerate(f)][1:]
-    a = _zgcd(f, c)
-    b, c = _zexact(f, a), _zexact(c, a)
+    Gathen & Gerhard, Modern Computer Algebra, 14.6). Each gcd comes with
+    its cofactors (`_zgcd_cofactors`), which are the next b and c; every
+    divisor is primitive, so every quotient is integral (Gauss's lemma)."""
+    a, b, c = _zgcd_cofactors(f, [i * v for i, v in enumerate(f)][1:])
     out, i = [], 1
     while len(b) > 1:
         d = [x - k * y for k, (x, y) in enumerate(zip_longest(c, b[1:], fillvalue=0), 1)]
         while d and not d[-1]:
             d.pop()
-        a = _zgcd(b, d)
+        a, b, c = _zgcd_cofactors(b, d)
         if len(a) > 1:
             out.append((a, i))
-            b, d = _zexact(b, a), _zexact(d, a)
-        c, i = d, i + 1
+        i += 1
     return out
 
 
@@ -588,8 +678,8 @@ def _squarefree_factors(ints: list[int], linear_only: bool = False) -> list[list
                 g = mod_mul(g, u, m)
             g = [c - m if 2 * c > m else c for c in g]
             g = [c // int_gcd(*g) for c in g]
-            _, quot, rem = _zdivmod(ints, g)
-            if not rem:
+            quot = _zquo(ints, g)
+            if quot is not None:
                 found.append(g)
                 ints, lifted = quot, [u for u in lifted if u not in pick]
                 break
@@ -703,7 +793,8 @@ class BiPoly:
 
     @property
     def deg_x(self) -> int:
-        return max((k[0] for k, _ in self.iterms), default=-1)
+        """The x-degree of the last term, the terms being sorted by (i, j)."""
+        return self.iterms[-1][0][0] if self.iterms else -1
 
     @property
     def deg_y(self) -> int:

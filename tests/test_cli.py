@@ -344,6 +344,37 @@ def test_long_product_of_powers_ends():
         "+ 100*w[41] + 100*w[43] + 100*w[47] + 100*w[53] + 100*w[59]\n")
 
 
+# the part of 12345678901^70 - 1 that Pollard rho cannot split
+RHO_REFUSED = int(
+    "3853084754574682018618460401123481358924988956709058021950718574"
+    "6222606865051917584296167857688764839274878536141790825223524951"
+    "7649119162223977724061298588706966518336656609990062196889112138"
+    "5381371628598394267792386485858667880985605936201694710125424238"
+    "9722336814730437235116587617388964974381920388780723052464967480"
+    "9668569571282724751746562873215398070163118419137868012840641430"
+    "2064263460121860502776866308110177707682025267777252846687677240"
+    "8404277023064283858689815796300811840962251627105522784535942348"
+    "2294993076992451639359068804962687233675648037182843479817862309"
+    "8718351368382862096318201580354124971377682762707033007812944503"
+    "00083445797")
+
+
+def test_squarefree_split_of_a_wide_power_difference_ends():
+    """Yun's split of this degree-70 argument spent most of 32 s (a 2-vCPU
+    VM, Python 3.11) in the primitive remainder sequence of its gcds before
+    the refusal; each gcd is now read from the integer gcd of two values.
+    The answer is the same refusal, exit 3."""
+    assert (12345678901**70 - 1) % RHO_REFUSED == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "delta",
+         "{(12345678901*t+98765432101)^70 - (t+3)^70}_2"],
+        capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"delta: Inconclusive: cannot factor the integer "
+                           f"{RHO_REFUSED}: Pollard rho found no factor "
+                           "within its step budget\n")
+
+
 def test_sum_around_a_long_product_is_refused(capsys):
     """A sum multiplies both its sides out: the degree-300 side below was
     then factored for 53-56 s before exit 3. A side whose degree bound (the

@@ -563,6 +563,105 @@ def test_inexact_integer_division_raises():
             polynomials._zexact(a, b)
 
 
+def _ref_primitive(p):
+    """The primitive integer multiple of p with a positive leading
+    coefficient, [] for p = 0."""
+    ints = list(p.ints)
+    if not ints:
+        return []
+    c = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [v // c for v in ints]
+
+
+def _gcd_kernel_cases():
+    """Seeded integer pairs and Yun inputs: coprime pairs, shared factors
+    with multiplicity, content and negative leading coefficients, heights up
+    to 7^40 (coefficients of the products far above it), and zero and
+    constant arguments."""
+    rng = random.Random(3030)
+
+    def rand_ints(deg, height):
+        return ([rng.randint(-height, height) for _ in range(deg)]
+                + [rng.choice((-1, 1)) * rng.randint(1, height)])
+
+    pairs = []
+    for k in range(240):
+        height = (3, 2**12, 2**40, 7**40)[k % 4]
+        a, b = (P(rand_ints(rng.randint(0, 6), height)) for _ in range(2))
+        if k % 3:   # a shared factor, each side with its own multiplicity
+            c = P(rand_ints(rng.randint(1, 3), height))
+            a, b = a * c ** rng.randint(1, 3), b * c ** rng.randint(1, 3)
+        if k % 3 == 2:   # content, and a negative leading coefficient
+            a, b = a.scale(-rng.randint(2, 10**6)), b.scale(rng.randint(2, 99))
+        pairs.append((list(a.ints), list(b.ints)))
+    pairs += [([], []), ([], [5]), ([-3], []), ([4], [6]), ([0, 2], []),
+              ([], [-6, 0, 3]), ([-2], [1, 1]), ([7**40, -(7**41)], [3]),
+              ([7**40, 7**40], [-(7**40), 0, 7**40])]
+    yun = [[0, 1], [0, 0, 0, 1], [1, 2, 1], _ref_primitive(P([7**40, 1]) ** 5)]
+    for k in range(90):
+        height = (3, 2**12, 2**40, 7**40)[k % 4]
+        f = P([rng.choice((-1, 1)) * rng.randint(1, 10**6)])
+        for _ in range(rng.randint(1, 3)):
+            f = f * P(rand_ints(rng.randint(1, 3), height)) ** rng.randint(1, 4)
+        if f.degree > 0:
+            yun.append(_ref_primitive(f))
+    return pairs, yun
+
+
+def _check_gcd_kernels(pairs, yun):
+    """_zgcd, its cofactors, gcd_uni and _zyun against Euclid's algorithm
+    and Yun's over Q."""
+    for a, b in pairs:
+        want = _euclid_gcd(P(a), P(b))
+        assert polynomials._zgcd(a, b) == _ref_primitive(want)
+        assert gcd_uni(P(a), P(b)) == gcd_uni(P(b), P(a)) == want
+        den = len(a) + 2 * len(b) + 1
+        assert gcd_uni(P(a).scale(Q(1, den)), P(b).scale(Q(-den, 7))) == want
+        if a or b:
+            g, ca, cb = polynomials._zgcd_cofactors(a, b)
+            assert g == _ref_primitive(want)
+            assert (P(g) * P(ca), P(g) * P(cb)) == (P(a), P(b))
+    for f in yun:
+        got = polynomials._zyun(f)
+        assert all(a == _ref_primitive(P(a)) for a, _ in got)
+        assert [(P(a).monic(), i) for a, i in got] == _fraction_yun(P(f))
+
+
+def test_gcd_by_evaluation_matches_euclid(monkeypatch):
+    """Every gcd read from integer values divides both sides and is the one
+    Euclid's algorithm finds, at a point no smaller than
+    2 * min(|a|_inf, |b|_inf) + 2, the bound its certificate needs."""
+    accepted, heuristic = [], polynomials._zheu
+
+    def checked(a, b, xi):
+        found = heuristic(a, b, xi)
+        if found:
+            assert xi >= 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+            accepted.append(xi)
+        return found
+
+    monkeypatch.setattr(polynomials, "_zheu", checked)
+    _check_gcd_kernels(*_gcd_kernel_cases())
+    assert len(accepted) > 1000
+    # at 6, the bound, gcd(a(6), b(6)) = 4 reads as t - 2, which divides
+    # 2 - t but not 2 - t + t^2 - t^3 + t^4: refused, on either side
+    a, b = [2, -1], [2, -1, 1, -1, 1]
+    assert heuristic(a, b, 6) is heuristic(b, a, 6) is None
+    assert polynomials._zgcd_cofactors(a, b) == ([1], a, b)
+
+
+def test_gcd_fallback_gives_the_same_answers(monkeypatch):
+    """With no evaluation point accepted, the remainder sequence and two
+    exact divisions give every answer, and the same ones."""
+    fallbacks = []
+    prs = polynomials._zprs
+    monkeypatch.setattr(polynomials, "_zheu", lambda a, b, xi: None)
+    monkeypatch.setattr(polynomials, "_zprs",
+                        lambda a, b: fallbacks.append(1) or prs(a, b))
+    _check_gcd_kernels(*_gcd_kernel_cases())
+    assert len(fallbacks) > 1000
+
+
 def test_powers_match_repeated_multiplication():
     """Square-and-multiply powers, the zero polynomial included (0^0 = 1),
     of constants and of polynomials with and without denominators; a
@@ -731,6 +830,24 @@ def test_bipoly_evaluate_matches_the_fraction_sum():
             got = g.evaluate(a, b)
             assert got == want and type(got) is Q, (g, a, b)
     assert BiPoly.make({(2, 1): 3, (0, 0): -1}).evaluate(2, -1) == -13
+
+
+def test_bipoly_degrees_match_a_scan_of_the_terms():
+    """deg_x reads the last term, the terms being sorted by (i, j); deg_x
+    and deg_y equal the largest exponents over all terms (-1 for 0), for
+    polynomials from every constructor and operation."""
+    rng = random.Random(6161)
+    polys = [BiPoly.make({}), BiPoly.var_x(), BiPoly.var_y(), BiPoly.const(3),
+             BiPoly.from_uni(P([1, 0, 2]), "x"), BiPoly.from_uni(P([1, 0, 2]), "y")]
+    for _ in range(120):
+        f, g = (BiPoly.make({(rng.randint(0, 5), rng.randint(0, 5)):
+                             Q(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(rng.randint(0, 6))}) for _ in range(2))
+        polys += [f, g, f + g, f - g, f * g, -f, f.swap_xy(), f.partial_x(),
+                  f.partial_y(), f.invert_x(), f.invert_y(), f.primitive_int()[1]]
+    for p in polys:
+        assert p.deg_x == max([i for (i, _), _ in p.iterms], default=-1)
+        assert p.deg_y == max([j for (_, j), _ in p.iterms], default=-1)
 
 
 def test_bipoly_make_drops_zeros_and_sorts():
