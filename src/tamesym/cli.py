@@ -330,7 +330,7 @@ def _emit_json(verb: str, input_obj: dict, result, certificates: list,
 
 def _report_error(args, message: str, status: str) -> None:
     if args.format == "json":
-        _emit_json(args.verb, {}, message, [], status)
+        _emit_json(args.verb, _input_record(args), message, [], status)
     else:
         print(f"{args.verb}: {message}", file=sys.stderr)
 

@@ -9,9 +9,9 @@ support divisors (including the two infinity lines) and curve terms to the
 sum over places; point terms die. Surface inputs must present a strict
 normal crossing support; no attempt is made to repair one that does not.
 Every residue is `tame_symbol` at a place, which gives its own orders,
-unit classes and residue field; the blow-up probe is the place
-`ExceptionalCurve(c1, c2)`, whose residues over Q(v) become curve wedges
-by `retag(w, "Qt")`.
+unit classes and residue field. The blow-up probe `ExceptionalCurve(c1,
+c2)` and each line at infinity are curves u = 0 of a `places.Chart`;
+the probe's residues over Q(v) become curve wedges by `retag(w, "Qt")`.
 """
 
 from __future__ import annotations

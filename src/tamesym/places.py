@@ -8,16 +8,17 @@ parameter, renamed to t) for surface divisors, Q(v) for an exceptional
 curve. Places of Q(t) also give `value(f)`, 0 at a zero and INF at a pole.
 
 Each place fixes a uniformizer pi without building it: t - c, the
-irreducible q, 1/t, a graph's equation, 1/var, and u = x - c1 on an
-exceptional curve. `unit(atom, reg)` is the residue class of
-atom / pi^order(atom), so the class of a place's own atom is 0. On the
-exterior powers of the classes (tensored with Q) the residue does not
-depend on that choice: replacing pi by pi*u0 shifts each unit class by
-order * [u0], and those terms cancel in the alternating sum. One residue
-kernel, `pi_summands`, serves every place: each slot of a wedge monomial
-is order * pi + unit, and the terms with a single pi slot are kept.
-`tame_symbol` expands one place's summands, and a sum over a support
-(`support_sum`) expands every place's summands once.
+irreducible q, 1/t, a graph's equation, and u on the curve u = 0 of a
+`Chart`: 1/var on a line at infinity, and u = x - c1 on an exceptional
+curve. `Chart` alone writes local coordinates. `unit(atom, reg)` is the
+residue class of atom / pi^order(atom), so the class of a place's own
+atom is 0. On the exterior powers of the classes (tensored with Q) the
+residue does not depend on that choice: replacing pi by pi*u0 shifts each
+unit class by order * [u0], and those terms cancel in the alternating
+sum. One residue kernel, `pi_summands`, serves every place: each slot of
+a wedge monomial is order * pi + unit, and the terms with a single pi
+slot are kept. `tame_symbol` expands one place's summands, and a sum over
+a support (`support_sum`) expands every place's summands once.
 
 Mirror convention: each surface divisor, a `Graph` var = phi(s) or a
 `LineInf` var = inf, names the coordinate `var` it solves for; its
@@ -198,25 +199,72 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class LineInf:
-    """The line var = infinity; the parameter is the other coordinate, and
-    unit classes are leading coefficients in var."""
+class Chart:
+    """Local coordinates (u, v) on the surface: x = c1 + u^a * v^b and
+    y = c2 + u^c * v^d, for exps ((a, b), (c, d)) and centre (c1, c2). The
+    affine charts of P^1 x P^1 put x = u or 1/u and y = v or 1/v; a line at
+    infinity is u = 0 with u = 1/var and v the other coordinate; the
+    blow-up of (c1, c2) puts x = c1 + u, y = c2 + u*v."""
+
+    exps: tuple
+    centre: tuple = (0, 0)
+
+    def _terms(self, g: BiPoly) -> tuple[int, list]:
+        """(den, terms) of g in the chart, exponents in (u, v) possibly
+        negative; one `substitute` call moves a centre off the origin."""
+        if any(self.centre):
+            g = g.substitute(BiPoly.make({(0, 0): self.centre[0], (1, 0): 1}),
+                             BiPoly.make({(0, 0): self.centre[1], (0, 1): 1}))
+        (a, b), (c, d) = self.exps
+        return g.den, [((a * i + c * j, b * i + d * j), v)
+                       for (i, j), v in g.iterms]
+
+    def equation(self, g: BiPoly) -> BiPoly:
+        """g in the chart times the least powers of u and v that clear its
+        poles: u^deg_x * g(1/u, v) where x = 1/u."""
+        den, terms = self._terms(g)
+        su, sv = (min([0] + [k[n] for k, _ in terms]) for n in (0, 1))
+        return BiPoly.over(den, [((i - su, j - sv), v) for (i, j), v in terms])
+
+    def order(self, g: BiPoly) -> int:
+        """k of g = u^k * (g_k(v) + O(u)) in the chart, g_k nonzero."""
+        return min([i for (i, _), _ in self._terms(g)[1]])
+
+    def leading(self, g: BiPoly) -> UniPoly:
+        """g_k, for v entering with exponents >= 0."""
+        den, terms = self._terms(g)
+        k = min([i for (i, _), _ in terms])
+        layer = {j: v for (i, j), v in terms if i == k}
+        return UniPoly.over(den, [layer.get(j, 0) for j in range(max(layer) + 1)])
+
+
+class _ChartCurve:
+    """The curve u = 0 of the place's `chart`, uniformizer u: a bivariate
+    atom's order is its `Chart.order` and its unit class [`Chart.leading`]."""
+
+    field = "Qxy"
+
+    def order(self, atom) -> int:
+        return self.chart.order(atom.poly) if isinstance(atom, BiAtom) else 0
+
+    def unit(self, atom, reg: AtomRegistry) -> MultVec:
+        if not isinstance(atom, BiAtom):
+            return MultVec.make(self.residue_field, {atom: Q(1)})
+        return mult_vec(RatFunc.make(self.chart.leading(atom.poly)), reg,
+                        self.residue_field)
+
+
+@dataclass(frozen=True)
+class LineInf(_ChartCurve):
+    """The line var = inf, u = 0 in the chart u = 1/var, v its parameter."""
 
     var: str
-    field = "Qxy"
     residue_field = "Qt"
     finite = False
 
-    def order(self, atom) -> int:
-        if not isinstance(atom, BiAtom):
-            return 0
-        return -(atom.poly.deg_x if self.var == "x" else atom.poly.deg_y)
-
-    def unit(self, atom, reg: AtomRegistry) -> MultVec:
-        if isinstance(atom, PrimeAtom):
-            return MultVec.make("Qt", {atom: Q(1)})
-        g = atom.poly.swap_xy() if self.var == "x" else atom.poly
-        return mult_vec(RatFunc.make(g.y_coefficients()[-1]), reg, "Qt")
+    @property
+    def chart(self) -> Chart:
+        return Chart(((-1, 0), (0, 1)) if self.var == "x" else ((0, 1), (-1, 0)))
 
     def sort_key(self) -> tuple:
         return (4,) if self.var == "x" else (5,)
@@ -232,33 +280,16 @@ SurfDivisor = Graph | LineInf
 
 
 @dataclass(frozen=True)
-class ExceptionalCurve:
-    """The curve u = 0, with coordinate v, of the blow-up of (c1, c2) in the
-    chart x = c1 + u, y = c2 + u*v. An atom pulls back to u^k * (g_k(v) +
-    O(u)), g_k nonzero: k is its order and [g_k] its unit class, for the
-    uniformizer u."""
+class ExceptionalCurve(_ChartCurve):
+    """The curve u = 0 of the blow-up of (c1, c2), with coordinate v."""
 
     c1: Fraction
     c2: Fraction
-    field = "Qxy"
     residue_field = "Qv"
 
-    def _leading(self, atom) -> tuple[int, UniPoly]:
-        """k and g_k of the pull-back of a bivariate atom."""
-        sub = atom.poly.substitute(BiPoly.make({(0, 0): self.c1, (1, 0): 1}),
-                                   BiPoly.make({(0, 0): self.c2, (1, 1): 1}))
-        k = min(i for (i, _), _ in sub.iterms)
-        layer = {j: v for (i, j), v in sub.iterms if i == k}
-        return k, UniPoly.over(sub.den, [layer.get(j, 0)
-                                         for j in range(max(layer) + 1)])
-
-    def order(self, atom) -> int:
-        return self._leading(atom)[0] if isinstance(atom, BiAtom) else 0
-
-    def unit(self, atom, reg: AtomRegistry) -> MultVec:
-        if not isinstance(atom, BiAtom):
-            return MultVec.make("Qv", {atom: Q(1)})
-        return mult_vec(RatFunc.make(self._leading(atom)[1]), reg, "Qv")
+    @property
+    def chart(self) -> Chart:
+        return Chart(((1, 0), (1, 1)), (self.c1, self.c2))
 
 
 def solved_divisor(var: str, f: RatFunc) -> Graph:
@@ -268,22 +299,16 @@ def solved_divisor(var: str, f: RatFunc) -> Graph:
 
 def defining_bipoly(d: SurfDivisor) -> BiPoly:
     """den(s)*var - num(s), s the other coordinate: the polynomial cutting
-    out the graph var = num(s)/den(s) in the finite chart.
-
-    The two lines at infinity have no finite-chart equation; callers
-    needing their chart equations handle those directly (the checker
-    does), so asking for them here is an error.
-    """
+    out the graph var = num(s)/den(s) in the finite chart. A line at
+    infinity has none; it is u = 0 of its own `chart`."""
     if not d.finite:
         raise ValueError(f"{d} has no finite-chart equation")
+    if d.var == "x":
+        return defining_bipoly(d.mirror()).swap_xy()
     l = lcm(d.num.den, d.den.den)  # coprime to the content, as either den is
-    num = [(i, -v * (l // d.num.den)) for i, v in enumerate(d.num.ints) if v]
-    den = [(i, v * (l // d.den.den)) for i, v in enumerate(d.den.ints) if v]
-    if d.var == "x":  # the terms of x^0, then those of x^1: already sorted
-        terms = [((0, i), v) for i, v in num] + [((1, i), v) for i, v in den]
-    else:
-        terms = sorted([((i, 0), v) for i, v in num] + [((i, 1), v) for i, v in den])
-    return BiPoly(l, tuple(terms))
+    num = [((i, 0), -v * (l // d.num.den)) for i, v in enumerate(d.num.ints) if v]
+    den = [((i, 1), v * (l // d.den.den)) for i, v in enumerate(d.den.ints) if v]
+    return BiPoly(l, tuple(sorted(num + den)))
 
 
 def classify_atom_divisor(atom: BiAtom) -> SurfDivisor:
@@ -389,24 +414,14 @@ def support(w: Wedge) -> list:
     the wedge has a nonzero order; deterministic order."""
     atoms = {a for key, _ in w.terms for a in key}
     if w.field in ("Qt", "Qv", "Q"):
-        places: list[Place1] = []
-        saw_poly = False
-        for a in atoms:
-            if isinstance(a, UniAtom):
-                saw_poly = True
-                places.append(_place_of(a.poly))
-        if saw_poly:
-            places.append(INFINITY)
-        places.sort(key=lambda p: p.sort_key())
-        return places
+        places = [_place_of(a.poly) for a in atoms if isinstance(a, UniAtom)]
+        places += [INFINITY] if places else []
+        return sorted(places, key=lambda p: p.sort_key())
     divisors: set[SurfDivisor] = set()
     for a in atoms:
         if isinstance(a, BiAtom):
             divisors.add(classify_atom_divisor(a))
-            if a.poly.deg_x > 0:
-                divisors.add(LineInf("x"))
-            if a.poly.deg_y > 0:
-                divisors.add(LineInf("y"))
+            divisors.update(d for d in (LineInf("x"), LineInf("y")) if d.order(a))
     return sorted(divisors, key=lambda d: d.sort_key())
 
 

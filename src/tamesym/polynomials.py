@@ -866,15 +866,6 @@ class BiPoly:
         """g(y, x): the same polynomial with x and y exchanged."""
         return BiPoly.over(self.den, [((j, i), v) for (i, j), v in self.iterms])
 
-    def invert_x(self) -> "BiPoly":
-        """u^deg_x * g(1/u, y): the closure's equation in the 1/x chart."""
-        dx = self.deg_x
-        return BiPoly.over(self.den, [((dx - i, j), v) for (i, j), v in self.iterms])
-
-    def invert_y(self) -> "BiPoly":
-        dy = self.deg_y
-        return BiPoly.over(self.den, [((i, dy - j), v) for (i, j), v in self.iterms])
-
     def partial_x(self) -> "BiPoly":
         return BiPoly.over(self.den, [((i - 1, j), v * i)
                                       for (i, j), v in self.iterms if i])

@@ -13,9 +13,9 @@ equation along it, g2(x, phi(x)) = 0 with phi's denominator cleared.
 
 Members are the closures of the finite divisors; the lines at infinity
 are not members. Every question is asked by one rule: build a polynomial
-from the divisors' equations in the chart of the candidate (the equation
-itself for membership, the Jacobian determinant of two for
-transversality) and ask whether it vanishes at the candidate. One
+from the divisors' equations in the affine `places.Chart` of the
+candidate (the equation itself for membership, the Jacobian determinant
+of two for transversality) and ask whether it vanishes there. One
 `snc_check` call keeps a table of these rule polynomials, keyed by (rule,
 divisors, chart), so each divisor's chart equation and each pair's Jacobian
 determinant is built once per call however many candidates ask, beside the
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import INF, RatFunc, ratfunc_str
-from .places import (SurfDivisor, defining_bipoly, finite_support_divisors,
-                     point_key, point_str)
+from .places import (Chart, SurfDivisor, defining_bipoly,
+                     finite_support_divisors, point_key, point_str)
 from .polynomials import (BiPoly, UniPoly, factor_uni, grid_at_y, grid_value,
                           poly_str)
 from .wedges import Wedge
@@ -105,13 +105,9 @@ class SncReport:
 # ---------------------------------------------------------------------------
 
 
-def _chart_poly(d: SurfDivisor, x_inf: bool, y_inf: bool) -> BiPoly:
-    g = defining_bipoly(d)
-    if x_inf:
-        g = g.invert_x()
-    if y_inf:
-        g = g.invert_y()
-    return g
+# the affine charts, keyed by (x_inf, y_inf): x = 1/u where x_inf, else u
+_AFFINE = {(xi, yi): Chart(((-1 if xi else 1, 0), (0, -1 if yi else 1)))
+           for xi in (False, True) for yi in (False, True)}
 
 
 def _equation(g: BiPoly) -> BiPoly:
@@ -124,20 +120,18 @@ def _jacobian_det(g1: BiPoly, g2: BiPoly) -> BiPoly:
     return g1.partial_x() * g2.partial_y() - g1.partial_y() * g2.partial_x()
 
 
-def _rule_entry(table: dict, rule, ds: tuple, x_inf: bool,
-                y_inf: bool) -> tuple[BiPoly, list[list[int]]]:
-    """rule(chart equations of ds) in the chart that inverts each coordinate
-    flagged infinite, and the grid of its stored integers
+def _rule_entry(table: dict, rule, ds: tuple,
+                chart: Chart) -> tuple[BiPoly, list[list[int]]]:
+    """rule(chart equations of ds) and the grid of its stored integers
     (`BiPoly.int_columns`, which converts nothing), built once per table:
     the table is keyed by (rule, divisors, chart), and a divisor's chart
     equation is its `_equation` entry."""
-    key = (rule, ds, x_inf, y_inf)
+    key = (rule, ds, chart)
     if key not in table:
         if rule is _equation:
-            g = _chart_poly(ds[0], x_inf, y_inf)
+            g = chart.equation(defining_bipoly(ds[0]))
         else:
-            g = rule(*[_rule_entry(table, _equation, (d,), x_inf, y_inf)[0]
-                       for d in ds])
+            g = rule(*[_rule_entry(table, _equation, (d,), chart)[0] for d in ds])
         table[key] = g, g.int_columns()[1]
     return table[key]
 
@@ -146,7 +140,7 @@ def _vanishes_at_point(pt, rule, *ds: SurfDivisor, table: dict) -> bool:
     """rule(chart equations of ds) vanishes at the rational point pt: its
     grid, read from table, has a homogenised value of 0 there."""
     x_inf, y_inf = pt[0] is INF, pt[1] is INF
-    cols = _rule_entry(table, rule, ds, x_inf, y_inf)[1]
+    cols = _rule_entry(table, rule, ds, _AFFINE[x_inf, y_inf])[1]
     return not cols or not grid_value(cols, Q(0) if x_inf else pt[0],
                                       Q(0) if y_inf else pt[1])
 
@@ -159,7 +153,7 @@ def _vanishes_on_cluster(cl: Cluster, rule, *ds: SurfDivisor, table: dict) -> bo
         return _vanishes_on_cluster(cl.mirror(), rule,
                                     *(d.mirror() for d in ds), table=table)
     y_inf = cl.expr is None
-    cols = _rule_entry(table, rule, ds, False, y_inf)[1]
+    cols = _rule_entry(table, rule, ds, _AFFINE[False, y_inf])[1]
     other = RatFunc.const(0) if y_inf else cl.expr
     return (grid_at_y(cols, other.num, other.den) % cl.q).is_zero
 
@@ -208,7 +202,7 @@ def _pair_candidates(d1: SurfDivisor, d2: SurfDivisor, *,
     # d1 is y = phi(x); x solves d2's own equation, its grid from table,
     # along d1, up to a positive constant that moves no root or factor
     phi = d1.phi()
-    cols = _rule_entry(table, _equation, (d2,), False, False)[1]
+    cols = _rule_entry(table, _equation, (d2,), _AFFINE[False, False])[1]
     eqn = grid_at_y(cols, d1.num, d1.den)
     roots, hard = _roots_and_factors(eqn)
     # a root or factor at a pole of phi meets with y = inf: a boundary

@@ -156,10 +156,15 @@ EVERY_VERB = [
      [{"ident": ident, "title": title, "ok": True, "detail": detail}
       for ident, title, detail in SUITE_ROWS]),
     (["delta", "oops["], 2, [], "delta: expected '{' (at position 0)\n",
-     {}, "expected '{' (at position 0)", []),
+     {"gamma": "oops["}, "expected '{' (at position 0)", []),
     (["bdry", "cyc[t, 1-t, 1-3/t]"], 3, [],
      f"bdry: NotAdmissible: {NOT_ADMISSIBLE}\n",
-     {}, f"NotAdmissible: {NOT_ADMISSIBLE}", []),
+     {"cycle": "cyc[t, 1-t, 1-3/t]"}, f"NotAdmissible: {NOT_ADMISSIBLE}", []),
+    (["ts", "--place", "t^2+1=0", "w[t^2+1, t]"], 3, [],
+     "ts: NonSplitResidue: residue field of t^2+1=0 is a degree-2 extension "
+     "of Q\n", {"place": "t^2+1=0", "wedge": "w[t^2+1, t]"},
+     "NonSplitResidue: residue field of t^2+1=0 is a degree-2 extension of Q",
+     []),
 ]
 
 
@@ -185,9 +190,11 @@ def test_every_verb_text_and_json(capsys, argv, code, lines, err, record,
 ])
 def test_mixed_degrees_are_refused_by_their_text(capsys, argv, message):
     """A sum of wedges or of symbols whose degrees differ is a parse error
-    that names both degrees, as text and as JSON."""
+    that names both degrees, as text and as JSON, whose input record names
+    the text refused."""
     assert run(capsys, *argv) == (2, "", f"{argv[0]}: {message}\n")
-    payload = {"verb": argv[0], "input": {}, "result": message,
+    record = {"wedge" if argv[0] == "weil" else "gamma": argv[1]}
+    payload = {"verb": argv[0], "input": record, "result": message,
                "certificates": [], "status": "parse-error"}
     want = json.dumps(payload, sort_keys=True) + "\n"
     assert run(capsys, *argv, "--format", "json") == (2, want, "")

@@ -9,11 +9,14 @@ import pytest
 from tamesym import Inconclusive, UniPoly, BiPoly, poly_str, bipoly_str
 from tamesym import modular, polynomials
 from tamesym.integers import divisors
+from tamesym.places import Chart
 from tamesym.polynomials import (_SUBSET_BUDGET, bipoly_exact_div,
                                  factor_uni, gcd_uni, irreducible_check_uni,
                                  rational_roots, squarefree_decomposition)
 
 P = UniPoly.make
+# the affine charts x = 1/u, y = v and x = u, y = 1/v
+INVERT_X, INVERT_Y = Chart(((-1, 0), (0, 1))), Chart(((1, 0), (0, -1)))
 
 
 def rand_poly(rng, max_deg=5):
@@ -844,7 +847,8 @@ def test_bipoly_degrees_match_a_scan_of_the_terms():
                              Q(rng.randint(-9, 9), rng.randint(1, 3))
                              for _ in range(rng.randint(0, 6))}) for _ in range(2))
         polys += [f, g, f + g, f - g, f * g, -f, f.swap_xy(), f.partial_x(),
-                  f.partial_y(), f.invert_x(), f.invert_y(), f.primitive_int()[1]]
+                  f.partial_y(), INVERT_X.equation(f), INVERT_Y.equation(f),
+                  f.primitive_int()[1]]
     for p in polys:
         assert p.deg_x == max([i for (i, _), _ in p.iterms], default=-1)
         assert p.deg_y == max([j for (_, j), _ in p.iterms], default=-1)
@@ -1168,8 +1172,9 @@ def test_stored_form_is_canonical_and_every_operation_matches_the_fraction_refer
         assert _same_value(f.partial_y(), _fraction_partial(f, "y"))
         assert _same_value(f.swap_xy(), BiPoly.make({(j, i): v for (i, j), v in f.terms}))
         dx, dy = f.deg_x, f.deg_y
-        assert _same_value(f.invert_x(), BiPoly.make({(dx - i, j): v for (i, j), v in f.terms}))
-        assert _same_value(f.invert_y(), BiPoly.make({(i, dy - j): v for (i, j), v in f.terms}))
+        # the closure's equation in the 1/x and in the 1/y chart
+        assert _same_value(INVERT_X.equation(f), BiPoly.make({(dx - i, j): v for (i, j), v in f.terms}))
+        assert _same_value(INVERT_Y.equation(f), BiPoly.make({(i, dy - j): v for (i, j), v in f.terms}))
         content, prim = f.primitive_int()
         assert _same_value(prim.scale(content) if content else prim, f)
         assert prim.den == 1 and (f.is_zero or prim.iterms[-1][1] > 0)

@@ -7,11 +7,11 @@ from itertools import permutations
 import pytest
 
 from tamesym import (AtomRegistry, BiPoly, Inconclusive, RatFunc,
-                     defining_bipoly, parse_wedge, snc, snc_check)
+                     defining_bipoly, mult_vec, parse_wedge, snc, snc_check)
 from tamesym.expressions import INF
-from tamesym.places import (finite_support_divisors, point_key, point_str,
-                            solved_divisor)
-from tamesym.polynomials import UniPoly
+from tamesym.places import (Chart, LineInf, finite_support_divisors,
+                            point_key, point_str, solved_divisor)
+from tamesym.polynomials import UniPoly, factor_uni
 from tamesym.snc import (Cluster, SncProblem, SncReport, _boundary_candidates,
                          _equation, _jacobian_det, _pair_candidates,
                          _vanishes_at_point, _vanishes_on_cluster)
@@ -189,17 +189,17 @@ def test_each_chart_equation_is_built_once_per_call(monkeypatch):
     w = parse_wedge("w[y-x^2, y, x-1, y-x-1, x*(y^2-2)-1]", AtomRegistry(),
                     field="Qxy")
     charts, jacobians = [], []
-    chart_poly, jacobian_det = snc._chart_poly, snc._jacobian_det
+    equation, jacobian_det = Chart.equation, snc._jacobian_det
 
-    def counted_chart(d, x_inf, y_inf):
-        charts.append((d, x_inf, y_inf))
-        return chart_poly(d, x_inf, y_inf)
+    def counted_chart(chart, g):
+        charts.append((chart, g))
+        return equation(chart, g)
 
     def counted_jacobian(g1, g2):
         jacobians.append((g1, g2))
         return jacobian_det(g1, g2)
 
-    monkeypatch.setattr(snc, "_chart_poly", counted_chart)
+    monkeypatch.setattr(Chart, "equation", counted_chart)
     monkeypatch.setattr(snc, "_jacobian_det", counted_jacobian)
     rep = snc_check(w)
     once = (len(charts), len(jacobians))
@@ -217,9 +217,12 @@ def _ref_evaluate(g, a, b):
 
 
 def _ref_chart(d, x_inf, y_inf):
+    """d's equation in the chart u = 1/x where x_inf, v = 1/y where y_inf:
+    each inverted coordinate's exponents reflected in its degree."""
     g = defining_bipoly(d)
-    g = g.invert_x() if x_inf else g
-    return g.invert_y() if y_inf else g
+    dx, dy = g.deg_x, g.deg_y
+    return BiPoly.make({(dx - i if x_inf else i, dy - j if y_inf else j): c
+                        for (i, j), c in g.terms})
 
 
 def _ref_vanishes(cand, rule, *ds):
@@ -288,3 +291,62 @@ def test_snc_check_matches_a_reference_that_rebuilds_every_chart():
         tally["problems"] += len(want.problems)
         tally["candidates"] += want.candidates_checked
     assert tally["yes"] and tally["no"] and tally["problems"] > tally["no"], tally
+
+
+def _ref_line_order(g, var):
+    """Order of g along the line var = inf: minus its degree in var."""
+    return -(g.deg_x if var == "x" else g.deg_y)
+
+
+def _ref_line_leading(g, var):
+    """g's leading coefficient in var, a polynomial in the other coordinate."""
+    return (g.swap_xy() if var == "x" else g).y_coefficients()[-1]
+
+
+def _seeded_graph(rng):
+    """var = num/den over either coordinate; den is a product of linear
+    factors and at most one irreducible quadratic, num of degree 0-3."""
+    den = UniPoly.make([rng.choice([1, 2, -3])])
+    for _ in range(rng.randint(0, 2)):
+        den = den * UniPoly.make([Q(rng.randint(-4, 4), rng.choice([1, 2])), 1])
+    if rng.random() < 0.5:
+        den = den * UniPoly.make([rng.choice([1, 2, 3, -2, -3]), 0, 1])
+    num = UniPoly.make([Q(rng.randint(-6, 6), rng.choice([1, 3]))
+                        for _ in range(rng.randint(1, 4))])
+    if num.is_zero:
+        num = UniPoly.make([1])
+    return solved_divisor(rng.choice("xy"), RatFunc.make(num, den))
+
+
+def test_lines_at_infinity_read_graphs_through_their_charts():
+    """For seeded graphs d over x and over y and both lines L at infinity:
+    L's order of d's atom is minus its degree in L's coordinate, L's unit
+    class is that of its leading coefficient, and the rational roots and
+    irreducible factors of the leading layer of d's equation in L's chart
+    are d's boundary candidates on L with a finite parameter."""
+    rng = random.Random(20261021)
+    reg = AtomRegistry()
+    tally = {"x": 0, "y": 0, "roots": 0, "factors": 0}
+    for _ in range(150):
+        d = _seeded_graph(rng)
+        tally[d.var] += 1
+        atom = reg.bi(d.equation_atom)
+        points, clusters = _boundary_candidates(d)
+        for line in (LineInf("x"), LineInf("y")):
+            var = line.var
+            assert line.order(atom) == _ref_line_order(atom.poly, var), str(d)
+            assert line.unit(atom, reg) == mult_vec(
+                RatFunc.make(_ref_line_leading(atom.poly, var)), reg, "Qt"), str(d)
+            layer = line.chart.leading(defining_bipoly(d))
+            assert line.chart.order(defining_bipoly(d)) == line.order(atom)
+            factors = factor_uni(layer)[1] if layer.degree > 0 else []
+            roots = {-p.coeff(0) for p, _ in factors if p.degree == 1}
+            hard = {p for p, _ in factors if p.degree > 1}
+            on_line = [pt[::-1] if var == "x" else pt for pt in points]
+            assert roots == {s for s, t in on_line
+                             if t is INF and s is not INF}, (str(d), var)
+            assert hard == {cl.q for cl in clusters
+                            if cl.expr is None and cl.axis != var}, (str(d), var)
+            tally["roots"] += len(roots)
+            tally["factors"] += len(hard)
+    assert all(tally.values()), tally
