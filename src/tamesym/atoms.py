@@ -413,13 +413,20 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
 
 def _class_of(f, reg: AtomRegistry, field: str) -> MultVec:
     """The class of f as `mult_vec` defines it, computed by factoring."""
-    if isinstance(f, (RatFunc, BiFrac)):
+    if not isinstance(f, (RatFunc, BiFrac)):
+        return MultVec.make(field, constant_class(Q(f), reg, field))
+    if isinstance(f, RatFunc) and not f.num.is_zero:
+        # factor_uni's factors are monic, so the constant is lc(num)/lc(den):
+        # classed first, its refusal comes before any factoring
+        out: dict[Atom, Fraction] = constant_class(
+            f.num.leading / f.den.leading, reg, field)
+        exps = factor_into_atoms(f.num, f.den, reg)[1]
+    else:
         const, exps = factor_into_atoms(f.num, f.den, reg)
-        out: dict[Atom, Fraction] = constant_class(const, reg, field)
-        for a, e in exps.items():
-            out[a] = out.get(a, ZERO) + e
-        return MultVec.make(field, out)
-    return MultVec.make(field, constant_class(Q(f), reg, field))
+        out = constant_class(const, reg, field)
+    for a, e in exps.items():
+        out[a] = out.get(a, ZERO) + e
+    return MultVec.make(field, out)
 
 
 def one_minus(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:

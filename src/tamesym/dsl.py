@@ -2,26 +2,29 @@
 
 One character-level recursive-descent parser covers rational expressions,
 wedges, weight-two symbols, graded elements, cube cycles, places, and
-divisors. The grammar lives in docs/grammar.ebnf. Every renderer in the
-package produces text that parses back, over the value's field (whose
-variables `atoms.FIELD_VARS` names), to an equal value, with one exception:
-a zero wedge or symbol of positive degree prints "0", which reads back as
-the zero of degree 0.
+divisors. The grammar lives in docs/grammar.ebnf. Over Q(t) and Q(v), an
+expression that is a sum of monomials is read in one regex pass straight to
+its integer coefficients (`_poly_run`), the base its sums build, and every
+other text by the grammar. Every renderer in the package produces text that
+parses back, over the value's field (whose variables `atoms.FIELD_VARS`
+names), to an equal value, with one exception: a zero wedge or symbol of
+positive degree prints "0", which reads back as the zero of degree 0.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .atoms import FIELD_VARS, AtomRegistry, MultVec, mult_vec
 from .chow import CubeCurve
 from .errors import DegreeMismatch, MixedFields, ParseError
-from .expressions import BiFrac, RatFunc
+from .expressions import _ONE, BiFrac, RatFunc
 from .gamma import GammaSub, gamma_add, gamma_term
 from .lambda_complex import LambdaElem
 from .places import (INFINITY, FinRat, IrredPlace, LineInf, Place1,
                      SurfDivisor, solved_divisor)
-from .polynomials import BiPoly, irreducible_check_uni, poly_str
+from .polynomials import BiPoly, UniPoly, irreducible_check_uni, poly_str
 from .wedges import Wedge, class_factors, expand_products, wedge_add
 
 Q = Fraction
@@ -107,6 +110,8 @@ class _Ctx:
     def __init__(self, variables: dict, const):
         self.variables = {k: _Product(((v, 1),)) for k, v in variables.items()}
         self.const = lambda n: _Product(((const(n), 1),))
+        # the variable of Q(t) or Q(v), whose sums `_poly_run` reads
+        self.var = next(iter(variables)) if len(variables) == 1 else None
 
 
 def _rat_ctx(var: str) -> _Ctx:
@@ -188,7 +193,52 @@ class _Product:
                         abs(e) * self.degree)
 
 
+# A monomial of a univariate run, with the sign before it: UINT, VAR,
+# UINT*VAR, VAR^UINT or UINT*VAR^UINT. Its digits are ASCII (a run next to
+# any other digit is left to the grammar), and `\s` is str.isspace, the
+# whitespace `_Scanner` skips.
+_MONOMIAL = re.compile(r"\s*([+-]?)\s*"
+                       r"(?:([0-9]+)(?:\s*\*\s*([a-z])(?:\s*\^\s*([0-9]+))?)?"
+                       r"|([a-z])(?:\s*\^\s*([0-9]+))?)")
+# where an expression ends: its closing bracket, a comma, '=' or the text's end
+_RUN_END = re.compile(r"\s*(?=[)\],}=]|\Z)")
+
+
+def _poly_run(s: _Scanner, ctx: _Ctx) -> _Product | None:
+    """A whole expression of two or more monomials in the variable of Q(t)
+    or Q(v), joined by '+' or '-' with only a '-' before the first, read
+    in one pass straight to integer coefficients: the one base that the
+    grammar's sums build from it. None, with s.pos unchanged, for every
+    other text, which the grammar then reads (and refuses) as before."""
+    if ctx.var is None:
+        return None
+    text, pos, ints, n = s.text, s.pos, [], 0
+    while m := _MONOMIAL.match(text, pos):
+        sign, c, var, e, var2, e2 = m.groups()
+        if n and not sign:
+            break
+        var, e = var or var2, e or e2
+        if (sign == "+" and not n) or var not in (None, ctx.var):
+            return None
+        k = int(c) if c else 1
+        e = int(e) if e else int(var is not None)
+        if e > MAX_POWER_DEGREE:
+            return None
+        if e >= len(ints):
+            ints += [0] * (e + 1 - len(ints))
+        ints[e] += -k if sign == "-" else k
+        pos, n = m.end(), n + 1
+    end = _RUN_END.match(text, pos)
+    if n < 2 or end is None:
+        return None
+    s.pos = end.end()
+    return _Product(((RatFunc(UniPoly.over(1, ints), _ONE), 1),))
+
+
 def _expr(s: _Scanner, ctx: _Ctx) -> _Product:
+    val = _poly_run(s, ctx)
+    if val is not None:
+        return val
     val = _expr_term(s, ctx)
     while s.peek() in ("+", "-"):
         here, op = s.pos, s.text[s.pos]

@@ -382,6 +382,34 @@ def test_squarefree_split_of_a_wide_power_difference_ends():
                            "within its step budget\n")
 
 
+def test_a_refused_constant_is_refused_before_factoring(monkeypatch):
+    """A function's constant is lc(num)/lc(den), since its factors are
+    monic: it is classed first, so the degree-70 parts of the symbol above
+    are not factored for a class that the constant's refusal discards (that
+    took most of 2.4 s on a 2-vCPU VM, Python 3.11, and 62 s for the
+    argument's own class). The zero function still raises its own
+    ZeroDivisionError first."""
+    from tamesym import Inconclusive, atoms, delta, mult_vec
+    from tamesym.expressions import RatFunc
+    degrees = []
+
+    def counted(f):
+        degrees.append(f.degree)
+        if f.degree == 70:
+            raise AssertionError("a degree-70 part was factored first")
+        return factor_uni(f)
+
+    factor_uni = atoms.factor_uni
+    monkeypatch.setattr(atoms, "factor_uni", counted)
+    reg = AtomRegistry()
+    g = parse_gamma("{(12345678901*t+98765432101)^70 - (t+3)^70}_2", reg)
+    with pytest.raises(Inconclusive, match=f"^cannot factor the integer {RHO_REFUSED}:"):
+        delta(g, reg)
+    assert 70 not in degrees
+    with pytest.raises(ZeroDivisionError, match="^cannot factor the zero function$"):
+        mult_vec(RatFunc.const(0), reg)
+
+
 def test_sum_around_a_long_product_is_refused(capsys):
     """A sum multiplies both its sides out: the degree-300 side below was
     then factored for 53-56 s before exit 3. A side whose degree bound (the

@@ -1,18 +1,26 @@
 """Text forms: parsing, rendering, and the round-trip invariant."""
 
 import random
+import sys
 from fractions import Fraction as Q
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from tamesym import (FIELD_VARS, AtomRegistry, Inconclusive, ParseError,
                      gamma_str, lambda_str, parse_bifrac, parse_cycle,
                      parse_divisor, parse_element, parse_gamma, parse_place,
-                     parse_ratfunc, parse_wedge, poly_str, wedge_str)
+                     TameSymError, parse_ratfunc, parse_wedge, poly_str,
+                     wedge_str)
 from tamesym import dsl
 from tamesym.expressions import ratfunc_str
 from test_mirror import _slot
 from test_polynomials import swinnerton_dyer
+
+# the benchmark's text generator, read only
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def test_ratfunc_parsing():
@@ -652,3 +660,159 @@ def test_carried_degree_bound_is_the_sum_over_the_factors(monkeypatch):
     for _ in range(50):
         parse_gamma(_symbol_text(rng, "Qt"), reg, field="Qt")
     assert len(built) > 10_000 and sum(built) > 1_000
+
+
+# -- a univariate run of monomials is read in one pass ------------------------
+# `dsl._poly_run` reads a sum of monomials in t or v straight to integer
+# coefficients. Each text below is parsed with it and with it switched off
+# (the grammar alone): the value or the refusal, and the class table of the
+# registry, must be the same both ways.
+
+def _read(parse, text):
+    """What parse makes of text in a fresh registry: the value, or the
+    refusal's type, message (with its position) and position; and the
+    registry's class table."""
+    reg = AtomRegistry()
+    try:
+        out = parse(text, reg)
+    except (TameSymError, ValueError) as e:
+        out = (type(e), str(e), getattr(e, "pos", None))
+    return out, reg._classes
+
+
+def _both_ways(monkeypatch, parse, text):
+    """parse(text, reg) with and without the run reader, which must agree;
+    the outcome with it."""
+    fast = _read(parse, text)
+    with monkeypatch.context() as m:
+        m.setattr(dsl, "_poly_run", lambda s, ctx: None)
+        slow = _read(parse, text)
+    assert fast == slow, text
+    return fast[0]
+
+
+def _run_text(rng, var: str, max_exp: int, big: bool) -> str:
+    """A signed sum of one to six monomials in var of the five shapes, with
+    zero coefficients, exponents 0 to max_exp, whitespace around every
+    token and, if big, coefficients above 2^64."""
+    ws = lambda: rng.choice(["", "", "", " ", "  ", "\t"])  # noqa: E731
+    text = ""
+    for i in range(rng.randint(1, 6)):
+        c = rng.choice([0, 1, 2, 3, 7, rng.randint(0, 99)]
+                       + ([rng.randint(2**64, 2**80)] * 2 if big else []))
+        e = rng.choice([0, 1, max_exp, rng.randint(0, max_exp)])
+        mono = rng.choice([f"{c}", var, f"{c}{ws()}*{ws()}{var}",
+                           f"{var}{ws()}^{ws()}{e}",
+                           f"{c}{ws()}*{ws()}{var}{ws()}^{ws()}{e}"])
+        sign = rng.choice(["", "", "-"]) if i == 0 else rng.choice("+-")
+        text += f"{ws()}{sign}{ws()}{mono}"
+    return text + ws()
+
+
+def _mutated(rng, text: str) -> str:
+    """text with one to three characters inserted, deleted or replaced."""
+    alphabet = "+-*/^() tv0129²٣\t],=x"
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        text = (text[:i] + rng.choice(alphabet) * (op != 1)
+                + text[i + (op > 0):])
+    return text
+
+
+RUN_EDGE_TEXTS = [
+    ("w[t^101+1, t]", "power of degree 1 * 101 is above the limit 100", 4),
+    ("w[2t+1, t]", "expected ']'", 3),
+    ("w[+t-1, t]", "expected a number, a variable, or a parenthesized "
+                   "expression", 2),
+    ("w[--t+1, t]", None, None),
+    ("w[t--1, t]", None, None),
+    ("w[t^-1+1, t]", None, None),
+    ("w[0*t+0, t]", "wedge entry is identically zero", 2),
+    ("w[t^2^3+1,t]", "expected ']'", 5),
+    ("w[t²+1, t]", "expected ']'", 3),
+    ("w[t+٣, t-1]", None, None),
+    ("w[t+1 ) , t]", "expected ']'", 6),
+    ("w[1/(t-t), t]", "division by zero", 4),
+    ("w[(t-t)^-1, t]", "negative power of zero", 9),
+]
+
+
+@pytest.mark.parametrize("text, message, at", RUN_EDGE_TEXTS,
+                         ids=[t for t, _, _ in RUN_EDGE_TEXTS])
+def test_run_reader_edge_texts(monkeypatch, text, message, at):
+    out = _both_ways(monkeypatch, parse_wedge, text)
+    if message is None:
+        assert not isinstance(out, tuple), out
+    else:
+        assert out == (ParseError, f"{message} (at position {at})", at)
+
+
+def _without_registry(parse, *args):
+    """parse(text, *args) as a parser that takes a registry it never uses."""
+    return lambda text, reg: parse(text, *args)
+
+
+def test_run_reader_agrees_with_the_grammar(monkeypatch):
+    """Seeded runs over Q(t) and Q(v), alone, in products, quotients and
+    powers, as wedge entries and symbol arguments, and mutated runs; places
+    and a cycle: the same values, refusals and class tables both ways."""
+    rng = random.Random("poly-run")
+    for var, field in (("t", "Qt"), ("v", "Qv")):
+        ratfunc = _without_registry(parse_ratfunc, var)
+        for _ in range(150):
+            a, b = (_run_text(rng, var, 100, True) for _ in range(2))
+            for text in (a, f"({a})*({b})", f"({a})/({b})", f"-({a})^2",
+                         _mutated(rng, a)):
+                _both_ways(monkeypatch, ratfunc, text)
+        wedge = partial(parse_wedge, field=field)
+        for _ in range(60):
+            a, b = (_run_text(rng, var, 3, False) for _ in range(2))
+            for text in (f"w[{a}, {b}]", f"2*w[({a})*({b}), {var}] - w[{b},{a}]",
+                         _mutated(rng, f"w[{a}, {b}]")):
+                _both_ways(monkeypatch, wedge, text)
+            _both_ways(monkeypatch, partial(parse_gamma, field=field), f"{{{a}}}_2")
+    # a number above int()'s digit limit raises the same ValueError both ways
+    for text in ("t+" + "7" * 4301, "7" * 4301 + "*t^2+t", "t^101+" + "7" * 4301):
+        _both_ways(monkeypatch, _without_registry(parse_ratfunc), text)
+    for text in ("t^2+1=0", "t^2 - 2*t + 5 = 0", "t^2-1=0", "2*t-3=0"):
+        _both_ways(monkeypatch, _without_registry(parse_place), text)
+    cycle = _both_ways(monkeypatch, _without_registry(parse_cycle),
+                       "cyc[t, (t-2)/(t-3)]")
+    assert str(cycle) == "cyc[t, (t-2)/(t-3)]"
+    symbol = _both_ways(monkeypatch, parse_gamma, "{(3*t-3)/(t-3)}_2")
+    assert gamma_str(symbol) == "{(3*t-3)/(t-3)}_2"
+
+
+def test_run_reader_answers_every_ts_text_of_a_session_round(monkeypatch):
+    """A reader that silently stopped matching would still agree with the
+    grammar: it must answer at least one sum in every ts text of the
+    benchmark's session_round(1, 0), and agree there too."""
+    answered = []
+    poly_run = dsl._poly_run
+
+    def counted(s, ctx):
+        val = poly_run(s, ctx)
+        answered[-1] += val is not None
+        return val
+
+    monkeypatch.setattr(dsl, "_poly_run", counted)
+    texts = [op.text for op in gen.session_round(1, 0) if op.verb == "ts"]
+    assert texts
+    for text in texts:
+        answered.append(0)
+        parse_wedge(text, AtomRegistry())
+    assert min(answered) >= 1, texts[answered.index(min(answered))]
+    monkeypatch.undo()
+    for text in texts:
+        _both_ways(monkeypatch, parse_wedge, text)
+
+
+def test_a_bivariate_sum_is_bounded_by_its_total_degree(capsys):
+    """Q(x, y) sums stay on the grammar: the bound of a side is deg_x +
+    deg_y, which exceeds the degree in either variable."""
+    from tamesym.cli import main
+    assert main(["weil", "w[x^100+y^100+1, x]"]) == 2
+    assert capsys.readouterr().err == (
+        "weil: sum with a term of degree 200 is above the limit 100 "
+        "(at position 13)\n")
