@@ -5,6 +5,11 @@ written on a basis of atoms: prime integers, monic irreducible univariate
 polynomials, or primitive irreducible bivariate polynomials linear in x or
 in y. Signs die in the tensor, so class(-2) = class(2) and class(-1) = 0.
 
+A bivariate polynomial is factored in a fixed order: its content in Q[x],
+then its content in Q[y], each divided out once, and then what is left is
+tested for linearity or walked for its factors linear in x or in y. Content
+is multiplicative (Gauss's lemma), so no leftover is tested for it again.
+
 Atoms compare by a mathematical key (never by creation order), so every run
 and every registry produce the same canonical order. A registry interns the
 atoms and remembers one class per (value, field) for as long as it lives.
@@ -22,7 +27,7 @@ from math import prod
 from .errors import Inconclusive, MixedFields, OneMinusOfOne
 from .expressions import BiFrac, RatFunc
 from .integers import factor_positive_int
-from .polynomials import (ZERO, BiPoly, UniPoly, _zgcd,
+from .polynomials import (ZERO, BiPoly, UniPoly, bipoly_content,
                           bipoly_exact_div, bipoly_str, cached_hash,
                           factor_uni, field_state, num_str, poly_str,
                           rational_roots, set_field_state)
@@ -218,17 +223,6 @@ def constant_class(c: Fraction, reg: AtomRegistry, field: str) -> dict[Atom, Fra
 # -- bivariate factoring ----------------------------------------------------
 
 
-def _uni_content_of_bipoly_in_y(g: BiPoly) -> UniPoly:
-    """gcd over x of the y-coefficients (monic), the 'content' in Q[x][y],
-    folded by `_zgcd` on their integer coefficients."""
-    content: list[int] = []
-    for cj in g.y_coefficients():
-        content = _zgcd(content, cj.ints)
-        if len(content) == 1:
-            break
-    return UniPoly.over(content[-1], content)
-
-
 # candidates a factor walk may weigh, counted before any list is built
 _WALK_BUDGET = 2**14
 
@@ -302,11 +296,14 @@ def _mirrors(h: BiPoly):
 def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
     """Factor a nonzero bivariate polynomial into atoms.
 
-    The content in Q[x] and in Q[y] is factored by `factor_uni`, a piece
-    linear in one variable is irreducible once primitive, and any other
-    piece splits off its factors linear in y or in x by
-    `_linear_factors_in_y`. Every divisor class the engine handles is linear
-    in x or in y, so a piece with no such factor raises Inconclusive.
+    The content in Q[x] and then the content in Q[y] (`bipoly_content`) are
+    divided out once each and factored by `factor_uni`. Content is
+    multiplicative (Gauss's lemma), so what is left, and every leftover of a
+    factor, has none and is never tested for it again: it is a constant, or
+    irreducible once linear in one variable, or else it splits off its
+    factors linear in y or in x by `_linear_factors_in_y`. Every divisor
+    class the engine handles is linear in x or in y, so a piece with no such
+    factor raises Inconclusive.
     """
     if g.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
@@ -320,44 +317,29 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
         atom = reg.bi(prim)
         exps[atom] = exps.get(atom, 0) + e
 
-    def bump_uni(p: UniPoly, var: str) -> None:
-        nonlocal const
-        cp, factors = factor_uni(p)
-        const *= cp
-        for q, k in factors:
-            bump(BiPoly.from_uni(q, var), k)
-
     h = g
-    # a leftover of content removal or of a factor goes round again, so it
-    # is tested again for content and for linearity in either variable
-    while h.deg_x > 0 and h.deg_y > 0:
-        for var, p, back in _mirrors(h):
-            content = _uni_content_of_bipoly_in_y(p)
-            if content.degree > 0:
-                bump_uni(content, var)
-                h = back(bipoly_exact_div(p, BiPoly.from_uni(content, "x")))
+    for var in ("x", "y"):
+        content, h = bipoly_content(h, var)
+        if content.degree > 0:
+            for q, k in factor_uni(content)[1]:  # content is monic
+                bump(BiPoly.from_uni(q, var), k)
+    # h is now a constant or of positive degree in both variables
+    while h.deg_y > 0:
+        if h.deg_y == 1 or h.deg_x == 1:
+            bump(h)  # primitive and linear in one variable, hence irreducible
+            return const, exps
+        for _, p, back in _mirrors(h):
+            factors, rest = _linear_factors_in_y(p, h)
+            for factor in factors:
+                bump(back(factor))
+            if factors:
+                h = back(rest)
                 break
-            if p.deg_y == 1:
-                bump(h)  # primitive and linear in y, hence irreducible
-                return const, exps
         else:
-            for _, p, back in _mirrors(h):
-                factors, rest = _linear_factors_in_y(p, h)
-                for factor in factors:
-                    bump(back(factor))
-                if factors:
-                    h = back(rest)
-                    break
-            else:
-                raise Inconclusive(
-                    f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
-                    "has no factor linear in x or in y")
-    if h.deg_y > 0:
-        bump_uni(h.swap_xy().y_coefficients()[0], "y")
-    elif h.deg_x > 0:
-        bump_uni(h.y_coefficients()[0], "x")
-    else:
-        const *= h.evaluate(0, 0)
+            raise Inconclusive(
+                f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
+                "has no factor linear in x or in y")
+    const *= Q(h.iterms[0][1], h.den)
     return const, exps
 
 

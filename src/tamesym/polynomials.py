@@ -902,6 +902,30 @@ def bipoly_str(p: BiPoly) -> str:
                     for (i, j), c in reversed(p.iterms if p.den == 1 else p.terms)])
 
 
+def bipoly_content(g: BiPoly, var: str) -> tuple[UniPoly, BiPoly]:
+    """(c, g / c) for nonzero g: c the content of g in Q[var], the monic gcd
+    of its coefficients as a polynomial in the other variable, from one
+    `_zgcd` chain over their integers, shortest first, that stops at 1; g / c
+    from the exact quotients of those integer coefficient lists."""
+    if (g.deg_x if var == "x" else g.deg_y) < 1:  # constant coefficients
+        return UniPoly(1, (1,)), g
+    cols: dict[int, list[int]] = {}
+    for (i, j), v in g.iterms:  # sorted by (i, j): each list ends nonzero
+        k, e = (j, i) if var == "x" else (i, j)
+        col = cols.setdefault(k, [])
+        col += [0] * (e - len(col))
+        col.append(v)
+    content: list[int] = []
+    for col in sorted(cols.values(), key=len):
+        content = _zgcd(content, col) if content else _zprim(col)
+        if len(content) == 1:
+            return UniPoly(1, (1,)), g
+    lc = content[-1]
+    return UniPoly.over(lc, content), BiPoly.over(g.den, [
+        ((e, k) if var == "x" else (k, e), v * lc) for k, col in cols.items()
+        for e, v in enumerate(_zexact(col, content)) if v])
+
+
 def bipoly_exact_div(g: BiPoly, h: BiPoly) -> BiPoly | None:
     """g / h in Q[x, y] if h divides g exactly, else None: long division in
     y, each quotient column one exact division by lc_y(h)."""

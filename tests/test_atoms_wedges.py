@@ -364,6 +364,192 @@ def test_bivariate_factoring_leaves_no_reference_cycles():
         gc.enable()
 
 
+def _reference_factor_bipoly(g, reg):
+    """factor_bipoly as it was while each pass of its loop tested the leftover
+    for content again: a `_zgcd` chain over the y-coefficients, in x and then
+    in y, each content divided out by `bipoly_exact_div`. Kept to compare
+    constants, exponents and refusal texts against."""
+    from tamesym import BiPoly, Inconclusive, bipoly_str
+    from tamesym.atoms import _linear_factors_in_y, _mirrors
+    from tamesym.polynomials import _zgcd, bipoly_exact_div, factor_uni
+
+    def content_in_y(p):
+        content = []
+        for cj in p.y_coefficients():
+            content = _zgcd(content, cj.ints)
+            if len(content) == 1:
+                break
+        return UniPoly.over(content[-1], content)
+
+    if g.is_zero:
+        raise ZeroDivisionError("cannot factor the zero function")
+    const, exps = Q(1), {}
+
+    def bump(piece, e=1):
+        nonlocal const
+        c, prim = piece.primitive_int()
+        const *= c**e
+        atom = reg.bi(prim)
+        exps[atom] = exps.get(atom, 0) + e
+
+    def bump_uni(p, var):
+        nonlocal const
+        cp, factors = factor_uni(p)
+        const *= cp
+        for q, k in factors:
+            bump(BiPoly.from_uni(q, var), k)
+
+    h = g
+    while h.deg_x > 0 and h.deg_y > 0:
+        for var, p, back in _mirrors(h):
+            content = content_in_y(p)
+            if content.degree > 0:
+                bump_uni(content, var)
+                h = back(bipoly_exact_div(p, BiPoly.from_uni(content, "x")))
+                break
+            if p.deg_y == 1:
+                bump(h)
+                return const, exps
+        else:
+            for _, p, back in _mirrors(h):
+                factors, rest = _linear_factors_in_y(p, h)
+                for factor in factors:
+                    bump(back(factor))
+                if factors:
+                    h = back(rest)
+                    break
+            else:
+                raise Inconclusive(
+                    f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
+                    "has no factor linear in x or in y")
+    if h.deg_y > 0:
+        bump_uni(h.swap_xy().y_coefficients()[0], "y")
+    elif h.deg_x > 0:
+        bump_uni(h.y_coefficients()[0], "x")
+    else:
+        const *= h.evaluate(0, 0)
+    return const, exps
+
+
+def _outcome(factor, *args):
+    """What factor(*args) returns, or the type and text of its refusal."""
+    from tamesym import Inconclusive
+    try:
+        return factor(*args)
+    except Inconclusive as exc:
+        return type(exc), str(exc)
+
+
+def _content_piece(rng, var):
+    """A nonconstant polynomial in var alone: linear, an irreducible or a
+    split quadratic, or x^2 - 2 times a linear one, over Q."""
+    from tamesym import BiPoly
+    a, b = rng.randint(-4, 4), rng.choice([-3, -1, 1, 2])
+    shapes = [[a, b], [rng.randint(1, 5), 0, 1], [-a * a, 0, 1],
+              [Q(a, 2), 1], [-2 * a, -2, a, 1]]
+    p = BiPoly.make({(i, 0): c for i, c in enumerate(rng.choice(shapes))})
+    return p if var == "x" else p.swap_xy()
+
+
+def _bivariate_corpus(rng, n):
+    """Seeded products of contents in x and in y and pieces linear in x or
+    in y, each at multiplicity 1 to 3, now and then a piece with no linear
+    factor, under a rational scaling."""
+    from tamesym import BiPoly
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    out = []
+    for _ in range(n):
+        pieces = [(_content_piece(rng, var), rng.randint(1, 3))
+                  for var in ("x", "y") for _ in range(rng.randint(0, 2))]
+        pieces += [(_linear_piece(rng), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.15:
+            pieces.append((y * y - x**3 - BiPoly.const(rng.randint(1, 3)), 1))
+        g = BiPoly.const(Q(rng.choice([-7, -1, 1, 3, 12]), rng.choice([1, 2, 9])))
+        for p, e in pieces:
+            g = g * p**e
+        out.append(g)
+    return out
+
+
+def test_bivariate_factoring_matches_the_loop_that_rechecked_contents():
+    """factor_bipoly gives the reference loop's constant and exponents, or
+    its refusal text, on seeded products with contents in x and in y, their
+    mirrors and quotients, and on fixed inputs whose leftovers need a second
+    look or which refuse."""
+    from tamesym import BiPoly
+    from tamesym.atoms import factor_bipoly, factor_into_atoms
+    x, y, c = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const
+    fixed = [(y - x * x) * (y - c(3)), (y - x * x) * (x - y * y),
+             y**3 - x**3, x**4 * y**4 - c(1), (y * y - x**3 - c(2)) * x,
+             (x * x + c(1)) * (y - c(2)) ** 2, c(Q(-3, 4)), x - c(5), y.scale(3)]
+    refused = []
+    corpus = fixed + _bivariate_corpus(random.Random(20261022), 90)
+    for g in corpus:
+        for h in (g, g.swap_xy()):
+            want = _outcome(_reference_factor_bipoly, h, AtomRegistry())
+            assert _outcome(factor_bipoly, h, AtomRegistry()) == want, str(h)
+            if isinstance(want[0], type):
+                refused.append(want[1])
+    assert refused[:6] == [
+        f"cannot factor bivariate polynomial {p}: it has no factor linear in x or in y"
+        for p in ("x^2+x*y+y^2", "-x^2-x*y-y^2", "x^2*y^2+1", "x^2*y^2+1",
+                  "-x^3+y^2-2", "x^2-y^3-2")]
+    assert len(refused) > 10
+
+    def reference_fraction(num, den):
+        (cn, exps), (cd, den_exps) = (_reference_factor_bipoly(p, AtomRegistry())
+                                      for p in (num, den))
+        for a, e in den_exps.items():
+            exps[a] = exps.get(a, 0) - e
+        return cn / cd, {a: e for a, e in exps.items() if e}
+
+    rng = random.Random(33)
+    for _ in range(40):
+        num, den = rng.sample(corpus[len(fixed):], 2)
+        for p, q in ((num, den), (num.swap_xy(), den.swap_xy()), (den, num)):
+            assert (_outcome(factor_into_atoms, p, q, AtomRegistry())
+                    == _outcome(reference_fraction, p, q)), f"({p})/({q})"
+
+
+def test_each_content_is_built_once_per_call(monkeypatch):
+    """A product of contents and a piece linear in one variable has its
+    content in Q[x] and in Q[y] built once each, and none is divided out by
+    bivariate long division: the leftover is never tested for content
+    again (content is multiplicative, Gauss's lemma)."""
+    from tamesym import BiPoly, atoms
+    x, y, c = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const
+    contents, divisions = [], []
+    content, exact_div = atoms.bipoly_content, atoms.bipoly_exact_div
+
+    def counted_content(g, var):
+        contents.append(var)
+        return content(g, var)
+
+    def counted_div(g, h):
+        divisions.append((g, h))
+        return exact_div(g, h)
+
+    monkeypatch.setattr(atoms, "bipoly_content", counted_content)
+    monkeypatch.setattr(atoms, "bipoly_exact_div", counted_div)
+    linear = (x + c(1)) * y - x**3 + c(2)
+    pieces = [(x * x + c(1), 2), (x - c(2), 1), (y + c(1), 3), (linear, 1)]
+    g = c(Q(3, 2))
+    for p, e in pieces:
+        g = g * p**e
+    for h, mirror in ((g, lambda p: p), (g.swap_xy(), BiPoly.swap_xy)):
+        contents.clear()
+        reg = AtomRegistry()
+        const, exps = atoms.factor_bipoly(h, reg)
+        assert exps == {reg.bi(mirror(p).primitive_int()[1]): e for p, e in pieces}
+        back = BiPoly.const(const)
+        for a, e in exps.items():
+            back = back * a.poly**e
+        assert back == h
+        assert contents == ["x", "y"]
+    assert divisions == []
+
+
 def _value_corpus(rng):
     """Seeded UniPoly and BiPoly values and atoms of all three kinds, each
     with the name of the tuple it hashes as (the Fraction tuple of a
