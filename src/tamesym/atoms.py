@@ -5,10 +5,17 @@ written on a basis of atoms: prime integers, monic irreducible univariate
 polynomials, or primitive irreducible bivariate polynomials linear in x or
 in y. Signs die in the tensor, so class(-2) = class(2) and class(-1) = 0.
 
+The class of a function is the class of its constant plus its atoms, and
+the constant is classed first, so that its refusal comes before any
+factoring. Factoring returns the atoms alone: over Q(t) they are monic, so
+the constant is lc(num)/lc(den); over Q(x, y) they are primitive with a
+positive leading coefficient, so it is the ratio of the contents (Gauss's
+lemma: content is multiplicative). A constant side is not factored.
+
 A bivariate polynomial is factored in a fixed order: its content in Q[x],
 then its content in Q[y], each divided out once, and then what is left is
-tested for linearity or walked for its factors linear in x or in y. Content
-is multiplicative (Gauss's lemma), so no leftover is tested for it again.
+tested for linearity or walked for its factors linear in x or in y. No
+leftover is tested for content again.
 
 Atoms compare by a mathematical key (never by creation order), so every run
 and every registry produce the same canonical order. A registry interns the
@@ -293,28 +300,26 @@ def _mirrors(h: BiPoly):
     yield "y", h.swap_xy(), BiPoly.swap_xy
 
 
-def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, int]]:
-    """Factor a nonzero bivariate polynomial into atoms.
+def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> dict[BiAtom, int]:
+    """The atoms of a nonzero bivariate polynomial and their exponents, none
+    for a constant: g = c * prod(atom^e), c the content
+    `g.primitive_int()[0]`, since each atom is primitive with a positive
+    leading coefficient and content is multiplicative (Gauss's lemma).
 
     The content in Q[x] and then the content in Q[y] (`bipoly_content`) are
-    divided out once each and factored by `factor_uni`. Content is
-    multiplicative (Gauss's lemma), so what is left, and every leftover of a
-    factor, has none and is never tested for it again: it is a constant, or
-    irreducible once linear in one variable, or else it splits off its
-    factors linear in y or in x by `_linear_factors_in_y`. Every divisor
-    class the engine handles is linear in x or in y, so a piece with no such
-    factor raises Inconclusive.
+    divided out once each and factored by `factor_uni`. What is left, and
+    every leftover of a factor, has no content and is never tested for it
+    again: it is a constant, or irreducible once linear in one variable, or
+    else it splits off its factors linear in y or in x by
+    `_linear_factors_in_y`. Every divisor class the engine handles is linear
+    in x or in y, so a piece with no such factor raises Inconclusive.
     """
     if g.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
-    const = Q(1)
     exps: dict[BiAtom, int] = {}
 
     def bump(piece: BiPoly, e: int = 1) -> None:
-        nonlocal const
-        c, prim = piece.primitive_int()
-        const *= c**e
-        atom = reg.bi(prim)
+        atom = reg.bi(piece.primitive_int()[1])
         exps[atom] = exps.get(atom, 0) + e
 
     h = g
@@ -327,7 +332,7 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
     while h.deg_y > 0:
         if h.deg_y == 1 or h.deg_x == 1:
             bump(h)  # primitive and linear in one variable, hence irreducible
-            return const, exps
+            break
         for _, p, back in _mirrors(h):
             factors, rest = _linear_factors_in_y(p, h)
             for factor in factors:
@@ -339,34 +344,28 @@ def factor_bipoly(g: BiPoly, reg: AtomRegistry) -> tuple[Fraction, dict[BiAtom, 
             raise Inconclusive(
                 f"cannot factor bivariate polynomial {bipoly_str(h)}: it "
                 "has no factor linear in x or in y")
-    const *= Q(h.iterms[0][1], h.den)
-    return const, exps
+    return exps
 
 
 # -- the class map ----------------------------------------------------------
 
 
 def factor_into_atoms(num: UniPoly | BiPoly, den: UniPoly | BiPoly,
-                      reg: AtomRegistry) -> tuple[Fraction, dict[Atom, int]]:
-    """num/den = constant * prod(atom^e), num and den both in Q[t], with
-    monic irreducible atoms, or both in Q[x, y], by `factor_bipoly`.
-
-    The constant keeps its sign; dropping it is the class map's job.
-    """
+                      reg: AtomRegistry) -> dict[Atom, int]:
+    """The atoms of num/den and their exponents, num and den both in Q[t],
+    with monic irreducible atoms (`factor_uni`), or both in Q[x, y]
+    (`factor_bipoly`). A constant side has no atoms and is not factored."""
     if num.is_zero:
         raise ZeroDivisionError("cannot factor the zero function")
-    if isinstance(num, BiPoly):
-        cn, exps = factor_bipoly(num, reg)
-        cd, den_exps = factor_bipoly(den, reg)
-    else:
-        (cn, fn), (cd, fd) = factor_uni(num), factor_uni(den)
-        exps = {reg.uni(p): e for p, e in fn}
-        den_exps = {reg.uni(p): e for p, e in fd}
-    for a, e in den_exps.items():
-        exps[a] = exps.get(a, 0) - e
-        if exps[a] == 0:
-            del exps[a]
-    return cn / cd, exps
+    exps: dict[Atom, int] = {}
+    for p, sign in ((num, 1), (den, -1)):
+        if isinstance(p, UniPoly):
+            pieces = [(reg.uni(q), k) for q, k in factor_uni(p)[1]] if p.degree else []
+        else:  # the last term, in (i, j) order, is x^0*y^0 only for a constant
+            pieces = factor_bipoly(p, reg).items() if p.iterms[-1][0] != (0, 0) else []
+        for a, e in pieces:
+            exps[a] = exps.get(a, 0) + sign * e
+    return {a: e for a, e in exps.items() if e}
 
 
 def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
@@ -394,19 +393,18 @@ def mult_vec(f, reg: AtomRegistry, field: str = "Qt") -> MultVec:
 
 
 def _class_of(f, reg: AtomRegistry, field: str) -> MultVec:
-    """The class of f as `mult_vec` defines it, computed by factoring."""
+    """The class of f as `mult_vec` defines it: the class of its constant,
+    classed first, plus its atoms (see the module docstring)."""
     if not isinstance(f, (RatFunc, BiFrac)):
         return MultVec.make(field, constant_class(Q(f), reg, field))
-    if isinstance(f, RatFunc) and not f.num.is_zero:
-        # factor_uni's factors are monic, so the constant is lc(num)/lc(den):
-        # classed first, its refusal comes before any factoring
-        out: dict[Atom, Fraction] = constant_class(
-            f.num.leading / f.den.leading, reg, field)
-        exps = factor_into_atoms(f.num, f.den, reg)[1]
+    if f.num.is_zero:
+        raise ZeroDivisionError("cannot factor the zero function")
+    if isinstance(f, RatFunc):
+        const = f.num.leading / f.den.leading
     else:
-        const, exps = factor_into_atoms(f.num, f.den, reg)
-        out = constant_class(const, reg, field)
-    for a, e in exps.items():
+        const = f.num.primitive_int()[0] / f.den.primitive_int()[0]
+    out: dict[Atom, Fraction] = constant_class(const, reg, field)
+    for a, e in factor_into_atoms(f.num, f.den, reg).items():
         out[a] = out.get(a, ZERO) + e
     return MultVec.make(field, out)
 

@@ -98,7 +98,7 @@ def admissible_check(z: CubeCurve) -> tuple[bool, list[str]]:
 def _face_events(f: RatFunc, reg: AtomRegistry) -> list[tuple]:
     """(parameter value or INF, signed order) at every zero and pole."""
     events: list[tuple] = []
-    _, exps = factor_into_atoms(f.num, f.den, reg)
+    exps = factor_into_atoms(f.num, f.den, reg)
     for atom, e in sorted(exps.items(), key=lambda ae: ae[0].sort_key()):
         if atom.poly.degree != 1:
             raise NonSplitResidue(

@@ -23,7 +23,6 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .atoms import AtomRegistry
 from .chow import (PointCycle, admissible_check, cube_boundary,
@@ -36,13 +35,11 @@ from .gamma import delta, five_term, gamma_str, ts_gamma
 from .homotopy import (decomp_certificate, decompose, h_map,
                        homotopy_check_sub, homotopy_check_top)
 from .lambda_complex import d_squared_check, differential, lambda_str
-from .places import ExceptionalCurve, tame_symbol, weil_sum
+from .places import INFINITY, ExceptionalCurve, tame_symbol, weil_sum
 from .polynomials import num_str, sum_str
 from .snc import snc_check
 from .suite import run_suite, suite_report
 from .wedges import wedge_str
-
-Q = Fraction
 
 
 @dataclass
@@ -90,18 +87,22 @@ def _h_delta(args, reg) -> str:
     return wedge_str(delta(parse_gamma(args.gamma, reg), reg))
 
 
-def _point_value(text: str) -> object:
-    if text.strip() == "inf":
-        return INF
+def _number(text: str, message: str, inf: bool = False):
+    """text as a `rational` of docs/grammar.ebnf, or as "inf" where inf
+    is allowed, read by the DSL's rule for the place t = c; anything else
+    raises ParseError(message)."""
     try:
-        return Q(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number or inf, got {text!r}") \
-            from None
+        place = parse_place(f"t={text}")
+    except ParseError:
+        place = None
+    if place is None or (place is INFINITY and not inf):
+        raise ParseError(message)
+    return INF if place is INFINITY else place.c
 
 
 def _h_five_term(args, reg) -> Outcome:
-    ft = five_term(*(_point_value(p) for p in args.points))
+    ft = five_term(*(_number(p, f"expected a rational number or inf, got {p!r}", True)
+                     for p in args.points))
     in_kernel = delta(ft, reg).is_zero
     render = gamma_str(ft)
     lines = [render, f"in-delta-kernel: {'yes' if in_kernel else 'no'}"]
@@ -141,12 +142,11 @@ def _h_snc(args, reg) -> Outcome:
 
 
 def _h_blowup(args, reg) -> str:
-    try:
-        c1, c2 = (Q(p) for p in args.center.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"--center expects two rationals like 1,-2/3, got {args.center!r}"
-        ) from None
+    message = f"--center expects two rationals like 1,-2/3, got {args.center!r}"
+    center = [_number(p, message) for p in args.center.split(",")]
+    if len(center) != 2:
+        raise ParseError(message)
+    c1, c2 = center
     w = parse_wedge(args.wedge, reg, field="Qxy")
     return wedge_str(tame_symbol(w, ExceptionalCurve(c1, c2), reg))
 

@@ -1,7 +1,8 @@
 """Rational functions in one variable and ratios of bivariate polynomials.
 
 RatFunc is kept fully reduced (monic denominator, coprime with the
-numerator) so that equality and hashing are structural: both compare the
+numerator: `make` divides both by their gcd through the cofactors that
+certify it) so that equality and hashing are structural: both compare the
 polynomials' stored integer forms, and a monic or constant denominator is
 read from them (`is_monic`, `degree`) with no Fraction built. BiFrac is a raw
 numerator/denominator pair: surface-level classes are computed atomwise, so
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OneMinusOfOne
-from .polynomials import BiPoly, UniPoly, gcd_uni, poly_str
+from .polynomials import BiPoly, UniPoly, _zgcd_cofactors, poly_str
 
 Q = Fraction
 
@@ -104,10 +105,9 @@ class RatFunc(_Ratio):
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return RatFunc(num, _ONE)
-        g = gcd_uni(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        g, a, b = _zgcd_cofactors(num.ints, den.ints)
+        if len(g) > 1:
+            num, den = UniPoly.over(num.den, a), UniPoly.over(den.den, b)
         return RatFunc.coprime(num, den)
 
     @staticmethod

@@ -95,19 +95,20 @@ def lambda_str(e: LambdaElem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _surface_to_curve(w: Wedge, reg: AtomRegistry) -> Wedge:
+def _require_snc(w: Wedge) -> None:
+    """Refuse a surface wedge whose support is not snc, naming each point."""
     report = snc_check(w)
     if not report.ok:
         lines = "; ".join(f"{p.kind} at {p.where}" for p in report.problems)
         raise NotStrictlyRegular(f"surface support is not SNC: {lines}")
-    return support_sum(w, "Qt", reg)
 
 
 def differential(e: LambdaElem, reg: AtomRegistry) -> LambdaElem:
     """Divisor-and-place sum of tame symbols, graded piece by piece."""
     new_curve = Wedge.zero("Qt", e.m + 1)
     if not e.surface.is_zero:
-        new_curve = _surface_to_curve(e.surface, reg)
+        _require_snc(e.surface)
+        new_curve = support_sum(e.surface, "Qt", reg)
     new_point = weil_sum(e.curve, reg) if not e.curve.is_zero \
         else Wedge.zero("Q", e.m)
     return LambdaElem.make(e.m, point=new_point, curve=new_curve)
@@ -144,12 +145,11 @@ class ParshinReport:
 def parshin_check(w: Wedge, reg: AtomRegistry) -> ParshinReport:
     """Group the double residues of a strictly regular surface wedge by the
     surface point their chain passes through; each group must cancel on its
-    own, with either zero or exactly two nonzero contributions. A chain
-    through points that are not rational is refused by `chain_point`
+    own, with either zero or exactly two nonzero contributions. A support
+    that is not snc is refused as `differential` refuses it, and a chain
+    through points that are not rational by `chain_point`
     (NonSplitResidue)."""
-    report = snc_check(w)
-    if not report.ok:
-        raise NotStrictlyRegular("chain grouping needs an SNC support")
+    _require_snc(w)
     buckets: dict = {}
     for d in support(w):
         ts_d = tame_symbol(w, d, reg)

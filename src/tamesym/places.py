@@ -411,8 +411,9 @@ def _place_of(poly: UniPoly) -> Place1:
 
 def support(w: Wedge) -> list:
     """Places (curve fields) or divisors (surface field) where some atom of
-    the wedge has a nonzero order; deterministic order."""
-    atoms = {a for key, _ in w.terms for a in key}
+    the wedge has a nonzero order; deterministic order. The atoms are
+    classified in their canonical order, so a refusal names the first."""
+    atoms = sorted({a for key, _ in w.terms for a in key}, key=lambda a: a.sort_key())
     if w.field in ("Qt", "Qv", "Q"):
         places = [_place_of(a.poly) for a in atoms if isinstance(a, UniAtom)]
         places += [INFINITY] if places else []

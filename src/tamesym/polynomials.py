@@ -52,15 +52,13 @@ ZERO = Q(0)   # the shared default of dict probes; Fractions are immutable
 
 
 def cached_hash(self) -> int:
-    """__hash__ of a frozen value type: hash((v,)) for v its `_hashed()`
-    or else its first field (the dataclass hash of an atom), computed once
-    and kept in the `_hash` slot, so no set or dict of these values changes
-    its iteration order."""
+    """__hash__ of a frozen value type: the hash of its stored fields,
+    `field_state`, computed once and kept in the `_hash` slot. The stored
+    form is canonical, so equal values hash alike."""
     try:
         return self._hash
     except AttributeError:
-        h = hash((self._hashed() if hasattr(self, "_hashed")
-                  else getattr(self, type(self).__slots__[0]),))
+        h = hash(field_state(self))
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -113,9 +111,7 @@ def _divisor(den: int, vs) -> int:
 class UniPoly:
     """Univariate polynomial over Q, ints / den: the integer coefficients
     ints lowest degree first with no trailing zero, and den > 0 coprime to
-    their content. The zero polynomial is (1, ()), of degree -1.
-
-    The hash is that of the Fraction tuple `coeffs`, computed once."""
+    their content. The zero polynomial is (1, ()), of degree -1."""
 
     __slots__ = ("den", "ints", "_hash")
     den: int
@@ -124,9 +120,6 @@ class UniPoly:
     __hash__ = cached_hash
     __getstate__ = field_state
     __setstate__ = set_field_state
-
-    def _hashed(self) -> tuple:
-        return self.ints if self.den == 1 else self.coeffs
 
     @staticmethod
     def over(den: int, ints) -> "UniPoly":
@@ -228,12 +221,6 @@ class UniPoly:
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("polynomial division was not exact")
-        return q
 
     def monic(self) -> "UniPoly":
         """ints over its leading coefficient."""
@@ -731,9 +718,7 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
 class BiPoly:
     """Polynomial in x and y over Q, iterms / den: the terms ((i, j), v) of
     v * x^i * y^j with v a nonzero integer, sorted by (i, j), and den > 0
-    coprime to their content.
-
-    The hash is that of the Fraction tuple `terms`, computed once."""
+    coprime to their content."""
 
     __slots__ = ("den", "iterms", "_hash")
     den: int
@@ -742,9 +727,6 @@ class BiPoly:
     __hash__ = cached_hash
     __getstate__ = field_state
     __setstate__ = set_field_state
-
-    def _hashed(self) -> tuple:
-        return self.iterms if self.den == 1 else self.terms
 
     @staticmethod
     def over(den: int, items) -> "BiPoly":

@@ -6,6 +6,7 @@ import random
 import re
 import weakref
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 
@@ -263,8 +264,8 @@ def test_bivariate_leftovers_are_rechecked():
 
 def test_bivariate_factors_known_by_construction():
     """Factors linear in x or in y split off in a fresh registry, a
-    non-monic coefficient a(x) of y included; the constant and the atoms
-    multiply back to the polynomial."""
+    non-monic coefficient a(x) of y included; the content and the atoms
+    multiply back to the polynomial (Gauss's lemma)."""
     from tamesym import BiPoly
     from tamesym.atoms import factor_bipoly
     x, y, one = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const(1)
@@ -279,12 +280,16 @@ def test_bivariate_factors_known_by_construction():
         for p, e in pieces:
             g = g * p**e
         reg = AtomRegistry()
-        const, exps = factor_bipoly(g, reg)
+        exps = factor_bipoly(g, reg)
         assert exps == {reg.bi(p.primitive_int()[1]): e for p, e in pieces}
-        back = BiPoly.const(const)
-        for a, e in exps.items():
-            back = back * a.poly**e
-        assert back == g
+        assert _gauss_product(g, exps) == g
+
+
+def _gauss_product(g, exps):
+    """g's content times prod(atom^e): g again, when exps are g's atoms."""
+    from tamesym import BiPoly
+    return prod((a.poly**e for a, e in exps.items()),
+                start=BiPoly.const(g.primitive_int()[0]))
 
 
 def _linear_piece(rng):
@@ -473,10 +478,11 @@ def _bivariate_corpus(rng, n):
 
 
 def test_bivariate_factoring_matches_the_loop_that_rechecked_contents():
-    """factor_bipoly gives the reference loop's constant and exponents, or
-    its refusal text, on seeded products with contents in x and in y, their
-    mirrors and quotients, and on fixed inputs whose leftovers need a second
-    look or which refuse."""
+    """factor_bipoly gives the reference loop's exponents, or its refusal
+    text, on seeded products with contents in x and in y, their mirrors and
+    quotients, and on fixed inputs whose leftovers need a second look or
+    which refuse; the reference's constant is the content (Gauss's lemma),
+    and the ratio of the contents for a quotient."""
     from tamesym import BiPoly
     from tamesym.atoms import factor_bipoly, factor_into_atoms
     x, y, c = BiPoly.var_x(), BiPoly.var_y(), BiPoly.const
@@ -488,9 +494,13 @@ def test_bivariate_factoring_matches_the_loop_that_rechecked_contents():
     for g in corpus:
         for h in (g, g.swap_xy()):
             want = _outcome(_reference_factor_bipoly, h, AtomRegistry())
-            assert _outcome(factor_bipoly, h, AtomRegistry()) == want, str(h)
+            got = _outcome(factor_bipoly, h, AtomRegistry())
             if isinstance(want[0], type):
+                assert got == want, str(h)
                 refused.append(want[1])
+            else:
+                assert got == want[1] and want[0] == h.primitive_int()[0], str(h)
+                assert _gauss_product(h, got) == h, str(h)
     assert refused[:6] == [
         f"cannot factor bivariate polynomial {p}: it has no factor linear in x or in y"
         for p in ("x^2+x*y+y^2", "-x^2-x*y-y^2", "x^2*y^2+1", "x^2*y^2+1",
@@ -500,9 +510,10 @@ def test_bivariate_factoring_matches_the_loop_that_rechecked_contents():
     def reference_fraction(num, den):
         (cn, exps), (cd, den_exps) = (_reference_factor_bipoly(p, AtomRegistry())
                                       for p in (num, den))
+        assert cn / cd == num.primitive_int()[0] / den.primitive_int()[0]
         for a, e in den_exps.items():
             exps[a] = exps.get(a, 0) - e
-        return cn / cd, {a: e for a, e in exps.items() if e}
+        return {a: e for a, e in exps.items() if e}
 
     rng = random.Random(33)
     for _ in range(40):
@@ -540,28 +551,23 @@ def test_each_content_is_built_once_per_call(monkeypatch):
     for h, mirror in ((g, lambda p: p), (g.swap_xy(), BiPoly.swap_xy)):
         contents.clear()
         reg = AtomRegistry()
-        const, exps = atoms.factor_bipoly(h, reg)
+        exps = atoms.factor_bipoly(h, reg)
         assert exps == {reg.bi(mirror(p).primitive_int()[1]): e for p, e in pieces}
-        back = BiPoly.const(const)
-        for a, e in exps.items():
-            back = back * a.poly**e
-        assert back == h
+        assert _gauss_product(h, exps) == h
         assert contents == ["x", "y"]
     assert divisions == []
 
 
 def _value_corpus(rng):
     """Seeded UniPoly and BiPoly values and atoms of all three kinds, each
-    with the name of the tuple it hashes as (the Fraction tuple of a
-    polynomial, the single dataclass field of an atom) and a way to build
-    an equal value afresh."""
+    kind with a way to build an equal value afresh."""
     from tamesym import BiAtom, BiPoly, PrimeAtom, UniAtom
 
     def frac():
         return Q(rng.randint(-9, 9), rng.randint(1, 4))
 
     def field_copy(v):
-        return type(v)(*[getattr(v, f.name) for f in dataclasses.fields(v)])
+        return type(v)(*_fields(v))
 
     unis = [P([frac() for _ in range(rng.randint(0, 6))]) for _ in range(40)]
     bis = [BiPoly.make({(rng.randint(0, 3), rng.randint(0, 3)): frac()
@@ -569,41 +575,44 @@ def _value_corpus(rng):
     primes = [PrimeAtom(p) for p in (2, 3, 5, 7, 11, 13, 10**9 + 7, 2**61 - 1)]
     uni_atoms = [UniAtom(p.monic()) for p in unis if not p.is_zero]
     bi_atoms = [BiAtom(p.primitive_int()[1]) for p in bis if not p.is_zero]
-    return [(unis, "coeffs", lambda v: P(v.coeffs)),
-            (unis, "coeffs", field_copy),
-            (bis, "terms", lambda v: BiPoly.make(dict(v.terms))),
-            (bis, "terms", field_copy),
-            (primes, "p", field_copy), (uni_atoms, "poly", field_copy),
-            (bi_atoms, "poly", field_copy)]
+    return [(unis, lambda v: P(v.coeffs)), (unis, field_copy),
+            (bis, lambda v: BiPoly.make(dict(v.terms))), (bis, field_copy),
+            (primes, field_copy), (uni_atoms, field_copy), (bi_atoms, field_copy)]
+
+
+def _fields(v) -> tuple:
+    """The dataclass fields of v, in order."""
+    return tuple([getattr(v, f.name) for f in dataclasses.fields(v)])
 
 
 def test_value_types_hash_once_as_their_field_tuple():
-    """The cached hash is hash((coeffs,)) for a UniPoly, hash((terms,)) for
-    a BiPoly and the dataclass hash hash((field,)) for an atom, so sets and
-    dicts keep their iteration order; a value built afresh is equal, with
-    the same hash, and copy, deepcopy and pickle give an equal value with
-    the same hash. An atom keeps its single field, repr and all."""
+    """The cached hash of a UniPoly, a BiPoly or an atom is the hash of the
+    tuple of its stored fields, (den, ints), (den, iterms) or the atom's
+    single field, so sets and dicts iterate as those tuples do; a value
+    built afresh is equal, with the same hash, and copy, deepcopy and
+    pickle give an equal value with the same hash. Each type's fields are
+    its slots but `_hash`, and its repr names them alone."""
     import copy
     import pickle
-    for values, name, rebuild in _value_corpus(random.Random(66)):
+    for values, rebuild in _value_corpus(random.Random(66)):
         for v in values:
-            field = getattr(v, name)
-            expected = hash((field,))
+            fields = _fields(v)
+            expected = hash(fields)
             assert hash(v) == expected   # computed
             assert hash(v) == expected   # cached
             twin = rebuild(v)            # equal, not hashed yet
             assert v == twin and not v != twin
             assert {v: 1}[twin] == 1
             assert hash(twin) == expected
-            if name not in ("coeffs", "terms"):
-                assert repr(v) == f"{type(v).__name__}({name}={field!r})"
-                assert [f.name for f in dataclasses.fields(v)] == [name]
+            names = [f.name for f in dataclasses.fields(v)]
+            assert names == list(type(v).__slots__[:-1])
+            shown = ", ".join([f"{n}={x!r}" for n, x in zip(names, fields)])
+            assert repr(v) == f"{type(v).__name__}({shown})"
             for twin in (copy.copy(v), copy.deepcopy(v),
                          pickle.loads(pickle.dumps(v))):
                 assert twin == v and hash(twin) == expected
         fresh = [rebuild(v) for v in values]
-        assert ([getattr(v, name) for v in set(fresh)]
-                == [t[0] for t in set((getattr(v, name),) for v in values)])
+        assert [_fields(v) for v in set(fresh)] == list(set(map(_fields, values)))
 
 
 def test_class_and_wedge_coefficients_are_fractions():

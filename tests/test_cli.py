@@ -410,6 +410,66 @@ def test_a_refused_constant_is_refused_before_factoring(monkeypatch):
         mult_vec(RatFunc.const(0), reg)
 
 
+def test_a_bivariate_constant_is_classed_before_factoring():
+    """Over Q(x, y) too, a function's constant is classed first: it is the
+    ratio of the contents of num and den, since the atoms are primitive.
+    Here the content N, a product of two 40-bit primes, is one that Pollard
+    rho cannot split, and what is left, y^2 - x^3 - 2, has no factor linear
+    in x or in y: the constant's refusal is printed, exit 3."""
+    n = 1000000000039 * 1000000000061
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamesym", "snc", f"w[{n}*y^2-{n}*x^3-2*{n}, x]"],
+        capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"snc: Inconclusive: cannot factor the integer {n}: "
+                           "Pollard rho found no factor within its step budget\n")
+
+
+def test_support_names_the_first_unsupported_atom_in_canonical_order(capsys):
+    """The atoms of a surface support are classified in their canonical
+    order, not in hash order: of two unsupported atoms the refusal names
+    the first, whatever the order of the slots."""
+    for text in ("w[x^2+1, x^2+2, 3]", "w[x^2+2, x^2+1, 3]"):
+        code, out, err = run(capsys, "dd", f"m=1; [S: {text}]")
+        assert (code, out) == (3, "")
+        assert err == ("dd: UnsupportedDivisorClass: atom x^2+1 cuts out a "
+                       "nonrational vertical fiber bundle\n")
+
+
+# Python's Fraction(str) read each of these, outside the grammar's rational
+NOT_RATIONALS = [
+    (["five-term", "1.5", "2", "3", "4", "5"], "expected a rational number or inf, got '1.5'"),
+    (["five-term", "1e1", "2", "3", "4", "5"], "expected a rational number or inf, got '1e1'"),
+    (["five-term", "0", "1", "3", "7", "1_0"], "expected a rational number or inf, got '1_0'"),
+    (["blowup", "--center=1e0,0.5", "w[x-1, y-1/2]"],
+     "--center expects two rationals like 1,-2/3, got '1e0,0.5'"),
+    (["blowup", "--center=1_0,0", "w[x-1, y]"],
+     "--center expects two rationals like 1,-2/3, got '1_0,0'"),
+    (["blowup", "--center=1,inf", "w[x-1, y]"],
+     "--center expects two rationals like 1,-2/3, got '1,inf'"),
+    (["blowup", "--center=1,2,3", "w[x-1, y]"],
+     "--center expects two rationals like 1,-2/3, got '1,2,3'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NOT_RATIONALS,
+                         ids=[" ".join(argv) for argv, _ in NOT_RATIONALS])
+def test_cli_numbers_are_the_grammars_rationals(capsys, argv, message):
+    """five-term points are `rational | "inf"` and --center is
+    `rational "," rational` (docs/grammar.ebnf), read by the DSL: any
+    other number is a parse error, exit 2."""
+    assert run(capsys, *argv) == (2, "", f"{argv[0]}: {message}\n")
+
+
+def test_cli_rationals_read_as_the_dsl_reads_them(capsys):
+    """Signs, fractions, spaces between tokens and inf read as before."""
+    code, out, _ = run(capsys, "five-term", " 4", "-7", "5 ", "- 6", "-1 / 3")
+    assert (code, out.splitlines()[1]) == (0, "in-delta-kernel: yes")
+    assert run(capsys, "five-term", "4", "-7", "5", "-6", "-1/3")[1] == out
+    assert run(capsys, "blowup", "--center= 1 , -2/3", "w[x-1, y+2/3, 5]") == (
+        0, "-w[5, v]\n", "")
+
+
 def test_sum_around_a_long_product_is_refused(capsys):
     """A sum multiplies both its sides out: the degree-300 side below was
     then factored for 53-56 s before exit 3. A side whose degree bound (the

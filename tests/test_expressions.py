@@ -7,6 +7,7 @@ import pytest
 
 from tamesym import INF, BiFrac, BiPoly, RatFunc, UniPoly
 from tamesym.expressions import ratfunc_str
+from test_polynomials import _euclid_gcd, _ref_divmod, rand_wide
 
 P = UniPoly.make
 
@@ -17,6 +18,34 @@ def test_ratfunc_normal_form_is_reduced_and_monic():
     assert f.num == P([Q(-2, 3), Q(1, 3)])
     g = RatFunc.make(P([0, 2]), P([0, 0, 4]))  # 2t / 4t^2
     assert ratfunc_str(g, "t") == "(1/2)/(t)"
+
+
+def _reference_make(num, den):
+    """RatFunc.make's (num, den) as it was before make kept the gcd's
+    cofactors: the monic gcd by Euclid's algorithm, both sides divided by it
+    by schoolbook division, and the denominator then made monic, all on
+    Fraction references."""
+    if num.is_zero:
+        return P([]), P([1])
+    g = _euclid_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    return num.scale(1 / den.leading), den.monic()
+
+
+def test_make_reduces_as_gcd_then_divide_did():
+    """make divides num and den by their gcd through the cofactors that
+    certify it; on seeded pairs with a shared factor of degree 0 to 4, up
+    to its square, a constant side now and then and a zero numerator, it
+    gives gcd-then-divide's reduced pair, in stored form and hash."""
+    rng = random.Random(3401)
+    for _ in range(300):
+        shared = rand_wide(rng, rng.randint(0, 4)) ** rng.randint(1, 2)
+        num = rand_wide(rng, rng.randint(0, 4)) * shared
+        den = rand_wide(rng, rng.randint(0, 4)) * shared
+        if rng.random() < 0.05:
+            num = P([])
+        got, want = RatFunc.make(num, den), RatFunc(*_reference_make(num, den))
+        assert got == want and hash(got) == hash(want), (str(num), str(den))
 
 
 def test_ratfunc_field_laws():

@@ -1,6 +1,7 @@
 """The graded surface-curve-point complex and its differential."""
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -86,6 +87,18 @@ def test_parshin_requires_snc_support():
     reg = AtomRegistry()
     with pytest.raises(NotStrictlyRegular):
         parshin_check(parse_wedge("w[y-x, y-x-1, 3]", reg), reg)
+
+
+def test_parshin_names_the_points_where_the_support_is_not_snc():
+    """parshin_check refuses a support that is not snc with the text that
+    differential gives, each offending point named."""
+    reg = AtomRegistry()
+    w = parse_wedge("w[y-x, y+x, y-2*x, 3]", reg)
+    text = "surface support is not SNC: triple at (0, 0); triple at (inf, inf)"
+    with pytest.raises(NotStrictlyRegular, match=f"^{re.escape(text)}$"):
+        parshin_check(w, reg)
+    with pytest.raises(NotStrictlyRegular, match=f"^{re.escape(text)}$"):
+        differential(LambdaElem.make(2, surface=w), reg)
 
 
 def test_parshin_refuses_chains_through_conjugate_points():

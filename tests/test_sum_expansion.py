@@ -151,7 +151,7 @@ def _ref_ts_gamma(g, v, reg):
 
 def ratfunc_support(f, reg):
     """All places where a concrete rational function has nonzero order."""
-    _, exps = factor_into_atoms(f.num, f.den, reg)
+    exps = factor_into_atoms(f.num, f.den, reg)
     out = [_place_of(atom.poly) for atom in exps]
     if f.order_at_infinity() != 0:
         out.append(INFINITY)
